@@ -38,9 +38,6 @@ from .cones import (
     boundary_sample,
     check_inclusion,
     conjugate_oracle,
-    recession_ray_check,
-    shift_oracle,
-    sup_pairing_estimate,
 )
 from .errors import (
     ApertureInconsistencyError,
@@ -59,7 +56,6 @@ from .fundsol import (
     example_radial_check,
     example_radial_profile,
     operator_aperture,
-    quadratic_shift_field,
     radial_hessian_eigs,
     sobolev_diverges,
     sobolev_integral,
@@ -70,7 +66,6 @@ from .fundsol import (
     viscosity_grid_check,
     w_gradient,
     w_hessian,
-    w_radial_profile,
     w_value,
 )
 from .operators import (
@@ -88,7 +83,6 @@ from .operators import (
     eval_example,
     eval_pucci,
     eval_support,
-    evaluate,
     spec_from_dict,
     spec_to_dict,
     sublevel_member,

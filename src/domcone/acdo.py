@@ -10,13 +10,11 @@ one-dimensional root finding on a membership predicate.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import operators
 from .errors import InputError, NonProperSetError, PreconditionError
 from .operators import (
     Conjugated,
@@ -26,9 +24,8 @@ from .operators import (
     LinearTrace,
     OperatorSpec,
     Pucci,
+    Report,
     Shifted,
-    evaluate,
-    num_to_json,
 )
 from .sampling import goe_matrix, make_rng, random_nsd, random_orthogonal
 from .symmat import SymMatrix, congruence, inf_norm, inner
@@ -72,11 +69,10 @@ class EllipticSetOracle:
 
 def oracle_from_operator(spec: OperatorSpec, description: str = "") -> EllipticSetOracle:
     """Sublevel-set membership oracle F(X) <= 0 for a catalog operator."""
-    n = operators.operator_dim(spec)
-    inside, outside = _default_witnesses(spec, n)
+    inside, outside = _default_witnesses(spec, spec.n)
     return EllipticSetOracle(
-        member=lambda x: evaluate(spec, x) <= 0.0,
-        n=n,
+        member=lambda x: spec.value(x) <= 0.0,
+        n=spec.n,
         inside_witness=inside,
         outside_witness=outside,
         description=description or f"sublevel set of {type(spec).__name__}",
@@ -214,26 +210,11 @@ def acdo_halfspace_closed_form(A: SymMatrix, m: float, x: SymMatrix) -> float:
 
 
 @dataclass
-class PropertyReport:
+class PropertyReport(Report):
     name: str
     samples: int
     checks: int = 0
-    violations: list = field(default_factory=list)
     max_deviation: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "checks": self.checks,
-            "violations": self.violations,
-            "max_deviation": num_to_json(self.max_deviation),
-            "passed": self.passed,
-        }
 
 
 _TAU_GRID = (-10.0, -1.0, 0.1, 7.0)

@@ -12,18 +12,17 @@ that exponent is minimal for the body's support function:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import operators
 from .errors import (
     ApertureInconsistencyError,
     InvalidBodyError,
     PreconditionError,
 )
-from .operators import eval_dominative, eval_support, num_to_json
+from .operators import Report, _check_p, eval_dominative, eval_support, num_to_json
 from .sampling import goe_matrix, make_rng, random_orthogonal
 from .symmat import SymMatrix, eigvals_sym
 
@@ -112,8 +111,7 @@ def dominative_body(n: int, p: float) -> ConvexBody:
     ``(I + (p-2) e_n e_n^T) / (n+p-2)`` for finite p, the rank-one
     projector ``e_n e_n^T`` at p = inf.
     """
-    if math.isnan(p) or p < 2.0:
-        raise PreconditionError(f"exponent p must lie in [2, inf], got {p}")
+    p = _check_p(p)
     spike = np.zeros((n, n))
     spike[n - 1, n - 1] = 1.0
     if p == math.inf:
@@ -249,36 +247,16 @@ def body_cone_aperture(
 
 
 @dataclass
-class MinimalBoundReport:
-    body_summary: str
+class MinimalBoundReport(Report):
+    body: str
     alpha: float
     p: float
     c: float
     samples: int
     probes: int
-    violations: list = field(default_factory=list)
     worst_margin: float = math.inf
     tightest: dict | None = None
     sharpness_gap: float = math.inf
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "body": self.body_summary,
-            "alpha": self.alpha,
-            "p": num_to_json(self.p),
-            "c": self.c,
-            "samples": self.samples,
-            "probes": self.probes,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "tightest": self.tightest,
-            "sharpness_gap": self.sharpness_gap,
-            "passed": self.passed,
-        }
 
 
 _BOUND_RADII = (0.5, 1.0, 2.0, 10.0)
@@ -301,7 +279,7 @@ def minimal_bound_check(
     ap = body_cone_aperture(body)
     rng = make_rng(seed)
     report = MinimalBoundReport(
-        body_summary=body.summary(),
+        body=body.summary(),
         alpha=ap.alpha,
         p=ap.p,
         c=ap.c,
@@ -339,8 +317,7 @@ def minimal_bound_check(
 def dominative_weights(n: int, p: float) -> np.ndarray:
     """Eigenvalue vector of the dominative body's generator:
     ``[1, ..., 1, p-1] / (n+p-2)``, or the last basis vector at p = inf."""
-    if math.isnan(p) or p < 2.0:
-        raise PreconditionError(f"exponent p must lie in [2, inf], got {p}")
+    p = _check_p(p)
     if p == math.inf:
         w = np.zeros(n)
         w[-1] = 1.0

@@ -2,9 +2,10 @@
 
 Commands consume matrix / operator / body JSON (or catalog shorthands
 like ``pucci:n=2,lam=1,Lam=3``), run seeded deterministic computations,
-and emit schema-versioned JSON or CSV reports.  Exit codes: 0 success,
-2 when a verified property is violated (report still written), 1 on
-input or usage errors.
+and emit schema-versioned JSON reports whose ``config`` block echoes
+the parsed arguments; ``sobolev --q-sweep`` emits a CSV table instead.
+Exit codes: 0 success, 2 when a verified property is violated (report
+still written), 1 on input or usage errors.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,36 +28,7 @@ from .errors import DomconeError, InputError
 from .operators import num_from_json, num_to_json
 from .symmat import InvertibleMap, SymMatrix
 
-SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    eigen: float = 1e-13
-    loewner: float = 1e-9
-    root: float = 1e-10
-    prop: float = 1e-8
-
-    def to_dict(self) -> dict:
-        return {
-            "eigen": self.eigen,
-            "loewner": self.loewner,
-            "root": self.root,
-            "property": self.prop,
-        }
-
-
-def _read_threads() -> int:
-    raw = os.environ.get("DOMCONE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise InputError(f"DOMCONE_THREADS must be an integer, got {raw!r}") from exc
-    if threads < 1:
-        raise InputError(f"DOMCONE_THREADS must be at least 1, got {threads}")
-    return threads
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -74,16 +45,37 @@ def _load_json_file(path: str) -> dict:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _parse_kv_shorthand(text: str) -> dict:
-    out = {}
-    if not text:
-        return out
-    for chunk in text.split(","):
+def _parse_shorthand(arg: str, builders: dict, what: str):
+    """Build a catalog object from ``kind:key=value,...`` with ``builders[kind]``."""
+    kind, _, params = arg.partition(":")
+    if kind not in builders:
+        raise InputError(f"unknown {what} shorthand kind {kind!r}")
+    kv = {}
+    for chunk in params.split(",") if params else ():
         if "=" not in chunk:
             raise InputError(f"bad shorthand parameter {chunk!r} (expected key=value)")
         key, val = chunk.split("=", 1)
-        out[key.strip()] = val.strip()
-    return out
+        kv[key.strip()] = val.strip()
+    try:
+        return builders[kind](kv)
+    except KeyError as exc:
+        raise InputError(f"shorthand {arg!r} is missing parameter {exc}") from exc
+    except ValueError as exc:
+        raise InputError(f"bad value in shorthand {arg!r}: {exc}") from exc
+
+
+_BODY_SHORTHANDS = {
+    "dominative": lambda kv: dominative_body(int(kv["n"]), num_from_json(kv["p"])),
+    "pucci": lambda kv: pucci_body(int(kv["n"]), float(kv["lam"]), float(kv["Lam"])),
+}
+
+_OPERATOR_SHORTHANDS = {
+    "dominative": lambda kv: operators_mod.DominativeP(n=int(kv["n"]), p=num_from_json(kv["p"])),
+    "pucci": lambda kv: operators_mod.Pucci(
+        n=int(kv["n"]), lam=float(kv["lam"]), Lam=float(kv["Lam"])
+    ),
+    "example": lambda kv: operators_mod.ExampleEq(n=int(kv.get("n", 2))),
+}
 
 
 def parse_matrix_arg(arg: str) -> SymMatrix:
@@ -97,39 +89,15 @@ def parse_map_arg(arg: str) -> InvertibleMap:
 def parse_body_arg(arg: str) -> ConvexBody:
     """A body file, or a catalog shorthand such as ``dominative:n=3,p=4``."""
     if ":" in arg and not os.path.exists(arg):
-        kind, _, params = arg.partition(":")
-        kv = _parse_kv_shorthand(params)
-        try:
-            if kind == "dominative":
-                return dominative_body(int(kv["n"]), num_from_json(kv["p"]))
-            if kind == "pucci":
-                return pucci_body(int(kv["n"]), float(kv["lam"]), float(kv["Lam"]))
-        except KeyError as exc:
-            raise InputError(f"shorthand {arg!r} is missing parameter {exc}") from exc
-        raise InputError(f"unknown body shorthand kind {kind!r}")
+        return _parse_shorthand(arg, _BODY_SHORTHANDS, "body")
     return ConvexBody.from_dict(_load_json_file(arg))
 
 
 def parse_operator_arg(arg: str) -> operators_mod.OperatorSpec:
     """An operator spec file, or a shorthand: ``dominative:n=3,p=4``,
     ``pucci:n=2,lam=1,Lam=3``, ``example``."""
-    if arg == "example":
-        return operators_mod.ExampleEq()
-    if ":" in arg and not os.path.exists(arg):
-        kind, _, params = arg.partition(":")
-        kv = _parse_kv_shorthand(params)
-        try:
-            if kind == "dominative":
-                return operators_mod.DominativeP(n=int(kv["n"]), p=num_from_json(kv["p"]))
-            if kind == "pucci":
-                return operators_mod.Pucci(
-                    n=int(kv["n"]), lam=float(kv["lam"]), Lam=float(kv["Lam"])
-                )
-            if kind == "example":
-                return operators_mod.ExampleEq(n=int(kv.get("n", 2)))
-        except KeyError as exc:
-            raise InputError(f"shorthand {arg!r} is missing parameter {exc}") from exc
-        raise InputError(f"unknown operator shorthand kind {kind!r}")
+    if arg == "example" or (":" in arg and not os.path.exists(arg)):
+        return _parse_shorthand(arg, _OPERATOR_SHORTHANDS, "operator")
     return operators_mod.spec_from_dict(_load_json_file(arg))
 
 
@@ -181,16 +149,11 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _wrap(command: str, args, tols: Tolerances, result: dict, inputs: dict) -> dict:
+def _wrap(args, result: dict) -> dict:
     return {
         "schema": SCHEMA_VERSION,
-        "command": command,
-        "config": {
-            "seed": getattr(args, "seed", 0),
-            "tolerances": tols.to_dict(),
-            "threads": _read_threads(),
-            "inputs": inputs,
-        },
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if k != "command"},
         "result": result,
     }
 
@@ -199,27 +162,27 @@ def _wrap(command: str, args, tols: Tolerances, result: dict, inputs: dict) -> d
 # Command handlers (each returns (report_dict_or_text, exit_code))
 
 
-def _cmd_eval(args, tols):
+def _cmd_eval(args):
     spec = parse_operator_arg(args.op)
     x = parse_matrix_arg(args.X)
     res = operators_mod.evaluate_result(spec, x)
     return res.to_dict(), 0
 
 
-def _cmd_aperture(args, tols):
+def _cmd_aperture(args):
     body = parse_body_arg(args.body)
     return body_cone_aperture(body).to_dict(), 0
 
 
-def _cmd_acdo(args, tols):
+def _cmd_acdo(args):
     spec = parse_operator_arg(args.op)
     x = parse_matrix_arg(args.X)
     oracle = acdo_mod.oracle_from_operator(spec)
-    root = acdo_mod.acdo_root(oracle, x, tol=tols.root)
+    root = acdo_mod.acdo_root(oracle, x, tol=args.tol_root)
     return root.to_dict(), 0
 
 
-def _cmd_check_inclusion(args, tols):
+def _cmd_check_inclusion(args):
     spec = parse_operator_arg(args.op)
     oracle = acdo_mod.oracle_from_operator(spec)
     b_map = parse_map_arg(args.B) if args.B else None
@@ -231,14 +194,14 @@ def _cmd_check_inclusion(args, tols):
         radii,
         count=args.count,
         seed=args.seed,
-        root_tol=tols.root,
-        property_tol=tols.prop,
+        root_tol=args.tol_root,
+        property_tol=args.tol_property,
     )
     return rep.to_dict(), 2 if rep.verdict == "violated" else 0
 
 
-def _cmd_report(args, tols):
-    inclusion, code = _cmd_check_inclusion(args, tols)
+def _cmd_report(args):
+    inclusion, code = _cmd_check_inclusion(args)
     q_hi = inclusion["q_interval"]["hi"]
     statement = (
         "conditional on the asymptotic-cone inclusion holding, every "
@@ -247,7 +210,7 @@ def _cmd_report(args, tols):
     return {"inclusion": inclusion, "guaranteed_q_interval": inclusion["q_interval"], "statement": statement}, code
 
 
-def _cmd_fundsol(args, tols):
+def _cmd_fundsol(args):
     point = _parse_float_list(args.at)
     n = args.n if args.n else len(point)
     if len(point) != n:
@@ -267,12 +230,10 @@ def _cmd_fundsol(args, tols):
     return result, 0
 
 
-def _cmd_sobolev(args, tols):
+def _cmd_sobolev(args):
     n = args.n
     p = num_from_json(args.p)
     if args.q_sweep:
-        if args.format != "csv":
-            raise InputError("--q-sweep emits CSV; pass --format csv")
         qs = _parse_range(args.q_sweep)
         eps_list = _parse_float_list(args.eps) if args.eps else [1e-2, 1e-4, 1e-6]
         header = ["q"] + [f"value_eps_{e:g}" for e in eps_list]
@@ -289,7 +250,7 @@ def _cmd_sobolev(args, tols):
     }, 0
 
 
-def _cmd_example(args, tols):
+def _cmd_example(args):
     cs = _parse_float_list(args.c)
     r_grid = _parse_range(args.r_grid)
     reports = [fundsol_mod.example_radial_check(c, r_grid).to_dict() for c in cs]
@@ -300,7 +261,7 @@ def _cmd_example(args, tols):
 _FLAG_NAMES = ("convex", "concave_complement", "cone", "rot_invariant")
 
 
-def _cmd_verify(args, tols):
+def _cmd_verify(args):
     spec = parse_operator_arg(args.op)
     oracle = acdo_mod.oracle_from_operator(spec)
     flag_tokens = [t.strip() for t in args.flags.split(",") if t.strip()] if args.flags else []
@@ -312,14 +273,16 @@ def _cmd_verify(args, tols):
     reports = [
         acdo_mod.check_downward_closure(oracle, samples=args.samples, seed=args.seed),
         acdo_mod.check_nondegeneracy(
-            oracle, samples=max(10, args.samples // 4), seed=args.seed + 1, tol=tols.root
+            oracle, samples=max(10, args.samples // 4), seed=args.seed + 1, tol=args.tol_root
         ),
-        acdo_mod.check_lipschitz(oracle, samples=args.samples, seed=args.seed + 2, tol=tols.root),
+        acdo_mod.check_lipschitz(
+            oracle, samples=args.samples, seed=args.seed + 2, tol=args.tol_root
+        ),
     ]
     if flag_tokens:
         reports.append(
             acdo_mod.check_structure(
-                oracle, flags, samples=args.samples, seed=args.seed + 3, tol=tols.root
+                oracle, flags, samples=args.samples, seed=args.seed + 3, tol=args.tol_root
             )
         )
     result = {
@@ -329,7 +292,7 @@ def _cmd_verify(args, tols):
     return result, 0 if result["passed"] else 2
 
 
-def _cmd_suite(args, tols):
+def _cmd_suite(args):
     if args.all:
         groups = None
     elif args.groups:
@@ -366,14 +329,25 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+_SHARED_OPTIONS = {
+    "seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "tol-root": dict(
+        type=float, default=acdo_mod.ROOT_TOL, help="absolute tolerance of the distance root finder"
+    ),
+    "tol-property": dict(
+        type=float,
+        default=cones_mod.PROPERTY_TOL,
+        help="worst values at or below 5x this count as zero in the inclusion verdict",
+    ),
+}
+
+
+def _add_options(sp, *names):
+    """``--out`` plus the named shared options; each command declares only
+    the options it reads."""
     sp.add_argument("--out", default=None, help="write the report to this path")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--tol-eigen", type=float, default=1e-13)
-    sp.add_argument("--tol-loewner", type=float, default=1e-9)
-    sp.add_argument("--tol-root", type=float, default=1e-10)
-    sp.add_argument("--tol-property", type=float, default=1e-8)
+    for name in names:
+        sp.add_argument("--" + name, **_SHARED_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
             "asymptotic-cone inclusion tests, and radial fundamental solutions. "
             "Operator/body arguments take a JSON file or a shorthand: "
             "dominative:n=3,p=4 | pucci:n=2,lam=1,Lam=3 | example "
-            "(p accepts 'inf')."
+            "(p accepts 'inf').  Reports are JSON; sobolev --q-sweep writes CSV."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -393,16 +367,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="evaluate an operator at a matrix")
     sp.add_argument("--op", required=True, help="operator spec file or shorthand")
     sp.add_argument("--X", required=True, help="matrix JSON file")
-    _add_common(sp)
+    _add_options(sp)
 
     sp = sub.add_parser("aperture", help="body cone aperture of a convex body")
     sp.add_argument("--body", required=True, help="body JSON file or shorthand")
-    _add_common(sp)
+    _add_options(sp)
 
     sp = sub.add_parser("acdo", help="signed distance to the sublevel-set boundary")
     sp.add_argument("--op", required=True)
     sp.add_argument("--X", required=True)
-    _add_common(sp)
+    _add_options(sp, "tol-root")
 
     for name in ("check-inclusion", "report"):
         sp = sub.add_parser(
@@ -418,13 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", required=True, help="target exponent in [2, inf]")
         sp.add_argument("--radii", default="1e2,1e4,1e6", help="comma list, >= 3 decades")
         sp.add_argument("--count", type=int, default=300)
-        _add_common(sp)
+        _add_options(sp, "seed", "tol-root", "tol-property")
 
     sp = sub.add_parser("fundsol", help="fundamental solution value/gradient/Hessian")
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--p", required=True)
     sp.add_argument("--at", required=True, help="comma-separated point coordinates")
-    _add_common(sp)
+    _add_options(sp)
 
     sp = sub.add_parser("sobolev", help="gradient-power integral over an annulus")
     sp.add_argument("--n", type=int, required=True)
@@ -432,12 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=float, default=None)
     sp.add_argument("--eps", default=None, help="inner radius; comma list in sweep mode")
     sp.add_argument("--q-sweep", dest="q_sweep", default=None, help="a:b:step CSV sweep")
-    _add_common(sp)
+    _add_options(sp)
 
     sp = sub.add_parser("example", help="verify the model equation's radial family")
     sp.add_argument("--c", default="1,1.5,2", help="comma list of family parameters, c >= 1")
     sp.add_argument("--r-grid", dest="r_grid", default="0.05:0.95:0.05")
-    _add_common(sp)
+    _add_options(sp)
 
     sp = sub.add_parser("verify", help="property battery for one operator's sublevel set")
     sp.add_argument("--op", required=True)
@@ -447,49 +421,36 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help=f"asserted structure, comma list of {{{', '.join(_FLAG_NAMES)}}}",
     )
-    _add_common(sp)
+    _add_options(sp, "seed", "tol-root")
 
     sp = sub.add_parser("suite", help="run the bundled verification suite")
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--groups", default=None, help="comma list of group names")
-    _add_common(sp)
+    _add_options(sp, "seed")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    args = None
     try:
-        args = parser.parse_args(argv)
-        tols = Tolerances(
-            eigen=args.tol_eigen,
-            loewner=args.tol_loewner,
-            root=args.tol_root,
-            prop=args.tol_property,
-        )
-        inputs = {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in ("command", "out", "seed") and not k.startswith("tol_") and v is not None
-        }
-        result, code = _HANDLERS[args.command](args, tols)
+        args = build_parser().parse_args(argv)
+        result, code = _HANDLERS[args.command](args)
+        if isinstance(result, str):  # pre-rendered CSV
+            _emit(result, args.out)
+        else:
+            _emit(_render_json(_wrap(args, result)), args.out)
     except DomconeError as exc:
         report = {
             "schema": SCHEMA_VERSION,
             "error": {"code": exc.code, "message": str(exc)},
         }
-        out = getattr(locals().get("args"), "out", None) if "args" in locals() else None
         try:
-            _emit(_render_json(report), out)
+            _emit(_render_json(report), getattr(args, "out", None))
         except DomconeError:
             pass  # the error report is best-effort; the message goes to stderr
         print(f"domcone: error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
-
-    if isinstance(result, str):  # pre-rendered CSV
-        _emit(result, args.out)
-    else:
-        _emit(_render_json(_wrap(args.command, args, tols, result, inputs)), args.out)
     return code
 
 

@@ -11,14 +11,13 @@ directions decays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .acdo import ROOT_TOL, EllipticSetOracle, acdo_eval
-from .aperture import dominative_body
-from .errors import NonProperSetError, NumericalFailureError, PreconditionError
-from .operators import eval_dominative, eval_support, num_to_json
+from .errors import NumericalFailureError, PreconditionError
+from .operators import eval_dominative, num_to_json
 from .sampling import goe_matrix, make_rng
 from .symmat import InvertibleMap, SymMatrix, congruence, inf_norm
 
@@ -44,22 +43,6 @@ def conjugate_oracle(oracle: EllipticSetOracle, B: InvertibleMap) -> EllipticSet
         inside_witness=conj(oracle.inside_witness),
         outside_witness=conj(oracle.outside_witness),
         description=f"congruence image of ({oracle.description})",
-    )
-
-
-def shift_oracle(oracle: EllipticSetOracle, X0: SymMatrix) -> EllipticSetOracle:
-    """Oracle of the translate Theta + {X0}."""
-
-    def member(x: SymMatrix) -> bool:
-        return oracle.member(x - X0)
-
-    shift = lambda w: None if w is None else w + X0
-    return EllipticSetOracle(
-        member=member,
-        n=oracle.n,
-        inside_witness=shift(oracle.inside_witness),
-        outside_witness=shift(oracle.outside_witness),
-        description=f"translate of ({oracle.description})",
     )
 
 
@@ -112,12 +95,9 @@ class InclusionReport:
     """Decay record of the worst dominative value on boundary directions.
 
     ``trend_slope`` is the least-squares slope of log(worst) against
-    log(R); the decay exponent is its negation.  Verdict rule:
-    consistent when every worst value is below 5x the property tolerance
-    or the fitted decay exponent is at least 0.25; violated when the fit
-    is essentially flat (exponent below 0.1) yet the worst value at the
-    largest radius clearly exceeds zero (10x the zero threshold);
-    inconclusive otherwise.
+    log(R); the decay exponent is its negation.  The verdict follows
+    :func:`inclusion_verdict` with the zero threshold at 5x the property
+    tolerance.
     """
 
     p: float
@@ -151,18 +131,39 @@ class InclusionReport:
         }
 
 
-def _fit_slope(radii, worst, zero_thresh):
+def inclusion_verdict(radii, worst, zero_thresh: float) -> tuple[float, str]:
+    """Trend slope and verdict from the worst values at increasing radii.
+
+    Only values above ``zero_thresh`` enter the least-squares fit of
+    log(worst) against log(R); the slope is 0 when fewer than two do.
+
+    ==================================================  ==============
+    worst values                                        verdict
+    ==================================================  ==============
+    all at or below ``zero_thresh``                     consistent
+    one above it, not at the largest radius             consistent
+    one above it, at the largest radius                 inconclusive
+    fitted decay exponent (-slope) at least 0.25        consistent
+    exponent below 0.1, last one above 10x threshold    violated
+    anything else                                       inconclusive
+    ==================================================  ==============
+    """
     pts = [
         (math.log(r), math.log(w))
         for r, w in zip(radii, worst)
         if w > zero_thresh
     ]
     if len(pts) < 2:
-        return 0.0, False
+        return 0.0, "inconclusive" if worst[-1] > zero_thresh else "consistent"
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     slope = float(np.polyfit(xs, ys, 1)[0])
-    return slope, True
+    beta = -slope
+    if beta >= 0.25:
+        return slope, "consistent"
+    if beta < 0.1 and worst[-1] > 10.0 * zero_thresh:
+        return slope, "violated"
+    return slope, "inconclusive"
 
 
 def check_inclusion(
@@ -193,19 +194,7 @@ def check_inclusion(
         samples = boundary_sample(target, r, count, seed=seed + 7919 * i, root_tol=root_tol)
         worst.append(max(eval_dominative(s.direction, p) for s in samples))
 
-    zero_thresh = 5.0 * property_tol
-    slope, fitted = _fit_slope(radii, worst, zero_thresh)
-    beta = -slope
-
-    if all(w <= zero_thresh for w in worst) or not fitted:
-        verdict = "consistent"
-    elif beta >= 0.25:
-        verdict = "consistent"
-    elif beta < 0.1 and worst[-1] > 10.0 * zero_thresh:
-        verdict = "violated"
-    else:
-        verdict = "inconclusive"
-
+    slope, verdict = inclusion_verdict(radii, worst, 5.0 * property_tol)
     n = oracle.n
     q_hi = math.inf if p == math.inf else n * (p - 1.0) / (n - 1.0)
     return InclusionReport(
@@ -218,63 +207,3 @@ def check_inclusion(
         seed=seed,
         q_interval=(0.0, q_hi),
     )
-
-
-def sup_pairing_estimate(
-    oracle: EllipticSetOracle,
-    B: InvertibleMap | None,
-    p_prime: float,
-    samples: int = 200,
-    seed: int = 0,
-    radius: float = 1e4,
-    root_tol: float = ROOT_TOL,
-) -> float:
-    """Sampled lower bound for the supremum of the dominative p' value
-    over the congruence image of the set.
-
-    Uses boundary samples at ``radius`` plus interior probes from the
-    inside witness.  Returns -inf when the set is empty along the probed
-    lines.  This is a lower bound only; finiteness of the true supremum
-    is what the cone inclusion certifies.
-    """
-    target = oracle if B is None else conjugate_oracle(oracle, B)
-    body = dominative_body(target.n, p_prime)
-    points: list[SymMatrix] = []
-    try:
-        points.extend(
-            s.raw_point for s in boundary_sample(target, radius, samples, seed, root_tol)
-        )
-    except NonProperSetError as exc:
-        if exc.reason == "empty-line":
-            return -math.inf
-        raise
-    if target.inside_witness is not None:
-        w = target.inside_witness
-        points.extend([w, w.shift(-1.0), w.shift(-10.0)])
-    if not points:
-        return -math.inf
-    return max(eval_support(x, body) for x in points)
-
-
-def recession_ray_check(
-    oracle: EllipticSetOracle,
-    samples: int = 50,
-    seed: int = 0,
-    t_values=(1.0, 1e2, 1e4),
-    root_tol: float = ROOT_TOL,
-) -> list[dict]:
-    """Optional cross-check for sets the caller asserts convex: members stay
-    members along rays X + t*Z for boundary directions Z at large radius
-    (the recession-cone formulation).  Returns the list of ray failures."""
-    if oracle.inside_witness is None:
-        raise PreconditionError("recession ray check needs an inside witness")
-    base = oracle.inside_witness
-    failures = []
-    for s in boundary_sample(oracle, 1e6, samples, seed, root_tol):
-        for t in t_values:
-            probe = base + s.direction * t
-            # allow the boundary fuzz of the projection itself
-            if not oracle.member(probe.shift(-10.0 * root_tol * t)):
-                failures.append({"t": t, "direction": s.direction.to_dict()})
-                break
-    return failures

@@ -16,24 +16,22 @@ L^q_loc exactly for q below n(p-1)/(n-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
-from .aperture import ConvexBody, body_cone_aperture
+from .aperture import ConvexBody, _spike_matrix, body_cone_aperture
 from .errors import PreconditionError
 from .operators import (
     DominativeP,
     EnsembleSupport,
     OperatorSpec,
     Pucci,
-    eval_dominative,
-    eval_pucci,
+    Report,
+    _check_p,
     eval_support,
-    evaluate,
-    num_to_json,
 )
 from .sampling import log_uniform, make_rng, random_unit_vector
 from .symmat import SymMatrix
@@ -49,8 +47,7 @@ class FundamentalSolution:
     def __post_init__(self):
         if self.n < 2:
             raise PreconditionError(f"dimension must be at least 2, got {self.n}")
-        if math.isnan(self.p) or self.p < 2.0:
-            raise PreconditionError(f"exponent p must lie in [2, inf], got {self.p}")
+        _check_p(self.p)
 
     @property
     def alpha(self) -> float:
@@ -102,13 +99,6 @@ def w_hessian(fs: FundamentalSolution, x) -> SymMatrix:
     return SymMatrix(h)
 
 
-def spike_direction_matrix(n: int, alpha: float) -> SymMatrix:
-    """diag(alpha - 1, -1, ..., -1), the Hessian's shape at unit radius."""
-    d = np.full(n, -1.0)
-    d[0] = alpha - 1.0
-    return SymMatrix.diag(d)
-
-
 # ---------------------------------------------------------------------------
 # Radial calculus
 
@@ -123,24 +113,6 @@ class RadialProfile:
     du: Callable[[float], float]
     d2u: Callable[[float], float]
     c: float | None = None
-
-
-def w_radial_profile(fs: FundamentalSolution) -> RadialProfile:
-    n, p = fs.n, fs.p
-    if p == math.inf:
-        return RadialProfile(n=n, u=lambda r: -r, du=lambda r: -1.0, d2u=lambda r: 0.0)
-    exp_grad = -(n - 1.0) / (p - 1.0)
-    alpha = fs.alpha
-
-    def u(r):
-        return w_value(fs, [r] + [0.0] * (n - 1))
-
-    return RadialProfile(
-        n=n,
-        u=u,
-        du=lambda r: -(r ** exp_grad),
-        d2u=lambda r: (alpha - 1.0) * r ** (-alpha),
-    )
 
 
 def example_radial_profile(c: float) -> RadialProfile:
@@ -172,32 +144,14 @@ def radial_hessian_eigs(profile: RadialProfile, r: float) -> np.ndarray:
 
 
 @dataclass
-class AnnihilationReport:
-    operator_summary: str
+class AnnihilationReport(Report):
+    operator: str
     n: int
     p: float
     alpha: float
     samples: int
     max_scaled_residual: float = 0.0
     max_scaling_law_error: float = 0.0
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "operator": self.operator_summary,
-            "n": self.n,
-            "p": num_to_json(self.p),
-            "alpha": self.alpha,
-            "samples": self.samples,
-            "max_scaled_residual": self.max_scaled_residual,
-            "max_scaling_law_error": self.max_scaling_law_error,
-            "violations": self.violations,
-            "passed": self.passed,
-        }
 
 
 def operator_aperture(op) -> float:
@@ -220,11 +174,7 @@ def operator_aperture(op) -> float:
 def _sublinear_eval(op, x: SymMatrix) -> float:
     if isinstance(op, ConvexBody):
         return eval_support(x, op)
-    return evaluate(op, x)
-
-
-def _op_dim(op) -> int:
-    return op.n
+    return op.value(x)
 
 
 def _op_summary(op) -> str:
@@ -252,9 +202,9 @@ def verify_annihilation(
     Passing ``require_aperture_match=False`` skips that gate so a mismatch's
     nonzero residual can be demonstrated.
     """
-    if _op_dim(op) != fs.n:
+    if op.n != fs.n:
         raise PreconditionError(
-            f"operator dimension {_op_dim(op)} does not match solution dimension {fs.n}"
+            f"operator dimension {op.n} does not match solution dimension {fs.n}"
         )
     p_op = operator_aperture(op)
     if require_aperture_match:
@@ -267,9 +217,9 @@ def verify_annihilation(
 
     rng = make_rng(seed)
     alpha = fs.alpha
-    g_spike = _sublinear_eval(op, spike_direction_matrix(fs.n, alpha))
+    g_spike = _sublinear_eval(op, _spike_matrix(fs.n, alpha))
     report = AnnihilationReport(
-        operator_summary=_op_summary(op),
+        operator=_op_summary(op),
         n=fs.n,
         p=fs.p,
         alpha=alpha,
@@ -315,8 +265,10 @@ def sobolev_integral(n: int, p: float, q: float, eps: float) -> float:
     """Integral of |grad w|^q over the annulus eps < |x| < 1, analytically.
 
     ``surface_measure(n) * int_eps^1 r^e dr`` with
-    ``e = n-1 - q(n-1)/(p-1)``; the antiderivative switches to the log
-    branch exactly at e = -1, the divergence threshold q = q*.
+    ``e = n-1 - q(n-1)/(p-1)``, which is ``(1 - eps^(e+1)) / (e+1)``.  That
+    form goes to ``ln(1/eps)`` as e -> -1, the divergence threshold q = q*;
+    it is evaluated through ``expm1`` so that it stays accurate when q
+    rounds to just beside q*, and takes the log branch only at e = -1 exactly.
     """
     if not 0.0 < eps < 1.0:
         raise PreconditionError(f"eps must lie in (0, 1), got {eps}")
@@ -326,27 +278,35 @@ def sobolev_integral(n: int, p: float, q: float, eps: float) -> float:
         raise PreconditionError(f"exponent p must lie in [2, inf), got {p}")
     e = _radial_exponent(n, p, q)
     omega = surface_measure(n)
-    if e == -1.0:
+    s = e + 1.0
+    if s == 0.0:
         return omega * math.log(1.0 / eps)
-    return omega * (1.0 - eps ** (e + 1.0)) / (e + 1.0)
+    return omega * -math.expm1(s * math.log(eps)) / s
+
+
+#: 64-node Gauss-Legendre rule on [-1, 1] for the quadrature cross-check.
+_GL_NODES, _GL_WEIGHTS = leggauss(64)
 
 
 def sobolev_integral_quadrature(n: int, p: float, q: float, eps: float) -> float:
-    """Adaptive-quadrature cross-check of :func:`sobolev_integral`.
+    """Gauss-Legendre cross-check of :func:`sobolev_integral`.
 
     Integrates in log-radius (r = e^u turns the power integrand into a
-    smooth exponential), so the near-singular endpoint costs nothing.
+    smooth exponential), so the near-singular endpoint costs nothing and
+    64 nodes reach rounding level over the exponents the suite uses.
     """
     if not 0.0 < eps < 1.0:
         raise PreconditionError(f"eps must lie in (0, 1), got {eps}")
     e = _radial_exponent(n, p, q)
-    val, _ = quad(lambda u: math.exp((e + 1.0) * u), math.log(eps), 0.0, epsabs=0.0, epsrel=1e-12, limit=200)
+    half = -0.5 * math.log(eps)  # half the length of [ln eps, 0]
+    u = half * (_GL_NODES - 1.0)
+    val = half * float(_GL_WEIGHTS @ np.exp((e + 1.0) * u))
     return surface_measure(n) * val
 
 
 def sobolev_diverges(n: int, p: float, q: float) -> bool:
     """True when the integral diverges as eps -> 0, i.e. q >= q*."""
-    return _radial_exponent(n, p, q) + 1.0 <= 0.0
+    return q >= sobolev_threshold(n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -354,24 +314,10 @@ def sobolev_diverges(n: int, p: float, q: float) -> bool:
 
 
 @dataclass
-class RadialCheckReport:
+class RadialCheckReport(Report):
     c: float
     r_values: list[float]
     max_residual: float = 0.0
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "r_values": self.r_values,
-            "max_residual": self.max_residual,
-            "violations": self.violations,
-            "passed": self.passed,
-        }
 
 
 def example_radial_check(c: float, r_grid, tol: float = 1e-9) -> RadialCheckReport:
@@ -405,22 +351,9 @@ def example_radial_check(c: float, r_grid, tol: float = 1e-9) -> RadialCheckRepo
 
 
 @dataclass
-class GridCheckReport:
+class GridCheckReport(Report):
     points_checked: int
     max_value: float = -math.inf
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "points_checked": self.points_checked,
-            "max_value": num_to_json(self.max_value),
-            "violations": self.violations,
-            "passed": self.passed,
-        }
 
 
 def viscosity_grid_check(
@@ -437,24 +370,8 @@ def viscosity_grid_check(
     points = [np.asarray(x, dtype=float) for x in grid]
     report = GridCheckReport(points_checked=len(points))
     for x in points:
-        v = evaluate(op, hessian_field(x))
+        v = op.value(hessian_field(x))
         report.max_value = max(report.max_value, v)
         if v > tol:
             report.violations.append({"x": x.tolist(), "value": v})
     return report
-
-
-def quadratic_shift_field(
-    fs: FundamentalSolution, X0: SymMatrix
-) -> Callable[[np.ndarray], SymMatrix]:
-    """Hessian field of w + (1/2) x^T X0 x, the quadratic-shift supersolution."""
-    if X0.n != fs.n:
-        raise PreconditionError("shift matrix dimension does not match the solution")
-    return lambda x: w_hessian(fs, x) + X0
-
-
-def default_quadratic_shift(oracle, n: int) -> SymMatrix:
-    """Default shift: the origin's boundary projection ``0 - dist(0) * I``."""
-    from .acdo import acdo_eval
-
-    return SymMatrix.identity(n) * (-acdo_eval(oracle, SymMatrix.zeros(n)))

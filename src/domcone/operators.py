@@ -10,7 +10,7 @@ set of ``Shifted(F, X0)`` is Theta(F) + {X0}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -190,7 +190,7 @@ class Shifted:
     X0: SymMatrix
 
     def __post_init__(self):
-        if operator_dim(self.inner) != self.X0.n:
+        if self.inner.n != self.X0.n:
             raise DimensionMismatchError(
                 "shift matrix dimension does not match inner operator"
             )
@@ -201,7 +201,7 @@ class Shifted:
 
     def value(self, x: SymMatrix) -> float:
         _check_op_dim(self, x)
-        return evaluate(self.inner, x - self.X0)
+        return self.inner.value(x - self.X0)
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ class Conjugated:
     B: InvertibleMap
 
     def __post_init__(self):
-        if operator_dim(self.inner) != self.B.n:
+        if self.inner.n != self.B.n:
             raise DimensionMismatchError(
                 "conjugating map dimension does not match inner operator"
             )
@@ -222,7 +222,7 @@ class Conjugated:
     def value(self, x: SymMatrix) -> float:
         _check_op_dim(self, x)
         # F(B^-T X B^-1): sublevel set becomes B^T Theta B.
-        return evaluate(self.inner, congruence(x, self.B.B_inv))
+        return self.inner.value(congruence(x, self.B.B_inv))
 
 
 OperatorSpec = Union[
@@ -230,20 +230,11 @@ OperatorSpec = Union[
 ]
 
 
-def operator_dim(spec: OperatorSpec) -> int:
-    return spec.n
-
-
 def _check_op_dim(spec, x: SymMatrix) -> None:
     if x.n != spec.n:
         raise DimensionMismatchError(
             f"matrix dimension {x.n} does not match operator dimension {spec.n}"
         )
-
-
-def evaluate(spec: OperatorSpec, x: SymMatrix) -> float:
-    """Evaluate an operator spec at ``x``; may return -inf."""
-    return spec.value(x)
 
 
 @dataclass(frozen=True)
@@ -271,14 +262,14 @@ class EvalResult:
 
 
 def evaluate_result(spec: OperatorSpec, x: SymMatrix) -> EvalResult:
-    v = evaluate(spec, x)
+    v = spec.value(x)
     hint = v if isinstance(spec, DominativeP) else None
     return EvalResult(value=v, boundary_distance_hint=hint)
 
 
 def sublevel_member(spec: OperatorSpec, x: SymMatrix, tol: float = 0.0) -> bool:
     """Membership in the sublevel set {X | F(X) <= tol}."""
-    return evaluate(spec, x) <= tol
+    return spec.value(x) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +297,30 @@ def num_from_json(v) -> float:
         except ValueError as exc:
             raise InputError(f"cannot parse number {v!r}") from exc
     return float(v)
+
+
+@dataclass(kw_only=True)
+class Report:
+    """Base of the sampled property reports.
+
+    A report passes when it records no violation.  Its JSON form is its
+    fields plus ``passed``, with float fields rendered by
+    :func:`num_to_json` so that infinities survive strict JSON.
+    """
+
+    violations: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = num_to_json(v) if isinstance(v, float) else v
+        out["passed"] = self.passed
+        return out
 
 
 def spec_to_dict(spec: OperatorSpec) -> dict:
@@ -360,26 +375,12 @@ def spec_from_dict(d: dict) -> OperatorSpec:
 
 
 @dataclass
-class NestingReport:
+class NestingReport(Report):
     """Sampled evidence for the nesting of dominative sublevel sets."""
 
     p: float
     p_prime: float
     samples: int
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "p": num_to_json(self.p),
-            "p_prime": num_to_json(self.p_prime),
-            "samples": self.samples,
-            "violations": self.violations,
-            "passed": self.passed,
-        }
 
 
 _NESTING_RADII = (0.5, 1.0, 2.0, 10.0)

@@ -119,9 +119,9 @@ def run_minimal_bound(seed: int) -> GroupResult:
         worst_margin = min(worst_margin, rep.worst_margin)
         worst_gap = max(worst_gap, rep.sharpness_gap)
         if rep.violations:
-            failures.append({"body": rep.body_summary, "violations": len(rep.violations)})
+            failures.append({"body": rep.body, "violations": len(rep.violations)})
         if rep.sharpness_gap > 1e-6:
-            failures.append({"body": rep.body_summary, "sharpness_gap": rep.sharpness_gap})
+            failures.append({"body": rep.body, "sharpness_gap": rep.sharpness_gap})
     return GroupResult(
         name="minimal_bound",
         passed=not failures,
@@ -158,7 +158,7 @@ def run_annihilation(seed: int) -> GroupResult:
         max_resid = max(max_resid, rep.max_scaled_residual)
         if rep.violations:
             failures.append(
-                {"operator": rep.operator_summary, "max_scaled_residual": rep.max_scaled_residual}
+                {"operator": rep.operator, "max_scaled_residual": rep.max_scaled_residual}
             )
     return GroupResult(
         name="annihilation",
@@ -233,8 +233,8 @@ def _grows_at_log_rate(n: int, p: float, q: float) -> bool:
 
 def run_sobolev_dichotomy(seed: int = 0) -> GroupResult:
     """Convergence below the threshold exponent, log-rate divergence at and
-    above it, and 1e-8 agreement between the antiderivative and adaptive
-    quadrature."""
+    above it, and 1e-8 agreement between the antiderivative and
+    Gauss-Legendre quadrature."""
     failures = []
     max_rel = 0.0
     for n in range(2, 6):

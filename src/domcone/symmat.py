@@ -28,6 +28,35 @@ SYMMETRY_RTOL = 1e-12
 _EYE_CACHE: dict[int, np.ndarray] = {}
 
 
+def _square_array(entries) -> np.ndarray:
+    """Float copy of a finite square array of supported dimension."""
+    a = np.array(entries, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidMatrixError(f"expected a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    if not MIN_DIM <= n <= MAX_DIM:
+        raise InvalidMatrixError(
+            f"dimension {n} outside supported range [{MIN_DIM}, {MAX_DIM}]"
+        )
+    if not np.all(np.isfinite(a)):
+        raise InvalidMatrixError("matrix entries must be finite")
+    return a
+
+
+def _entries_from_dict(d: dict) -> np.ndarray:
+    """Entries of the ``{"n", "entries"}`` wire format, shape-checked against n."""
+    try:
+        n = int(d["n"])
+        entries = np.array(d["entries"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidMatrixError(f"malformed matrix object: {exc}") from exc
+    if entries.shape != (n, n):
+        raise InvalidMatrixError(
+            f"entries shape {entries.shape} does not match n={n}"
+        )
+    return entries
+
+
 def _eye(n: int) -> np.ndarray:
     eye = _EYE_CACHE.get(n)
     if eye is None:
@@ -50,16 +79,7 @@ class SymMatrix:
     __slots__ = ("a",)
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidMatrixError(f"expected a square matrix, got shape {a.shape}")
-        n = a.shape[0]
-        if not MIN_DIM <= n <= MAX_DIM:
-            raise InvalidMatrixError(
-                f"dimension {n} outside supported range [{MIN_DIM}, {MAX_DIM}]"
-            )
-        if not np.all(np.isfinite(a)):
-            raise InvalidMatrixError("matrix entries must be finite")
+        a = _square_array(entries)
         a = 0.5 * (a + a.T)
         a.setflags(write=False)
         self.a = a
@@ -123,15 +143,7 @@ class SymMatrix:
     @classmethod
     def from_dict(cls, d: dict) -> "SymMatrix":
         """Parse the wire format, rejecting asymmetry beyond tolerance."""
-        try:
-            n = int(d["n"])
-            entries = np.array(d["entries"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidMatrixError(f"malformed matrix object: {exc}") from exc
-        if entries.shape != (n, n):
-            raise InvalidMatrixError(
-                f"entries shape {entries.shape} does not match n={n}"
-            )
+        entries = _entries_from_dict(d)
         if entries.size and np.all(np.isfinite(entries)):
             scale = 1.0 + np.max(np.abs(entries))
             asym = np.max(np.abs(entries - entries.T))
@@ -206,16 +218,7 @@ class InvertibleMap:
     MIN_ABS_DET = 1e-10
 
     def __init__(self, B):
-        B = np.array(B, dtype=float)
-        if B.ndim != 2 or B.shape[0] != B.shape[1]:
-            raise InvalidMatrixError(f"expected a square matrix, got shape {B.shape}")
-        n = B.shape[0]
-        if not MIN_DIM <= n <= MAX_DIM:
-            raise InvalidMatrixError(
-                f"dimension {n} outside supported range [{MIN_DIM}, {MAX_DIM}]"
-            )
-        if not np.all(np.isfinite(B)):
-            raise InvalidMatrixError("matrix entries must be finite")
+        B = _square_array(B)
         det = float(np.linalg.det(B))
         if abs(det) <= self.MIN_ABS_DET:
             raise InvalidMatrixError(
@@ -235,9 +238,6 @@ class InvertibleMap:
     def n(self) -> int:
         return self.B.shape[0]
 
-    def inverse(self) -> "InvertibleMap":
-        return InvertibleMap(self.B_inv)
-
     def __repr__(self) -> str:
         return f"InvertibleMap({self.B.tolist()!r})"
 
@@ -246,16 +246,7 @@ class InvertibleMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InvertibleMap":
-        try:
-            n = int(d["n"])
-            entries = np.array(d["entries"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidMatrixError(f"malformed matrix object: {exc}") from exc
-        if entries.shape != (n, n):
-            raise InvalidMatrixError(
-                f"entries shape {entries.shape} does not match n={n}"
-            )
-        return cls(entries)
+        return cls(_entries_from_dict(d))
 
 
 def congruence(x: SymMatrix, b) -> SymMatrix:

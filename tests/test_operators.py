@@ -20,7 +20,6 @@ from domcone.operators import (
     eval_example,
     eval_pucci,
     eval_support,
-    evaluate,
     evaluate_result,
     spec_from_dict,
     spec_to_dict,
@@ -249,7 +248,7 @@ class TestEllipticity:
             for _ in range(500):
                 x = goe_matrix(rng, 3, radius=1.0)
                 neg = random_nsd(rng, 3, scale=0.4)
-                assert evaluate(spec, x + neg) <= evaluate(spec, x) + 1e-9
+                assert spec.value(x + neg) <= spec.value(x) + 1e-9
 
     def test_example_membership_downward_closed(self):
         # The example operator's values are not monotone on -1 < l2 < 0
@@ -291,15 +290,15 @@ class TestRotationInvariance:
             for _ in range(100):
                 x = goe_matrix(rng, 4, radius=2.0)
                 q = random_orthogonal(rng, 4)
-                assert evaluate(spec, SymMatrix(q.T @ x.a @ q)) == pytest.approx(
-                    evaluate(spec, x), abs=1e-10
+                assert spec.value(SymMatrix(q.T @ x.a @ q)) == pytest.approx(
+                    spec.value(x), abs=1e-10
                 )
 
     def test_linear_trace_is_not(self):
         spec = LinearTrace(A=SymMatrix.diag([1.0, 0.0]), m=0.0)
         x = SymMatrix.diag([1.0, 0.0])
         rot = SymMatrix.diag([0.0, 1.0])  # a rotation image of x
-        assert evaluate(spec, x) != pytest.approx(evaluate(spec, rot))
+        assert spec.value(x) != pytest.approx(spec.value(rot))
 
 
 class TestHomogeneity:
@@ -313,9 +312,9 @@ class TestHomogeneity:
             Pucci(n=3, lam=0.5, Lam=1.5),
             EnsembleSupport(body=pucci_body(3, 0.5, 1.5)),
         ):
-            base = evaluate(spec, x)
+            base = spec.value(x)
             for c in (1e-3, 1.0, 1e3):
-                assert evaluate(spec, x * c) == pytest.approx(c * base, rel=1e-12, abs=1e-15)
+                assert spec.value(x * c) == pytest.approx(c * base, rel=1e-12, abs=1e-15)
 
 
 class TestNesting:
@@ -379,7 +378,7 @@ class TestSpecValidationAndWire:
         ]
         for spec in specs:
             back = spec_from_dict(spec_to_dict(spec))
-            assert evaluate(back, x) == pytest.approx(evaluate(spec, x), abs=1e-14)
+            assert back.value(x) == pytest.approx(spec.value(x), abs=1e-14)
 
     def test_unknown_type_rejected(self):
         with pytest.raises(InputError):
