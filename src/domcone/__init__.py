@@ -12,7 +12,6 @@ from .acdo import (
     EllipticSetOracle,
     StructureFlags,
     acdo_eval,
-    acdo_halfspace_closed_form,
     acdo_root,
     check_downward_closure,
     check_lipschitz,
@@ -79,6 +78,7 @@ from .operators import (
     Pucci,
     Shifted,
     check_nesting,
+    closed_form_distance,
     eval_dominative,
     eval_example,
     eval_pucci,

@@ -3,9 +3,12 @@
 For a proper, downward-closed (elliptic) set Theta in S(n), the value
 ``-sup{t | X + tI in Theta}`` is the signed distance from X to the
 boundary in the matrix infinity norm: negative inside, positive outside,
-and ``X - value * I`` sits on the boundary.  Ellipticity makes
-membership along the identity line monotone, so the distance reduces to
-one-dimensional root finding on a membership predicate.
+and ``X - value * I`` sits on the boundary.  The sublevel sets of the
+catalog operators have it in closed form (``X + tI`` only shifts the
+spectrum), and their oracles carry it.  For any other elliptic set
+(a user predicate, a congruence image) membership along the identity
+line is monotone, and the distance is found by bisection on the
+membership predicate.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from .operators import (
     Pucci,
     Report,
     Shifted,
+    closed_form_distance,
 )
 from .sampling import goe_matrix, make_rng, random_nsd, random_orthogonal
-from .symmat import SymMatrix, congruence, inf_norm, inner
+from .symmat import SymMatrix, congruence, inf_norm
 
 #: Absolute tolerance of the root finder.
 ROOT_TOL = 1e-10
@@ -44,7 +48,9 @@ class EllipticSetOracle:
     """Membership predicate for a proper negative elliptic set.
 
     The predicate must be pure and re-entrant.  Witnesses are optional;
-    when both are present they are verified on construction.  Downward
+    when both are present they are verified on construction.  ``distance``
+    is an optional closed form of the signed distance; without it
+    :func:`acdo_root` bisects on the predicate.  Downward
     closure (membership survives adding any negative semidefinite
     matrix) is a caller contract, testable via
     :func:`check_downward_closure`.
@@ -55,6 +61,7 @@ class EllipticSetOracle:
     inside_witness: SymMatrix | None = None
     outside_witness: SymMatrix | None = None
     description: str = ""
+    distance: Callable[[SymMatrix], float] | None = None
 
     def __post_init__(self):
         if self.inside_witness is not None and not self.member(self.inside_witness):
@@ -68,7 +75,8 @@ class EllipticSetOracle:
 
 
 def oracle_from_operator(spec: OperatorSpec, description: str = "") -> EllipticSetOracle:
-    """Sublevel-set membership oracle F(X) <= 0 for a catalog operator."""
+    """Sublevel-set membership oracle F(X) <= 0 for a catalog operator,
+    with the spec's closed-form distance where it has one."""
     inside, outside = _default_witnesses(spec, spec.n)
     return EllipticSetOracle(
         member=lambda x: spec.value(x) <= 0.0,
@@ -76,6 +84,7 @@ def oracle_from_operator(spec: OperatorSpec, description: str = "") -> EllipticS
         inside_witness=inside,
         outside_witness=outside,
         description=description or f"sublevel set of {type(spec).__name__}",
+        distance=closed_form_distance(spec),
     )
 
 
@@ -101,12 +110,16 @@ def _default_witnesses(spec, n):
 @dataclass(frozen=True)
 class AcdoRoot:
     """Root-finding outcome: the signed distance, its final bracket in value
-    space, and the bisection iteration count."""
+    space, the bisection iteration count, the number of membership probes
+    (or spectral evaluations), and the ``method`` that ran: "closed-form"
+    (bracket ``(v, v)``, one evaluation, the tolerance unused) or
+    "bisection"."""
 
     value: float
     bracket: tuple[float, float]
     iterations: int
     probes: int
+    method: str
 
     def to_dict(self) -> dict:
         return {
@@ -114,16 +127,18 @@ class AcdoRoot:
             "bracket": list(self.bracket),
             "iterations": self.iterations,
             "probes": self.probes,
+            "method": self.method,
         }
 
 
 def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) -> AcdoRoot:
     """Signed distance of ``x`` to the set boundary along the identity line.
 
-    Exponential bracket expansion from t = 0 (steps 1, 2, 4, ... in the
-    needed direction), then bisection to absolute width ``tol``.  The
-    returned value v satisfies ``member(x - (v+tol) I)`` and
-    ``not member(x - (v-tol) I)``.
+    The oracle's closed-form ``distance`` when it has one.  Otherwise
+    exponential bracket expansion from t = 0 (steps 1, 2, 4, ... in the
+    needed direction), then bisection to absolute width ``tol``.  Either
+    way the returned value v satisfies ``member(x - (v+tol) I)`` and
+    ``not member(x - (v-tol) I)``, the closed form up to rounding.
 
     Monotonicity of membership in t is a consequence of ellipticity and is
     enforced by the probing scheme itself: expansion stops at the first
@@ -136,6 +151,9 @@ def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) ->
         raise PreconditionError(
             f"matrix dimension {x.n} does not match oracle dimension {oracle.n}"
         )
+    if oracle.distance is not None:
+        v = float(oracle.distance(x))
+        return AcdoRoot(value=v, bracket=(v, v), iterations=0, probes=1, method="closed-form")
     probes = 0
 
     def member_at(t: float) -> bool:
@@ -188,21 +206,13 @@ def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) ->
         bracket=(-hi, -lo),
         iterations=iterations,
         probes=probes,
+        method="bisection",
     )
 
 
 def acdo_eval(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) -> float:
     """Signed distance value; see :func:`acdo_root` for the contract."""
     return acdo_root(oracle, x, tol).value
-
-
-def acdo_halfspace_closed_form(A: SymMatrix, m: float, x: SymMatrix) -> float:
-    """Distance operator of the half-space {X | <A, X> <= m}:
-    ``tr(AX)/tr A - m/tr A``.  Requires tr A > 0."""
-    tr_a = float(np.trace(A.a))
-    if tr_a <= 0.0:
-        raise PreconditionError(f"half-space normal needs positive trace, got {tr_a:g}")
-    return (inner(A, x) - m) / tr_a
 
 
 # ---------------------------------------------------------------------------

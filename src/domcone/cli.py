@@ -329,13 +329,27 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _tolerance(text: str) -> float:
+    """A finite, positive float; nan would stop bisection before its first step."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number > 0, got {text!r}")
+    return value
+
+
 _SHARED_OPTIONS = {
     "seed": dict(type=int, default=0, help="RNG seed (default 0)"),
     "tol-root": dict(
-        type=float, default=acdo_mod.ROOT_TOL, help="absolute tolerance of the distance root finder"
+        type=_tolerance,
+        default=acdo_mod.ROOT_TOL,
+        help="absolute tolerance of the distance bisection; unused where the distance "
+        "has a closed form (every catalog operator but a congruence image)",
     ),
     "tol-property": dict(
-        type=float,
+        type=_tolerance,
         default=cones_mod.PROPERTY_TOL,
         help="worst values at or below 5x this count as zero in the inclusion verdict",
     ),

@@ -182,6 +182,8 @@ def check_inclusion(
     guaranteed Sobolev exponent interval (0, n(p-1)/(n-1)) is attached to
     the report, conditional on the inclusion actually holding.
     """
+    if count < 1:
+        raise PreconditionError(f"sample count must be at least 1, got {count}")
     radii = [float(r) for r in radii]
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise PreconditionError("radii must be at least three increasing values")

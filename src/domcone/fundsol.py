@@ -37,6 +37,12 @@ from .sampling import log_uniform, make_rng, random_unit_vector
 from .symmat import SymMatrix
 
 
+def _check_n(n: int) -> None:
+    # n = 1 has no sphere to integrate over and q* = n (p-1)/(n-1) divides by 0
+    if n < 2:
+        raise PreconditionError(f"dimension must be at least 2, got {n}")
+
+
 @dataclass(frozen=True)
 class FundamentalSolution:
     """Radial fundamental solution for dimension n and exponent p in [2, inf]."""
@@ -45,8 +51,7 @@ class FundamentalSolution:
     p: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise PreconditionError(f"dimension must be at least 2, got {self.n}")
+        _check_n(self.n)
         _check_p(self.p)
 
     @property
@@ -251,6 +256,7 @@ def surface_measure(n: int) -> float:
 
 def sobolev_threshold(n: int, p: float) -> float:
     """Critical gradient exponent q* = n (p-1) / (n-1)."""
+    _check_n(n)
     if p == math.inf:
         return math.inf
     return n * (p - 1.0) / (n - 1.0)
@@ -270,6 +276,7 @@ def sobolev_integral(n: int, p: float, q: float, eps: float) -> float:
     it is evaluated through ``expm1`` so that it stays accurate when q
     rounds to just beside q*, and takes the log branch only at e = -1 exactly.
     """
+    _check_n(n)
     if not 0.0 < eps < 1.0:
         raise PreconditionError(f"eps must lie in (0, 1), got {eps}")
     if q <= 0.0:
@@ -295,6 +302,7 @@ def sobolev_integral_quadrature(n: int, p: float, q: float, eps: float) -> float
     smooth exponential), so the near-singular endpoint costs nothing and
     64 nodes reach rounding level over the exponents the suite uses.
     """
+    _check_n(n)
     if not 0.0 < eps < 1.0:
         raise PreconditionError(f"eps must lie in (0, 1), got {eps}")
     e = _radial_exponent(n, p, q)

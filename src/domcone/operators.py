@@ -5,13 +5,18 @@ or a congruence.  Evaluation is exact per formula; sublevel-set
 membership is ``F(X) <= tol``.  Composite specs unwrap so that the
 sublevel set of ``Conjugated(F, B)`` is B^T Theta(F) B and the sublevel
 set of ``Shifted(F, X0)`` is Theta(F) + {X0}.
+
+Each spec but ``Conjugated`` also has ``distance(x)``, the signed
+distance ``-sup{t | F(X + tI) <= 0}`` to the boundary of its sublevel
+set in closed form.  ``X + tI`` only shifts the spectrum by t, so one
+eigensolve (none for ``LinearTrace``) gives it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
@@ -116,6 +121,10 @@ class DominativeP:
         _check_op_dim(self, x)
         return eval_dominative(x, self.p)
 
+    def distance(self, x: SymMatrix) -> float:
+        """F(X) itself, by the normalization F(X + mI) = F(X) + m."""
+        return self.value(x)
+
 
 @dataclass(frozen=True)
 class Pucci:
@@ -132,6 +141,24 @@ class Pucci:
     def value(self, x: SymMatrix) -> float:
         _check_op_dim(self, x)
         return eval_pucci(x, self.lam, self.Lam)
+
+    def distance(self, x: SymMatrix) -> float:
+        """Root of the strictly increasing, piecewise-linear t -> F(X + tI).
+
+        Its breakpoints are the ``-lambda_i``, and F(X - lambda_k I) is
+        nonnegative for exactly the j smallest k.  On the root's piece the
+        j smallest shifted eigenvalues are <= 0 and the others positive, so
+        F(X + tI) = lam (S_j + j t) + Lam (T_j + (n-j) t), with S_j and T_j
+        the sums of the j smallest and the n-j largest eigenvalues.
+        """
+        _check_op_dim(self, x)
+        ev = eigvals_sym(x)
+        gaps = ev[None, :] - ev[:, None]  # gaps[k, i] = lambda_i - lambda_k
+        up = np.maximum(gaps, 0.0).sum(axis=1)
+        down = np.minimum(gaps, 0.0).sum(axis=1)
+        j = int(np.count_nonzero(self.Lam * up + self.lam * down >= 0.0))
+        num = self.lam * ev[:j].sum() + self.Lam * ev[j:].sum()
+        return float(num / (self.lam * j + self.Lam * (x.n - j)))
 
 
 @dataclass(frozen=True)
@@ -159,6 +186,11 @@ class LinearTrace:
         _check_op_dim(self, x)
         return inner(self.A, x) - self.m
 
+    def distance(self, x: SymMatrix) -> float:
+        """``(<A, X> - m) / tr A``, as <A, X + tI> = <A, X> + t tr A."""
+        _check_op_dim(self, x)
+        return (inner(self.A, x) - self.m) / float(np.trace(self.A.a))
+
 
 @dataclass(frozen=True)
 class EnsembleSupport:
@@ -171,6 +203,19 @@ class EnsembleSupport:
     def value(self, x: SymMatrix) -> float:
         return eval_support(x, self.body)
 
+    def distance(self, x: SymMatrix) -> float:
+        """``max_k (s_k . lambda) / tr A_k`` for a rotation-closed body
+        (s_k the ascending spectrum of generator A_k), ``max_k <A_k, X> /
+        tr A_k`` for a plain hull: each pairing grows by t tr A_k along
+        X + tI, and ``ConvexBody`` keeps every tr A_k positive.
+        """
+        _check_op_dim(self, x)
+        spectra = self.body.generator_spectra
+        traces = spectra.sum(axis=1)
+        if self.body.rot_closed:
+            return float(np.max(spectra @ eigvals_sym(x) / traces))
+        return max(inner(a, x) / t for a, t in zip(self.body.generators, traces))
+
 
 @dataclass(frozen=True)
 class ExampleEq:
@@ -182,6 +227,17 @@ class ExampleEq:
 
     def value(self, x: SymMatrix) -> float:
         return eval_example(x)
+
+    def distance(self, x: SymMatrix) -> float:
+        """``1 + l2 - s^2`` with ``s = (1 + sqrt(1 + 2 (l2 - l1))) / 2``.
+
+        With u = sqrt(1 + l2 + t), F(X + tI) = 2u^2 - 2u - (l2 - l1), which
+        is nonpositive up to its larger root u = s; below u = 0 it is -inf.
+        """
+        _check_op_dim(self, x)
+        l1, l2 = eigvals_sym(x)
+        s = 0.5 * (1.0 + math.sqrt(1.0 + 2.0 * (l2 - l1)))
+        return float(1.0 + l2 - s * s)
 
 
 @dataclass(frozen=True)
@@ -202,6 +258,12 @@ class Shifted:
     def value(self, x: SymMatrix) -> float:
         _check_op_dim(self, x)
         return self.inner.value(x - self.X0)
+
+    def distance(self, x: SymMatrix) -> float:
+        """The inner spec's distance at X - X0; see :func:`closed_form_distance`
+        for when the inner spec has one."""
+        _check_op_dim(self, x)
+        return self.inner.distance(x - self.X0)
 
 
 @dataclass(frozen=True)
@@ -237,11 +299,25 @@ def _check_op_dim(spec, x: SymMatrix) -> None:
         )
 
 
+def closed_form_distance(spec: OperatorSpec) -> Callable[[SymMatrix], float] | None:
+    """The spec's ``distance`` method, or None when it has no closed form.
+
+    A congruence image has none: B^-T (X + tI) B^-1 moves along
+    B^-T B^-1, not along the identity.  A shift has one when its inner
+    spec has.
+    """
+    if isinstance(spec, Conjugated):
+        return None
+    if isinstance(spec, Shifted) and closed_form_distance(spec.inner) is None:
+        return None
+    return spec.distance
+
+
 @dataclass(frozen=True)
 class EvalResult:
     """Evaluation outcome; ``boundary_distance_hint`` is the signed distance
-    to the sublevel-set boundary along the identity line when the operator
-    itself is that distance (the dominative family)."""
+    to the sublevel-set boundary along the identity line when the spec has
+    it in closed form (every spec but a congruence image)."""
 
     value: float
     boundary_distance_hint: float | None = None
@@ -262,9 +338,10 @@ class EvalResult:
 
 
 def evaluate_result(spec: OperatorSpec, x: SymMatrix) -> EvalResult:
-    v = spec.value(x)
-    hint = v if isinstance(spec, DominativeP) else None
-    return EvalResult(value=v, boundary_distance_hint=hint)
+    distance = closed_form_distance(spec)
+    return EvalResult(
+        value=spec.value(x), boundary_distance_hint=None if distance is None else distance(x)
+    )
 
 
 def sublevel_member(spec: OperatorSpec, x: SymMatrix, tol: float = 0.0) -> bool:

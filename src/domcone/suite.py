@@ -8,13 +8,12 @@ acceptance gate.  All groups are deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .acdo import (
     acdo_eval,
-    acdo_halfspace_closed_form,
     check_lipschitz,
     check_nondegeneracy,
     oracle_from_operator,
@@ -41,7 +40,15 @@ from .fundsol import (
     viscosity_grid_check,
     w_hessian,
 )
-from .operators import DominativeP, ExampleEq, LinearTrace, Pucci, eval_dominative
+from .operators import (
+    DominativeP,
+    EnsembleSupport,
+    ExampleEq,
+    LinearTrace,
+    Pucci,
+    Shifted,
+    eval_dominative,
+)
 from .sampling import goe_matrix, log_uniform, make_rng, random_psd, random_unit_vector
 
 
@@ -172,15 +179,45 @@ def run_annihilation(seed: int) -> GroupResult:
     )
 
 
+def _bisection(oracle):
+    """The oracle without its closed form, so that acdo_root bisects."""
+    return replace(oracle, distance=None)
+
+
+def _closed_form_cases(seed: int) -> dict:
+    """Catalog specs paired with sampled matrices for the closed-form check:
+    25 per type, n in 2..5 (2 for the model equation), radius 2 so that
+    some model-equation samples fall below its l2 = -1 edge."""
+    rng = make_rng(seed, 10)
+    cases = {}
+    for i in range(25):
+        n = 2 + i % 4
+        lam = 0.25 + 1.75 * rng.uniform()
+        Lam = lam * (1.0 + 4.0 * rng.uniform())
+        gens = tuple(random_psd(rng, n) for _ in range(1 + i % 3))
+        specs = {
+            "pucci": Pucci(n=n, lam=lam, Lam=Lam),
+            "example": ExampleEq(),
+            "support_rot_closed": EnsembleSupport(ConvexBody(n=n, generators=gens)),
+            "support_plain": EnsembleSupport(ConvexBody(n=n, generators=gens, rot_closed=False)),
+            "shifted": Shifted(inner=Pucci(n=n, lam=lam, Lam=Lam), X0=goe_matrix(rng, n)),
+        }
+        for name, spec in specs.items():
+            cases.setdefault(name, []).append((spec, goe_matrix(rng, spec.n, radius=2.0)))
+    return cases
+
+
 def run_acdo_fidelity(seed: int) -> GroupResult:
     """Bisection distance of the dominative sublevel sets equals the operator
-    to 2e-10 on 1000 samples; shift/Lipschitz reports empty; half-space
-    closed form matched to 2e-10."""
+    to 2e-10 on 1000 samples, and bisection shift/Lipschitz reports are
+    empty.  The closed-form distance of the half-space (50 samples) and of
+    the Pucci, model-equation, support and shifted sets (25 samples each)
+    matches bisection to 2e-10."""
     failures = []
     max_err = 0.0
     cases = [(2, 3.0), (3, 2.0), (3, math.inf), (5, 4.0)]
     for n, p in cases:
-        oracle = oracle_from_operator(DominativeP(n=n, p=p))
+        oracle = _bisection(oracle_from_operator(DominativeP(n=n, p=p)))
         rng = make_rng(seed, 4, n, 0 if p == math.inf else int(p))
         for _ in range(250):
             x = goe_matrix(rng, n, radius=1.0)
@@ -189,10 +226,14 @@ def run_acdo_fidelity(seed: int) -> GroupResult:
             if err > 2e-10:
                 failures.append({"n": n, "p": "inf" if p == math.inf else p, "error": err})
 
-    nd = check_nondegeneracy(oracle_from_operator(DominativeP(n=3, p=3.0)), samples=40, seed=seed + 5)
+    nd = check_nondegeneracy(
+        _bisection(oracle_from_operator(DominativeP(n=3, p=3.0))), samples=40, seed=seed + 5
+    )
     if nd.violations:
         failures.append({"nondegeneracy_violations": len(nd.violations)})
-    lp = check_lipschitz(oracle_from_operator(DominativeP(n=3, p=math.inf)), samples=60, seed=seed + 6)
+    lp = check_lipschitz(
+        _bisection(oracle_from_operator(DominativeP(n=3, p=math.inf))), samples=60, seed=seed + 6
+    )
     if lp.violations:
         failures.append({"lipschitz_violations": len(lp.violations)})
 
@@ -200,14 +241,23 @@ def run_acdo_fidelity(seed: int) -> GroupResult:
     max_half_err = 0.0
     for _ in range(50):
         n = int(rng.integers(2, 5))
-        a_mat = random_psd(rng, n)
-        m = float(rng.normal())
-        oracle = oracle_from_operator(LinearTrace(A=a_mat, m=m))
+        spec = LinearTrace(A=random_psd(rng, n), m=float(rng.normal()))
+        oracle = _bisection(oracle_from_operator(spec))
         x = goe_matrix(rng, n, radius=2.0)
-        err = abs(acdo_eval(oracle, x) - acdo_halfspace_closed_form(a_mat, m, x))
+        err = abs(acdo_eval(oracle, x) - spec.distance(x))
         max_half_err = max(max_half_err, err)
         if err > 2e-10:
             failures.append({"halfspace_error": err})
+
+    closed_form_errors = {}
+    for name, pairs in _closed_form_cases(seed).items():
+        worst = 0.0
+        for spec, x in pairs:
+            err = abs(acdo_eval(_bisection(oracle_from_operator(spec)), x) - spec.distance(x))
+            worst = max(worst, err)
+            if err > 2e-10:
+                failures.append({"closed_form": name, "error": err, "X": x.to_dict()})
+        closed_form_errors[name] = worst
 
     return GroupResult(
         name="acdo_fidelity",
@@ -218,6 +268,8 @@ def run_acdo_fidelity(seed: int) -> GroupResult:
             "nondegeneracy_max_dev": nd.max_deviation,
             "lipschitz_max_excess": lp.max_deviation,
             "max_halfspace_error": max_half_err,
+            "closed_form_samples": 25,
+            "max_closed_form_error": closed_form_errors,
             "failures": failures,
         },
     )

@@ -114,6 +114,18 @@ def test_failed_property_exits_2_and_still_reports():
         (["example", "--c", "0.5"], "precondition"),
         (["suite", "--groups", "no_such_group"], "input"),
         (["suite"], "input"),
+        (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--count", "0"], "precondition"),
+        (["report", "--op", "dominative:n=2,p=3", "--p", "4", "--count", "-1"], "precondition"),
+        (["sobolev", "--n", "1", "--p", "3", "--q", "1", "--eps", "0.1"], "precondition"),
+        (["sobolev", "--n", "1", "--p", "3", "--q-sweep", "1:2:0.5"], "precondition"),
+        (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--tol-root", "nan"], "input"),
+        (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--tol-property", "nan"], "input"),
+        (["report", "--op", "dominative:n=2,p=3", "--p", "4", "--tol-property", "inf"], "input"),
+        (["report", "--op", "dominative:n=2,p=3", "--p", "4", "--tol-root", "-inf"], "input"),
+        (["acdo", "--op", "example", "--X", "{sym}", "--tol-root", "nan"], "input"),
+        (["acdo", "--op", "example", "--X", "{sym}", "--tol-root", "0"], "input"),
+        (["verify", "--op", "example", "--tol-root", "-1e-10"], "input"),
+        (["verify", "--op", "example", "--tol-root", "tiny"], "input"),
     ],
 )
 def test_bad_input_exits_1_with_the_error_report(matrix_files, argv, want):
@@ -252,3 +264,29 @@ def test_example_report_shape():
     checks = rep["result"]["checks"]
     assert [c["c"] for c in checks] == [1.0, 1.5, 2.0]
     assert all(len(c["r_values"]) == 19 and c["passed"] for c in checks)
+
+
+# ---------------------------------------------------------------------------
+# The acdo report says which root-finding path ran
+
+
+def test_acdo_report_names_the_method(tmp_path, matrix_files):
+    code, rep = run_json(["acdo", "--op", "pucci:n=2,lam=1,Lam=3", "--X", matrix_files["sym"]])
+    assert code == 0
+    res = rep["result"]
+    assert res["method"] == "closed-form"
+    assert (res["iterations"], res["probes"]) == (0, 1)
+    assert res["bracket"] == [res["value"], res["value"]]
+
+    conj = tmp_path / "conj.json"
+    conj.write_text(json.dumps({
+        "type": "conjugated",
+        "inner": {"type": "pucci", "n": 2, "lam": 1.0, "Lam": 3.0},
+        "B": {"n": 2, "entries": [[1.0, 0.0], [0.0, 1.0]]},
+    }))
+    code, rep = run_json(["acdo", "--op", str(conj), "--X", matrix_files["sym"], "--tol-root", "1e-12"])
+    assert code == 0
+    bis = rep["result"]
+    assert bis["method"] == "bisection"
+    assert bis["iterations"] > 0 and bis["bracket"][1] - bis["bracket"][0] <= 1e-12
+    assert abs(bis["value"] - res["value"]) <= 1e-12

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from domcone.acdo import EllipticSetOracle
+from domcone.acdo import EllipticSetOracle, oracle_from_operator
 from domcone.cones import check_inclusion, inclusion_verdict
-from domcone.operators import eval_dominative
+from domcone.errors import PreconditionError
+from domcone.operators import DominativeP, eval_dominative
 from domcone.symmat import SymMatrix
 
 RADII = [1e2, 1e4, 1e6]
@@ -64,11 +65,15 @@ def test_union_with_one_nonzero_radius_is_not_consistent():
 
 
 def test_catalog_inclusion_verdicts():
-    from domcone.acdo import oracle_from_operator
-    from domcone.operators import DominativeP
-
     inside = check_inclusion(oracle_from_operator(DominativeP(n=3, p=5.0)), None, 4.0, RADII, count=30)
     assert inside.verdict == "consistent"
     outside = check_inclusion(oracle_from_operator(DominativeP(n=3, p=3.0)), None, 4.0, RADII, count=30)
     assert outside.verdict == "violated"
     assert math.isclose(outside.decay_exponent, -outside.trend_slope)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_count_below_one_is_rejected(count):
+    oracle = oracle_from_operator(DominativeP(n=2, p=3.0))
+    with pytest.raises(PreconditionError, match="count"):
+        check_inclusion(oracle, None, 4.0, RADII, count=count)

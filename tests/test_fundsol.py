@@ -56,6 +56,23 @@ class TestSobolev:
             FundamentalSolution(n=3, p=1.5)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: sobolev_threshold(n, 3.0),
+        lambda n: sobolev_integral(n, 3.0, 1.0, 0.1),
+        lambda n: sobolev_diverges(n, 3.0, 1.0),
+        lambda n: sobolev_integral_quadrature(n, 3.0, 1.0, 0.1),
+        lambda n: FundamentalSolution(n=n, p=3.0),
+    ],
+)
+def test_dimension_below_two_is_rejected(call):
+    for n in (1, 0, -2):
+        with pytest.raises(PreconditionError, match="at least 2"):
+            call(n)
+    call(2)
+
+
 def test_cli_import_leaves_scipy_out():
     src = os.path.dirname(os.path.dirname(domcone.__file__))
     env = dict(os.environ, PYTHONPATH=src)

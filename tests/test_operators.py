@@ -393,3 +393,12 @@ class TestSpecValidationAndWire:
         x = SymMatrix.diag([1.0, -3.0])
         res = evaluate_result(DominativeP(n=2, p=3.0), x)
         assert res.boundary_distance_hint == pytest.approx(res.value)
+        # Pucci (1, 3): F(X + tI) = 3 (1 + t) + (t - 3) vanishes at t = 0, inside (-1, 3)
+        res = evaluate_result(Pucci(n=2, lam=1.0, Lam=3.0), x)
+        assert res.value == pytest.approx(0.0)
+        assert res.boundary_distance_hint == pytest.approx(0.0, abs=1e-15)
+        # at diag(2, -1) the root is t = -1.25: 3 (2 - 1.25) + (-1 - 1.25) = 0
+        res = evaluate_result(Pucci(n=2, lam=1.0, Lam=3.0), SymMatrix.diag([2.0, -1.0]))
+        assert res.boundary_distance_hint == pytest.approx(1.25)
+        conj = Conjugated(inner=DominativeP(n=2, p=3.0), B=InvertibleMap(np.diag([2.0, 1.0])))
+        assert evaluate_result(conj, x).boundary_distance_hint is None
