@@ -29,6 +29,7 @@ from .operators import (
     Pucci,
     Report,
     Shifted,
+    _check_count,
     closed_form_distance,
 )
 from .sampling import goe_matrix, make_rng, random_nsd, random_orthogonal
@@ -237,6 +238,7 @@ def check_nondegeneracy(
     tol: float = ROOT_TOL,
 ) -> PropertyReport:
     """Verify the identity-shift normalization F(X + tau I) = F(X) + tau."""
+    _check_count(samples)
     rng = make_rng(seed)
     report = PropertyReport(name="nondegeneracy", samples=samples)
     for _ in range(samples):
@@ -260,6 +262,7 @@ def check_lipschitz(
     tol: float = ROOT_TOL,
 ) -> PropertyReport:
     """Verify |F(X) - F(Y)| <= ||X - Y||_inf on sampled pairs."""
+    _check_count(samples)
     rng = make_rng(seed)
     report = PropertyReport(name="lipschitz", samples=samples)
     for i in range(samples):
@@ -298,6 +301,7 @@ def check_structure(
     """Check the functional identities implied by asserted set structure:
     midpoint convexity / concavity, positive homogeneity (c in {0.5, 2}),
     and rotation invariance, each to 3x the root tolerance."""
+    _check_count(samples)
     rng = make_rng(seed)
     report = PropertyReport(name="structure", samples=samples)
 
@@ -359,6 +363,7 @@ def check_downward_closure(
     seed: int = 0,
 ) -> PropertyReport:
     """Sampled set-ellipticity: member(X) and N <= 0 imply member(X + N)."""
+    _check_count(samples)
     rng = make_rng(seed)
     report = PropertyReport(name="downward-closure", samples=samples)
     for _ in range(samples):

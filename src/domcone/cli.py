@@ -197,7 +197,13 @@ def _cmd_check_inclusion(args):
         root_tol=args.tol_root,
         property_tol=args.tol_property,
     )
-    return rep.to_dict(), 2 if rep.verdict == "violated" else 0
+    result = rep.to_dict()
+    # --tol-root is read only where the distance is bisected: a congruence
+    # image under --B, or an operator without a closed form.
+    result["root_method"] = (
+        "closed-form" if b_map is None and oracle.distance is not None else "bisection"
+    )
+    return result, 2 if rep.verdict == "violated" else 0
 
 
 def _cmd_report(args):
@@ -346,7 +352,8 @@ _SHARED_OPTIONS = {
         type=_tolerance,
         default=acdo_mod.ROOT_TOL,
         help="absolute tolerance of the distance bisection; unused where the distance "
-        "has a closed form (every catalog operator but a congruence image)",
+        "has a closed form (every catalog operator but a congruence image), which "
+        "check-inclusion and report state as root_method",
     ),
     "tol-property": dict(
         type=_tolerance,

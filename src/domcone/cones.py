@@ -17,7 +17,7 @@ import numpy as np
 
 from .acdo import ROOT_TOL, EllipticSetOracle, acdo_eval
 from .errors import NumericalFailureError, PreconditionError
-from .operators import eval_dominative, num_to_json
+from .operators import _check_count, eval_dominative, num_to_json
 from .sampling import goe_matrix, make_rng
 from .symmat import InvertibleMap, SymMatrix, congruence, inf_norm
 
@@ -182,8 +182,7 @@ def check_inclusion(
     guaranteed Sobolev exponent interval (0, n(p-1)/(n-1)) is attached to
     the report, conditional on the inclusion actually holding.
     """
-    if count < 1:
-        raise PreconditionError(f"sample count must be at least 1, got {count}")
+    _check_count(count)
     radii = [float(r) for r in radii]
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise PreconditionError("radii must be at least three increasing values")

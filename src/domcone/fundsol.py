@@ -30,6 +30,7 @@ from .operators import (
     OperatorSpec,
     Pucci,
     Report,
+    _check_count,
     _check_p,
     eval_support,
 )
@@ -211,6 +212,7 @@ def verify_annihilation(
         raise PreconditionError(
             f"operator dimension {op.n} does not match solution dimension {fs.n}"
         )
+    _check_count(sample_count)
     p_op = operator_aperture(op)
     if require_aperture_match:
         both_inf = p_op == math.inf and fs.p == math.inf

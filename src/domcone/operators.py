@@ -45,17 +45,30 @@ def _check_p(p: float) -> float:
     return p
 
 
+def _check_count(value: int, what: str = "sample count", minimum: int = 1) -> None:
+    """Reject a count below ``minimum``: a sampled check that runs no
+    sample would pass without evidence."""
+    if value < minimum:
+        raise PreconditionError(f"{what} must be at least {minimum}, got {value}")
+
+
 def eval_dominative(x: SymMatrix, p: float) -> float:
     """Normalized dominative operator.
 
     ``(tr X + (p-2) lambda_n(X)) / (n+p-2)`` for finite p, and the largest
     eigenvalue at p = inf.  Normalized so that F(X + mI) = F(X) + m.
     """
+    return float(dominative_from_eigs(eigvals_sym(x), np.trace(x.a), p))
+
+
+def dominative_from_eigs(ev: np.ndarray, trace, p: float):
+    """:func:`eval_dominative` over the trailing axis of ascending spectra
+    ``ev`` of shape ``(..., n)``, with ``trace`` their matrices' traces."""
     p = _check_p(p)
-    ev = eigvals_sym(x)
+    top = ev[..., -1][()]  # [()]: a scalar for one spectrum, not a slower 0-d array
     if p == P_INF:
-        return float(ev[-1])
-    return float((np.trace(x.a) + (p - 2.0) * ev[-1]) / (x.n + p - 2.0))
+        return top
+    return (trace + (p - 2.0) * top) / (ev.shape[-1] + p - 2.0)
 
 
 def eval_pucci(x: SymMatrix, lam: float, Lam: float) -> float:
@@ -85,9 +98,21 @@ def eval_support(x: SymMatrix, body) -> float:
             f"matrix dimension {x.n} does not match body dimension {body.n}"
         )
     if body.rot_closed:
-        xe = eigvals_sym(x)
-        return float(np.max(body.generator_spectra @ xe))
+        return float(support_from_eigs(eigvals_sym(x), body.generator_spectra))
     return max(inner(a, x) for a in body.generators)
+
+
+def support_from_eigs(ev: np.ndarray, spectra: np.ndarray):
+    """Rotation-closed :func:`eval_support` over the trailing axis of
+    ascending spectra ``ev`` of shape ``(..., n)``: the maximum over the
+    rows of ``spectra`` (the generators' ascending spectra) of the
+    sorted-eigenvalue pairing, von Neumann's trace inequality.
+
+    The pairing is a matmul against ``ev[..., None]``, which gives the
+    same bits for one spectrum and for a stack; ``ev @ spectra.T`` and
+    ``einsum`` sum in another order and differ in the last digits.
+    """
+    return np.matmul(spectra, ev[..., None])[..., 0].max(-1)
 
 
 def eval_example(x: SymMatrix) -> float:
@@ -481,6 +506,7 @@ def check_nesting(
     p_prime = _check_p(p_prime)
     if not p_prime < p:
         raise PreconditionError(f"require 2 <= p' < p <= inf, got p'={p_prime}, p={p}")
+    _check_count(samples)
     rng = make_rng(seed)
     report = NestingReport(p=p, p_prime=p_prime, samples=samples)
     for i in range(samples):

@@ -3,19 +3,28 @@
 All randomness in the package flows through a counter-based Philox
 generator so that runs are deterministic for a given seed regardless of
 evaluation order.
+
+Stacks and single draws share one stream: ``rng.standard_normal((k, n, n))``
+yields the same numbers as k calls of ``rng.standard_normal((n, n))``, so
+:func:`goe_stack` returns, bit for bit, the matrices of k :func:`goe_matrix`
+calls and leaves the generator in the same state.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .symmat import SymMatrix, eigvals_sym
+from .symmat import SymMatrix, eigvals_stack, eigvals_sym
 
 
 def make_rng(seed: int, *key: int) -> np.random.Generator:
     """Philox generator for ``seed``; extra ints derive independent child streams."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+#: Draws with spectral norm at or below this are rejected and drawn again.
+_MIN_GOE_NORM = 1e-12
 
 
 def goe_unnormalized(rng: np.random.Generator, n: int) -> SymMatrix:
@@ -34,8 +43,36 @@ def goe_matrix(rng: np.random.Generator, n: int, radius: float = 1.0) -> SymMatr
         x = goe_unnormalized(rng, n)
         ev = eigvals_sym(x)
         nrm = max(-ev[0], ev[-1])
-        if nrm > 1e-12:
+        if nrm > _MIN_GOE_NORM:
             return x * (radius / nrm)
+
+
+def goe_stack(rng: np.random.Generator, k: int, n: int, radii) -> np.ndarray:
+    """(k, n, n) array of the k samples ``goe_matrix(rng, n, radii[i % len(radii)])``.
+
+    One ``standard_normal((k, n, n))`` draw and one stacked eigensolve
+    replace k of each.  A draw whose norm is at most ``_MIN_GOE_NORM`` is
+    dropped, as ``goe_matrix`` drops it, and only the shortfall is drawn
+    again: the accepted draws keep their stream order, so the output and
+    the generator's final state equal those of the k sequential calls.
+    """
+    x = np.empty((k, n, n))
+    nrm = np.empty(k)
+    done = 0
+    while done < k:
+        g = rng.standard_normal((k - done, n, n))
+        sym = np.add(g, g.swapaxes(1, 2), out=x[done:])
+        sym *= 0.5
+        ev = eigvals_stack(sym)
+        norms = np.maximum(-ev[:, 0], ev[:, -1])
+        keep = norms > _MIN_GOE_NORM
+        kept = int(np.count_nonzero(keep))
+        if kept < len(keep):  # close the gaps of rejected draws, in stream order
+            sym[:kept] = sym[keep]
+        nrm[done : done + kept] = norms[keep]
+        done += kept
+    x *= (np.resize(np.asarray(radii, dtype=float), k) / nrm)[:, None, None]
+    return x
 
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -175,6 +175,18 @@ def eigvals_sym(x: SymMatrix) -> np.ndarray:
         ) from exc
 
 
+def eigvals_stack(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each matrix of a ``(..., n, n)`` stack of
+    symmetric arrays, shape ``(..., n)``: one call in place of one
+    :func:`eigvals_sym` per matrix, with the same values bit for bit."""
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(
+            f"symmetric eigensolver failed to converge: {exc}", payload=a
+        ) from exc
+
+
 def eigh_sym(x: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Full decomposition: ascending eigenvalues and orthonormal eigenvectors."""
     try:

@@ -12,10 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domcone.acdo import EllipticSetOracle, acdo_eval, acdo_root, oracle_from_operator
+from domcone.acdo import (
+    EllipticSetOracle,
+    StructureFlags,
+    acdo_eval,
+    acdo_root,
+    check_downward_closure,
+    check_lipschitz,
+    check_nondegeneracy,
+    check_structure,
+    oracle_from_operator,
+)
 from domcone.aperture import ConvexBody
 from domcone.cones import conjugate_oracle
-from domcone.errors import NonProperSetError
+from domcone.errors import NonProperSetError, PreconditionError
 from domcone.fundsol import FundamentalSolution, w_gradient, w_hessian, w_value
 from domcone.operators import (
     Conjugated,
@@ -230,3 +240,20 @@ def test_w_derivatives_match_central_differences(n, p):
 def test_suite_json_is_seed_deterministic():
     first, second = (json.dumps(run_suite(None, 0), sort_keys=True, allow_nan=False) for _ in "ab")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [
+        check_nondegeneracy,
+        check_lipschitz,
+        check_downward_closure,
+        lambda oracle, samples: check_structure(oracle, StructureFlags(convex=True), samples=samples),
+    ],
+    ids=["nondegeneracy", "lipschitz", "downward-closure", "structure"],
+)
+@pytest.mark.parametrize("samples", [0, -1])
+def test_verifiers_reject_an_empty_sample(verify, samples):
+    oracle = oracle_from_operator(DominativeP(n=3, p=3.0))
+    with pytest.raises(PreconditionError, match="at least 1"):
+        verify(oracle, samples=samples)

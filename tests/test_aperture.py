@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import domcone.aperture as aperture_mod
 from domcone.aperture import (
     ConvexBody,
+    MinimalBoundReport,
     body_cone_aperture,
     dominative_body,
     dominative_weights,
@@ -22,7 +23,7 @@ from domcone.errors import (
     PreconditionError,
 )
 from domcone.operators import eval_dominative, eval_support
-from domcone.sampling import make_rng, random_psd
+from domcone.sampling import goe_matrix, make_rng, random_orthogonal, random_psd
 from domcone.symmat import SymMatrix, eigvals_sym
 
 
@@ -202,6 +203,80 @@ class TestMinimalBound:
             assert rep.passed, rep.violations[:2]
             assert rep.sharpness_gap <= 1e-6
             assert rep.tightest is not None
+
+
+def _reference_minimal_bound(body, samples=2000, seed=0, tol=1e-9, sharpness_probes=8):
+    """minimal_bound_check as one goe_matrix, eval_dominative and
+    eval_support call per matrix."""
+    ap = body_cone_aperture(body)
+    rng = make_rng(seed)
+    report = MinimalBoundReport(
+        body=body.summary(), alpha=ap.alpha, p=ap.p, c=ap.c, samples=samples, probes=sharpness_probes
+    )
+
+    def record(x):
+        lhs = ap.c * eval_dominative(x, ap.p)
+        rhs = eval_support(x, body)
+        margin = rhs - lhs
+        if margin < -tol:
+            report.violations.append({"margin": margin, "X": x.to_dict(), "lhs": lhs, "rhs": rhs})
+        if margin < report.worst_margin:
+            report.worst_margin = margin
+            report.tightest = x.to_dict()
+        report.sharpness_gap = min(report.sharpness_gap, abs(margin))
+
+    radii = (0.5, 1.0, 2.0, 10.0)
+    for i in range(samples):
+        record(goe_matrix(rng, body.n, radius=radii[i % len(radii)]))
+    spike = aperture_mod._spike_matrix(body.n, ap.alpha)
+    for _ in range(sharpness_probes):
+        q = random_orthogonal(rng, body.n)
+        record(SymMatrix(q.T @ spike.a @ q))
+    return report
+
+
+def _two_random_bodies():
+    rng = make_rng(77)
+    return [
+        ConvexBody(n=n, generators=tuple(random_psd(rng, n) for _ in range(gens)))
+        for n, gens in ((2, 1), (5, 4))
+    ]
+
+
+class TestMinimalBoundAgainstReference:
+    @pytest.mark.parametrize(
+        "body",
+        [
+            dominative_body(4, 3.0),
+            dominative_body(3, math.inf),
+            dominative_body(5, 2.0),
+            pucci_body(3, 0.7, 2.1),
+            *_two_random_bodies(),
+        ],
+        ids=["dominative_4_3", "dominative_3_inf", "dominative_5_2", "pucci_3", "random_n2", "random_n5"],
+    )
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(samples=2000, seed=0),
+            dict(samples=301, seed=4, sharpness_probes=0),
+            dict(samples=37, seed=9, tol=-0.5, sharpness_probes=3),
+        ],
+        ids=["suite", "odd_no_probes", "violations"],
+    )
+    def test_report_equals_the_per_sample_loop(self, body, kwargs):
+        got = minimal_bound_check(body, **kwargs).to_dict()
+        assert got == _reference_minimal_bound(body, **kwargs).to_dict()
+        if kwargs.get("tol") == -0.5:
+            assert got["violations"] and not got["passed"]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(samples=0), dict(samples=-5), dict(samples=10, sharpness_probes=-1)],
+    )
+    def test_empty_or_negative_counts_are_rejected(self, kwargs):
+        with pytest.raises(PreconditionError, match="at least"):
+            minimal_bound_check(dominative_body(3, 4.0), **kwargs)
 
 
 def _random_hypothesis_pair(rng, n, p):

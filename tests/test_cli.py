@@ -126,6 +126,8 @@ def test_failed_property_exits_2_and_still_reports():
         (["acdo", "--op", "example", "--X", "{sym}", "--tol-root", "0"], "input"),
         (["verify", "--op", "example", "--tol-root", "-1e-10"], "input"),
         (["verify", "--op", "example", "--tol-root", "tiny"], "input"),
+        (["verify", "--op", "dominative:n=3,p=3", "--samples", "0"], "precondition"),
+        (["verify", "--op", "dominative:n=3,p=3", "--samples", "-4"], "precondition"),
     ],
 )
 def test_bad_input_exits_1_with_the_error_report(matrix_files, argv, want):
@@ -290,3 +292,30 @@ def test_acdo_report_names_the_method(tmp_path, matrix_files):
     assert bis["method"] == "bisection"
     assert bis["iterations"] > 0 and bis["bracket"][1] - bis["bracket"][0] <= 1e-12
     assert abs(bis["value"] - res["value"]) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# check-inclusion and report say whether --tol-root was read
+
+
+def test_inclusion_reports_name_the_root_method(tmp_path):
+    base = ["--op", "dominative:n=2,p=5", "--p", "4", "--count", "10"]
+    results = {}
+    for tol in ("1e-10", "0.5"):
+        code, rep = run_json(["check-inclusion", *base, "--tol-root", tol])
+        assert code == 0
+        results[tol] = rep["result"]
+        assert rep["result"]["root_method"] == "closed-form"
+    # the closed form does not read the tolerance
+    assert results["1e-10"]["worst_fp_per_radius"] == results["0.5"]["worst_fp_per_radius"]
+    code, rep = run_json(["report", *base])
+    assert code == 0
+    assert rep["result"]["inclusion"]["root_method"] == "closed-form"
+
+    b_map = tmp_path / "B.json"
+    b_map.write_text(json.dumps({"n": 2, "entries": [[2.0, 0.0], [0.0, 2.0]]}))  # s Q keeps the cone
+    for command in ("check-inclusion", "report"):
+        code, rep = run_json([command, *base, "--B", str(b_map)])
+        assert code == 0
+        res = rep["result"] if command == "check-inclusion" else rep["result"]["inclusion"]
+        assert res["root_method"] == "bisection"

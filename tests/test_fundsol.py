@@ -100,6 +100,11 @@ class TestReportForm:
         rep = verify_annihilation(dominative_body(3, math.inf), FundamentalSolution(n=3, p=math.inf), sample_count=5)
         assert rep.to_dict()["p"] == "inf"
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_annihilation_rejects_an_empty_sample(self, count):
+        with pytest.raises(PreconditionError, match="at least 1"):
+            verify_annihilation(pucci_body(2, 1.0, 2.0), FundamentalSolution(n=2, p=3.0), sample_count=count)
+
     def test_radial_check_records_violations(self):
         rep = example_radial_check(1.0, [0.5], tol=-1.0)  # every residual exceeds a negative tol
         d = rep.to_dict()

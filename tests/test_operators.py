@@ -16,6 +16,7 @@ from domcone.operators import (
     Pucci,
     Shifted,
     check_nesting,
+    dominative_from_eigs,
     eval_dominative,
     eval_example,
     eval_pucci,
@@ -24,9 +25,10 @@ from domcone.operators import (
     spec_from_dict,
     spec_to_dict,
     sublevel_member,
+    support_from_eigs,
 )
-from domcone.sampling import goe_matrix, make_rng, random_nsd, random_orthogonal, random_psd
-from domcone.symmat import InvertibleMap, SymMatrix, congruence, eigvals_sym
+from domcone.sampling import goe_matrix, goe_stack, make_rng, random_nsd, random_orthogonal, random_psd
+from domcone.symmat import InvertibleMap, SymMatrix, congruence, eigvals_stack, eigvals_sym
 
 P_GRID = (2.0, 2.5, 3.0, 4.0, 10.0, math.inf)
 
@@ -345,6 +347,50 @@ class TestNesting:
     def test_order_validation(self):
         with pytest.raises(PreconditionError):
             check_nesting(2.0, 3.0)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_empty_sample_rejected(self, samples):
+        with pytest.raises(PreconditionError, match="at least 1"):
+            check_nesting(3.0, 2.0, samples=samples)
+
+
+class TestStackedFormulas:
+    """The stacked formulas give the scalar evaluators' values bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+    def test_dominative_and_support_match_the_scalar_evaluators(self, n):
+        rng = make_rng(41, n)
+        x = goe_stack(rng, 200, n, (0.5, 1.0, 2.0, 10.0))
+        ev = eigvals_stack(x)
+        trace = np.trace(x, axis1=1, axis2=2)
+        mats = [SymMatrix._wrap(a.copy()) for a in x]
+        for p in P_GRID:
+            stacked = dominative_from_eigs(ev, trace, p)
+            assert stacked.tolist() == [eval_dominative(m, p) for m in mats]
+        bodies = [
+            dominative_body(n, 3.0),
+            pucci_body(n, 0.7, 2.1),
+            ConvexBody(n=n, generators=tuple(random_psd(rng, n) for _ in range(3))),
+        ]
+        for body in bodies:
+            stacked = support_from_eigs(ev, body.generator_spectra)
+            assert stacked.tolist() == [eval_support(m, body) for m in mats]
+
+    def test_scalar_evaluators_keep_the_per_matrix_arithmetic(self):
+        rng = make_rng(43)
+        for k in range(60):
+            n = 2 + k % 5
+            x = goe_matrix(rng, n, radius=float(rng.uniform(0.1, 10.0)))
+            ev = np.linalg.eigvalsh(x.a)
+            for p in P_GRID:
+                want = ev[-1] if p == math.inf else (np.trace(x.a) + (p - 2.0) * ev[-1]) / (n + p - 2.0)
+                assert eval_dominative(x, p) == float(want)
+            body = ConvexBody(n=n, generators=tuple(random_psd(rng, n) for _ in range(1 + k % 3)))
+            assert eval_support(x, body) == float(np.max(body.generator_spectra @ ev))
+
+    def test_dominative_formula_checks_p(self):
+        with pytest.raises(PreconditionError):
+            dominative_from_eigs(np.zeros((3, 2)), np.zeros(3), 1.5)
 
 
 class TestSpecValidationAndWire:
