@@ -26,13 +26,11 @@ from .aperture import (
     body_cone_aperture,
     dominative_body,
     dominative_weights,
-    generator_aperture_lower_bound,
     minimal_bound_check,
     perc_weights,
     pucci_body,
 )
 from .cones import (
-    ConeSample,
     InclusionReport,
     boundary_sample,
     check_inclusion,
@@ -51,11 +49,7 @@ from .errors import (
 )
 from .fundsol import (
     FundamentalSolution,
-    RadialProfile,
     example_radial_check,
-    example_radial_profile,
-    operator_aperture,
-    radial_hessian_eigs,
     sobolev_diverges,
     sobolev_integral,
     sobolev_integral_quadrature,
@@ -77,7 +71,6 @@ from .operators import (
     OperatorSpec,
     Pucci,
     Shifted,
-    check_nesting,
     closed_form_distance,
     eval_dominative,
     eval_example,
@@ -85,7 +78,6 @@ from .operators import (
     eval_support,
     spec_from_dict,
     spec_to_dict,
-    sublevel_member,
 )
 from .symmat import (
     InvertibleMap,
@@ -95,8 +87,6 @@ from .symmat import (
     eigvals_sym,
     inf_norm,
     inner,
-    loewner_leq,
-    one_norm,
 )
 
 __version__ = "0.1.0"

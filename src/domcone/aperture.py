@@ -136,8 +136,8 @@ def pucci_body(n: int, lam: float, Lam: float) -> ConvexBody:
     leading copies of Lam, k = 0..n; rotation closure recovers the full
     set {lam*I <= A <= Lam*I}.
     """
-    if not 0.0 < lam <= Lam:
-        raise PreconditionError(f"require 0 < lam <= Lam, got lam={lam}, Lam={Lam}")
+    if not 0.0 < lam <= Lam < math.inf:
+        raise PreconditionError(f"require 0 < lam <= Lam < inf, got lam={lam}, Lam={Lam}")
     gens = []
     for k in range(n + 1):
         gens.append(SymMatrix.diag([Lam] * k + [lam] * (n - k)))
@@ -196,17 +196,6 @@ def _alpha_by_support_root(body: ConvexBody, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def generator_aperture_lower_bound(body: ConvexBody) -> float:
-    """Minimum of tr A / lambda_n(A) over the generators.
-
-    For rotation-closed bodies this equals the aperture; for plain hulls
-    it is only a lower bound and is reported as such, never as alpha.
-    """
-    spectra = body.generator_spectra
-    ratios = spectra.sum(axis=1) / spectra[:, -1]
-    return float(np.min(ratios))
-
-
 def body_cone_aperture(
     body: ConvexBody,
     *,
@@ -226,7 +215,7 @@ def body_cone_aperture(
     if not body.rot_closed:
         raise PreconditionError(
             "the aperture is exact only for rotation-closed bodies; "
-            "use generator_aperture_lower_bound for plain hulls"
+            "a plain generator hull is refused"
         )
     spectra = body.generator_spectra
     traces = spectra.sum(axis=1)

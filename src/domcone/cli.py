@@ -117,6 +117,8 @@ def _parse_range(text: str) -> list[float]:
         a, b, step = (float(t) for t in parts)
     except ValueError as exc:
         raise InputError(f"bad range {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, (a, b, step))):
+        raise InputError(f"bad range {text!r}: bounds and step must be finite")
     if step <= 0 or b < a:
         raise InputError(f"bad range {text!r}: need a <= b and step > 0")
     count = int(math.floor((b - a) / step + 1e-9)) + 1

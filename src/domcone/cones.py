@@ -46,24 +46,15 @@ def conjugate_oracle(oracle: EllipticSetOracle, B: InvertibleMap) -> EllipticSet
     )
 
 
-@dataclass(frozen=True)
-class ConeSample:
-    """A boundary point at a given sampling radius and its normalized
-    direction (infinity norm one)."""
-
-    radius: float
-    direction: SymMatrix
-    raw_point: SymMatrix
-
-
 def boundary_sample(
     oracle: EllipticSetOracle,
     R: float,
     count: int,
     seed: int = 0,
     root_tol: float = ROOT_TOL,
-) -> list[ConeSample]:
-    """Project random directions at radius R onto the set boundary.
+) -> list[SymMatrix]:
+    """Directions of ``count`` boundary points at radius R, each scaled to
+    infinity norm one.
 
     Each random unit direction D (GOE, infinity norm one) maps to the
     boundary point ``R*D - dist(R*D) * I`` via the signed distance;
@@ -71,7 +62,7 @@ def boundary_sample(
     resampled as degenerate.
     """
     rng = make_rng(seed)
-    out: list[ConeSample] = []
+    out: list[SymMatrix] = []
     attempts = 0
     while len(out) < count:
         attempts += 1
@@ -86,7 +77,7 @@ def boundary_sample(
         nrm = inf_norm(raw)
         if nrm < R / 10.0:
             continue
-        out.append(ConeSample(radius=R, direction=raw * (1.0 / nrm), raw_point=raw))
+        out.append(raw * (1.0 / nrm))
     return out
 
 
@@ -178,12 +169,15 @@ def check_inclusion(
 ) -> InclusionReport:
     """Numerical evidence for ac(B^T Theta B) <= Theta_p.
 
-    Requires at least three increasing radii spanning three decades.  The
-    guaranteed Sobolev exponent interval (0, n(p-1)/(n-1)) is attached to
-    the report, conditional on the inclusion actually holding.
+    Requires at least three finite, positive, increasing radii spanning
+    three decades.  The guaranteed Sobolev exponent interval
+    (0, n(p-1)/(n-1)) is attached to the report, conditional on the
+    inclusion actually holding.
     """
     _check_count(count)
     radii = [float(r) for r in radii]
+    if any(not 0.0 < r < math.inf for r in radii):
+        raise PreconditionError(f"radii must be finite and positive, got {radii}")
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise PreconditionError("radii must be at least three increasing values")
     if math.log10(radii[-1] / radii[0]) < 3.0 - 1e-9:
@@ -192,8 +186,8 @@ def check_inclusion(
     target = oracle if B is None else conjugate_oracle(oracle, B)
     worst = []
     for i, r in enumerate(radii):
-        samples = boundary_sample(target, r, count, seed=seed + 7919 * i, root_tol=root_tol)
-        worst.append(max(eval_dominative(s.direction, p) for s in samples))
+        directions = boundary_sample(target, r, count, seed=seed + 7919 * i, root_tol=root_tol)
+        worst.append(max(eval_dominative(d, p) for d in directions))
 
     slope, verdict = inclusion_verdict(radii, worst, 5.0 * property_tol)
     n = oracle.n

@@ -25,13 +25,11 @@ from numpy.polynomial.legendre import leggauss
 from .aperture import ConvexBody, _spike_matrix, body_cone_aperture
 from .errors import PreconditionError
 from .operators import (
-    DominativeP,
-    EnsembleSupport,
     OperatorSpec,
-    Pucci,
     Report,
     _check_count,
     _check_p,
+    eval_example,
     eval_support,
 )
 from .sampling import log_uniform, make_rng, random_unit_vector
@@ -106,46 +104,6 @@ def w_hessian(fs: FundamentalSolution, x) -> SymMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Radial calculus
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Radial function by its first two derivatives; ``c`` tags members of
-    the model-equation family."""
-
-    n: int
-    u: Callable[[float], float]
-    du: Callable[[float], float]
-    d2u: Callable[[float], float]
-    c: float | None = None
-
-
-def example_radial_profile(c: float) -> RadialProfile:
-    """Singular radial family of the model equation:
-    ``-r^2/2 + 2 c r - c^2 ln r`` for c >= 1, on the unit disc."""
-    if c < 1.0:
-        raise PreconditionError(f"the radial family needs c >= 1, got {c}")
-    return RadialProfile(
-        n=2,
-        u=lambda r: -0.5 * r * r + 2.0 * c * r - c * c * math.log(r),
-        du=lambda r: -r + 2.0 * c - c * c / r,
-        d2u=lambda r: -1.0 + c * c / (r * r),
-        c=c,
-    )
-
-
-def radial_hessian_eigs(profile: RadialProfile, r: float) -> np.ndarray:
-    """Ascending Hessian eigenvalues of a radial function at radius r:
-    u''(r) once and u'(r)/r with multiplicity n-1."""
-    if r <= 0.0:
-        raise PreconditionError(f"radius must be positive, got {r}")
-    eigs = np.full(profile.n, profile.du(r) / r)
-    eigs[0] = profile.d2u(r)
-    return np.sort(eigs)
-
-
-# ---------------------------------------------------------------------------
 # Annihilation
 
 
@@ -160,73 +118,46 @@ class AnnihilationReport(Report):
     max_scaling_law_error: float = 0.0
 
 
-def operator_aperture(op) -> float:
-    """Body cone aperture exponent of a sublinear rotation-invariant operator
-    or body; raises for operators outside that class."""
-    if isinstance(op, ConvexBody):
-        return body_cone_aperture(op).p
-    if isinstance(op, DominativeP):
-        return op.p
-    if isinstance(op, Pucci):
-        return op.Lam / op.lam + 1.0
-    if isinstance(op, EnsembleSupport):
-        return body_cone_aperture(op.body).p
-    raise PreconditionError(
-        f"{type(op).__name__} has no body cone aperture: the notion applies "
-        "to sublinear rotation-invariant elliptic operators only"
-    )
-
-
-def _sublinear_eval(op, x: SymMatrix) -> float:
-    if isinstance(op, ConvexBody):
-        return eval_support(x, op)
-    return op.value(x)
-
-
-def _op_summary(op) -> str:
-    if isinstance(op, ConvexBody):
-        return f"support function of {op.summary()}"
-    return type(op).__name__
-
-
 def verify_annihilation(
-    op,
+    body: ConvexBody,
     fs: FundamentalSolution,
     sample_count: int = 500,
     seed: int = 0,
     tol: float = 1e-9,
     require_aperture_match: bool = True,
 ) -> AnnihilationReport:
-    """Check that the operator vanishes on the fundamental solution's Hessian.
+    """Check that the body's support function G vanishes on the fundamental
+    solution's Hessian.
 
     Samples |x| log-uniformly in [1e-2, 1e2] over random directions and
     verifies both the scaled residual |G(Hess w(x))| * |x|^alpha <= tol and
     the homogeneity scaling law G(Hess w(x)) = |x|^(-alpha) G(Lambda_alpha).
 
-    The operator's body cone aperture must equal fs.p — by definition the
-    aperture is the unique exponent whose profile the operator annihilates.
-    Passing ``require_aperture_match=False`` skips that gate so a mismatch's
+    The body's cone aperture (:func:`body_cone_aperture`, so the body must
+    be rotation-closed) must equal fs.p — by definition the aperture is the
+    unique exponent whose profile G annihilates.  Passing
+    ``require_aperture_match=False`` skips that gate so a mismatch's
     nonzero residual can be demonstrated.
     """
-    if op.n != fs.n:
+    if body.n != fs.n:
         raise PreconditionError(
-            f"operator dimension {op.n} does not match solution dimension {fs.n}"
+            f"body dimension {body.n} does not match solution dimension {fs.n}"
         )
     _check_count(sample_count)
-    p_op = operator_aperture(op)
+    p_op = body_cone_aperture(body).p
     if require_aperture_match:
         both_inf = p_op == math.inf and fs.p == math.inf
         if not both_inf and abs(p_op - fs.p) > 1e-9:
             raise PreconditionError(
-                f"aperture mismatch: operator has body cone aperture {p_op!r} "
+                f"aperture mismatch: the body has cone aperture {p_op!r} "
                 f"but the solution is built for exponent {fs.p!r}"
             )
 
     rng = make_rng(seed)
     alpha = fs.alpha
-    g_spike = _sublinear_eval(op, _spike_matrix(fs.n, alpha))
+    g_spike = eval_support(_spike_matrix(fs.n, alpha), body)
     report = AnnihilationReport(
-        operator=_op_summary(op),
+        operator=f"support function of {body.summary()}",
         n=fs.n,
         p=fs.p,
         alpha=alpha,
@@ -235,7 +166,7 @@ def verify_annihilation(
     for _ in range(sample_count):
         r = log_uniform(rng, 1e-2, 1e2)
         x = r * random_unit_vector(rng, fs.n)
-        g = _sublinear_eval(op, w_hessian(fs, x))
+        g = eval_support(w_hessian(fs, x), body)
         scaled = abs(g) * r**alpha
         report.max_scaled_residual = max(report.max_scaled_residual, scaled)
         if scaled > tol:
@@ -281,8 +212,8 @@ def sobolev_integral(n: int, p: float, q: float, eps: float) -> float:
     _check_n(n)
     if not 0.0 < eps < 1.0:
         raise PreconditionError(f"eps must lie in (0, 1), got {eps}")
-    if q <= 0.0:
-        raise PreconditionError(f"gradient exponent q must be positive, got {q}")
+    if not 0.0 < q < math.inf:
+        raise PreconditionError(f"gradient exponent q must be finite and positive, got {q}")
     if math.isnan(p) or p < 2.0 or p == math.inf:
         raise PreconditionError(f"exponent p must lie in [2, inf), got {p}")
     e = _radial_exponent(n, p, q)
@@ -331,27 +262,30 @@ class RadialCheckReport(Report):
 
 
 def example_radial_check(c: float, r_grid, tol: float = 1e-9) -> RadialCheckReport:
-    """Verify the model equation vanishes on its radial family.
+    """Verify the model equation vanishes on its singular radial family
+    ``u(r) = -r^2/2 + 2 c r - c^2 ln r`` on the unit disc.
 
-    At each r in (0, 1) the Hessian eigenvalues are u'(r)/r and
-    u''(r) = -1 + c^2/r^2 (the larger branch since r < 1 <= c), and the
-    operator value must vanish to ``tol``.
+    At each r of the grid the Hessian eigenvalues are u'(r)/r, with
+    u'(r) = -r + 2c - c^2/r, and u''(r) = -1 + c^2/r^2 (the larger since
+    r < 1 <= c), and the operator value must vanish to ``tol``.  Requires
+    a finite c >= 1 and a nonempty grid inside (0, 1).
     """
-    from .operators import eval_example  # local: keeps module import order flat
-
-    profile = example_radial_profile(c)
+    if not 1.0 <= c < math.inf:
+        raise PreconditionError(f"the radial family needs a finite c >= 1, got {c}")
     r_values = [float(r) for r in r_grid]
+    _check_count(len(r_values), "radial grid size")
     if any(not 0.0 < r < 1.0 for r in r_values):
         raise PreconditionError("the radial grid must lie inside (0, 1)")
     report = RadialCheckReport(c=c, r_values=r_values)
     for r in r_values:
-        eigs = radial_hessian_eigs(profile, r)
+        d2u = -1.0 + c * c / (r * r)
+        eigs = np.sort([d2u, (-r + 2.0 * c - c * c / r) / r])
         residual = abs(eval_example(SymMatrix.diag(eigs)))
         report.max_residual = max(report.max_residual, residual)
         if residual > tol:
             report.violations.append({"r": r, "residual": residual})
         # the top eigenvalue is the pure second derivative on this family
-        if abs(eigs[-1] - profile.d2u(r)) > tol * max(1.0, abs(eigs[-1])):
+        if abs(eigs[-1] - d2u) > tol * max(1.0, abs(eigs[-1])):
             report.violations.append({"r": r, "top_eig_mismatch": float(eigs[-1])})
     return report
 
@@ -375,9 +309,10 @@ def viscosity_grid_check(
     """Pointwise supersolution check: F(Hess u(x)) <= tol at every grid point.
 
     For twice-differentiable u this is exactly the supersolution property of
-    the equation F(Hess u) = 0 on the grid.
+    the equation F(Hess u) = 0 on the grid, which must be nonempty.
     """
     points = [np.asarray(x, dtype=float) for x in grid]
+    _check_count(len(points), "grid size")
     report = GridCheckReport(points_checked=len(points))
     for x in points:
         v = op.value(hessian_field(x))

@@ -21,14 +21,12 @@ from typing import TYPE_CHECKING, Callable, Union
 import numpy as np
 
 from .errors import DimensionMismatchError, InputError, PreconditionError
-from .sampling import goe_matrix, make_rng
 from .symmat import (
     LOEWNER_TOL,
     InvertibleMap,
     SymMatrix,
     congruence,
     eigvals_sym,
-    inf_norm,
     inner,
 )
 
@@ -76,8 +74,8 @@ def eval_pucci(x: SymMatrix, lam: float, Lam: float) -> float:
 
     Equals ``Lam * sum(positive eigenvalues) + lam * sum(negative eigenvalues)``.
     """
-    if not 0.0 < lam <= Lam:
-        raise PreconditionError(f"require 0 < lam <= Lam, got lam={lam}, Lam={Lam}")
+    if not 0.0 < lam <= Lam < math.inf:
+        raise PreconditionError(f"require 0 < lam <= Lam < inf, got lam={lam}, Lam={Lam}")
     ev = eigvals_sym(x)
     pos = ev[ev > 0.0].sum()
     neg = ev[ev < 0.0].sum()
@@ -85,21 +83,27 @@ def eval_pucci(x: SymMatrix, lam: float, Lam: float) -> float:
 
 
 def eval_support(x: SymMatrix, body) -> float:
-    """Support function of a convex body of symmetric matrices.
+    """Support function of a convex body of symmetric matrices: the
+    maximum of :func:`_support_pairings` over the generators."""
+    return float(_support_pairings(x, body).max())
 
-    For rotation-closed bodies (``body.rot_closed``) the maximum of
-    tr(Q A Q^T X) over orthogonal Q is the ascending-sorted eigenvalue
-    dot product, so the support value is the maximum of that pairing
-    over the generators.  For plain generator hulls it is the maximum
-    direct pairing ``<A, X>``.
+
+def _support_pairings(x: SymMatrix, body) -> np.ndarray:
+    """Per-generator pairings whose maximum is the support value at ``x``.
+
+    For a rotation-closed body (``body.rot_closed``) the maximum of
+    tr(Q A Q^T X) over orthogonal Q is the ascending-sorted eigenvalue dot
+    product (von Neumann's trace inequality); for a plain generator hull
+    it is the direct pairing ``<A, X>``.  The matmul against ``ev[:, None]``
+    sums as :func:`support_from_eigs` does, so both give the same bits.
     """
     if x.n != body.n:
         raise DimensionMismatchError(
             f"matrix dimension {x.n} does not match body dimension {body.n}"
         )
     if body.rot_closed:
-        return float(support_from_eigs(eigvals_sym(x), body.generator_spectra))
-    return max(inner(a, x) for a in body.generators)
+        return np.matmul(body.generator_spectra, eigvals_sym(x)[:, None])[:, 0]
+    return np.array([inner(a, x) for a in body.generators])
 
 
 def support_from_eigs(ev: np.ndarray, spectra: np.ndarray):
@@ -158,9 +162,9 @@ class Pucci:
     Lam: float
 
     def __post_init__(self):
-        if not 0.0 < self.lam <= self.Lam:
+        if not 0.0 < self.lam <= self.Lam < math.inf:
             raise InputError(
-                f"require 0 < lam <= Lam, got lam={self.lam}, Lam={self.Lam}"
+                f"require 0 < lam <= Lam < inf, got lam={self.lam}, Lam={self.Lam}"
             )
 
     def value(self, x: SymMatrix) -> float:
@@ -229,17 +233,12 @@ class EnsembleSupport:
         return eval_support(x, self.body)
 
     def distance(self, x: SymMatrix) -> float:
-        """``max_k (s_k . lambda) / tr A_k`` for a rotation-closed body
-        (s_k the ascending spectrum of generator A_k), ``max_k <A_k, X> /
-        tr A_k`` for a plain hull: each pairing grows by t tr A_k along
-        X + tI, and ``ConvexBody`` keeps every tr A_k positive.
+        """``max_k pairing_k / tr A_k`` over the :func:`_support_pairings`:
+        each pairing grows by t tr A_k along X + tI, and ``ConvexBody``
+        keeps every tr A_k positive.
         """
-        _check_op_dim(self, x)
-        spectra = self.body.generator_spectra
-        traces = spectra.sum(axis=1)
-        if self.body.rot_closed:
-            return float(np.max(spectra @ eigvals_sym(x) / traces))
-        return max(inner(a, x) / t for a, t in zip(self.body.generators, traces))
+        traces = self.body.generator_spectra.sum(axis=1)
+        return float(np.max(_support_pairings(x, self.body) / traces))
 
 
 @dataclass(frozen=True)
@@ -347,10 +346,6 @@ class EvalResult:
     value: float
     boundary_distance_hint: float | None = None
 
-    @property
-    def is_neg_inf(self) -> bool:
-        return self.value == -math.inf
-
     def to_dict(self) -> dict:
         return {
             "value": num_to_json(self.value),
@@ -367,11 +362,6 @@ def evaluate_result(spec: OperatorSpec, x: SymMatrix) -> EvalResult:
     return EvalResult(
         value=spec.value(x), boundary_distance_hint=None if distance is None else distance(x)
     )
-
-
-def sublevel_member(spec: OperatorSpec, x: SymMatrix, tol: float = 0.0) -> bool:
-    """Membership in the sublevel set {X | F(X) <= tol}."""
-    return spec.value(x) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -470,63 +460,3 @@ def spec_from_dict(d: dict) -> OperatorSpec:
     except KeyError as exc:
         raise InputError(f"operator spec of type {kind!r} is missing field {exc}") from exc
     raise InputError(f"unknown operator type {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Sublevel-set nesting
-
-
-@dataclass
-class NestingReport(Report):
-    """Sampled evidence for the nesting of dominative sublevel sets."""
-
-    p: float
-    p_prime: float
-    samples: int
-
-
-_NESTING_RADII = (0.5, 1.0, 2.0, 10.0)
-
-
-def check_nesting(
-    p: float,
-    p_prime: float,
-    samples: int = 500,
-    seed: int = 0,
-    n_values: tuple[int, ...] = (2, 3, 4, 5),
-) -> NestingReport:
-    """Sample the inclusion Theta_p <= Theta_p' (p' < p) and the claim that
-    the two boundaries meet only at the origin.
-
-    Violations recorded: a sampled X with F_p(X) <= 0 but F_p'(X) > 1e-12,
-    or a sampled X on both boundaries (|F_p| + |F_p'| <= 1e-9) with
-    infinity norm above 1e-6 times its sampling radius.
-    """
-    p = _check_p(p)
-    p_prime = _check_p(p_prime)
-    if not p_prime < p:
-        raise PreconditionError(f"require 2 <= p' < p <= inf, got p'={p_prime}, p={p}")
-    _check_count(samples)
-    rng = make_rng(seed)
-    report = NestingReport(p=p, p_prime=p_prime, samples=samples)
-    for i in range(samples):
-        n = n_values[i % len(n_values)]
-        radius = _NESTING_RADII[i % len(_NESTING_RADII)]
-        x = goe_matrix(rng, n, radius=radius)
-        fp = eval_dominative(x, p)
-        fpp = eval_dominative(x, p_prime)
-        if fp <= 0.0 and fpp > 1e-12:
-            report.violations.append(
-                {"kind": "inclusion", "F_p": fp, "F_p_prime": fpp, "X": x.to_dict()}
-            )
-        if abs(fp) + abs(fpp) <= 1e-9 and inf_norm(x) > 1e-6 * radius:
-            report.violations.append(
-                {
-                    "kind": "boundary-intersection",
-                    "F_p": fp,
-                    "F_p_prime": fpp,
-                    "norm": inf_norm(x),
-                    "X": x.to_dict(),
-                }
-            )
-    return report

@@ -27,20 +27,16 @@ def make_rng(seed: int, *key: int) -> np.random.Generator:
 _MIN_GOE_NORM = 1e-12
 
 
-def goe_unnormalized(rng: np.random.Generator, n: int) -> SymMatrix:
-    """Symmetrized Gaussian matrix (Gaussian orthogonal ensemble)."""
-    g = rng.standard_normal((n, n))
-    return SymMatrix._wrap(0.5 * (g + g.T))
-
-
 def goe_matrix(rng: np.random.Generator, n: int, radius: float = 1.0) -> SymMatrix:
-    """GOE sample normalized to infinity norm ``radius``.
+    """Symmetrized Gaussian matrix (Gaussian orthogonal ensemble) normalized
+    to infinity norm ``radius``.
 
     Rotation-invariant sampling: the eigenvector basis is Haar-distributed,
     which matches the rotationally invariant objects under test.
     """
     while True:
-        x = goe_unnormalized(rng, n)
+        g = rng.standard_normal((n, n))
+        x = SymMatrix._wrap(0.5 * (g + g.T))
         ev = eigvals_sym(x)
         nrm = max(-ev[0], ev[-1])
         if nrm > _MIN_GOE_NORM:

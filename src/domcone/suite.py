@@ -30,7 +30,7 @@ from .aperture import (
 from .cones import check_inclusion
 from .fundsol import (
     FundamentalSolution,
-    operator_aperture,
+    example_radial_check,
     sobolev_diverges,
     sobolev_integral,
     sobolev_integral_quadrature,
@@ -144,9 +144,9 @@ def run_minimal_bound(seed: int) -> GroupResult:
 
 def run_annihilation(seed: int) -> GroupResult:
     """Scaled residual |G(Hess w(x))| |x|^alpha <= 1e-9 at 500 points per
-    operator, |x| in [1e-2, 1e2]."""
+    body's support function G, |x| in [1e-2, 1e2]."""
     rng = make_rng(seed, 3)
-    ops = [
+    bodies = [
         dominative_body(2, 2.0),
         dominative_body(2, 3.5),
         dominative_body(3, 3.0),
@@ -159,9 +159,9 @@ def run_annihilation(seed: int) -> GroupResult:
     ]
     max_resid = 0.0
     failures = []
-    for k, op in enumerate(ops):
-        fs = FundamentalSolution(n=op.n, p=operator_aperture(op))
-        rep = verify_annihilation(op, fs, sample_count=500, seed=seed + 17 * k, tol=1e-9)
+    for k, body in enumerate(bodies):
+        fs = FundamentalSolution(n=body.n, p=body_cone_aperture(body).p)
+        rep = verify_annihilation(body, fs, sample_count=500, seed=seed + 17 * k, tol=1e-9)
         max_resid = max(max_resid, rep.max_scaled_residual)
         if rep.violations:
             failures.append(
@@ -171,7 +171,7 @@ def run_annihilation(seed: int) -> GroupResult:
         name="annihilation",
         passed=not failures,
         details={
-            "operators": len(ops),
+            "operators": len(bodies),
             "samples_per_operator": 500,
             "max_scaled_residual": max_resid,
             "failures": failures,
@@ -319,8 +319,6 @@ def run_example_equation(seed: int) -> GroupResult:
     """The model equation's radial family solves it to 1e-9, its asymptotic
     cone passes the inclusion test at p = 2 with a square-root decay rate,
     and fails it at p = 2.5."""
-    from .fundsol import example_radial_check
-
     failures = []
     r_grid = [round(0.05 * k, 2) for k in range(1, 20)]
     max_resid = 0.0

@@ -210,21 +210,10 @@ def inf_norm(x: SymMatrix) -> float:
     return float(max(-ev[0], ev[-1]))
 
 
-def one_norm(x: SymMatrix) -> float:
-    """Eigenvalue 1-norm, sum |lambda_i|."""
-    return float(np.sum(np.abs(eigvals_sym(x))))
-
-
-def loewner_leq(x: SymMatrix, y: SymMatrix, tol: float = LOEWNER_TOL) -> bool:
-    """Partial order on S(n): X <= Y iff lambda_1(Y - X) >= -tol."""
-    _check_dims(x, y)
-    return bool(eigvals_sym(y - x)[0] >= -tol)
-
-
 class InvertibleMap:
     """An invertible change of variables acting on S(n) by congruence X -> B^T X B."""
 
-    __slots__ = ("B", "B_inv", "condition")
+    __slots__ = ("B", "B_inv")
 
     #: Determinants at or below this magnitude are rejected as singular.
     MIN_ABS_DET = 1e-10
@@ -240,7 +229,6 @@ class InvertibleMap:
         self.B = B
         self.B_inv = np.linalg.inv(B)
         self.B_inv.setflags(write=False)
-        self.condition = float(np.linalg.cond(B))
 
     @classmethod
     def identity(cls, n: int) -> "InvertibleMap":

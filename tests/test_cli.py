@@ -128,6 +128,18 @@ def test_failed_property_exits_2_and_still_reports():
         (["verify", "--op", "example", "--tol-root", "tiny"], "input"),
         (["verify", "--op", "dominative:n=3,p=3", "--samples", "0"], "precondition"),
         (["verify", "--op", "dominative:n=3,p=3", "--samples", "-4"], "precondition"),
+        (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--radii", "0,1e3,1e6"], "precondition"),
+        (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--radii=-1,1e3,1e6"], "precondition"),
+        (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--radii", "1e2,1e4,inf"], "precondition"),
+        (["report", "--op", "dominative:n=2,p=3", "--p", "4", "--radii", "1,1e3,nan"], "precondition"),
+        (["report", "--op", "dominative:n=2,p=3", "--p", "4", "--radii", "0,1e3,1e6"], "precondition"),
+        (["sobolev", "--n", "2", "--p", "3", "--q", "nan", "--eps", "0.1"], "precondition"),
+        (["sobolev", "--n", "2", "--p", "3", "--q", "inf", "--eps", "0.1"], "precondition"),
+        (["sobolev", "--n", "2", "--p", "3", "--q-sweep", "1:inf:1"], "input"),
+        (["example", "--r-grid", "0.1:nan:0.1"], "input"),
+        (["example", "--c", "nan"], "precondition"),
+        (["eval", "--op", "pucci:n=2,lam=1,Lam=inf", "--X", "{sym}"], "input"),
+        (["aperture", "--body", "pucci:n=2,lam=1,Lam=inf"], "precondition"),
     ],
 )
 def test_bad_input_exits_1_with_the_error_report(matrix_files, argv, want):

@@ -3,10 +3,10 @@ import math
 import pytest
 
 from domcone.acdo import EllipticSetOracle, oracle_from_operator
-from domcone.cones import check_inclusion, inclusion_verdict
+from domcone.cones import boundary_sample, check_inclusion, inclusion_verdict
 from domcone.errors import PreconditionError
 from domcone.operators import DominativeP, eval_dominative
-from domcone.symmat import SymMatrix
+from domcone.symmat import SymMatrix, inf_norm
 
 RADII = [1e2, 1e4, 1e6]
 THRESH = 5e-8  # 5x the default property tolerance
@@ -77,3 +77,23 @@ def test_sample_count_below_one_is_rejected(count):
     oracle = oracle_from_operator(DominativeP(n=2, p=3.0))
     with pytest.raises(PreconditionError, match="count"):
         check_inclusion(oracle, None, 4.0, RADII, count=count)
+
+
+@pytest.mark.parametrize(
+    "radii", [(0.0, 1e3, 1e6), (-1.0, 1e3, 1e6), (1e2, 1e4, math.inf), (1.0, 1e3, math.nan)]
+)
+def test_radii_must_be_finite_and_positive(radii):
+    oracle = oracle_from_operator(DominativeP(n=2, p=3.0))
+    with pytest.raises(PreconditionError, match="finite and positive"):
+        check_inclusion(oracle, None, 4.0, radii, count=5)
+
+
+def test_boundary_sample_returns_unit_boundary_directions():
+    # Theta_3 is a cone, so the normalized boundary points stay on its boundary
+    oracle = oracle_from_operator(DominativeP(n=3, p=3.0))
+    directions = boundary_sample(oracle, 1e3, 12, seed=4)
+    assert len(directions) == 12
+    for d in directions:
+        assert isinstance(d, SymMatrix)
+        assert inf_norm(d) == pytest.approx(1.0, rel=1e-12)
+        assert eval_dominative(d, 3.0) == pytest.approx(0.0, abs=1e-12)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import domcone
-from domcone.aperture import dominative_body, minimal_bound_check, pucci_body
+from domcone.aperture import ConvexBody, dominative_body, minimal_bound_check, pucci_body
 from domcone.errors import PreconditionError
 from domcone.fundsol import (
     FundamentalSolution,
@@ -18,7 +18,10 @@ from domcone.fundsol import (
     sobolev_threshold,
     surface_measure,
     verify_annihilation,
+    viscosity_grid_check,
 )
+from domcone.operators import Pucci
+from domcone.symmat import SymMatrix
 
 
 class TestSobolev:
@@ -54,6 +57,11 @@ class TestSobolev:
             sobolev_integral_quadrature(3, 4.0, 2.0, 1.5)
         with pytest.raises(PreconditionError):
             FundamentalSolution(n=3, p=1.5)
+
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.nan, math.inf])
+    def test_gradient_exponent_must_be_finite_and_positive(self, q):
+        with pytest.raises(PreconditionError, match="finite and positive"):
+            sobolev_integral(2, 3.0, q, 0.1)
 
 
 @pytest.mark.parametrize(
@@ -110,6 +118,29 @@ class TestReportForm:
         d = rep.to_dict()
         assert set(d) == {"c", "r_values", "max_residual", "violations", "passed"}
         assert d["passed"] is False and d["violations"]
+
+    @pytest.mark.parametrize("c", [0.999, -1.0, math.nan, math.inf])
+    def test_radial_check_needs_finite_c_at_least_one(self, c):
+        with pytest.raises(PreconditionError, match="c >= 1"):
+            example_radial_check(c, [0.5])
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.5], [0.5, 1.0], [-0.1], [0.5, math.nan]])
+    def test_radial_check_grid_inside_the_unit_interval(self, grid):
+        with pytest.raises(PreconditionError, match=r"inside \(0, 1\)"):
+            example_radial_check(1.5, grid)
+
+    def test_radial_check_rejects_an_empty_grid(self):
+        with pytest.raises(PreconditionError, match="at least 1"):
+            example_radial_check(1.5, [])
+
+    def test_grid_check_rejects_an_empty_grid(self):
+        with pytest.raises(PreconditionError, match="at least 1"):
+            viscosity_grid_check(Pucci(n=2, lam=1.0, Lam=2.0), lambda x: SymMatrix.zeros(2), [], 1e-9)
+
+    def test_annihilation_refuses_a_plain_hull(self):
+        body = ConvexBody(n=2, generators=(SymMatrix.identity(2),), rot_closed=False)
+        with pytest.raises(PreconditionError, match="rotation-closed"):
+            verify_annihilation(body, FundamentalSolution(n=2, p=2.0), sample_count=5)
 
     def test_grid_check_empty_grid(self):
         assert GridCheckReport(points_checked=0).to_dict() == {

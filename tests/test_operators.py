@@ -15,7 +15,6 @@ from domcone.operators import (
     LinearTrace,
     Pucci,
     Shifted,
-    check_nesting,
     dominative_from_eigs,
     eval_dominative,
     eval_example,
@@ -24,11 +23,10 @@ from domcone.operators import (
     evaluate_result,
     spec_from_dict,
     spec_to_dict,
-    sublevel_member,
     support_from_eigs,
 )
 from domcone.sampling import goe_matrix, goe_stack, make_rng, random_nsd, random_orthogonal, random_psd
-from domcone.symmat import InvertibleMap, SymMatrix, congruence, eigvals_stack, eigvals_sym
+from domcone.symmat import InvertibleMap, SymMatrix, congruence, eigvals_stack, eigvals_sym, inner
 
 P_GRID = (2.0, 2.5, 3.0, 4.0, 10.0, math.inf)
 
@@ -196,14 +194,14 @@ class TestExample:
 
 
 class TestSublevelMember:
+    """Membership in the sublevel set {X | F(X) <= tol} is ``spec.value(x) <= tol``."""
+
     def test_trivial_cases(self):
-        assert sublevel_member(DominativeP(n=3, p=4.0), SymMatrix.identity(3) * -1.0)
-        assert not sublevel_member(
-            DominativeP(n=3, p=math.inf), SymMatrix.diag([0.0, 0.0, 1e-6]), tol=1e-9
-        )
+        assert DominativeP(n=3, p=4.0).value(SymMatrix.identity(3) * -1.0) <= 0.0
+        assert not DominativeP(n=3, p=math.inf).value(SymMatrix.diag([0.0, 0.0, 1e-6])) <= 1e-9
 
     def test_example_neg_inf_branch(self):
-        assert sublevel_member(ExampleEq(), SymMatrix.diag([-5.0, -2.0]))
+        assert ExampleEq().value(SymMatrix.diag([-5.0, -2.0])) <= 0.0
 
     def test_shift_unwraps(self):
         rng = make_rng(210)
@@ -212,7 +210,7 @@ class TestSublevelMember:
         spec = Shifted(inner=inner_spec, X0=x0)
         for _ in range(50):
             x = goe_matrix(rng, 3, radius=2.0)
-            assert sublevel_member(spec, x) == sublevel_member(inner_spec, x - x0)
+            assert (spec.value(x) <= 0.0) == (inner_spec.value(x - x0) <= 0.0)
 
     def test_conjugation_unwraps(self):
         rng = make_rng(211)
@@ -222,7 +220,7 @@ class TestSublevelMember:
         for _ in range(50):
             y = goe_matrix(rng, 3, radius=2.0)
             # membership of B^T Y B in the image equals membership of Y itself
-            assert sublevel_member(spec, congruence(y, b)) == sublevel_member(inner_spec, y)
+            assert (spec.value(congruence(y, b)) <= 0.0) == (inner_spec.value(y) <= 0.0)
 
 
 class TestEllipticity:
@@ -261,10 +259,10 @@ class TestEllipticity:
         checked = 0
         while checked < 500:
             x = goe_matrix(rng, 2, radius=float(rng.uniform(0.2, 3.0)))
-            if not sublevel_member(spec, x):
+            if not spec.value(x) <= 0.0:
                 continue
             neg = random_nsd(rng, 2, scale=0.5)
-            assert sublevel_member(spec, x + neg)
+            assert spec.value(x + neg) <= 0.0
             checked += 1
 
     def test_example_value_monotone_where_formula_is(self):
@@ -338,20 +336,15 @@ class TestNesting:
         assert eval_dominative(z, 5.0) == 0.0
         assert eval_dominative(z, 2.0) == 0.0
 
-    def test_sampled_report_clean(self):
-        rep = check_nesting(4.0, 2.0, samples=400, seed=5)
-        assert rep.passed
-        rep = check_nesting(math.inf, 3.0, samples=400, seed=6)
-        assert rep.passed
-
-    def test_order_validation(self):
-        with pytest.raises(PreconditionError):
-            check_nesting(2.0, 3.0)
-
-    @pytest.mark.parametrize("samples", [0, -1])
-    def test_empty_sample_rejected(self, samples):
-        with pytest.raises(PreconditionError, match="at least 1"):
-            check_nesting(3.0, 2.0, samples=samples)
+    def test_value_grows_with_p(self):
+        # F_p = tr X/n + w(p) (lambda_n - tr X/n), w increasing in p and
+        # lambda_n >= tr X/n, so Theta_p sits inside Theta_p' for p' < p
+        rng = make_rng(218)
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            x = goe_matrix(rng, n, radius=float(rng.uniform(0.5, 10.0)))
+            values = [eval_dominative(x, p) for p in P_GRID]
+            assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
 class TestStackedFormulas:
@@ -385,8 +378,17 @@ class TestStackedFormulas:
             for p in P_GRID:
                 want = ev[-1] if p == math.inf else (np.trace(x.a) + (p - 2.0) * ev[-1]) / (n + p - 2.0)
                 assert eval_dominative(x, p) == float(want)
-            body = ConvexBody(n=n, generators=tuple(random_psd(rng, n) for _ in range(1 + k % 3)))
-            assert eval_support(x, body) == float(np.max(body.generator_spectra @ ev))
+            gens = tuple(random_psd(rng, n) for _ in range(1 + k % 3))
+            rot = ConvexBody(n=n, generators=gens)
+            plain = ConvexBody(n=n, generators=gens, rot_closed=False)
+            spectra = rot.generator_spectra
+            traces = spectra.sum(axis=1)
+            assert eval_support(x, rot) == float(np.max(spectra @ ev))
+            assert eval_support(x, plain) == max(inner(a, x) for a in gens)
+            assert EnsembleSupport(rot).distance(x) == float(np.max(spectra @ ev / traces))
+            assert EnsembleSupport(plain).distance(x) == max(
+                inner(a, x) / t for a, t in zip(gens, traces)
+            )
 
     def test_dominative_formula_checks_p(self):
         with pytest.raises(PreconditionError):
@@ -405,6 +407,15 @@ class TestSpecValidationAndWire:
     def test_pucci_validation(self):
         with pytest.raises(InputError):
             Pucci(n=2, lam=0.0, Lam=1.0)
+
+    @pytest.mark.parametrize("lam, Lam", [(1.0, math.inf), (math.inf, math.inf), (1.0, math.nan)])
+    def test_pucci_constants_must_be_finite(self, lam, Lam):
+        with pytest.raises(InputError, match="< inf"):
+            Pucci(n=2, lam=lam, Lam=Lam)
+        with pytest.raises(PreconditionError, match="< inf"):
+            eval_pucci(SymMatrix.identity(2) * -1.0, lam, Lam)
+        with pytest.raises(PreconditionError, match="< inf"):
+            pucci_body(2, lam, Lam)
 
     def test_example_dimension(self):
         with pytest.raises(InputError):
@@ -432,7 +443,7 @@ class TestSpecValidationAndWire:
 
     def test_eval_result_neg_inf(self):
         res = evaluate_result(ExampleEq(), SymMatrix.diag([-5.0, -2.0]))
-        assert res.is_neg_inf
+        assert res.value == -math.inf
         assert res.to_dict()["value"] == "-inf"
 
     def test_eval_result_hint_for_dominative(self):

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from domcone.errors import DimensionMismatchError, InvalidMatrixError
 from domcone.sampling import goe_matrix, make_rng, random_nsd, random_psd
@@ -13,8 +11,6 @@ from domcone.symmat import (
     eigvals_sym,
     inf_norm,
     inner,
-    loewner_leq,
-    one_norm,
 )
 
 
@@ -157,22 +153,6 @@ class TestNorms:
             x = goe_matrix(rng, 4, radius=float(rng.uniform(0.5, 4.0)))
             assert inf_norm(x) == pytest.approx(_power_iteration_abs_max(x.a), rel=1e-6)
 
-    def test_one_norm_examples(self):
-        assert one_norm(SymMatrix.diag([-3.0, 1.0])) == pytest.approx(4.0)
-        assert one_norm(SymMatrix.identity(5)) == pytest.approx(5.0)
-
-    def test_one_norm_of_psd_is_trace(self):
-        rng = make_rng(110)
-        for _ in range(100):
-            x = random_psd(rng, 4)
-            assert one_norm(x) == pytest.approx(np.trace(x.a), rel=1e-10)
-
-    def test_one_norm_dominates_inf_norm(self):
-        rng = make_rng(111)
-        for _ in range(200):
-            x = goe_matrix(rng, 5, radius=2.0)
-            assert one_norm(x) >= inf_norm(x) - 1e-12
-
     def test_norm_axioms(self):
         rng = make_rng(112)
         for _ in range(1000):
@@ -185,22 +165,6 @@ class TestNorms:
 
     def test_inf_norm_zero_iff_zero(self):
         assert inf_norm(SymMatrix.zeros(3)) == 0.0
-
-
-class TestLoewner:
-    def test_examples(self):
-        eye = SymMatrix.identity(3)
-        zero = SymMatrix.zeros(3)
-        assert loewner_leq(zero, eye, 1e-9)
-        assert not loewner_leq(eye, zero, 1e-9)
-
-    @settings(max_examples=30, derandomize=True, deadline=None)
-    @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=3, max_size=3))
-    def test_rank_one_increment(self, vec):
-        rng = make_rng(113)
-        x = goe_matrix(rng, 3)
-        v = np.array(vec)
-        assert loewner_leq(x, SymMatrix(x.a + np.outer(v, v)), 1e-9)
 
 
 class TestCongruence:
@@ -237,7 +201,8 @@ class TestCongruence:
             x = goe_matrix(rng, 3)
             y = SymMatrix(x.a + random_psd(rng, 3).a)
             b = InvertibleMap(rng.normal(size=(3, 3)) + 2 * np.eye(3))
-            assert loewner_leq(congruence(x, b), congruence(y, b), 1e-8)
+            # X <= Y in the Loewner order iff lambda_1(Y - X) >= 0
+            assert eigvals_sym(congruence(y, b) - congruence(x, b))[0] >= -1e-8
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -248,10 +213,6 @@ class TestInvertibleMap:
     def test_rejects_singular(self):
         with pytest.raises(InvalidMatrixError, match="singular"):
             InvertibleMap([[1.0, 1.0], [1.0, 1.0]])
-
-    def test_condition_estimate(self):
-        m = InvertibleMap(np.diag([1.0, 10.0]))
-        assert m.condition == pytest.approx(10.0)
 
     def test_inverse_round_trip(self):
         rng = make_rng(118)
