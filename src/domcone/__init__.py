@@ -13,6 +13,7 @@ from .acdo import (
     StructureFlags,
     acdo_eval,
     acdo_root,
+    acdo_roots,
     check_downward_closure,
     check_lipschitz,
     check_nondegeneracy,

@@ -8,7 +8,8 @@ catalog operators have it in closed form (``X + tI`` only shifts the
 spectrum), and their oracles carry it.  For any other elliptic set
 (a user predicate, a congruence image) membership along the identity
 line is monotone, and the distance is found by bisection on the
-membership predicate.
+membership predicate.  :func:`acdo_roots` runs the bisections of a
+whole stack of matrices in lockstep, one stacked membership call per step.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .operators import (
     _check_count,
     closed_form_distance,
 )
-from .sampling import goe_matrix, make_rng, random_nsd, random_orthogonal
-from .symmat import SymMatrix, congruence, inf_norm
+from .sampling import goe_matrix, goe_stack, make_rng, random_nsd, random_orthogonal
+from .symmat import SymMatrix, _eye, congruence, eigvals_stack
 
 #: Absolute tolerance of the root finder.
 ROOT_TOL = 1e-10
@@ -51,7 +52,10 @@ class EllipticSetOracle:
     The predicate must be pure and re-entrant.  Witnesses are optional;
     when both are present they are verified on construction.  ``distance``
     is an optional closed form of the signed distance; without it
-    :func:`acdo_root` bisects on the predicate.  Downward
+    :func:`acdo_root` bisects on the predicate.  ``member_stack`` is an
+    optional stacked form of the predicate, a ``(k, n, n)`` array to k
+    booleans equal to ``member`` on each matrix; with it and without a
+    closed form, :func:`acdo_roots` bisects a stack in lockstep.  Downward
     closure (membership survives adding any negative semidefinite
     matrix) is a caller contract, testable via
     :func:`check_downward_closure`.
@@ -63,6 +67,7 @@ class EllipticSetOracle:
     outside_witness: SymMatrix | None = None
     description: str = ""
     distance: Callable[[SymMatrix], float] | None = None
+    member_stack: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.inside_witness is not None and not self.member(self.inside_witness):
@@ -77,7 +82,8 @@ class EllipticSetOracle:
 
 def oracle_from_operator(spec: OperatorSpec, description: str = "") -> EllipticSetOracle:
     """Sublevel-set membership oracle F(X) <= 0 for a catalog operator,
-    with the spec's closed-form distance where it has one."""
+    with its stacked form and the spec's closed-form distance where it
+    has one."""
     inside, outside = _default_witnesses(spec, spec.n)
     return EllipticSetOracle(
         member=lambda x: spec.value(x) <= 0.0,
@@ -86,6 +92,7 @@ def oracle_from_operator(spec: OperatorSpec, description: str = "") -> EllipticS
         outside_witness=outside,
         description=description or f"sublevel set of {type(spec).__name__}",
         distance=closed_form_distance(spec),
+        member_stack=lambda a: spec.value_stack(a) <= 0.0,
     )
 
 
@@ -166,11 +173,7 @@ def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) ->
         lo, step = 0.0, 1.0
         while True:
             if step > BRACKET_CAP:
-                raise NonProperSetError(
-                    f"no boundary above t = {lo:g}: the set contains the whole "
-                    f"identity line through the probe ({oracle.description})",
-                    reason="full-line",
-                )
+                raise _unbracketed(oracle, True, lo)
             if member_at(step):
                 lo = step
                 step *= 2.0
@@ -181,11 +184,7 @@ def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) ->
         hi, step = 0.0, -1.0
         while True:
             if -step > BRACKET_CAP:
-                raise NonProperSetError(
-                    f"no member below t = {hi:g}: the set is empty along the "
-                    f"identity line through the probe ({oracle.description})",
-                    reason="empty-line",
-                )
+                raise _unbracketed(oracle, False, hi)
             if member_at(step):
                 lo = step
                 break
@@ -211,6 +210,79 @@ def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) ->
     )
 
 
+def _unbracketed(oracle: EllipticSetOracle, up: bool, t: float) -> NonProperSetError:
+    """The error of a bracket expansion that passed ``BRACKET_CAP``, upward
+    from the member probe ``t`` or downward from the non-member ``t``."""
+    if up:
+        head, reason = f"no boundary above t = {t:g}: the set contains the whole", "full-line"
+    else:
+        head, reason = f"no member below t = {t:g}: the set is empty along the", "empty-line"
+    return NonProperSetError(
+        f"{head} identity line through the probe ({oracle.description})", reason=reason
+    )
+
+
+# Phases of a root in acdo_roots.
+_START, _EXPAND, _BISECT, _DONE = range(4)
+
+
+def acdo_roots(oracle: EllipticSetOracle, stack, tol: float = ROOT_TOL) -> list[AcdoRoot]:
+    """:func:`acdo_root` of each matrix of a ``(k, n, n)`` symmetric stack.
+
+    With the oracle's ``member_stack`` and without a closed form, the k
+    bracket expansions and bisections run in lockstep: each step probes
+    every unfinished root with one stacked membership call.  Each root
+    sees the probe sequence of :func:`acdo_root`, so every field of its
+    result is equal, and an expansion that passes ``BRACKET_CAP`` raises
+    the :class:`NonProperSetError` that a loop of :func:`acdo_root` raises.
+    Otherwise (a closed form, or no ``member_stack``) it is that loop.
+    """
+    stack = np.asarray(stack, dtype=float)
+    if stack.shape[-1] != oracle.n:
+        raise PreconditionError(
+            f"matrix dimension {stack.shape[-1]} does not match oracle dimension {oracle.n}"
+        )
+    if oracle.distance is not None or oracle.member_stack is None:
+        return [acdo_root(oracle, SymMatrix._wrap(x), tol) for x in stack]
+    k = len(stack)
+    eye = _eye(oracle.n)
+    phase = np.full(k, _START)
+    t, lo, hi, step = np.zeros(k), np.zeros(k), np.zeros(k), np.zeros(k)
+    up = np.zeros(k, dtype=bool)  # expansion direction, set by the probe at t = 0
+    probes, iterations = np.zeros((2, k), dtype=int)
+    while (live := phase != _DONE).any():
+        inside = np.zeros(k, dtype=bool)
+        inside[live] = oracle.member_stack(stack[live] + t[live, None, None] * eye)
+        probes += live
+        lo = np.where(live & inside, t, lo)
+        hi = np.where(live & ~inside, t, hi)
+        start, expand = phase == _START, phase == _EXPAND
+        up[start] = inside[start]
+        step[start] = np.where(inside[start], 1.0, -1.0)
+        grow = expand & (inside == up)  # still on the probe's side of the boundary
+        step[grow] *= 2.0
+        iterations += phase == _BISECT
+        phase[start] = _EXPAND
+        phase[expand & ~grow] = _BISECT
+
+        # Every expansion still running has |step| = 2^j after the same j
+        # steps, so all of them pass the cap at once; the first is the one
+        # a loop of acdo_root meets first.
+        capped = np.flatnonzero((phase == _EXPAND) & (np.abs(step) > BRACKET_CAP))
+        if capped.size:
+            i = capped[0]
+            raise _unbracketed(oracle, bool(up[i]), float(lo[i] if up[i] else hi[i]))
+        bisect = phase == _BISECT
+        phase[bisect & ~((hi - lo > tol) & (iterations < _MAX_BISECT))] = _DONE
+        t = np.where(phase == _EXPAND, step, 0.5 * (lo + hi))
+    mid = 0.5 * (lo + hi)
+    columns = zip(mid.tolist(), lo.tolist(), hi.tolist(), iterations.tolist(), probes.tolist())
+    return [
+        AcdoRoot(value=-mid, bracket=(-b, -a), iterations=it, probes=pr, method="bisection")
+        for mid, a, b, it, pr in columns
+    ]
+
+
 def acdo_eval(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) -> float:
     """Signed distance value; see :func:`acdo_root` for the contract."""
     return acdo_root(oracle, x, tol).value
@@ -227,6 +299,13 @@ class PropertyReport(Report):
     checks: int = 0
     max_deviation: float = 0.0
 
+    def record(self, deviation: float, limit: float, /, **violation) -> None:
+        """Count one check; keep ``violation`` when ``deviation`` > ``limit``."""
+        self.checks += 1
+        self.max_deviation = max(self.max_deviation, deviation)
+        if deviation > limit:
+            self.violations.append(violation)
+
 
 _TAU_GRID = (-10.0, -1.0, 0.1, 7.0)
 
@@ -237,21 +316,23 @@ def check_nondegeneracy(
     seed: int = 0,
     tol: float = ROOT_TOL,
 ) -> PropertyReport:
-    """Verify the identity-shift normalization F(X + tau I) = F(X) + tau."""
+    """Verify the identity-shift normalization F(X + tau I) = F(X) + tau.
+
+    All ``5 * samples`` distances come from one :func:`acdo_roots` call."""
     _check_count(samples)
     rng = make_rng(seed)
     report = PropertyReport(name="nondegeneracy", samples=samples)
-    for _ in range(samples):
-        x = goe_matrix(rng, oracle.n, radius=1.0)
-        base = acdo_eval(oracle, x, tol)
-        for tau in _TAU_GRID:
-            dev = abs(acdo_eval(oracle, x.shift(tau), tol) - base - tau)
-            report.checks += 1
-            report.max_deviation = max(report.max_deviation, dev)
-            if dev > 3.0 * tol:
-                report.violations.append(
-                    {"tau": tau, "deviation": dev, "X": x.to_dict()}
-                )
+    n, width = oracle.n, 1 + len(_TAU_GRID)
+    xs = goe_stack(rng, samples, n, [1.0])[:, None]
+    shifted = xs + np.asarray(_TAU_GRID)[:, None, None] * _eye(n)  # X + tau I, as x.shift(tau)
+    stack = np.concatenate([xs, shifted], axis=1).reshape(-1, n, n)
+    values = [r.value for r in acdo_roots(oracle, stack, tol)]
+    for i in range(samples):
+        base, *moved = values[width * i : width * (i + 1)]
+        x = SymMatrix._wrap(xs[i, 0]).to_dict()
+        for tau, value in zip(_TAU_GRID, moved):
+            dev = abs(value - base - tau)
+            report.record(dev, 3.0 * tol, tau=tau, deviation=dev, X=x)
     return report
 
 
@@ -261,21 +342,22 @@ def check_lipschitz(
     seed: int = 0,
     tol: float = ROOT_TOL,
 ) -> PropertyReport:
-    """Verify |F(X) - F(Y)| <= ||X - Y||_inf on sampled pairs."""
+    """Verify |F(X) - F(Y)| <= ||X - Y||_inf on sampled pairs.
+
+    Pair i draws X at radius 1, then Y at radius 1 + i % 3; all ``2 *
+    samples`` distances come from one :func:`acdo_roots` call."""
     _check_count(samples)
     rng = make_rng(seed)
     report = PropertyReport(name="lipschitz", samples=samples)
+    pairs = goe_stack(rng, 2 * samples, oracle.n, [1.0, 1.0, 1.0, 2.0, 1.0, 3.0])
+    xs, ys = pairs[0::2], pairs[1::2]
+    values = [r.value for r in acdo_roots(oracle, pairs, tol)]
+    ev = eigvals_stack(xs - ys)
+    norms = np.maximum(-ev[:, 0], ev[:, -1]).tolist()  # inf_norm(X - Y)
     for i in range(samples):
-        x = goe_matrix(rng, oracle.n, radius=1.0)
-        y = goe_matrix(rng, oracle.n, radius=1.0 + (i % 3))
-        lhs = abs(acdo_eval(oracle, x, tol) - acdo_eval(oracle, y, tol))
-        excess = lhs - inf_norm(x - y)
-        report.checks += 1
-        report.max_deviation = max(report.max_deviation, excess)
-        if excess > 3.0 * tol:
-            report.violations.append(
-                {"excess": excess, "X": x.to_dict(), "Y": y.to_dict()}
-            )
+        excess = abs(values[2 * i] - values[2 * i + 1]) - norms[i]
+        x, y = SymMatrix._wrap(xs[i]), SymMatrix._wrap(ys[i])
+        report.record(excess, 3.0 * tol, excess=excess, X=x.to_dict(), Y=y.to_dict())
     return report
 
 
@@ -314,46 +396,20 @@ def check_structure(
         if flags.convex or flags.concave_complement:
             y = goe_matrix(rng, oracle.n, radius=1.0)
             fy = dist(y)
-            fmid = dist((x + y) * 0.5)
-            if flags.convex:
-                dev = fmid - 0.5 * (fx + fy)
-                report.checks += 1
-                report.max_deviation = max(report.max_deviation, dev)
-                if dev > 3.0 * tol:
-                    report.violations.append(
-                        {"flag": "convex", "deviation": dev, "X": x.to_dict(), "Y": y.to_dict()}
-                    )
-            if flags.concave_complement:
-                dev = 0.5 * (fx + fy) - fmid
-                report.checks += 1
-                report.max_deviation = max(report.max_deviation, dev)
-                if dev > 3.0 * tol:
-                    report.violations.append(
-                        {
-                            "flag": "concave_complement",
-                            "deviation": dev,
-                            "X": x.to_dict(),
-                            "Y": y.to_dict(),
-                        }
-                    )
+            fmid, half = dist((x + y) * 0.5), 0.5 * (fx + fy)
+            pair = {"X": x.to_dict(), "Y": y.to_dict()}
+            for flag, dev in (("convex", fmid - half), ("concave_complement", half - fmid)):
+                if getattr(flags, flag):
+                    report.record(dev, 3.0 * tol, flag=flag, deviation=dev, **pair)
         if flags.cone:
             for c in (0.5, 2.0):
                 dev = abs(dist(x * c) - c * fx)
-                report.checks += 1
-                report.max_deviation = max(report.max_deviation, dev)
-                if dev > 3.0 * tol * max(1.0, c):
-                    report.violations.append(
-                        {"flag": "cone", "c": c, "deviation": dev, "X": x.to_dict()}
-                    )
+                limit = 3.0 * tol * max(1.0, c)
+                report.record(dev, limit, flag="cone", c=c, deviation=dev, X=x.to_dict())
         if flags.rot_invariant:
             q = random_orthogonal(rng, oracle.n)
             dev = abs(dist(SymMatrix(q.T @ x.a @ q)) - fx)
-            report.checks += 1
-            report.max_deviation = max(report.max_deviation, dev)
-            if dev > 3.0 * tol:
-                report.violations.append(
-                    {"flag": "rot_invariant", "deviation": dev, "X": x.to_dict()}
-                )
+            report.record(dev, 3.0 * tol, flag="rot_invariant", deviation=dev, X=x.to_dict())
     return report
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .aperture import ConvexBody, _spike_matrix, body_cone_aperture
-from .errors import PreconditionError
+from .errors import NumericalFailureError, PreconditionError
 from .operators import (
     OperatorSpec,
     Report,
@@ -61,9 +61,18 @@ class FundamentalSolution:
         return (self.n + self.p - 2.0) / (self.p - 1.0)
 
 
+def _radius(x: np.ndarray) -> float:
+    """|x|, rescaled by s = max |x_i| where the plain norm would overflow or
+    underflow (s outside [1e-150, 1e150]); inside, the plain norm's bits."""
+    s = float(np.max(np.abs(x), initial=0.0))
+    if s == 0.0 or 1e-150 <= s <= 1e150:
+        return float(np.linalg.norm(x))
+    return s * float(np.linalg.norm(x / s))
+
+
 def w_value(fs: FundamentalSolution, x) -> float:
     """Value at a point; +inf at the origin when p <= n."""
-    r = float(np.linalg.norm(np.asarray(x, dtype=float)))
+    r = _radius(np.asarray(x, dtype=float))
     n, p = fs.n, fs.p
     if p == math.inf:
         return -r
@@ -77,7 +86,7 @@ def w_value(fs: FundamentalSolution, x) -> float:
 def w_gradient(fs: FundamentalSolution, x) -> np.ndarray:
     """Gradient -|x|^(-(n-1)/(p-1)) * x/|x| (unit inward slope at p = inf)."""
     x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
+    r = _radius(x)
     if r == 0.0:
         raise PreconditionError("the gradient is undefined at the origin")
     xhat = x / r
@@ -93,7 +102,7 @@ def w_hessian(fs: FundamentalSolution, x) -> SymMatrix:
     multiplicity n-1.
     """
     x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
+    r = _radius(x)
     if r == 0.0:
         raise PreconditionError("the Hessian is undefined at the origin")
     xhat = x / r
@@ -184,7 +193,14 @@ def surface_measure(n: int) -> float:
     """Surface measure of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2)."""
     if n < 1:
         raise PreconditionError(f"dimension must be positive, got {n}")
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    try:
+        return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    except OverflowError:  # Gamma(n/2) passes the float range from n = 344 on
+        return math.exp(_log_surface_measure(n))
+
+
+def _log_surface_measure(n: int) -> float:
+    return math.log(2.0) + (n / 2.0) * math.log(math.pi) - math.lgamma(n / 2.0)
 
 
 def sobolev_threshold(n: int, p: float) -> float:
@@ -208,6 +224,9 @@ def sobolev_integral(n: int, p: float, q: float, eps: float) -> float:
     form goes to ``ln(1/eps)`` as e -> -1, the divergence threshold q = q*;
     it is evaluated through ``expm1`` so that it stays accurate when q
     rounds to just beside q*, and takes the log branch only at e = -1 exactly.
+    Where eps^(e+1) passes the float range, the integral is taken in logs,
+    to about 1e-13 relative; an integral beyond the float range raises
+    :class:`NumericalFailureError`.
     """
     _check_n(n)
     if not 0.0 < eps < 1.0:
@@ -221,7 +240,20 @@ def sobolev_integral(n: int, p: float, q: float, eps: float) -> float:
     s = e + 1.0
     if s == 0.0:
         return omega * math.log(1.0 / eps)
-    return omega * -math.expm1(s * math.log(eps)) / s
+    x = s * math.log(eps)
+    try:
+        value = omega * -math.expm1(x) / s
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):  # x > 0, so s < 0 and the integral is omega e^x / -s
+        try:
+            value = math.exp(_log_surface_measure(n) + x - math.log(-s))
+        except OverflowError:
+            raise NumericalFailureError(
+                f"the integral over eps < |x| < 1 exceeds the float range (eps^(e+1) = exp({x:g}))",
+                payload={"n": n, "p": p, "q": q, "eps": eps},
+            ) from None
+    return value
 
 
 #: 64-node Gauss-Legendre rule on [-1, 1] for the quadrature cross-check.

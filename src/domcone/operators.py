@@ -6,9 +6,11 @@ membership is ``F(X) <= tol``.  Composite specs unwrap so that the
 sublevel set of ``Conjugated(F, B)`` is B^T Theta(F) B and the sublevel
 set of ``Shifted(F, X0)`` is Theta(F) + {X0}.
 
-Each spec but ``Conjugated`` also has ``distance(x)``, the signed
-distance ``-sup{t | F(X + tI) <= 0}`` to the boundary of its sublevel
-set in closed form.  ``X + tI`` only shifts the spectrum by t, so one
+Each spec has ``value_stack(a)``, the bits of ``value`` on each matrix
+of a ``(k, n, n)`` stack from at most one stacked eigensolve.  Each spec
+but ``Conjugated`` also has ``distance(x)``, the signed distance
+``-sup{t | F(X + tI) <= 0}`` to the boundary of its sublevel set in
+closed form.  ``X + tI`` only shifts the spectrum by t, so one
 eigensolve (none for ``LinearTrace``) gives it.
 """
 
@@ -26,6 +28,8 @@ from .symmat import (
     InvertibleMap,
     SymMatrix,
     congruence,
+    congruence_stack,
+    eigvals_stack,
     eigvals_sym,
     inner,
 )
@@ -74,12 +78,23 @@ def eval_pucci(x: SymMatrix, lam: float, Lam: float) -> float:
 
     Equals ``Lam * sum(positive eigenvalues) + lam * sum(negative eigenvalues)``.
     """
+    return float(pucci_from_eigs(eigvals_sym(x), lam, Lam))
+
+
+def pucci_from_eigs(ev: np.ndarray, lam: float, Lam: float):
+    """:func:`eval_pucci` over the trailing axis of spectra ``ev`` of shape
+    ``(..., n)``.
+
+    The masked ``add.reduce`` sums as ``ev[ev > 0].sum()`` does, for one
+    spectrum and per row of a stack; ``np.where(...).sum()`` and
+    ``np.maximum(ev, 0).sum()`` add zeros in and differ in the last bit
+    from n = 8 on.
+    """
     if not 0.0 < lam <= Lam < math.inf:
         raise PreconditionError(f"require 0 < lam <= Lam < inf, got lam={lam}, Lam={Lam}")
-    ev = eigvals_sym(x)
-    pos = ev[ev > 0.0].sum()
-    neg = ev[ev < 0.0].sum()
-    return float(Lam * pos + lam * neg)
+    pos = np.add.reduce(ev, -1, where=ev > 0.0)
+    neg = np.add.reduce(ev, -1, where=ev < 0.0)
+    return Lam * pos + lam * neg
 
 
 def eval_support(x: SymMatrix, body) -> float:
@@ -97,13 +112,17 @@ def _support_pairings(x: SymMatrix, body) -> np.ndarray:
     it is the direct pairing ``<A, X>``.  The matmul against ``ev[:, None]``
     sums as :func:`support_from_eigs` does, so both give the same bits.
     """
-    if x.n != body.n:
-        raise DimensionMismatchError(
-            f"matrix dimension {x.n} does not match body dimension {body.n}"
-        )
+    _check_body_dim(body, x.n)
     if body.rot_closed:
         return np.matmul(body.generator_spectra, eigvals_sym(x)[:, None])[:, 0]
     return np.array([inner(a, x) for a in body.generators])
+
+
+def _check_body_dim(body, n: int) -> None:
+    if n != body.n:
+        raise DimensionMismatchError(
+            f"matrix dimension {n} does not match body dimension {body.n}"
+        )
 
 
 def support_from_eigs(ev: np.ndarray, spectra: np.ndarray):
@@ -128,10 +147,15 @@ def eval_example(x: SymMatrix) -> float:
     """
     if x.n != 2:
         raise DimensionMismatchError(f"example operator is defined on S(2), got n={x.n}")
-    l1, l2 = eigvals_sym(x)
-    if l2 < -1.0:
-        return -math.inf
-    return float(l1 + l2 - 2.0 * math.sqrt(max(0.0, 1.0 + l2)) + 2.0)
+    return float(example_from_eigs(eigvals_sym(x)))
+
+
+def example_from_eigs(ev: np.ndarray):
+    """:func:`eval_example` over the trailing axis of ascending spectra
+    ``ev`` of shape ``(..., 2)``, with the -inf branch below l2 = -1."""
+    l1, l2 = ev.T  # two scalars for one spectrum, two columns for a stack
+    value = l1 + l2 - 2.0 * np.sqrt(np.maximum(0.0, 1.0 + l2)) + 2.0
+    return np.where(l2 < -1.0, -math.inf, value)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +171,14 @@ class DominativeP:
         _check_p(self.p)
 
     def value(self, x: SymMatrix) -> float:
-        _check_op_dim(self, x)
+        _check_op_dim(self, x.n)
         return eval_dominative(x, self.p)
+
+    def value_stack(self, a: np.ndarray) -> np.ndarray:
+        """:meth:`value` of each matrix of a ``(k, n, n)`` symmetric stack, bit
+        for bit; every spec's ``value_stack`` has this contract."""
+        _check_op_dim(self, a.shape[-1])
+        return dominative_from_eigs(eigvals_stack(a), np.trace(a, axis1=-2, axis2=-1), self.p)
 
     def distance(self, x: SymMatrix) -> float:
         """F(X) itself, by the normalization F(X + mI) = F(X) + m."""
@@ -168,8 +198,12 @@ class Pucci:
             )
 
     def value(self, x: SymMatrix) -> float:
-        _check_op_dim(self, x)
+        _check_op_dim(self, x.n)
         return eval_pucci(x, self.lam, self.Lam)
+
+    def value_stack(self, a: np.ndarray) -> np.ndarray:
+        _check_op_dim(self, a.shape[-1])
+        return pucci_from_eigs(eigvals_stack(a), self.lam, self.Lam)
 
     def distance(self, x: SymMatrix) -> float:
         """Root of the strictly increasing, piecewise-linear t -> F(X + tI).
@@ -180,7 +214,7 @@ class Pucci:
         F(X + tI) = lam (S_j + j t) + Lam (T_j + (n-j) t), with S_j and T_j
         the sums of the j smallest and the n-j largest eigenvalues.
         """
-        _check_op_dim(self, x)
+        _check_op_dim(self, x.n)
         ev = eigvals_sym(x)
         gaps = ev[None, :] - ev[:, None]  # gaps[k, i] = lambda_i - lambda_k
         up = np.maximum(gaps, 0.0).sum(axis=1)
@@ -212,12 +246,16 @@ class LinearTrace:
         return self.A.n
 
     def value(self, x: SymMatrix) -> float:
-        _check_op_dim(self, x)
+        _check_op_dim(self, x.n)
         return inner(self.A, x) - self.m
+
+    def value_stack(self, a: np.ndarray) -> np.ndarray:
+        _check_op_dim(self, a.shape[-1])
+        return _inner_stack(self.A, a) - self.m
 
     def distance(self, x: SymMatrix) -> float:
         """``(<A, X> - m) / tr A``, as <A, X + tI> = <A, X> + t tr A."""
-        _check_op_dim(self, x)
+        _check_op_dim(self, x.n)
         return (inner(self.A, x) - self.m) / float(np.trace(self.A.a))
 
 
@@ -231,6 +269,13 @@ class EnsembleSupport:
 
     def value(self, x: SymMatrix) -> float:
         return eval_support(x, self.body)
+
+    def value_stack(self, a: np.ndarray) -> np.ndarray:
+        body = self.body
+        _check_body_dim(body, a.shape[-1])
+        if body.rot_closed:
+            return support_from_eigs(eigvals_stack(a), body.generator_spectra)
+        return np.stack([_inner_stack(g, a) for g in body.generators], -1).max(-1)
 
     def distance(self, x: SymMatrix) -> float:
         """``max_k pairing_k / tr A_k`` over the :func:`_support_pairings`:
@@ -252,13 +297,18 @@ class ExampleEq:
     def value(self, x: SymMatrix) -> float:
         return eval_example(x)
 
+    def value_stack(self, a: np.ndarray) -> np.ndarray:
+        if a.shape[-1] != 2:
+            raise DimensionMismatchError(f"example operator is defined on S(2), got n={a.shape[-1]}")
+        return example_from_eigs(eigvals_stack(a))
+
     def distance(self, x: SymMatrix) -> float:
         """``1 + l2 - s^2`` with ``s = (1 + sqrt(1 + 2 (l2 - l1))) / 2``.
 
         With u = sqrt(1 + l2 + t), F(X + tI) = 2u^2 - 2u - (l2 - l1), which
         is nonpositive up to its larger root u = s; below u = 0 it is -inf.
         """
-        _check_op_dim(self, x)
+        _check_op_dim(self, x.n)
         l1, l2 = eigvals_sym(x)
         s = 0.5 * (1.0 + math.sqrt(1.0 + 2.0 * (l2 - l1)))
         return float(1.0 + l2 - s * s)
@@ -280,13 +330,17 @@ class Shifted:
         return self.X0.n
 
     def value(self, x: SymMatrix) -> float:
-        _check_op_dim(self, x)
+        _check_op_dim(self, x.n)
         return self.inner.value(x - self.X0)
+
+    def value_stack(self, a: np.ndarray) -> np.ndarray:
+        _check_op_dim(self, a.shape[-1])
+        return self.inner.value_stack(a - self.X0.a)
 
     def distance(self, x: SymMatrix) -> float:
         """The inner spec's distance at X - X0; see :func:`closed_form_distance`
         for when the inner spec has one."""
-        _check_op_dim(self, x)
+        _check_op_dim(self, x.n)
         return self.inner.distance(x - self.X0)
 
 
@@ -306,9 +360,13 @@ class Conjugated:
         return self.B.n
 
     def value(self, x: SymMatrix) -> float:
-        _check_op_dim(self, x)
+        _check_op_dim(self, x.n)
         # F(B^-T X B^-1): sublevel set becomes B^T Theta B.
         return self.inner.value(congruence(x, self.B.B_inv))
+
+    def value_stack(self, a: np.ndarray) -> np.ndarray:
+        _check_op_dim(self, a.shape[-1])
+        return self.inner.value_stack(congruence_stack(a, self.B.B_inv))
 
 
 OperatorSpec = Union[
@@ -316,10 +374,16 @@ OperatorSpec = Union[
 ]
 
 
-def _check_op_dim(spec, x: SymMatrix) -> None:
-    if x.n != spec.n:
+def _inner_stack(A: SymMatrix, a: np.ndarray) -> np.ndarray:
+    """:func:`inner` of ``A`` with each matrix of a ``(k, n, n)`` stack; the
+    flattened rows sum in the order of ``np.sum`` on one matrix."""
+    return (A.a * a).reshape(len(a), -1).sum(-1)
+
+
+def _check_op_dim(spec, n: int) -> None:
+    if n != spec.n:
         raise DimensionMismatchError(
-            f"matrix dimension {x.n} does not match operator dimension {spec.n}"
+            f"matrix dimension {n} does not match operator dimension {spec.n}"
         )
 
 

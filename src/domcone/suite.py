@@ -14,6 +14,7 @@ import numpy as np
 
 from .acdo import (
     acdo_eval,
+    acdo_roots,
     check_lipschitz,
     check_nondegeneracy,
     oracle_from_operator,
@@ -47,9 +48,8 @@ from .operators import (
     LinearTrace,
     Pucci,
     Shifted,
-    eval_dominative,
 )
-from .sampling import goe_matrix, log_uniform, make_rng, random_psd, random_unit_vector
+from .sampling import goe_matrix, goe_stack, log_uniform, make_rng, random_psd, random_unit_vector
 
 
 @dataclass
@@ -210,18 +210,19 @@ def _closed_form_cases(seed: int) -> dict:
 def run_acdo_fidelity(seed: int) -> GroupResult:
     """Bisection distance of the dominative sublevel sets equals the operator
     to 2e-10 on 1000 samples, and bisection shift/Lipschitz reports are
-    empty.  The closed-form distance of the half-space (50 samples) and of
-    the Pucci, model-equation, support and shifted sets (25 samples each)
-    matches bisection to 2e-10."""
+    empty; these bisect in lockstep.  The closed-form distance of the
+    half-space (50 samples) and of the Pucci, model-equation, support and
+    shifted sets (25 samples each) matches bisection to 2e-10."""
     failures = []
     max_err = 0.0
     cases = [(2, 3.0), (3, 2.0), (3, math.inf), (5, 4.0)]
     for n, p in cases:
-        oracle = _bisection(oracle_from_operator(DominativeP(n=n, p=p)))
+        spec = DominativeP(n=n, p=p)
         rng = make_rng(seed, 4, n, 0 if p == math.inf else int(p))
-        for _ in range(250):
-            x = goe_matrix(rng, n, radius=1.0)
-            err = abs(acdo_eval(oracle, x) - eval_dominative(x, p))
+        xs = goe_stack(rng, 250, n, [1.0])
+        roots = acdo_roots(_bisection(oracle_from_operator(spec)), xs)
+        for root, value in zip(roots, spec.value_stack(xs).tolist()):
+            err = abs(root.value - value)
             max_err = max(max_err, err)
             if err > 2e-10:
                 failures.append({"n": n, "p": "inf" if p == math.inf else p, "error": err})

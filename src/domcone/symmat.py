@@ -264,3 +264,13 @@ def congruence(x: SymMatrix, b) -> SymMatrix:
         )
     m = mat.T @ x.a @ mat
     return SymMatrix(m)  # symmetrizes away the float asymmetry
+
+
+def congruence_stack(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """:func:`congruence` by the array ``mat`` of each matrix of a
+    ``(k, n, n)`` stack, with the same bits: ``(mat^T X) mat``, the same
+    finiteness check, then the symmetrization of :class:`SymMatrix`."""
+    m = (mat.T @ a) @ mat
+    if not np.all(np.isfinite(m)):
+        raise InvalidMatrixError("matrix entries must be finite")
+    return 0.5 * (m + m.swapaxes(-1, -2))

@@ -5,6 +5,8 @@ echoes in ``config``, and the JSON shape of the property reports."""
 import contextlib
 import io
 import json
+import math
+import warnings
 
 import pytest
 
@@ -140,6 +142,8 @@ def test_failed_property_exits_2_and_still_reports():
         (["example", "--c", "nan"], "precondition"),
         (["eval", "--op", "pucci:n=2,lam=1,Lam=inf", "--X", "{sym}"], "input"),
         (["aperture", "--body", "pucci:n=2,lam=1,Lam=inf"], "precondition"),
+        (["sobolev", "--n", "5", "--p", "2", "--q", "1000", "--eps", "1e-6"], "numerical-failure"),
+        (["sobolev", "--n", "2", "--p", "3", "--q", "4000", "--eps", "0.1"], "numerical-failure"),
     ],
 )
 def test_bad_input_exits_1_with_the_error_report(matrix_files, argv, want):
@@ -331,3 +335,30 @@ def test_inclusion_reports_name_the_root_method(tmp_path):
         assert code == 0
         res = rep["result"] if command == "check-inclusion" else rep["result"]["inclusion"]
         assert res["root_method"] == "bisection"
+
+
+# ---------------------------------------------------------------------------
+# Extreme but valid inputs give finite values, without a RuntimeWarning
+
+
+@pytest.mark.parametrize(
+    "argv, key, want",
+    [
+        # w = -2 |x|^(1/2) with |x| = sqrt(2) * 1e+-200
+        (["fundsol", "--p", "3", "--at", "1e200,1e200"], "value", -2.0 * 2.0**0.25 * 1e100),
+        (["fundsol", "--p", "3", "--at", "1e-200,1e-200"], "value", -2.0 * 2.0**0.25 * 1e-100),
+        # Gamma(200) passes the float range; the sphere's measure does not
+        (["sobolev", "--n", "400", "--p", "3", "--q", "1", "--eps", "0.1"], "value", None),
+    ],
+)
+def test_extreme_inputs_stay_finite(argv, key, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, rep = run_json(argv)
+    assert code == 0
+    value = rep["result"][key]
+    assert isinstance(value, float) and math.isfinite(value)
+    if want is not None:
+        assert value == pytest.approx(want, rel=1e-14, abs=0.0)
+    if argv[0] == "fundsol":
+        assert all(math.isfinite(v) and v != 0.0 for v in rep["result"]["eigs"])

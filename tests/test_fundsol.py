@@ -1,13 +1,15 @@
 import math
 import os
+from decimal import Decimal, localcontext
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import domcone
 from domcone.aperture import ConvexBody, dominative_body, minimal_bound_check, pucci_body
-from domcone.errors import PreconditionError
+from domcone.errors import NumericalFailureError, PreconditionError
 from domcone.fundsol import (
     FundamentalSolution,
     GridCheckReport,
@@ -19,6 +21,9 @@ from domcone.fundsol import (
     surface_measure,
     verify_annihilation,
     viscosity_grid_check,
+    w_gradient,
+    w_hessian,
+    w_value,
 )
 from domcone.operators import Pucci
 from domcone.symmat import SymMatrix
@@ -57,6 +62,34 @@ class TestSobolev:
             sobolev_integral_quadrature(3, 4.0, 2.0, 1.5)
         with pytest.raises(PreconditionError):
             FundamentalSolution(n=3, p=1.5)
+
+    @pytest.mark.parametrize("n, p, q, eps", [(5, 2.0, 1000.0, 1e-6), (2, 3.0, 4000.0, 0.1)])
+    def test_integral_beyond_the_float_range_is_a_numerical_failure(self, n, p, q, eps):
+        with pytest.raises(NumericalFailureError, match="float range"):
+            sobolev_integral(n, p, q, eps)
+
+    @pytest.mark.parametrize("q", [106.6, 107.0])
+    def test_integral_near_the_float_range_is_taken_in_logs(self, q):
+        # eps^(e+1) = exp(708.7) and exp(711.5): the product with omega
+        # overflows, or expm1 does, while the integral itself still fits
+        s = Decimal(2.0 - q / 2.0)  # e + 1 for n = 2, p = 3
+        pi = Decimal("3.14159265358979323846264338327950288419716939937510")
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = 2 * pi * (1 - Decimal(10) ** (-6 * s)) / s
+        got = sobolev_integral(2, 3.0, q, 1e-6)
+        assert math.isfinite(got)
+        assert abs(Decimal(got) - want) <= Decimal("1e-12") * want
+
+    def test_surface_measure_past_the_gamma_range(self):
+        # Gamma(n/2) overflows from n = 344 on; below, the plain formula's bits
+        for n in (2, 3, 10, 343):
+            assert surface_measure(n) == 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+        for n in (344, 400, 2000):
+            log_omega = math.log(2.0) + (n / 2.0) * math.log(math.pi) - math.lgamma(n / 2.0)
+            assert surface_measure(n) == pytest.approx(math.exp(log_omega), rel=1e-12, abs=0.0)
+        assert surface_measure(344) < surface_measure(343)
+        assert sobolev_integral(400, 3.0, 1.0, 0.1) > 0.0
 
     @pytest.mark.parametrize("q", [0.0, -1.0, math.nan, math.inf])
     def test_gradient_exponent_must_be_finite_and_positive(self, q):
@@ -154,3 +187,22 @@ class TestReportForm:
             "worst_margin", "tightest", "sharpness_gap", "passed",
         }
         assert d["passed"] and d["p"] == 3.0
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-160, 1e160])
+def test_profile_at_radii_past_the_plain_norm(scale):
+    # |x| = sqrt(2) * scale: the plain norm overflows or underflows on x
+    fs = FundamentalSolution(n=2, p=3.0)
+    x = [scale, scale]
+    r = math.sqrt(2.0) * scale
+    assert w_value(fs, x) == pytest.approx(-2.0 * math.sqrt(r), rel=1e-14, abs=0.0)
+    assert np.allclose(w_gradient(fs, x), -(r**-0.5) / math.sqrt(2.0), rtol=1e-14, atol=0.0)
+    eigs = np.linalg.eigvalsh(w_hessian(fs, x).a)
+    assert eigs == pytest.approx([-(r**-1.5), 0.5 * r**-1.5], rel=1e-13, abs=0.0)
+
+
+def test_profile_keeps_the_plain_norm_inside_the_safe_range():
+    fs = FundamentalSolution(n=3, p=4.0)
+    for x in ([0.3, -1.2, 2.5], [1e-150, 0.0, 0.0], [1e150, 2.0, -3.0]):
+        r = float(np.linalg.norm(np.asarray(x)))
+        assert w_value(fs, x) == -(3.0 / 1.0) * r ** (1.0 / 3.0)

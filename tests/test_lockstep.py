@@ -1,0 +1,293 @@
+"""Lockstep bisection: ``acdo_roots`` against a loop of ``acdo_root``, the
+stacked spec values against the scalar ones, and the property checks
+built on them against their per-sample form."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from domcone.acdo import (
+    ROOT_TOL,
+    EllipticSetOracle,
+    PropertyReport,
+    acdo_eval,
+    acdo_root,
+    acdo_roots,
+    check_lipschitz,
+    check_nondegeneracy,
+    oracle_from_operator,
+)
+from domcone.aperture import ConvexBody
+from domcone.errors import NonProperSetError
+from domcone.operators import (
+    Conjugated,
+    DominativeP,
+    EnsembleSupport,
+    ExampleEq,
+    LinearTrace,
+    Pucci,
+    Shifted,
+    eval_example,
+    eval_pucci,
+)
+from domcone.sampling import goe_matrix, goe_stack, make_rng, random_psd
+from domcone.symmat import InvertibleMap, SymMatrix, eigvals_sym, inf_norm
+
+
+def _map(rng, n):
+    return InvertibleMap(rng.standard_normal((n, n)) + 2.0 * np.eye(n))
+
+
+def _pucci(rng, n):
+    lam = float(rng.uniform(0.1, 2.0))
+    return Pucci(n=n, lam=lam, Lam=lam * float(rng.uniform(1.0, 4.0)))
+
+
+def _body(rng, n, rot_closed):
+    gens = tuple(random_psd(rng, n) for _ in range(int(rng.integers(1, 4))))
+    return ConvexBody(n=n, generators=gens, rot_closed=rot_closed)
+
+
+#: One builder per catalog spec type on S(n), both support variants, and
+#: congruence images of a spectral and of a non-spectral spec.
+SPECS = {
+    "dominative": lambda rng, n: DominativeP(n=n, p=float(rng.uniform(2.0, 8.0))),
+    "dominative_inf": lambda rng, n: DominativeP(n=n, p=math.inf),
+    "pucci": _pucci,
+    "linear": lambda rng, n: LinearTrace(A=random_psd(rng, n), m=float(rng.normal())),
+    "support_rot_closed": lambda rng, n: EnsembleSupport(_body(rng, n, True)),
+    "support_plain": lambda rng, n: EnsembleSupport(_body(rng, n, False)),
+    "example": lambda rng, n: ExampleEq(),
+    "shifted": lambda rng, n: Shifted(inner=_pucci(rng, n), X0=goe_matrix(rng, n)),
+    "conjugated": lambda rng, n: Conjugated(inner=_pucci(rng, n), B=_map(rng, n)),
+    "conjugated_linear": lambda rng, n: Conjugated(
+        inner=LinearTrace(A=random_psd(rng, n), m=1.0), B=_map(rng, n)
+    ),
+}
+
+
+def _spec(kind, rng):
+    return SPECS[kind](rng, 2 if kind == "example" else int(rng.integers(2, 6)))
+
+
+def _bisection(spec):
+    return replace(oracle_from_operator(spec), distance=None)
+
+
+def _assert_same_roots(oracle, stack, tol=ROOT_TOL):
+    want = [acdo_root(oracle, SymMatrix._wrap(x.copy()), tol) for x in stack]
+    assert acdo_roots(oracle, stack, tol) == want
+
+
+# ---------------------------------------------------------------------------
+# acdo_roots is a loop of acdo_root
+
+
+class TestLockstepEqualsScalar:
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(salt=st.integers(0, 10_000), k=st.integers(1, 9), radius=st.floats(0.1, 20.0))
+    def test_every_field(self, kind, salt, k, radius):
+        # radii spread over two decades: the stack mixes samples inside and
+        # outside the set, which expand in opposite directions
+        rng = make_rng(503, salt)
+        spec = _spec(kind, rng)
+        stack = goe_stack(rng, k, spec.n, [radius, 0.1 * radius, 10.0 * radius])
+        _assert_same_roots(_bisection(spec), stack)
+
+    def test_mixed_stack_holds_both_sides(self):
+        spec = DominativeP(n=3, p=3.0)
+        stack = goe_stack(make_rng(7), 12, 3, [1.0])
+        stack[::2] -= 5.0 * np.eye(3)
+        roots = acdo_roots(_bisection(spec), stack)
+        assert {r.value < 0.0 for r in roots} == {True, False}
+        _assert_same_roots(_bisection(spec), stack)
+
+    def test_pucci_on_breakpoints(self):
+        # integer spectra: the expansion probes t = +-1, +-2, +-4 land on the
+        # breakpoints -lambda_i, where a shifted eigenvalue is exactly zero
+        spec = Pucci(n=3, lam=0.5, Lam=2.0)
+        stack = np.array([np.diag(d) for d in ([-1.0, 2.0, 4.0], [1.0, -2.0, -4.0], [0.0, 0.0, 1.0])])
+        _assert_same_roots(_bisection(spec), stack)
+
+    def test_example_below_its_edge(self):
+        # l2 < -1 gives the value -inf until the expansion lifts l2 past -1
+        stack = np.array([np.diag(d) for d in ([-30.0, -5.0], [-3.0, -1.5], [-3.0, -1.0], [0.5, 2.0])])
+        values = ExampleEq().value_stack(stack)
+        assert np.isinf(values[:2]).all()
+        assert values[2] == eval_example(SymMatrix._wrap(stack[2])) == -2.0  # l2 = -1 is on the finite side
+        _assert_same_roots(_bisection(ExampleEq()), stack)
+
+    def test_single_sample_and_max_bisect(self):
+        # a negative tolerance never closes the bracket, so every root stops
+        # at the iteration cap
+        stack = goe_stack(make_rng(8), 1, 4, [1.0])
+        oracle = _bisection(Pucci(n=4, lam=1.0, Lam=3.0))
+        _assert_same_roots(oracle, stack, tol=-1e-3)
+        (root,) = acdo_roots(oracle, stack, tol=-1e-3)
+        assert root.iterations == 200
+
+
+class TestFallback:
+    def test_closed_form_oracle_keeps_the_scalar_path(self):
+        spec = Pucci(n=3, lam=0.5, Lam=2.0)
+        stack = goe_stack(make_rng(9), 5, 3, [1.0])
+        roots = acdo_roots(oracle_from_operator(spec), stack)
+        assert {r.method for r in roots} == {"closed-form"}
+        _assert_same_roots(oracle_from_operator(spec), stack)
+
+    def test_user_predicate_keeps_the_scalar_path(self):
+        spec = DominativeP(n=2, p=4.0)
+        calls = []
+
+        def member(x):
+            calls.append(1)
+            return spec.value(x) <= 0.0
+
+        oracle = EllipticSetOracle(member=member, n=2)
+        assert oracle.member_stack is None
+        stack = goe_stack(make_rng(10), 4, 2, [1.0])
+        roots = acdo_roots(oracle, stack)
+        assert len(calls) == sum(r.probes for r in roots)
+        _assert_same_roots(oracle, stack)
+
+
+def _scalar_error(oracle, stack):
+    with pytest.raises(NonProperSetError) as info:
+        for x in stack:
+            acdo_root(oracle, SymMatrix._wrap(x.copy()))
+    return info.value
+
+
+@pytest.mark.parametrize(
+    "member",
+    [
+        lambda a: np.ones(len(a), dtype=bool),
+        lambda a: np.zeros(len(a), dtype=bool),
+        # full line where a_01 > 0.5, empty where a_01 < -0.5, else Theta_3
+        lambda a: (a[:, 0, 1] > 0.5)
+        | ((a[:, 0, 1] >= -0.5) & (DominativeP(n=3, p=3.0).value_stack(a) <= 0.0)),
+    ],
+    ids=["always-true", "always-false", "mixed"],
+)
+def test_non_proper_set_error_parity(member):
+    oracle = EllipticSetOracle(
+        member=lambda x: bool(member(x.a[None])[0]), n=3, description="probe", member_stack=member
+    )
+    # reversed, the first non-proper sample of the "mixed" set is the empty
+    # line at index 22, and two full lines follow it
+    stack = goe_stack(make_rng(11), 30, 3, [1.0])[::-1]
+    want = _scalar_error(oracle, stack)
+    with pytest.raises(NonProperSetError) as info:
+        acdo_roots(oracle, stack)
+    assert (info.value.reason, str(info.value)) == (want.reason, str(want))
+
+
+# ---------------------------------------------------------------------------
+# Stacked values carry the bits of the scalar ones
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_value_stack_equals_value_bit_for_bit(n):
+    rng = make_rng(12, n)
+    stack = goe_stack(rng, 30, n, [0.5, 1.0, 3.0])
+    kinds = [kind for kind in SPECS if kind != "example"] if n > 2 else list(SPECS)
+    for kind in kinds:
+        spec = SPECS[kind](rng, n)
+        got = spec.value_stack(stack)
+        want = np.array([spec.value(SymMatrix._wrap(x.copy())) for x in stack])
+        assert got.tobytes() == want.tobytes(), kind
+
+
+def _reference_eval_pucci(x, lam, Lam):
+    ev = eigvals_sym(x)
+    return float(Lam * ev[ev > 0.0].sum() + lam * ev[ev < 0.0].sum())
+
+
+def _reference_eval_example(x):
+    l1, l2 = eigvals_sym(x)
+    if l2 < -1.0:
+        return -math.inf
+    return float(l1 + l2 - 2.0 * math.sqrt(max(0.0, 1.0 + l2)) + 2.0)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_eval_pucci_keeps_its_arithmetic(n):
+    rng = make_rng(13, n)
+    for x in goe_stack(rng, 200, n, [1.0, 10.0]):
+        x = SymMatrix._wrap(x)
+        assert eval_pucci(x, 0.3, 1.7).hex() == _reference_eval_pucci(x, 0.3, 1.7).hex()
+
+
+def test_eval_example_keeps_its_arithmetic():
+    # radius 3 puts about a third of the samples below the l2 = -1 edge
+    for x in goe_stack(make_rng(14), 500, 2, [0.5, 3.0]):
+        x = SymMatrix._wrap(x)
+        assert eval_example(x) == _reference_eval_example(x)
+        assert eval_example(x).hex() == _reference_eval_example(x).hex()
+
+
+# ---------------------------------------------------------------------------
+# The property checks equal their per-sample form
+
+
+def _per_sample_nondegeneracy(oracle, samples, seed, tol):
+    rng = make_rng(seed)
+    report = PropertyReport(name="nondegeneracy", samples=samples)
+    for _ in range(samples):
+        x = goe_matrix(rng, oracle.n, radius=1.0)
+        base = acdo_eval(oracle, x, tol)
+        for tau in (-10.0, -1.0, 0.1, 7.0):
+            dev = abs(acdo_eval(oracle, x.shift(tau), tol) - base - tau)
+            report.checks += 1
+            report.max_deviation = max(report.max_deviation, dev)
+            if dev > 3.0 * tol:
+                report.violations.append({"tau": tau, "deviation": dev, "X": x.to_dict()})
+    return report
+
+
+def _per_sample_lipschitz(oracle, samples, seed, tol):
+    rng = make_rng(seed)
+    report = PropertyReport(name="lipschitz", samples=samples)
+    for i in range(samples):
+        x = goe_matrix(rng, oracle.n, radius=1.0)
+        y = goe_matrix(rng, oracle.n, radius=1.0 + (i % 3))
+        lhs = abs(acdo_eval(oracle, x, tol) - acdo_eval(oracle, y, tol))
+        excess = lhs - inf_norm(x - y)
+        report.checks += 1
+        report.max_deviation = max(report.max_deviation, excess)
+        if excess > 3.0 * tol:
+            report.violations.append({"excess": excess, "X": x.to_dict(), "Y": y.to_dict()})
+    return report
+
+
+_ORACLES = {
+    "dominative_bisection": lambda: _bisection(DominativeP(n=3, p=3.0)),
+    "conjugated": lambda: oracle_from_operator(
+        Conjugated(inner=Pucci(n=3, lam=0.5, Lam=2.0), B=_map(make_rng(15), 3))
+    ),
+    "closed_form": lambda: oracle_from_operator(Pucci(n=2, lam=1.0, Lam=3.0)),
+}
+
+
+@pytest.mark.parametrize("tol", [ROOT_TOL, -1e-3, -10.0])
+@pytest.mark.parametrize("kind", sorted(_ORACLES))
+@pytest.mark.parametrize(
+    "check, reference",
+    [(check_nondegeneracy, _per_sample_nondegeneracy), (check_lipschitz, _per_sample_lipschitz)],
+    ids=["nondegeneracy", "lipschitz"],
+)
+def test_property_reports_equal_the_per_sample_loop(check, reference, kind, tol):
+    # a negative tolerance runs every bisection to the iteration cap and
+    # flags every shift check (tol = -1e-3) or every check (tol = -10)
+    oracle = _ORACLES[kind]()
+    got = check(oracle, samples=7, seed=3, tol=tol).to_dict()
+    want = reference(oracle, 7, 3, tol).to_dict()
+    assert got == want
+    assert repr(got) == repr(want)
+    if tol == -10.0 or (tol < 0 and check is check_nondegeneracy):
+        assert len(got["violations"]) == got["checks"]
