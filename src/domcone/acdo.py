@@ -278,8 +278,8 @@ def acdo_roots(oracle: EllipticSetOracle, stack, tol: float = ROOT_TOL) -> list[
     mid = 0.5 * (lo + hi)
     columns = zip(mid.tolist(), lo.tolist(), hi.tolist(), iterations.tolist(), probes.tolist())
     return [
-        AcdoRoot(value=-mid, bracket=(-b, -a), iterations=it, probes=pr, method="bisection")
-        for mid, a, b, it, pr in columns
+        AcdoRoot(value=-mid, bracket=(-b, -a), iterations=i, probes=p, method="bisection")
+        for mid, a, b, i, p in columns
     ]
 
 
