@@ -55,7 +55,10 @@ class EllipticSetOracle:
     :func:`acdo_root` bisects on the predicate.  ``member_stack`` is an
     optional stacked form of the predicate, a ``(k, n, n)`` array to k
     booleans equal to ``member`` on each matrix; with it and without a
-    closed form, :func:`acdo_roots` bisects a stack in lockstep.  Downward
+    closed form, :func:`acdo_roots` bisects a stack in lockstep.
+    :func:`oracle_from_operator` supplies it for every catalog spec and
+    :func:`~domcone.cones.conjugate_oracle` for the image of an oracle
+    that has one; a user predicate has none.  Downward
     closure (membership survives adding any negative semidefinite
     matrix) is a caller contract, testable via
     :func:`check_downward_closure`.

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acdo import ROOT_TOL, EllipticSetOracle, acdo_eval
+from .acdo import ROOT_TOL, EllipticSetOracle, acdo_roots
 from .errors import NumericalFailureError, PreconditionError
-from .operators import _check_count, eval_dominative, num_to_json
-from .sampling import goe_matrix, make_rng
-from .symmat import InvertibleMap, SymMatrix, congruence, inf_norm
+from .operators import DominativeP, _check_count, num_to_json
+from .sampling import goe_stack, make_rng
+from .symmat import InvertibleMap, SymMatrix, _eye, congruence, congruence_stack, eigvals_stack
 
 #: Default property tolerance for "numerically zero" worst values.
 PROPERTY_TOL = 1e-8
@@ -29,12 +29,18 @@ def conjugate_oracle(oracle: EllipticSetOracle, B: InvertibleMap) -> EllipticSet
     """Oracle of the congruence image B^T Theta B.
 
     Membership of X in the image is membership of B^-T X B^-1 in Theta;
-    ellipticity and properness survive the congruence.
+    ellipticity and properness survive the congruence.  The image has a
+    ``member_stack``, with the bits of ``member``, when ``oracle`` has one,
+    so :func:`acdo_roots` bisects its roots in lockstep; it has no closed
+    form (see :func:`~domcone.operators.closed_form_distance`).
     """
     inv = B.B_inv
 
     def member(x: SymMatrix) -> bool:
         return oracle.member(congruence(x, inv))
+
+    def member_stack(a: np.ndarray) -> np.ndarray:
+        return oracle.member_stack(congruence_stack(a, inv))
 
     conj = lambda w: None if w is None else congruence(w, B)
     return EllipticSetOracle(
@@ -43,6 +49,7 @@ def conjugate_oracle(oracle: EllipticSetOracle, B: InvertibleMap) -> EllipticSet
         inside_witness=conj(oracle.inside_witness),
         outside_witness=conj(oracle.outside_witness),
         description=f"congruence image of ({oracle.description})",
+        member_stack=None if oracle.member_stack is None else member_stack,
     )
 
 
@@ -59,25 +66,33 @@ def boundary_sample(
     Each random unit direction D (GOE, infinity norm one) maps to the
     boundary point ``R*D - dist(R*D) * I`` via the signed distance;
     projections that collapse below R/10 in norm are discarded and
-    resampled as degenerate.
+    resampled as degenerate.  Each pass draws the shortfall as one
+    :func:`goe_stack`, finds its distances with one :func:`acdo_roots`
+    call (in lockstep where the oracle allows) and its norms with one
+    stacked eigensolve, and keeps the accepted points in draw order.  So
+    the output, and the error after ``50 * count + 100`` draws, are those
+    of drawing, projecting and testing one sample at a time.
     """
     rng = make_rng(seed)
+    eye = _eye(oracle.n)
     out: list[SymMatrix] = []
-    attempts = 0
+    budget, attempts = 50 * count + 100, 0
     while len(out) < count:
-        attempts += 1
-        if attempts > 50 * count + 100:
+        if attempts == budget:
             raise NumericalFailureError(
                 "boundary sampling kept hitting degenerate projections",
                 payload=oracle.description,
             )
-        d = goe_matrix(rng, oracle.n, radius=1.0)
-        probe = d * R
-        raw = probe.shift(-acdo_eval(oracle, probe, root_tol))
-        nrm = inf_norm(raw)
-        if nrm < R / 10.0:
-            continue
-        out.append(raw * (1.0 / nrm))
+        k = min(count - len(out), budget - attempts)
+        attempts += k
+        probes = goe_stack(rng, k, oracle.n, [1.0]) * R
+        shifts = np.array([-r.value for r in acdo_roots(oracle, probes, root_tol)])
+        raw = probes + shifts[:, None, None] * eye  # each probe.shift(-dist)
+        ev = eigvals_stack(raw)
+        nrm = np.maximum(-ev[:, 0], ev[:, -1])  # inf_norm of each
+        keep = ~(nrm < R / 10.0)  # a nan norm is not short, so it is kept
+        unit = raw[keep] * (1.0 / nrm[keep])[:, None, None]
+        out.extend(SymMatrix._wrap(d) for d in unit)
     return out
 
 
@@ -182,12 +197,13 @@ def check_inclusion(
         raise PreconditionError("radii must be at least three increasing values")
     if math.log10(radii[-1] / radii[0]) < 3.0 - 1e-9:
         raise PreconditionError("radii must span at least three decades")
+    score = DominativeP(oracle.n, p)  # rejects a bad p before any sampling
 
     target = oracle if B is None else conjugate_oracle(oracle, B)
     worst = []
     for i, r in enumerate(radii):
         directions = boundary_sample(target, r, count, seed=seed + 7919 * i, root_tol=root_tol)
-        worst.append(max(eval_dominative(d, p) for d in directions))
+        worst.append(max(score.value_stack(np.array([d.a for d in directions])).tolist()))
 
     slope, verdict = inclusion_verdict(radii, worst, 5.0 * property_tol)
     n = oracle.n

@@ -1,4 +1,5 @@
 """Lockstep bisection: ``acdo_roots`` against a loop of ``acdo_root``, the
+stacked membership of congruence images against the scalar one, the
 stacked spec values against the scalar ones, and the property checks
 built on them against their per-sample form."""
 
@@ -22,6 +23,7 @@ from domcone.acdo import (
     oracle_from_operator,
 )
 from domcone.aperture import ConvexBody
+from domcone.cones import conjugate_oracle
 from domcone.errors import NonProperSetError
 from domcone.operators import (
     Conjugated,
@@ -185,6 +187,48 @@ def test_non_proper_set_error_parity(member):
     with pytest.raises(NonProperSetError) as info:
         acdo_roots(oracle, stack)
     assert (info.value.reason, str(info.value)) == (want.reason, str(want))
+
+
+# ---------------------------------------------------------------------------
+# The congruence image's stacked membership
+
+
+class TestConjugateOracleStack:
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    @settings(max_examples=8, derandomize=True, deadline=None)
+    @given(salt=st.integers(0, 10_000), k=st.integers(1, 9), radius=st.floats(0.1, 20.0))
+    def test_equals_member_and_bisects_in_lockstep(self, kind, salt, k, radius):
+        rng = make_rng(509, salt)
+        spec = _spec(kind, rng)
+        image = conjugate_oracle(oracle_from_operator(spec), _map(rng, spec.n))
+        stack = goe_stack(rng, k, spec.n, [radius, 0.1 * radius, 10.0 * radius])
+        want = [bool(image.member(SymMatrix._wrap(x.copy()))) for x in stack]
+        got = image.member_stack(stack)
+        assert got.dtype == bool
+        assert got.tolist() == want
+        _assert_same_roots(image, stack)
+
+    def test_user_predicate_image_has_none(self):
+        oracle = EllipticSetOracle(member=lambda x: DominativeP(n=2, p=3.0).value(x) <= 0.0, n=2)
+        image = conjugate_oracle(oracle, _map(make_rng(510), 2))
+        assert image.member_stack is None
+        assert image.distance is None
+
+    @pytest.mark.parametrize("always", [True, False], ids=["always-true", "always-false"])
+    def test_non_proper_set_error_parity(self, always):
+        oracle = EllipticSetOracle(
+            member=lambda x: always,
+            n=3,
+            description="probe",
+            member_stack=lambda a: np.full(len(a), always),
+        )
+        image = conjugate_oracle(oracle, _map(make_rng(511), 3))
+        stack = goe_stack(make_rng(512), 6, 3, [1.0])
+        want = _scalar_error(image, stack)
+        with pytest.raises(NonProperSetError) as info:
+            acdo_roots(image, stack)
+        assert (info.value.reason, str(info.value)) == (want.reason, str(want))
+        assert want.reason == ("full-line" if always else "empty-line")
 
 
 # ---------------------------------------------------------------------------
