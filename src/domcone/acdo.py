@@ -28,13 +28,14 @@ from .operators import (
     LinearTrace,
     OperatorSpec,
     Pucci,
+    Record,
     Report,
     Shifted,
     _check_count,
     closed_form_distance,
 )
 from .sampling import goe_matrix, goe_stack, make_rng, random_nsd, random_orthogonal
-from .symmat import SymMatrix, _eye, congruence, eigvals_stack
+from .symmat import SymMatrix, _eye, congruence, inf_norm_stack
 
 #: Absolute tolerance of the root finder.
 ROOT_TOL = 1e-10
@@ -119,7 +120,7 @@ def _default_witnesses(spec, n):
 
 
 @dataclass(frozen=True)
-class AcdoRoot:
+class AcdoRoot(Record):
     """Root-finding outcome: the signed distance, its final bracket in value
     space, the bisection iteration count, the number of membership probes
     (or spectral evaluations), and the ``method`` that ran: "closed-form"
@@ -131,15 +132,6 @@ class AcdoRoot:
     iterations: int
     probes: int
     method: str
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "bracket": list(self.bracket),
-            "iterations": self.iterations,
-            "probes": self.probes,
-            "method": self.method,
-        }
 
 
 def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) -> AcdoRoot:
@@ -355,8 +347,7 @@ def check_lipschitz(
     pairs = goe_stack(rng, 2 * samples, oracle.n, [1.0, 1.0, 1.0, 2.0, 1.0, 3.0])
     xs, ys = pairs[0::2], pairs[1::2]
     values = [r.value for r in acdo_roots(oracle, pairs, tol)]
-    ev = eigvals_stack(xs - ys)
-    norms = np.maximum(-ev[:, 0], ev[:, -1]).tolist()  # inf_norm(X - Y)
+    norms = inf_norm_stack(xs - ys).tolist()
     for i in range(samples):
         excess = abs(values[2 * i] - values[2 * i + 1]) - norms[i]
         x, y = SymMatrix._wrap(xs[i]), SymMatrix._wrap(ys[i])

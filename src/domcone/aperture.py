@@ -23,12 +23,12 @@ from .errors import (
     PreconditionError,
 )
 from .operators import (
+    Record,
     Report,
     _check_count,
     _check_p,
     dominative_from_eigs,
     eval_support,
-    num_to_json,
     support_from_eigs,
 )
 from .sampling import goe_stack, make_rng, random_orthogonal
@@ -106,9 +106,11 @@ class ConvexBody:
         try:
             n = int(d["n"])
             gens = tuple(SymMatrix.from_dict(g) for g in d["generators"])
-            rot = bool(d.get("rot_closed", True))
-        except (KeyError, TypeError) as exc:
+            rot = d.get("rot_closed", True)
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidBodyError(f"malformed body object: {exc}") from exc
+        if not isinstance(rot, bool):
+            raise InvalidBodyError(f"rot_closed must be true or false, got {rot!r}")
         return cls(n=n, generators=gens, rot_closed=rot)
 
 
@@ -145,7 +147,7 @@ def pucci_body(n: int, lam: float, Lam: float) -> ConvexBody:
 
 
 @dataclass(frozen=True)
-class ApertureResult:
+class ApertureResult(Record):
     """Aperture alpha in [1, n], dual exponent p, and the minimality data:
     index of the minimizing generator and the bound constant c = tr A'."""
 
@@ -153,14 +155,6 @@ class ApertureResult:
     p: float
     argmin_index: int
     c: float
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "p": num_to_json(self.p),
-            "argmin_index": self.argmin_index,
-            "c": self.c,
-        }
 
 
 def _spike_matrix(n: int, a: float) -> SymMatrix:
@@ -353,12 +347,6 @@ class PermutationDecomposition:
         for w, perm in zip(self.weights, self.permutations):
             out += w * a[list(perm)]
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "weights": list(self.weights),
-            "permutations": [list(p) for p in self.permutations],
-        }
 
 
 _HYP_TOL = 1e-12

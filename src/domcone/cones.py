@@ -17,9 +17,9 @@ import numpy as np
 
 from .acdo import ROOT_TOL, EllipticSetOracle, acdo_roots
 from .errors import NumericalFailureError, PreconditionError
-from .operators import DominativeP, _check_count, num_to_json
+from .operators import DominativeP, Record, _check_count, num_to_json
 from .sampling import goe_stack, make_rng
-from .symmat import InvertibleMap, SymMatrix, _eye, congruence, congruence_stack, eigvals_stack
+from .symmat import InvertibleMap, SymMatrix, _eye, congruence, congruence_stack, inf_norm_stack
 
 #: Default property tolerance for "numerically zero" worst values.
 PROPERTY_TOL = 1e-8
@@ -88,8 +88,7 @@ def boundary_sample(
         probes = goe_stack(rng, k, oracle.n, [1.0]) * R
         shifts = np.array([-r.value for r in acdo_roots(oracle, probes, root_tol)])
         raw = probes + shifts[:, None, None] * eye  # each probe.shift(-dist)
-        ev = eigvals_stack(raw)
-        nrm = np.maximum(-ev[:, 0], ev[:, -1])  # inf_norm of each
+        nrm = inf_norm_stack(raw)
         keep = ~(nrm < R / 10.0)  # a nan norm is not short, so it is kept
         unit = raw[keep] * (1.0 / nrm[keep])[:, None, None]
         out.extend(SymMatrix._wrap(d) for d in unit)
@@ -97,44 +96,25 @@ def boundary_sample(
 
 
 @dataclass
-class InclusionReport:
+class InclusionReport(Record):
     """Decay record of the worst dominative value on boundary directions.
 
     ``trend_slope`` is the least-squares slope of log(worst) against
-    log(R); the decay exponent is its negation.  The verdict follows
-    :func:`inclusion_verdict` with the zero threshold at 5x the property
-    tolerance.
+    log(R); ``decay_exponent`` is its negation (-0.0 for a zero slope).
+    The verdict follows :func:`inclusion_verdict` with the zero threshold
+    at 5x the property tolerance.  ``q_interval`` is the guaranteed
+    Sobolev exponent interval as JSON: ``{"lo", "hi", "conditional_on"}``.
     """
 
     p: float
     radii: list[float]
     worst_fp_per_radius: list[float]
     trend_slope: float
+    decay_exponent: float
     verdict: str
     count: int
     seed: int
-    q_interval: tuple[float, float]
-
-    @property
-    def decay_exponent(self) -> float:
-        return -self.trend_slope
-
-    def to_dict(self) -> dict:
-        return {
-            "p": num_to_json(self.p),
-            "radii": self.radii,
-            "worst_fp_per_radius": self.worst_fp_per_radius,
-            "trend_slope": self.trend_slope,
-            "decay_exponent": self.decay_exponent,
-            "verdict": self.verdict,
-            "count": self.count,
-            "seed": self.seed,
-            "q_interval": {
-                "lo": self.q_interval[0],
-                "hi": num_to_json(self.q_interval[1]),
-                "conditional_on": "asymptotic-cone inclusion",
-            },
-        }
+    q_interval: dict
 
 
 def inclusion_verdict(radii, worst, zero_thresh: float) -> tuple[float, str]:
@@ -213,8 +193,9 @@ def check_inclusion(
         radii=radii,
         worst_fp_per_radius=worst,
         trend_slope=slope,
+        decay_exponent=-slope,
         verdict=verdict,
         count=count,
         seed=seed,
-        q_interval=(0.0, q_hi),
+        q_interval={"lo": 0.0, "hi": num_to_json(q_hi), "conditional_on": "asymptotic-cone inclusion"},
     )

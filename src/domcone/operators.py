@@ -401,24 +401,30 @@ def closed_form_distance(spec: OperatorSpec) -> Callable[[SymMatrix], float] | N
     return spec.distance
 
 
+class Record:
+    """Base of the result dataclasses; it has no fields of its own.
+
+    Its JSON form is the dataclass fields in order, float fields rendered
+    by :func:`num_to_json` so that infinities survive strict JSON.  Wire
+    formats read back by a parser are hand-written.
+    """
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = num_to_json(v) if isinstance(v, float) else v
+        return out
+
+
 @dataclass(frozen=True)
-class EvalResult:
+class EvalResult(Record):
     """Evaluation outcome; ``boundary_distance_hint`` is the signed distance
     to the sublevel-set boundary along the identity line when the spec has
     it in closed form (every spec but a congruence image)."""
 
     value: float
     boundary_distance_hint: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "value": num_to_json(self.value),
-            "boundary_distance_hint": (
-                None
-                if self.boundary_distance_hint is None
-                else num_to_json(self.boundary_distance_hint)
-            ),
-        }
 
 
 def evaluate_result(spec: OperatorSpec, x: SymMatrix) -> EvalResult:
@@ -456,12 +462,11 @@ def num_from_json(v) -> float:
 
 
 @dataclass(kw_only=True)
-class Report:
+class Report(Record):
     """Base of the sampled property reports.
 
-    A report passes when it records no violation.  Its JSON form is its
-    fields plus ``passed``, with float fields rendered by
-    :func:`num_to_json` so that infinities survive strict JSON.
+    A report passes when it records no violation.  Its JSON form is the
+    :class:`Record` form plus ``passed``.
     """
 
     violations: list = field(default_factory=list)
@@ -471,12 +476,7 @@ class Report:
         return not self.violations
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = num_to_json(v) if isinstance(v, float) else v
-        out["passed"] = self.passed
-        return out
+        return {**super().to_dict(), "passed": self.passed}
 
 
 def spec_to_dict(spec: OperatorSpec) -> dict:
@@ -523,4 +523,6 @@ def spec_from_dict(d: dict) -> OperatorSpec:
             )
     except KeyError as exc:
         raise InputError(f"operator spec of type {kind!r} is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"operator spec of type {kind!r} has a bad field: {exc}") from exc
     raise InputError(f"unknown operator type {kind!r}")

@@ -29,6 +29,7 @@ from .aperture import (
     pucci_body,
 )
 from .cones import check_inclusion
+from .errors import InputError
 from .fundsol import (
     FundamentalSolution,
     example_radial_check,
@@ -47,19 +48,17 @@ from .operators import (
     ExampleEq,
     LinearTrace,
     Pucci,
+    Record,
     Shifted,
 )
 from .sampling import goe_matrix, goe_stack, log_uniform, make_rng, random_psd, random_unit_vector
 
 
 @dataclass
-class GroupResult:
+class GroupResult(Record):
     name: str
     passed: bool
     details: dict
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
 def run_aperture_exactness(seed: int) -> GroupResult:
@@ -434,7 +433,7 @@ def run_suite(group_names=None, seed: int = 0) -> dict:
     results = []
     for name in names:
         if name not in GROUPS:
-            raise KeyError(f"unknown suite group {name!r}; known: {', '.join(GROUPS)}")
+            raise InputError(f"unknown suite group {name!r}; known: {', '.join(GROUPS)}")
         results.append(GROUPS[name](seed).to_dict())
     return {
         "schema": 1,

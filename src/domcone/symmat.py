@@ -210,6 +210,13 @@ def inf_norm(x: SymMatrix) -> float:
     return float(max(-ev[0], ev[-1]))
 
 
+def inf_norm_stack(a: np.ndarray) -> np.ndarray:
+    """:func:`inf_norm` of each matrix of a ``(k, n, n)`` symmetric stack,
+    from one stacked eigensolve."""
+    ev = eigvals_stack(a)
+    return np.maximum(-ev[:, 0], ev[:, -1])
+
+
 class InvertibleMap:
     """An invertible change of variables acting on S(n) by congruence X -> B^T X B."""
 

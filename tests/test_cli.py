@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from domcone import cli
+from domcone import cli, suite
 
 #: Options each command reads besides its own arguments.
 SHARED = {
@@ -362,3 +362,47 @@ def test_extreme_inputs_stay_finite(argv, key, want):
         assert value == pytest.approx(want, rel=1e-14, abs=0.0)
     if argv[0] == "fundsol":
         assert all(math.isfinite(v) and v != 0.0 for v in rep["result"]["eigs"])
+
+
+# ---------------------------------------------------------------------------
+# Malformed operator and body files: an error report, never a traceback
+
+_GENERATOR = {"n": 2, "entries": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "command, content, want",
+    [
+        ("eval", {"type": "pucci", "n": 3, "lam": "a", "Lam": 2}, "input"),
+        ("eval", {"type": "dominative", "n": "x", "p": 3}, "input"),
+        ("eval", {"type": "dominative", "n": 3, "p": None}, "input"),
+        ("aperture", {"n": "x", "generators": [_GENERATOR]}, "invalid-body"),
+        ("aperture", {"n": 2, "generators": [_GENERATOR], "rot_closed": "false"}, "invalid-body"),
+        ("aperture", {"n": 2, "generators": [_GENERATOR], "rot_closed": 0}, "invalid-body"),
+    ],
+)
+def test_malformed_spec_or_body_file_exits_1(tmp_path, matrix_files, command, content, want):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    flag = "--op" if command == "eval" else "--body"
+    argv = [command, flag, str(path)] + (["--X", matrix_files["sym"]] if command == "eval" else [])
+    code, rep = run_json(argv)
+    assert code == 1
+    assert set(rep) == {"schema", "error"}
+    assert rep["error"]["code"] == want
+
+
+def test_body_file_rot_closed_false_is_a_plain_hull(tmp_path):
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps({"n": 2, "generators": [_GENERATOR], "rot_closed": False}))
+    assert cli.parse_body_arg(str(path)).rot_closed is False
+
+
+def test_unknown_suite_group_message_is_not_quoted():
+    code, rep = run_json(["suite", "--groups", "nope"])
+    assert code == 1
+    known = ", ".join(suite.GROUPS)
+    assert rep["error"] == {
+        "code": "input",
+        "message": f"unknown suite group 'nope'; known: {known}",
+    }
