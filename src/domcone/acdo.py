@@ -139,9 +139,12 @@ def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) ->
 
     The oracle's closed-form ``distance`` when it has one.  Otherwise
     exponential bracket expansion from t = 0 (steps 1, 2, 4, ... in the
-    needed direction), then bisection to absolute width ``tol``.  Either
-    way the returned value v satisfies ``member(x - (v+tol) I)`` and
-    ``not member(x - (v-tol) I)``, the closed form up to rounding.
+    needed direction), then bisection to absolute width ``tol`` or, far
+    from the origin where adjacent doubles lie more than ``tol`` apart,
+    until the midpoint rounds onto an end of the bracket, in at most
+    ``_MAX_BISECT`` steps.  Either way the returned value v satisfies
+    ``member(x - (v+e) I)`` and ``not member(x - (v-e) I)`` for e the
+    larger of ``tol`` and one ulp of v, the closed form up to rounding.
 
     Monotonicity of membership in t is a consequence of ellipticity and is
     enforced by the probing scheme itself: expansion stops at the first
@@ -189,6 +192,8 @@ def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) ->
     iterations = 0
     while hi - lo > tol and iterations < _MAX_BISECT:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # the bracket cannot shrink
+            break
         if member_at(mid):
             lo = mid
         else:
@@ -227,17 +232,21 @@ def acdo_roots(oracle: EllipticSetOracle, stack, tol: float = ROOT_TOL) -> list[
     With the oracle's ``member_stack`` and without a closed form, the k
     bracket expansions and bisections run in lockstep: each step probes
     every unfinished root with one stacked membership call.  Each root
-    sees the probe sequence of :func:`acdo_root`, so every field of its
-    result is equal, and an expansion that passes ``BRACKET_CAP`` raises
-    the :class:`NonProperSetError` that a loop of :func:`acdo_root` raises.
-    Otherwise (a closed form, or no ``member_stack``) it is that loop.
+    sees the probe sequence of :func:`acdo_root` and stops where it stops
+    (at width ``tol``, at a midpoint that rounds onto an end of the
+    bracket, or at the step cap), so every field of its result is equal,
+    and an expansion that passes ``BRACKET_CAP`` raises the
+    :class:`NonProperSetError` that a loop of :func:`acdo_root` raises.
+    Otherwise (a closed form, no ``member_stack``, or fewer than two
+    matrices, where the bookkeeping of a step costs more than the stacked
+    call saves) it is that loop.
     """
     stack = np.asarray(stack, dtype=float)
     if stack.shape[-1] != oracle.n:
         raise PreconditionError(
             f"matrix dimension {stack.shape[-1]} does not match oracle dimension {oracle.n}"
         )
-    if oracle.distance is not None or oracle.member_stack is None:
+    if oracle.distance is not None or oracle.member_stack is None or len(stack) < 2:
         return [acdo_root(oracle, SymMatrix._wrap(x), tol) for x in stack]
     k = len(stack)
     eye = _eye(oracle.n)
@@ -267,10 +276,10 @@ def acdo_roots(oracle: EllipticSetOracle, stack, tol: float = ROOT_TOL) -> list[
         if capped.size:
             i = capped[0]
             raise _unbracketed(oracle, bool(up[i]), float(lo[i] if up[i] else hi[i]))
-        bisect = phase == _BISECT
-        phase[bisect & ~((hi - lo > tol) & (iterations < _MAX_BISECT))] = _DONE
-        t = np.where(phase == _EXPAND, step, 0.5 * (lo + hi))
-    mid = 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        shrinks = (hi - lo > tol) & (iterations < _MAX_BISECT) & (mid != lo) & (mid != hi)
+        phase[(phase == _BISECT) & ~shrinks] = _DONE
+        t = np.where(phase == _EXPAND, step, mid)
     columns = zip(mid.tolist(), lo.tolist(), hi.tolist(), iterations.tolist(), probes.tolist())
     return [
         AcdoRoot(value=-mid, bracket=(-b, -a), iterations=i, probes=p, method="bisection")

@@ -27,6 +27,7 @@ from .operators import (
     Report,
     _check_count,
     _check_p,
+    dim_from_json,
     dominative_from_eigs,
     eval_support,
     support_from_eigs,
@@ -104,7 +105,7 @@ class ConvexBody:
     @classmethod
     def from_dict(cls, d: dict) -> "ConvexBody":
         try:
-            n = int(d["n"])
+            n = dim_from_json(d["n"])
             gens = tuple(SymMatrix.from_dict(g) for g in d["generators"])
             rot = d.get("rot_closed", True)
         except (KeyError, TypeError, ValueError) as exc:

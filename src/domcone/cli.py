@@ -25,7 +25,7 @@ from . import operators as operators_mod
 from . import suite as suite_mod
 from .aperture import ConvexBody, body_cone_aperture, dominative_body, pucci_body
 from .errors import DomconeError, InputError
-from .operators import num_from_json, num_to_json
+from .operators import dim_from_json, num_from_json, num_to_json
 from .symmat import InvertibleMap, SymMatrix
 
 SCHEMA_VERSION = 2
@@ -65,16 +65,18 @@ def _parse_shorthand(arg: str, builders: dict, what: str):
 
 
 _BODY_SHORTHANDS = {
-    "dominative": lambda kv: dominative_body(int(kv["n"]), num_from_json(kv["p"])),
-    "pucci": lambda kv: pucci_body(int(kv["n"]), float(kv["lam"]), float(kv["Lam"])),
+    "dominative": lambda kv: dominative_body(dim_from_json(kv["n"]), num_from_json(kv["p"])),
+    "pucci": lambda kv: pucci_body(dim_from_json(kv["n"]), float(kv["lam"]), float(kv["Lam"])),
 }
 
 _OPERATOR_SHORTHANDS = {
-    "dominative": lambda kv: operators_mod.DominativeP(n=int(kv["n"]), p=num_from_json(kv["p"])),
-    "pucci": lambda kv: operators_mod.Pucci(
-        n=int(kv["n"]), lam=float(kv["lam"]), Lam=float(kv["Lam"])
+    "dominative": lambda kv: operators_mod.DominativeP(
+        n=dim_from_json(kv["n"]), p=num_from_json(kv["p"])
     ),
-    "example": lambda kv: operators_mod.ExampleEq(n=int(kv.get("n", 2))),
+    "pucci": lambda kv: operators_mod.Pucci(
+        n=dim_from_json(kv["n"]), lam=float(kv["lam"]), Lam=float(kv["Lam"])
+    ),
+    "example": lambda kv: operators_mod.ExampleEq(n=dim_from_json(kv.get("n", 2))),
 }
 
 
@@ -350,9 +352,10 @@ _SHARED_OPTIONS = {
     "tol-root": dict(
         type=_tolerance,
         default=acdo_mod.ROOT_TOL,
-        help="absolute tolerance of the distance bisection; unused where the distance "
-        "has a closed form (every catalog operator but a congruence image), which "
-        "check-inclusion and report state as root_method",
+        help="tolerance of the distance bisection: absolute for acdo and verify, per "
+        "unit of sampling radius for check-inclusion and report; unused where the "
+        "distance has a closed form (every catalog operator but a congruence image), "
+        "which check-inclusion and report state as root_method",
     ),
     "tol-property": dict(
         type=_tolerance,

@@ -66,12 +66,17 @@ def boundary_sample(
     Each random unit direction D (GOE, infinity norm one) maps to the
     boundary point ``R*D - dist(R*D) * I`` via the signed distance;
     projections that collapse below R/10 in norm are discarded and
-    resampled as degenerate.  Each pass draws the shortfall as one
-    :func:`goe_stack`, finds its distances with one :func:`acdo_roots`
-    call (in lockstep where the oracle allows) and its norms with one
-    stacked eigensolve, and keeps the accepted points in draw order.  So
-    the output, and the error after ``50 * count + 100`` draws, are those
-    of drawing, projecting and testing one sample at a time.
+    resampled as degenerate.  A bisected distance is found to
+    ``root_tol * R``, a tolerance per unit of radius: a kept point is
+    divided by its norm of at least R/10, so an error d in the distance
+    moves the direction by at most 20 d / R in the infinity norm, and
+    ``root_tol`` bounds the direction's error whatever the radius.  Each
+    pass draws the shortfall as one :func:`goe_stack`, finds its distances
+    with one :func:`acdo_roots` call (in lockstep where the oracle
+    allows) and its norms with one stacked eigensolve, and keeps the
+    accepted points in draw order.  So the output, and the error after
+    ``50 * count + 100`` draws, are those of drawing, projecting and
+    testing one sample at a time.
     """
     rng = make_rng(seed)
     eye = _eye(oracle.n)
@@ -86,7 +91,7 @@ def boundary_sample(
         k = min(count - len(out), budget - attempts)
         attempts += k
         probes = goe_stack(rng, k, oracle.n, [1.0]) * R
-        shifts = np.array([-r.value for r in acdo_roots(oracle, probes, root_tol)])
+        shifts = np.array([-r.value for r in acdo_roots(oracle, probes, root_tol * R)])
         raw = probes + shifts[:, None, None] * eye  # each probe.shift(-dist)
         nrm = inf_norm_stack(raw)
         keep = ~(nrm < R / 10.0)  # a nan norm is not short, so it is kept
@@ -100,7 +105,7 @@ class InclusionReport(Record):
     """Decay record of the worst dominative value on boundary directions.
 
     ``trend_slope`` is the least-squares slope of log(worst) against
-    log(R); ``decay_exponent`` is its negation (-0.0 for a zero slope).
+    log(R); ``decay_exponent`` is its negation (+0.0 for a zero slope).
     The verdict follows :func:`inclusion_verdict` with the zero threshold
     at 5x the property tolerance.  ``q_interval`` is the guaranteed
     Sobolev exponent interval as JSON: ``{"lo", "hi", "conditional_on"}``.
@@ -165,7 +170,10 @@ def check_inclusion(
     """Numerical evidence for ac(B^T Theta B) <= Theta_p.
 
     Requires at least three finite, positive, increasing radii spanning
-    three decades.  The guaranteed Sobolev exponent interval
+    three decades.  ``root_tol`` is the bisection tolerance per unit of
+    radius (see :func:`boundary_sample`): each sampled direction is within
+    ``20 * root_tol`` of its exact value, so, F_p being 1-Lipschitz, each
+    worst value is too.  The guaranteed Sobolev exponent interval
     (0, n(p-1)/(n-1)) is attached to the report, conditional on the
     inclusion actually holding.
     """
@@ -193,7 +201,7 @@ def check_inclusion(
         radii=radii,
         worst_fp_per_radius=worst,
         trend_slope=slope,
-        decay_exponent=-slope,
+        decay_exponent=0.0 - slope,  # +0.0, not -0.0, for a zero slope
         verdict=verdict,
         count=count,
         seed=seed,

@@ -25,6 +25,8 @@ import numpy as np
 from .errors import DimensionMismatchError, InputError, PreconditionError
 from .symmat import (
     LOEWNER_TOL,
+    MAX_DIM,
+    MIN_DIM,
     InvertibleMap,
     SymMatrix,
     congruence,
@@ -461,6 +463,17 @@ def num_from_json(v) -> float:
     return float(v)
 
 
+def dim_from_json(v) -> int:
+    """A dimension from JSON or a shorthand: an integer (an integral float
+    or a numeral string will do) in the supported range, not a boolean."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"dimension must be an integer, got {v!r}")
+    n = int(v)
+    if not MIN_DIM <= n <= MAX_DIM:
+        raise ValueError(f"dimension {n} outside supported range [{MIN_DIM}, {MAX_DIM}]")
+    return n
+
+
 @dataclass(kw_only=True)
 class Report(Record):
     """Base of the sampled property reports.
@@ -506,15 +519,15 @@ def spec_from_dict(d: dict) -> OperatorSpec:
         raise InputError("operator spec object must carry a 'type' field") from exc
     try:
         if kind == "dominative":
-            return DominativeP(n=int(d["n"]), p=num_from_json(d["p"]))
+            return DominativeP(n=dim_from_json(d["n"]), p=num_from_json(d["p"]))
         if kind == "pucci":
-            return Pucci(n=int(d["n"]), lam=float(d["lam"]), Lam=float(d["Lam"]))
+            return Pucci(n=dim_from_json(d["n"]), lam=float(d["lam"]), Lam=float(d["Lam"]))
         if kind == "linear":
             return LinearTrace(A=SymMatrix.from_dict(d["A"]), m=float(d["m"]))
         if kind == "ensemble":
             return EnsembleSupport(body=ConvexBody.from_dict(d["body"]))
         if kind == "example":
-            return ExampleEq(n=int(d.get("n", 2)))
+            return ExampleEq(n=dim_from_json(d.get("n", 2)))
         if kind == "shifted":
             return Shifted(inner=spec_from_dict(d["inner"]), X0=SymMatrix.from_dict(d["X0"]))
         if kind == "conjugated":

@@ -379,6 +379,15 @@ _GENERATOR = {"n": 2, "entries": [[1.0, 0.0], [0.0, 1.0]]}
         ("aperture", {"n": "x", "generators": [_GENERATOR]}, "invalid-body"),
         ("aperture", {"n": 2, "generators": [_GENERATOR], "rot_closed": "false"}, "invalid-body"),
         ("aperture", {"n": 2, "generators": [_GENERATOR], "rot_closed": 0}, "invalid-body"),
+        # a dimension is an integer in [2, 16]: no truncation of 3.7 or 2.9,
+        # no true as 1
+        ("eval", {"type": "dominative", "n": 3.7, "p": 3}, "input"),
+        ("eval", {"type": "pucci", "n": True, "lam": 1, "Lam": 2}, "input"),
+        ("eval", {"type": "example", "n": 2.5}, "input"),
+        ("eval", {"type": "dominative", "n": -3, "p": 3}, "input"),
+        ("aperture", {"n": 2.9, "generators": [_GENERATOR]}, "invalid-body"),
+        ("aperture", {"n": True, "generators": [{"n": 1, "entries": [[1.0]]}]}, "invalid-body"),
+        ("aperture", {"n": 1, "generators": [{"n": 1, "entries": [[1.0]]}]}, "invalid-body"),
     ],
 )
 def test_malformed_spec_or_body_file_exits_1(tmp_path, matrix_files, command, content, want):
@@ -390,6 +399,34 @@ def test_malformed_spec_or_body_file_exits_1(tmp_path, matrix_files, command, co
     assert code == 1
     assert set(rep) == {"schema", "error"}
     assert rep["error"]["code"] == want
+
+
+@pytest.mark.parametrize(
+    "op, message",
+    [
+        ({"type": "dominative", "n": 3.7, "p": 3}, "dimension must be an integer, got 3.7"),
+        # a negative dimension used to end in a traceback from numpy
+        ({"type": "dominative", "n": -3, "p": 3}, "dimension -3 outside supported range [2, 16]"),
+        ("dominative:n=-3,p=3", "dimension -3 outside supported range [2, 16]"),
+    ],
+    ids=["fractional", "negative", "negative-shorthand"],
+)
+def test_check_inclusion_rejects_a_bad_dimension(tmp_path, op, message):
+    if isinstance(op, dict):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(op))
+        op = str(path)
+    code, rep = run_json(["check-inclusion", "--op", op, "--p", "4", "--count", "5"])
+    assert code == 1
+    assert rep["error"]["code"] == "input"
+    assert message in rep["error"]["message"]
+
+
+def test_integral_float_dimension_is_read_as_that_integer(tmp_path, matrix_files):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"type": "dominative", "n": 2.0, "p": 3}))
+    assert cli.parse_operator_arg(str(path)).n == 2
+    assert run_json(["eval", "--op", str(path), "--X", matrix_files["sym"]])[0] == 0
 
 
 def test_body_file_rot_closed_false_is_a_plain_hull(tmp_path):

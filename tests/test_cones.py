@@ -128,7 +128,8 @@ def test_worst_value_is_the_largest_dominative_value_of_the_sample():
 
 
 def _reference_sample(oracle, R, count, rng, root_tol=ROOT_TOL):
-    """One draw, one root and one norm per sample."""
+    """One draw, one root (to ``root_tol`` per unit of radius) and one norm
+    per sample."""
     out, attempts = [], 0
     while len(out) < count:
         attempts += 1
@@ -138,7 +139,7 @@ def _reference_sample(oracle, R, count, rng, root_tol=ROOT_TOL):
                 payload=oracle.description,
             )
         probe = goe_matrix(rng, oracle.n, radius=1.0) * R
-        raw = probe.shift(-acdo_eval(oracle, probe, root_tol))
+        raw = probe.shift(-acdo_eval(oracle, probe, root_tol * R))
         nrm = inf_norm(raw)
         if nrm < R / 10.0:
             continue
@@ -232,6 +233,20 @@ def test_projection_shorter_than_a_tenth_of_the_radius_is_rejected(monkeypatch):
     got = _batched(monkeypatch, oracle, 1e3, 10, batched_rng)
     _assert_same_sample(got, _reference_sample(oracle, 1e3, 10, scalar_rng))
     assert batched_rng.drawn == scalar_rng.drawn == 12
+
+
+@pytest.mark.parametrize("R", RADII)
+@pytest.mark.parametrize("kind", ["conjugated_spec", "congruence_image", "user_predicate"])
+def test_root_tolerance_per_unit_of_radius_moves_directions_by_at_most_20_tol(kind, R):
+    # root_tol = ROOT_TOL / R bisects to the old absolute ROOT_TOL; a kept
+    # point has norm at least R/10, so the two tolerances' distances, each
+    # within half its tolerance of the root, move a direction by at most
+    # 20 * ROOT_TOL in the infinity norm
+    oracle = SAMPLER_ORACLES[kind]()
+    got = boundary_sample(oracle, R, 20, seed=6)
+    fine = boundary_sample(oracle, R, 20, seed=6, root_tol=ROOT_TOL / R)
+    dev = np.abs(np.array([d.a for d in got]) - np.array([d.a for d in fine])).max()
+    assert dev <= 20 * ROOT_TOL
 
 
 def test_budget_holds_across_partial_passes(monkeypatch):

@@ -3,8 +3,10 @@ stacked membership of congruence images against the scalar one, the
 stacked spec values against the scalar ones, and the property checks
 built on them against their per-sample form."""
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from domcone.operators import (
     Shifted,
     eval_example,
     eval_pucci,
+    spec_from_dict,
 )
 from domcone.sampling import goe_matrix, goe_stack, make_rng, random_psd
 from domcone.symmat import InvertibleMap, SymMatrix, eigvals_sym, inf_norm
@@ -125,13 +128,34 @@ class TestLockstepEqualsScalar:
         _assert_same_roots(_bisection(ExampleEq()), stack)
 
     def test_single_sample_and_max_bisect(self):
-        # a negative tolerance never closes the bracket, so every root stops
-        # at the iteration cap
-        stack = goe_stack(make_rng(8), 1, 4, [1.0])
+        # a negative tolerance never closes the bracket; with the root at
+        # t = 0 exactly, hi halves toward 0 through ~1,074 distinct doubles,
+        # so every root stops at the iteration cap with the bracket
+        # [0, 2^-200]: one probe at t = 0, one at t = 1, then 200 bisection
+        # probes, alone and in lockstep
         oracle = _bisection(Pucci(n=4, lam=1.0, Lam=3.0))
+        stack = np.zeros((2, 4, 4))
         _assert_same_roots(oracle, stack, tol=-1e-3)
-        (root,) = acdo_roots(oracle, stack, tol=-1e-3)
-        assert root.iterations == 200
+        _assert_same_roots(oracle, stack[:1], tol=-1e-3)
+        roots = acdo_roots(oracle, stack, tol=-1e-3)
+        assert [(r.value, r.iterations, r.probes) for r in roots] == [(-(2.0**-201), 200, 202)] * 2
+
+    def test_far_root_stops_when_the_bracket_cannot_shrink(self):
+        # beyond |t| = 2^19 adjacent doubles lie further apart than ROOT_TOL:
+        # the bisection ends when the midpoint rounds onto an end of the
+        # bracket, with the value and bracket that running on to the cap
+        # gave (pinned literals), alone and in lockstep
+        data = Path(__file__).parent / "data"
+        spec = spec_from_dict(json.loads((data / "conjugated_pucci.json").read_text()))
+        far = SymMatrix.from_dict(json.loads((data / "far_probe.json").read_text()))
+        oracle = oracle_from_operator(spec)
+        assert oracle.distance is None
+        stack = np.array([far.a, far.a])
+        _assert_same_roots(oracle, stack)
+        for root in acdo_roots(oracle, stack) + [acdo_root(oracle, far)]:
+            assert root.value == 1180325.103301331
+            assert root.bracket == (1180325.103301331, 1180325.1033013312)
+            assert root.iterations < 200
 
 
 class TestFallback:
@@ -156,6 +180,27 @@ class TestFallback:
         roots = acdo_roots(oracle, stack)
         assert len(calls) == sum(r.probes for r in roots)
         _assert_same_roots(oracle, stack)
+
+
+def test_one_root_takes_the_scalar_path():
+    # one matrix: scalar membership calls only, as many as the root's probes
+    spec = DominativeP(n=3, p=4.0)
+    scalar, stacked = [], []
+
+    def member(x):
+        scalar.append(1)
+        return spec.value(x) <= 0.0
+
+    def member_stack(a):
+        stacked.append(len(a))
+        return spec.value_stack(a) <= 0.0
+
+    oracle = EllipticSetOracle(member=member, n=3, member_stack=member_stack)
+    stack = goe_stack(make_rng(12), 1, 3, [1.0])
+    (root,) = acdo_roots(oracle, stack)
+    assert stacked == []
+    assert len(scalar) == root.probes > 0
+    assert root == acdo_root(oracle, SymMatrix._wrap(stack[0].copy()))
 
 
 def _scalar_error(oracle, stack):

@@ -96,14 +96,15 @@ def inclusion_dict(rep, hi):
 
 def test_inclusion_report_at_p_inf_keeps_the_sign_of_a_zero_slope():
     # Theta_inf inside Theta_inf: every worst value is numerically zero, so
-    # the fit has no points, the slope is 0.0 and its negation -0.0.
+    # the fit has no points and the slope is 0.0; the decay exponent is
+    # +0.0, not the signed zero -0.0 that a plain negation gives.
     rep = check_inclusion(oracle_from_operator(DominativeP(n=3, p=math.inf)), None, math.inf, RADII, count=10)
     got = as_json(rep)
     assert got == inclusion_dict(rep, "inf")
     assert list(rep.to_dict()) == list(inclusion_dict(rep, "inf"))
     assert got["q_interval"]["hi"] == "inf"
     assert got["trend_slope"] == 0.0
-    assert math.copysign(1.0, got["decay_exponent"]) == -1.0
+    assert math.copysign(1.0, got["decay_exponent"]) == 1.0
     assert got["verdict"] == "consistent"
 
 
