@@ -9,7 +9,8 @@ spectrum), and their oracles carry it.  For any other elliptic set
 (a user predicate, a congruence image) membership along the identity
 line is monotone, and the distance is found by bisection on the
 membership predicate.  :func:`acdo_roots` runs the bisections of a
-whole stack of matrices in lockstep, one stacked membership call per step.
+whole stack of matrices in lockstep, one stacked membership call per step,
+and resumes them from the roots of an earlier call at a looser tolerance.
 """
 
 from __future__ import annotations
@@ -189,20 +190,26 @@ def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) ->
             hi = step
             step *= 2.0
 
-    iterations = 0
+    return _bisect(oracle, x, lo, hi, 0, probes, tol)
+
+
+def _bisect(
+    oracle: EllipticSetOracle, x: SymMatrix, lo: float, hi: float, iterations: int, probes: int, tol: float
+) -> AcdoRoot:
+    """Bisection of :func:`acdo_root` on the bracket [lo, hi] of t, from
+    ``iterations`` steps and ``probes`` membership calls made so far."""
     while hi - lo > tol and iterations < _MAX_BISECT:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # the bracket cannot shrink
             break
-        if member_at(mid):
+        probes += 1
+        if oracle.member(x.shift(mid)):
             lo = mid
         else:
             hi = mid
         iterations += 1
-
-    t_mid = 0.5 * (lo + hi)
     return AcdoRoot(
-        value=-t_mid,
+        value=-(0.5 * (lo + hi)),
         bracket=(-hi, -lo),
         iterations=iterations,
         probes=probes,
@@ -225,8 +232,13 @@ def _unbracketed(oracle: EllipticSetOracle, up: bool, t: float) -> NonProperSetE
 # Phases of a root in acdo_roots.
 _START, _EXPAND, _BISECT, _DONE = range(4)
 
+#: Fewest bisected roots that acdo_roots runs in lockstep.
+_MIN_LOCKSTEP = 3
 
-def acdo_roots(oracle: EllipticSetOracle, stack, tol: float = ROOT_TOL) -> list[AcdoRoot]:
+
+def acdo_roots(
+    oracle: EllipticSetOracle, stack, tol: float = ROOT_TOL, start: list[AcdoRoot] | None = None
+) -> list[AcdoRoot]:
     """:func:`acdo_root` of each matrix of a ``(k, n, n)`` symmetric stack.
 
     With the oracle's ``member_stack`` and without a closed form, the k
@@ -237,24 +249,71 @@ def acdo_roots(oracle: EllipticSetOracle, stack, tol: float = ROOT_TOL) -> list[
     bracket, or at the step cap), so every field of its result is equal,
     and an expansion that passes ``BRACKET_CAP`` raises the
     :class:`NonProperSetError` that a loop of :func:`acdo_root` raises.
-    Otherwise (a closed form, no ``member_stack``, or fewer than two
-    matrices, where the bookkeeping of a step costs more than the stacked
-    call saves) it is that loop.
+    Otherwise (a closed form, no ``member_stack``, or fewer than
+    ``_MIN_LOCKSTEP`` matrices, where the bookkeeping of a step costs more
+    than the stacked call saves) it is that loop.
+
+    ``start`` holds the roots of the same stack from an earlier call at a
+    looser (or equal) tolerance.  Each bisected root then resumes from its
+    bracket, ``iterations`` and ``probes``, in lockstep or one at a time by
+    the same rule, and a closed-form root comes back as it is.  The
+    midpoints and the stopping rule depend only on the bracket, the step
+    count and ``tol``, so the result equals that of one call at ``tol``
+    in every field, the step cap counted from the first call; only the
+    first call's membership calls are saved.
     """
     stack = np.asarray(stack, dtype=float)
     if stack.shape[-1] != oracle.n:
         raise PreconditionError(
             f"matrix dimension {stack.shape[-1]} does not match oracle dimension {oracle.n}"
         )
-    if oracle.distance is not None or oracle.member_stack is None or len(stack) < 2:
+    if start is not None:
+        return _resume(oracle, stack, list(start), tol)
+    k = len(stack)
+    if oracle.distance is not None or oracle.member_stack is None or k < _MIN_LOCKSTEP:
         return [acdo_root(oracle, SymMatrix._wrap(x), tol) for x in stack]
+    zeros, counts = np.zeros(k), np.zeros(k, dtype=int)
+    return _lockstep(oracle, stack, tol, np.full(k, _START), zeros, zeros, counts, counts)
+
+
+def _resume(
+    oracle: EllipticSetOracle, stack: np.ndarray, start: list[AcdoRoot], tol: float
+) -> list[AcdoRoot]:
+    """The ``start`` form of :func:`acdo_roots`."""
+    if len(start) != len(stack):
+        raise PreconditionError(f"{len(start)} start roots for a stack of {len(stack)} matrices")
+    todo = [i for i, r in enumerate(start) if r.method == "bisection"]
+    lo = np.array([-start[i].bracket[1] for i in todo])
+    hi = np.array([-start[i].bracket[0] for i in todo])
+    iterations = np.array([start[i].iterations for i in todo], dtype=int)
+    probes = np.array([start[i].probes for i in todo], dtype=int)
+    if oracle.member_stack is not None and len(todo) >= _MIN_LOCKSTEP:
+        phase = np.full(len(todo), _BISECT)
+        roots = _lockstep(oracle, stack[todo], tol, phase, lo, hi, iterations, probes)
+    else:
+        columns = zip(todo, lo.tolist(), hi.tolist(), iterations.tolist(), probes.tolist())
+        roots = [_bisect(oracle, SymMatrix._wrap(stack[i]), *state, tol) for i, *state in columns]
+    out = list(start)
+    for i, root in zip(todo, roots):
+        out[i] = root
+    return out
+
+
+def _lockstep(oracle, stack, tol, phase, lo, hi, iterations, probes) -> list[AcdoRoot]:
+    """The lockstep loop of :func:`acdo_roots` from the given state: a root
+    at ``_START`` (with lo = hi = 0) first probes t = 0, one at ``_BISECT``
+    the midpoint of its bracket [lo, hi]."""
     k = len(stack)
     eye = _eye(oracle.n)
-    phase = np.full(k, _START)
-    t, lo, hi, step = np.zeros(k), np.zeros(k), np.zeros(k), np.zeros(k)
+    iterations, probes, step = iterations.copy(), probes.copy(), np.zeros(k)
     up = np.zeros(k, dtype=bool)  # expansion direction, set by the probe at t = 0
-    probes, iterations = np.zeros((2, k), dtype=int)
-    while (live := phase != _DONE).any():
+    while True:
+        mid = 0.5 * (lo + hi)
+        shrinks = (hi - lo > tol) & (iterations < _MAX_BISECT) & (mid != lo) & (mid != hi)
+        phase[(phase == _BISECT) & ~shrinks] = _DONE
+        if not (live := phase != _DONE).any():
+            break
+        t = np.where(phase == _EXPAND, step, mid)  # mid = 0 at _START
         inside = np.zeros(k, dtype=bool)
         inside[live] = oracle.member_stack(stack[live] + t[live, None, None] * eye)
         probes += live
@@ -276,10 +335,6 @@ def acdo_roots(oracle: EllipticSetOracle, stack, tol: float = ROOT_TOL) -> list[
         if capped.size:
             i = capped[0]
             raise _unbracketed(oracle, bool(up[i]), float(lo[i] if up[i] else hi[i]))
-        mid = 0.5 * (lo + hi)
-        shrinks = (hi - lo > tol) & (iterations < _MAX_BISECT) & (mid != lo) & (mid != hi)
-        phase[(phase == _BISECT) & ~shrinks] = _DONE
-        t = np.where(phase == _EXPAND, step, mid)
     columns = zip(mid.tolist(), lo.tolist(), hi.tolist(), iterations.tolist(), probes.tolist())
     return [
         AcdoRoot(value=-mid, bracket=(-b, -a), iterations=i, probes=p, method="bisection")

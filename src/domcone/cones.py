@@ -53,12 +53,18 @@ def conjugate_oracle(oracle: EllipticSetOracle, B: InvertibleMap) -> EllipticSet
     )
 
 
+#: Tolerance per unit of radius of the first, coarse bisection of each
+#: boundary root in :func:`boundary_sample`.
+_COARSE_TOL = 1e-3
+
+
 def boundary_sample(
     oracle: EllipticSetOracle,
     R: float,
     count: int,
     seed: int = 0,
     root_tol: float = ROOT_TOL,
+    p: float | None = None,
 ) -> list[SymMatrix]:
     """Directions of ``count`` boundary points at radius R, each scaled to
     infinity norm one.
@@ -77,27 +83,84 @@ def boundary_sample(
     accepted points in draw order.  So the output, and the error after
     ``50 * count + 100`` draws, are those of drawing, projecting and
     testing one sample at a time.
+
+    Bisected distances are first found only to ``_COARSE_TOL * R`` (when
+    that is looser than ``root_tol * R``) and resumed to ``root_tol * R``
+    where the output needs it.  A coarse root of bracket width w moves the
+    point's norm by at most w/2, so a root whose coarse norm is NaN or
+    within w/2 (plus rounding) of R/10 is sharpened before the keep
+    decision, which is therefore the sharp one.  With ``p`` None every
+    kept root is then sharpened, and the output is as above bit for bit.
+    With ``p``, the output is of mixed precision, for a caller that only
+    takes the largest F_p over it: a coarse direction of norm v lies within
+    e = w / max(v - w/2, R/10) of its sharp one in the infinity norm, and
+    F_p, elliptic with F_p(X + tI) = F_p(X) + t, is 1-Lipschitz there.  So
+    only directions with F_p + e at least the largest F_p - e can be the
+    worst (or every one, if a value is not finite); those are sharpened,
+    and the largest F_p over the output, the first of its maximisers
+    included, has the bits it has with ``p`` None.
     """
     rng = make_rng(seed)
-    eye = _eye(oracle.n)
-    out: list[SymMatrix] = []
-    budget, attempts = 50 * count + 100, 0
-    while len(out) < count:
+    n = oracle.n
+    eye = _eye(n)
+    fine = root_tol * R
+    # a closed form has no bracket to sharpen, so it takes one pass of roots
+    lazy = oracle.distance is None and _COARSE_TOL > root_tol
+    coarse = _COARSE_TOL * R if lazy else fine
+    passes, roots_kept = [], []  # (probes, raw, nrm) kept per pass; their roots
+    budget, attempts, kept = 50 * count + 100, 0, 0
+    while kept < count:
         if attempts == budget:
             raise NumericalFailureError(
                 "boundary sampling kept hitting degenerate projections",
                 payload=oracle.description,
             )
-        k = min(count - len(out), budget - attempts)
+        k = min(count - kept, budget - attempts)
         attempts += k
-        probes = goe_stack(rng, k, oracle.n, [1.0]) * R
-        shifts = np.array([-r.value for r in acdo_roots(oracle, probes, root_tol * R)])
-        raw = probes + shifts[:, None, None] * eye  # each probe.shift(-dist)
-        nrm = inf_norm_stack(raw)
+        probes = goe_stack(rng, k, n, [1.0]) * R
+        roots = acdo_roots(oracle, probes, coarse)
+        raw, nrm = _project(probes, roots, eye)
+        if lazy:
+            width = np.array([r.bracket[1] - r.bracket[0] for r in roots])
+            near = np.flatnonzero(np.isnan(nrm) | (np.abs(nrm - R / 10.0) <= 0.5 * width + 1e-12 * R))
+            if near.size:
+                sharp = acdo_roots(oracle, probes[near], fine, start=[roots[i] for i in near])
+                raw[near], nrm[near] = _project(probes[near], sharp, eye)
+                for i, root in zip(near.tolist(), sharp):
+                    roots[i] = root
         keep = ~(nrm < R / 10.0)  # a nan norm is not short, so it is kept
-        unit = raw[keep] * (1.0 / nrm[keep])[:, None, None]
-        out.extend(SymMatrix._wrap(d) for d in unit)
-    return out
+        passes.append((probes[keep], raw[keep], nrm[keep]))
+        roots_kept.extend(roots[i] for i in np.flatnonzero(keep))
+        kept += int(keep.sum())
+    if not passes:
+        return []
+    probes, raw, nrm = (np.concatenate(column) for column in zip(*passes))
+    if lazy:
+        width = np.array([r.bracket[1] - r.bracket[0] for r in roots_kept])
+        todo = np.flatnonzero(
+            np.ones(kept, dtype=bool) if p is None else _may_be_worst(DominativeP(n, p), raw, nrm, width, R)
+        )
+        sharp = acdo_roots(oracle, probes[todo], fine, start=[roots_kept[i] for i in todo])
+        raw[todo], nrm[todo] = _project(probes[todo], sharp, eye)
+    unit = raw * (1.0 / nrm)[:, None, None]
+    return [SymMatrix._wrap(d) for d in unit]
+
+
+def _project(probes: np.ndarray, roots, eye: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary points ``probe.shift(-dist)`` of a stack and their norms."""
+    shifts = np.array([-r.value for r in roots])
+    raw = probes + shifts[:, None, None] * eye
+    return raw, inf_norm_stack(raw)
+
+
+def _may_be_worst(score: DominativeP, raw, nrm, width, R: float) -> np.ndarray:
+    """Which coarse boundary points of bracket widths ``width`` may have
+    the largest ``score`` once sharpened (see :func:`boundary_sample`)."""
+    f = score.value_stack(raw * (1.0 / nrm)[:, None, None])
+    if not np.isfinite(f).all():
+        return np.ones(len(f), dtype=bool)
+    e = width / np.maximum(nrm - 0.5 * width, R / 10.0) + 1e-12
+    return f + e >= np.max(f - e)
 
 
 @dataclass
@@ -173,7 +236,10 @@ def check_inclusion(
     three decades.  ``root_tol`` is the bisection tolerance per unit of
     radius (see :func:`boundary_sample`): each sampled direction is within
     ``20 * root_tol`` of its exact value, so, F_p being 1-Lipschitz, each
-    worst value is too.  The guaranteed Sobolev exponent interval
+    worst value is too.  The samples are drawn with ``p``, so only the
+    directions whose F_p may be the largest are bisected to that
+    tolerance, and each worst value has the bits it has when every
+    direction is.  The guaranteed Sobolev exponent interval
     (0, n(p-1)/(n-1)) is attached to the report, conditional on the
     inclusion actually holding.
     """
@@ -190,7 +256,7 @@ def check_inclusion(
     target = oracle if B is None else conjugate_oracle(oracle, B)
     worst = []
     for i, r in enumerate(radii):
-        directions = boundary_sample(target, r, count, seed=seed + 7919 * i, root_tol=root_tol)
+        directions = boundary_sample(target, r, count, seed=seed + 7919 * i, root_tol=root_tol, p=p)
         worst.append(max(score.value_stack(np.array([d.a for d in directions])).tolist()))
 
     slope, verdict = inclusion_verdict(radii, worst, 5.0 * property_tol)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from domcone import cones
-from domcone.acdo import ROOT_TOL, EllipticSetOracle, acdo_eval, oracle_from_operator
+from domcone.acdo import ROOT_TOL, EllipticSetOracle, acdo_eval, acdo_root, acdo_roots, oracle_from_operator
 from domcone.cones import boundary_sample, check_inclusion, conjugate_oracle, inclusion_verdict
 from domcone.errors import NumericalFailureError, PreconditionError
 from domcone.operators import Conjugated, DominativeP, Pucci, eval_dominative
-from domcone.sampling import goe_matrix, make_rng
+from domcone.sampling import goe_matrix, goe_stack, make_rng
 from domcone.symmat import InvertibleMap, SymMatrix, inf_norm
 
 RADII = [1e2, 1e4, 1e6]
@@ -257,3 +257,174 @@ def test_budget_holds_across_partial_passes(monkeypatch):
     with pytest.raises(NumericalFailureError, match="degenerate projections"):
         _batched(monkeypatch, oracle, 1e3, 3, stub)
     assert stub.drawn == 250
+
+
+# ---------------------------------------------------------------------------
+# Coarse roots, sharpened where the worst value needs them
+
+
+def _resume_calls(monkeypatch):
+    """Record the ``start`` lengths of the sampler's resumed acdo_roots calls."""
+    calls = []
+
+    def spy(oracle, stack, tol=ROOT_TOL, start=None):
+        if start is not None:
+            calls.append(len(start))
+        return acdo_roots(oracle, stack, tol, start=start)
+
+    monkeypatch.setattr(cones, "acdo_roots", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLER_ORACLES))
+def test_resumed_roots_equal_one_shot_roots(kind):
+    # coarse, then sharp from where the coarse bisections stopped, equals
+    # one call at the sharp tolerance on each oracle the sampler meets, in
+    # lockstep (seven matrices) and one at a time (two)
+    oracle = SAMPLER_ORACLES[kind]()
+    R = 1e4
+    for k in (7, 2):
+        stack = goe_stack(make_rng(25), k, 3, [1.0]) * R
+        coarse = acdo_roots(oracle, stack, cones._COARSE_TOL * R)
+        resumed = acdo_roots(oracle, stack, ROOT_TOL * R, start=coarse)
+        assert resumed == acdo_roots(oracle, stack, ROOT_TOL * R)
+        if kind == "closed_form":
+            assert all(a is b for a, b in zip(resumed, coarse))
+
+
+def _kept_probes(oracle, R, count, seed):
+    """The probe R*D of each sample that the per-sample loop keeps."""
+    rng, out = make_rng(seed), []
+    while len(out) < count:
+        probe = goe_matrix(rng, oracle.n, radius=1.0) * R
+        if not inf_norm(probe.shift(-acdo_eval(oracle, probe, ROOT_TOL * R))) < R / 10.0:
+            out.append(probe)
+    return out
+
+
+#: (oracle kind, p, the verdict of check_inclusion at that p).  The
+#: congruence image by _B3 lies in no Theta_p, so it has no consistent p.
+LAZY_CASES = [
+    ("closed_form", 4.0, "consistent"),
+    ("closed_form", 6.0, "violated"),
+    ("conjugated_spec", 2.0, "consistent"),
+    ("conjugated_spec", 4.0, "violated"),
+    ("congruence_image", 6.0, "violated"),
+    ("user_predicate", 2.5, "consistent"),
+    ("user_predicate", 4.0, "violated"),
+]
+
+
+@pytest.mark.parametrize("kind, p, verdict", LAZY_CASES)
+def test_lazy_cases_have_their_verdict(kind, p, verdict):
+    assert check_inclusion(SAMPLER_ORACLES[kind](), None, p, RADII, count=30, seed=6).verdict == verdict
+
+
+@pytest.mark.parametrize("R", RADII)
+@pytest.mark.parametrize("kind, p, verdict", LAZY_CASES)
+def test_sampling_for_a_worst_value_keeps_it_bit_for_bit(monkeypatch, kind, p, verdict, R):
+    oracle, count = SAMPLER_ORACLES[kind](), 30
+    sharp = np.array([d.a for d in boundary_sample(oracle, R, count, seed=6)])
+    resumed = _resume_calls(monkeypatch)
+    lazy = boundary_sample(oracle, R, count, seed=6, p=p)
+    assert len(lazy) == count
+    got = np.array([d.a for d in lazy])
+    f_got = DominativeP(3, p).value_stack(got).tolist()
+    f_sharp = DominativeP(3, p).value_stack(sharp).tolist()
+    worst = max(f_sharp)
+    assert np.float64(max(f_got)).tobytes() == np.float64(worst).tobytes()
+    i = f_sharp.index(worst)
+    assert f_got.index(max(f_got)) == i
+    assert got[i].tobytes() == sharp[i].tobytes()
+    # every other direction is within the bound of the coarse root it came from
+    probes = _kept_probes(oracle, R, count, seed=6)
+    for probe, a, b in zip(probes, got, sharp):
+        root = acdo_root(oracle, probe, cones._COARSE_TOL * R)
+        width = root.bracket[1] - root.bracket[0]
+        nrm = inf_norm(probe.shift(-root.value))
+        assert np.abs(a - b).max() <= width / max(nrm - 0.5 * width, R / 10.0) + 1e-12
+    if kind == "closed_form":
+        assert got.tobytes() == sharp.tobytes() and resumed == []
+    else:
+        # one resumed call after the passes, for a few of the directions
+        assert len(resumed) == 1 and 1 <= resumed[0] < count / 2
+        assert (got != sharp).any()
+
+
+def test_tied_worst_values_sharpen_every_direction(monkeypatch):
+    # a scaled rotation of Theta_4 on S(2) is Theta_4 again, and every unit
+    # boundary direction of it has the same eigenvalues up to sign and
+    # order, so the same F_p: all of them are sharpened
+    q = np.array([[0.6, -0.8], [0.8, 0.6]])
+    oracle = conjugate_oracle(oracle_from_operator(DominativeP(n=2, p=4.0)), InvertibleMap(1.3 * q))
+    sharp = boundary_sample(oracle, 1e4, 20, seed=7)
+    resumed = _resume_calls(monkeypatch)
+    _assert_same_sample(boundary_sample(oracle, 1e4, 20, seed=7, p=3.0), sharp)
+    assert resumed == [20]
+
+
+#: Directions whose projection at R = 1e3 has a norm within 1e-8 R of
+#: R/10, on the other side of it from the norm after a bisection to
+#: _COARSE_TOL * R: (kind, D, whether the per-sample loop keeps it).
+STRADDLES = [
+    ("user_predicate", np.diag([1.0, 1.0, 0.86666666]), True),
+    ("conjugated_spec", np.diag([1.0, 1.0, 0.89120808]), False),
+    ("congruence_image", np.diag([1.0, 1.0, 0.88642045]), False),
+]
+
+
+@pytest.mark.parametrize("kind, matrix, kept", STRADDLES, ids=[s[0] for s in STRADDLES])
+@pytest.mark.parametrize("p", [None, 4.0])
+def test_norm_near_a_tenth_of_the_radius_is_decided_sharp(monkeypatch, kind, matrix, kept, p):
+    oracle, R, positions = SAMPLER_ORACLES[kind](), 1e3, (1, 4, 7)
+    coarse = acdo_root(oracle, SymMatrix(matrix) * R, cones._COARSE_TOL * R)
+    assert (inf_norm((SymMatrix(matrix) * R).shift(-coarse.value)) < R / 10.0) == kept
+    batched_rng = ReplaceAt(26, 3, positions, matrix)
+    scalar_rng = ReplaceAt(26, 3, positions, matrix)
+    monkeypatch.setattr(cones, "make_rng", lambda seed: batched_rng)
+    got = boundary_sample(oracle, R, 10, seed=0, p=p)
+    want = _reference_sample(oracle, R, 10, scalar_rng)
+    assert batched_rng.drawn == scalar_rng.drawn == (10 if kept else 13)
+    if p is None:
+        _assert_same_sample(got, want)
+    else:
+        score = DominativeP(3, p)
+        f_got = score.value_stack(np.array([d.a for d in got])).tolist()
+        f_want = score.value_stack(np.array([d.a for d in want])).tolist()
+        assert np.float64(max(f_got)).tobytes() == np.float64(max(f_want)).tobytes()
+
+
+def _counted(member):
+    calls = []
+
+    def counting(x):
+        calls.append(1)
+        return member(x)
+
+    return counting, calls
+
+
+@pytest.mark.parametrize(
+    "member, p",
+    [
+        (_cone_predicate, 4.0),
+        (lambda x: eval_dominative(x, 4.0) <= 0.0 or eval_dominative(x, 2.0) <= -1e5, 4.0),
+    ],
+    ids=["predicate", "union"],
+)
+def test_check_inclusion_reports_the_worst_of_the_sharp_sample(member, p):
+    # the report equals one built from the fully sharpened samples, with
+    # fewer membership calls than those samples take
+    counting, calls = _counted(member)
+    oracle = EllipticSetOracle(member=counting, n=3, description="user")
+    rep = check_inclusion(oracle, None, p, RADII, count=40, seed=8)
+    lazy_calls = len(calls)
+    calls.clear()
+    worst = []
+    for i, r in enumerate(RADII):
+        directions = boundary_sample(oracle, r, 40, seed=8 + 7919 * i)
+        worst.append(max(DominativeP(3, p).value_stack(np.array([d.a for d in directions])).tolist()))
+    assert np.array(rep.worst_fp_per_radius).tobytes() == np.array(worst).tobytes()
+    slope, verdict = inclusion_verdict(RADII, worst, THRESH)
+    assert (rep.trend_slope, rep.verdict) == (slope, verdict)
+    assert lazy_calls < len(calls)

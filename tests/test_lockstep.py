@@ -26,7 +26,7 @@ from domcone.acdo import (
 )
 from domcone.aperture import ConvexBody
 from domcone.cones import conjugate_oracle
-from domcone.errors import NonProperSetError
+from domcone.errors import NonProperSetError, PreconditionError
 from domcone.operators import (
     Conjugated,
     DominativeP,
@@ -183,7 +183,8 @@ class TestFallback:
 
 
 def test_one_root_takes_the_scalar_path():
-    # one matrix: scalar membership calls only, as many as the root's probes
+    # one or two matrices: scalar membership calls only, as many as the
+    # roots' probes, fresh and resumed; three run in lockstep
     spec = DominativeP(n=3, p=4.0)
     scalar, stacked = [], []
 
@@ -196,11 +197,93 @@ def test_one_root_takes_the_scalar_path():
         return spec.value_stack(a) <= 0.0
 
     oracle = EllipticSetOracle(member=member, n=3, member_stack=member_stack)
-    stack = goe_stack(make_rng(12), 1, 3, [1.0])
-    (root,) = acdo_roots(oracle, stack)
-    assert stacked == []
-    assert len(scalar) == root.probes > 0
-    assert root == acdo_root(oracle, SymMatrix._wrap(stack[0].copy()))
+    for k in (1, 2):
+        stack = goe_stack(make_rng(12), k, 3, [1.0])
+        scalar.clear()
+        roots = acdo_roots(oracle, stack)
+        assert stacked == []
+        assert len(scalar) == sum(r.probes for r in roots) > 0
+        assert roots == [acdo_root(oracle, SymMatrix._wrap(x.copy())) for x in stack]
+        coarse = acdo_roots(oracle, stack, 1e-2)
+        scalar.clear()
+        assert acdo_roots(oracle, stack, start=coarse) == roots
+        assert stacked == []
+        assert len(scalar) == sum(r.probes for r in roots) - sum(r.probes for r in coarse) > 0
+    acdo_roots(oracle, goe_stack(make_rng(12), 3, 3, [1.0]))
+    assert stacked
+
+
+# ---------------------------------------------------------------------------
+# Resumed bisection equals one call at the final tolerance
+
+
+def _assert_resumes(oracle, stack, *tols):
+    """acdo_roots through ``tols`` (loosest first), each call resuming the
+    last, equals one call at the last tolerance in every field."""
+    roots = acdo_roots(oracle, stack, tols[0])
+    for tol in tols[1:]:
+        roots = acdo_roots(oracle, stack, tol, start=roots)
+    assert roots == acdo_roots(oracle, stack, tols[-1])
+
+
+class TestResume:
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    @settings(max_examples=8, derandomize=True, deadline=None)
+    @given(salt=st.integers(0, 10_000), k=st.integers(1, 9), coarse=st.floats(-8.0, 0.0))
+    def test_every_field(self, kind, salt, k, coarse):
+        rng = make_rng(509, salt)
+        spec = _spec(kind, rng)
+        stack = goe_stack(rng, k, spec.n, [1.0, 0.1, 10.0])
+        _assert_resumes(_bisection(spec), stack, 10.0**coarse, ROOT_TOL)
+
+    def test_user_predicate_resumes_one_root_at_a_time(self):
+        spec = DominativeP(n=3, p=3.0)
+        oracle = EllipticSetOracle(member=lambda x: spec.value(x) <= 0.0, n=3)
+        _assert_resumes(oracle, goe_stack(make_rng(13), 6, 3, [1.0]), 1e-3, ROOT_TOL)
+
+    def test_coarse_mid_fine_chain(self):
+        oracle = _bisection(Pucci(n=3, lam=0.5, Lam=2.0))
+        stack = goe_stack(make_rng(14), 5, 3, [100.0])
+        _assert_resumes(oracle, stack, 1e-1, 1e-5, 1e-8)
+        _assert_resumes(oracle, stack[:2], 1e-1, 1e-5, 1e-8)
+
+    def test_step_cap_counts_from_the_first_call(self):
+        # the root at t = 0 of test_single_sample_and_max_bisect: 10 steps
+        # to width 1e-3, then on to the cap of 200 in all, 202 probes
+        oracle = _bisection(Pucci(n=4, lam=1.0, Lam=3.0))
+        for stack in (np.zeros((3, 4, 4)), np.zeros((1, 4, 4))):
+            coarse = acdo_roots(oracle, stack, 1e-3)
+            assert [r.iterations for r in coarse] == [10] * len(stack)
+            roots = acdo_roots(oracle, stack, -1e-3, start=coarse)
+            assert [(r.iterations, r.probes) for r in roots] == [(200, 202)] * len(stack)
+            _assert_resumes(oracle, stack, 1e-3, -1e-3)
+            # a root already at the cap comes back as it is
+            assert acdo_roots(oracle, stack, -1.0, start=roots) == roots
+
+    def test_far_root_stalls_where_the_one_shot_call_stalls(self):
+        data = Path(__file__).parent / "data"
+        spec = spec_from_dict(json.loads((data / "conjugated_pucci.json").read_text()))
+        far = SymMatrix.from_dict(json.loads((data / "far_probe.json").read_text()))
+        oracle = oracle_from_operator(spec)
+        for k in (1, 3):
+            stack = np.array([far.a] * k)
+            _assert_resumes(oracle, stack, 1e3, ROOT_TOL)
+            (root, *_) = acdo_roots(oracle, stack, 1e3)
+            (root, *_) = acdo_roots(oracle, stack, start=[root] * k)
+            assert root.value == 1180325.103301331 and root.iterations < 200
+
+    def test_closed_form_roots_come_back_as_they_are(self):
+        oracle = oracle_from_operator(Pucci(n=3, lam=0.5, Lam=2.0))
+        stack = goe_stack(make_rng(15), 4, 3, [1.0])
+        start = acdo_roots(oracle, stack, 1e-3)
+        resumed = acdo_roots(oracle, stack, start=start)
+        assert all(a is b for a, b in zip(resumed, start))
+
+    def test_start_must_match_the_stack(self):
+        oracle = _bisection(Pucci(n=3, lam=0.5, Lam=2.0))
+        stack = goe_stack(make_rng(16), 3, 3, [1.0])
+        with pytest.raises(PreconditionError, match="2 start roots for a stack of 3"):
+            acdo_roots(oracle, stack, start=acdo_roots(oracle, stack[:2]))
 
 
 def _scalar_error(oracle, stack):
