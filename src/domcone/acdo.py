@@ -8,9 +8,14 @@ catalog operators have it in closed form (``X + tI`` only shifts the
 spectrum), and their oracles carry it.  For any other elliptic set
 (a user predicate, a congruence image) membership along the identity
 line is monotone, and the distance is found by bisection on the
-membership predicate.  :func:`acdo_roots` runs the bisections of a
-whole stack of matrices in lockstep, one stacked membership call per step,
-and resumes them from the roots of an earlier call at a looser tolerance.
+membership predicate.  The bracket of t comes from the oracle's
+witnesses when it has both: X + tI is a member for t <= lambda_min(W_in
+- X) and is not one for t >= lambda_max(W_out - X), by downward closure,
+so the ends take one eigensolve and no membership call.  Without both
+witnesses it is found by expanding from t = 0.  :func:`acdo_roots` runs
+the bisections of a whole stack of matrices in lockstep, one stacked
+membership call per step, and resumes them from the roots of an earlier
+call at a looser tolerance.
 """
 
 from __future__ import annotations
@@ -36,12 +41,14 @@ from .operators import (
     closed_form_distance,
 )
 from .sampling import goe_matrix, goe_stack, make_rng, random_nsd, random_orthogonal
-from .symmat import SymMatrix, _eye, congruence, inf_norm_stack
+from .symmat import SymMatrix, _eye, congruence, eigvals_stack, inf_norm_stack
 
 #: Absolute tolerance of the root finder.
 ROOT_TOL = 1e-10
 
-#: Bracket expansion beyond this magnitude declares the set non-proper.
+#: Bracket expansion from t = 0 (run only where the oracle lacks a witness,
+#: or its witnesses give an empty bracket) beyond this magnitude declares
+#: the set non-proper.  A bracket from both witnesses needs no cap.
 BRACKET_CAP = 1e15
 
 _MAX_BISECT = 200
@@ -52,7 +59,9 @@ class EllipticSetOracle:
     """Membership predicate for a proper negative elliptic set.
 
     The predicate must be pure and re-entrant.  Witnesses are optional;
-    when both are present they are verified on construction.  ``distance``
+    when both are present they are verified on construction, and they
+    bracket every root of :func:`acdo_root` (with neither or one, the
+    bracket is found by expansion from t = 0).  ``distance``
     is an optional closed form of the signed distance; without it
     :func:`acdo_root` bisects on the predicate.  ``member_stack`` is an
     optional stacked form of the predicate, a ``(k, n, n)`` array to k
@@ -123,10 +132,15 @@ def _default_witnesses(spec, n):
 @dataclass(frozen=True)
 class AcdoRoot(Record):
     """Root-finding outcome: the signed distance, its final bracket in value
-    space, the bisection iteration count, the number of membership probes
-    (or spectral evaluations), and the ``method`` that ran: "closed-form"
-    (bracket ``(v, v)``, one evaluation, the tolerance unused) or
-    "bisection"."""
+    space, the bisection iteration count, the number of probes, and the
+    ``method`` that ran: "closed-form" (bracket ``(v, v)``, one evaluation,
+    the tolerance unused) or "bisection".
+
+    ``probes`` counts membership calls, and counts the one stacked
+    eigensolve of a closed form or of a bracket from the witnesses as one
+    probe.  So a bisection bracketed by the witnesses has ``probes ==
+    iterations + 1``, and one bracketed by expansion has more: its
+    expansion probes are ``probes - iterations - 1``."""
 
     value: float
     bracket: tuple[float, float]
@@ -138,21 +152,28 @@ class AcdoRoot(Record):
 def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) -> AcdoRoot:
     """Signed distance of ``x`` to the set boundary along the identity line.
 
-    The oracle's closed-form ``distance`` when it has one.  Otherwise
-    exponential bracket expansion from t = 0 (steps 1, 2, 4, ... in the
-    needed direction), then bisection to absolute width ``tol`` or, far
-    from the origin where adjacent doubles lie more than ``tol`` apart,
-    until the midpoint rounds onto an end of the bracket, in at most
-    ``_MAX_BISECT`` steps.  Either way the returned value v satisfies
-    ``member(x - (v+e) I)`` and ``not member(x - (v-e) I)`` for e the
-    larger of ``tol`` and one ulp of v, the closed form up to rounding.
+    The oracle's closed-form ``distance`` when it has one.  Otherwise a
+    bracket [lo, hi] of t, then bisection to absolute width ``tol`` or,
+    far from the origin where adjacent doubles lie more than ``tol``
+    apart, until the midpoint rounds onto an end of the bracket, in at
+    most ``_MAX_BISECT`` steps.  With both witnesses the bracket is lo =
+    lambda_min(W_in - x), hi = lambda_max(W_out - x), from one stacked
+    eigensolve counted as one probe; its ends are not probed.  Without
+    both, or where that bracket is empty (lo >= hi, which only a
+    non-elliptic predicate gives), it comes from exponential expansion
+    from t = 0 (steps 1, 2, 4, ... in the needed direction), which raises
+    :class:`NonProperSetError` past ``BRACKET_CAP``.  Either way the
+    returned value v satisfies ``member(x - (v+e) I)`` and ``not
+    member(x - (v-e) I)`` for e the larger of ``tol`` and one ulp of v,
+    the closed form up to rounding.
 
     Monotonicity of membership in t is a consequence of ellipticity and is
     enforced by the probing scheme itself: expansion stops at the first
     sign flip and bisection probes strictly inside the bracket, so for any
     re-entrant predicate the observed probes are order-consistent.  A
-    non-elliptic oracle yields a well-defined root of *some* crossing, not
-    an error; test ellipticity separately via check_downward_closure.
+    non-elliptic oracle yields a well-defined root of *some* crossing (or
+    an end of the witnesses' bracket), not an error; test ellipticity
+    separately via check_downward_closure.
     """
     if x.n != oracle.n:
         raise PreconditionError(
@@ -161,6 +182,9 @@ def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) ->
     if oracle.distance is not None:
         v = float(oracle.distance(x))
         return AcdoRoot(value=v, bracket=(v, v), iterations=0, probes=1, method="closed-form")
+    (lo,), (hi,) = _witness_brackets(oracle, x.a[None])
+    if lo < hi:
+        return _bisect(oracle, x, float(lo), float(hi), 0, 1, tol)
     probes = 0
 
     def member_at(t: float) -> bool:
@@ -197,7 +221,7 @@ def _bisect(
     oracle: EllipticSetOracle, x: SymMatrix, lo: float, hi: float, iterations: int, probes: int, tol: float
 ) -> AcdoRoot:
     """Bisection of :func:`acdo_root` on the bracket [lo, hi] of t, from
-    ``iterations`` steps and ``probes`` membership calls made so far."""
+    ``iterations`` steps and ``probes`` probes made so far."""
     while hi - lo > tol and iterations < _MAX_BISECT:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # the bracket cannot shrink
@@ -215,6 +239,23 @@ def _bisect(
         probes=probes,
         method="bisection",
     )
+
+
+def _witness_brackets(oracle: EllipticSetOracle, stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Brackets [lo, hi] of t from the oracle's witnesses for each matrix X
+    of a ``(k, n, n)`` stack, from one stacked eigensolve.
+
+    X + tI lies below W_in for t <= lo = lambda_min(W_in - X), so it is a
+    member, and above W_out for t >= hi = lambda_max(W_out - X), so it is
+    not.  Without both witnesses every bracket is [0, 0].  A bracket with
+    lo >= hi is empty: an elliptic set has none, since W_in >= W_out would
+    make W_out a member."""
+    k = len(stack)
+    if oracle.inside_witness is None or oracle.outside_witness is None:
+        return np.zeros(k), np.zeros(k)
+    inside, outside = oracle.inside_witness.a - stack, oracle.outside_witness.a - stack
+    ev = eigvals_stack(np.concatenate([inside, outside]))
+    return ev[:k, 0], ev[k:, -1]
 
 
 def _unbracketed(oracle: EllipticSetOracle, up: bool, t: float) -> NonProperSetError:
@@ -242,10 +283,12 @@ def acdo_roots(
     """:func:`acdo_root` of each matrix of a ``(k, n, n)`` symmetric stack.
 
     With the oracle's ``member_stack`` and without a closed form, the k
-    bracket expansions and bisections run in lockstep: each step probes
-    every unfinished root with one stacked membership call.  Each root
-    sees the probe sequence of :func:`acdo_root` and stops where it stops
-    (at width ``tol``, at a midpoint that rounds onto an end of the
+    bisections run in lockstep: the witnesses' brackets of the whole stack
+    come from one stacked eigensolve, the rows without one (no witnesses,
+    or an empty bracket) expand from t = 0 in lockstep too, and each step
+    probes every unfinished root with one stacked membership call.  Each
+    root sees the probe sequence of :func:`acdo_root` and stops where it
+    stops (at width ``tol``, at a midpoint that rounds onto an end of the
     bracket, or at the step cap), so every field of its result is equal,
     and an expansion that passes ``BRACKET_CAP`` raises the
     :class:`NonProperSetError` that a loop of :func:`acdo_root` raises.
@@ -272,8 +315,12 @@ def acdo_roots(
     k = len(stack)
     if oracle.distance is not None or oracle.member_stack is None or k < _MIN_LOCKSTEP:
         return [acdo_root(oracle, SymMatrix._wrap(x), tol) for x in stack]
-    zeros, counts = np.zeros(k), np.zeros(k, dtype=int)
-    return _lockstep(oracle, stack, tol, np.full(k, _START), zeros, zeros, counts, counts)
+    lo, hi = _witness_brackets(oracle, stack)
+    bracketed = lo < hi  # the other rows start from t = 0, with lo = hi = 0
+    phase = np.where(bracketed, _BISECT, _START)
+    lo, hi = np.where(bracketed, lo, 0.0), np.where(bracketed, hi, 0.0)
+    iterations, probes = np.zeros(k, dtype=int), bracketed.astype(int)
+    return _lockstep(oracle, stack, tol, phase, lo, hi, iterations, probes)
 
 
 def _resume(
@@ -440,33 +487,46 @@ def check_structure(
 ) -> PropertyReport:
     """Check the functional identities implied by asserted set structure:
     midpoint convexity / concavity, positive homogeneity (c in {0.5, 2}),
-    and rotation invariance, each to 3x the root tolerance."""
+    and rotation invariance, each to 3x the root tolerance.
+
+    Each sample draws X, then Y and Q where a flag needs them; the
+    distances of every matrix involved come from one :func:`acdo_roots`
+    call."""
     _check_count(samples)
     rng = make_rng(seed)
     report = PropertyReport(name="structure", samples=samples)
-
-    def dist(x):
-        return acdo_eval(oracle, x, tol)
-
+    paired = flags.convex or flags.concave_complement
+    rows = []  # per sample: X, then [Y, (X + Y) / 2], [X / 2, 2 X], [Q^T X Q]
     for _ in range(samples):
         x = goe_matrix(rng, oracle.n, radius=1.0)
-        fx = dist(x)
-        if flags.convex or flags.concave_complement:
+        row = [x]
+        if paired:
             y = goe_matrix(rng, oracle.n, radius=1.0)
-            fy = dist(y)
-            fmid, half = dist((x + y) * 0.5), 0.5 * (fx + fy)
-            pair = {"X": x.to_dict(), "Y": y.to_dict()}
+            row += [y, (x + y) * 0.5]
+        if flags.cone:
+            row += [x * 0.5, x * 2.0]
+        if flags.rot_invariant:
+            q = random_orthogonal(rng, oracle.n)
+            row.append(SymMatrix(q.T @ x.a @ q))
+        rows.append(row)
+    roots = acdo_roots(oracle, np.array([m.a for row in rows for m in row]), tol)
+    values = iter([r.value for r in roots])
+    for x, *others in rows:
+        fx = next(values)
+        if paired:
+            fy, fmid = next(values), next(values)
+            half = 0.5 * (fx + fy)
+            pair = {"X": x.to_dict(), "Y": others[0].to_dict()}
             for flag, dev in (("convex", fmid - half), ("concave_complement", half - fmid)):
                 if getattr(flags, flag):
                     report.record(dev, 3.0 * tol, flag=flag, deviation=dev, **pair)
         if flags.cone:
             for c in (0.5, 2.0):
-                dev = abs(dist(x * c) - c * fx)
+                dev = abs(next(values) - c * fx)
                 limit = 3.0 * tol * max(1.0, c)
                 report.record(dev, limit, flag="cone", c=c, deviation=dev, X=x.to_dict())
         if flags.rot_invariant:
-            q = random_orthogonal(rng, oracle.n)
-            dev = abs(dist(SymMatrix(q.T @ x.a @ q)) - fx)
+            dev = abs(next(values) - fx)
             report.record(dev, 3.0 * tol, flag="rot_invariant", deviation=dev, X=x.to_dict())
     return report
 

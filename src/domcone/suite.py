@@ -50,8 +50,11 @@ from .operators import (
     Pucci,
     Record,
     Shifted,
+    num_to_json,
+    spec_to_dict,
 )
 from .sampling import goe_matrix, goe_stack, log_uniform, make_rng, random_psd, random_unit_vector
+from .symmat import SymMatrix
 
 
 @dataclass
@@ -206,12 +209,21 @@ def _closed_form_cases(seed: int) -> dict:
     return cases
 
 
+def _replay(spec, x) -> dict:
+    """The spec and matrix of an ``acdo_fidelity`` failure record."""
+    return {"spec": spec_to_dict(spec), "X": x.to_dict()}
+
+
 def run_acdo_fidelity(seed: int) -> GroupResult:
     """Bisection distance of the dominative sublevel sets equals the operator
     to 2e-10 on 1000 samples, and bisection shift/Lipschitz reports are
     empty; these bisect in lockstep.  The closed-form distance of the
     half-space (50 samples) and of the Pucci, model-equation, support and
-    shifted sets (25 samples each) matches bisection to 2e-10."""
+    shifted sets (25 samples each) matches bisection to 2e-10.
+
+    Each failure record carries the spec (``spec_to_dict``) and the matrix
+    X (with tau or Y for a shift or Lipschitz violation), so that it can be
+    replayed through ``acdo`` from the report alone."""
     failures = []
     max_err = 0.0
     cases = [(2, 3.0), (3, 2.0), (3, math.inf), (5, 4.0)]
@@ -220,22 +232,20 @@ def run_acdo_fidelity(seed: int) -> GroupResult:
         rng = make_rng(seed, 4, n, 0 if p == math.inf else int(p))
         xs = goe_stack(rng, 250, n, [1.0])
         roots = acdo_roots(_bisection(oracle_from_operator(spec)), xs)
-        for root, value in zip(roots, spec.value_stack(xs).tolist()):
+        for x, root, value in zip(xs, roots, spec.value_stack(xs).tolist()):
             err = abs(root.value - value)
             max_err = max(max_err, err)
             if err > 2e-10:
-                failures.append({"n": n, "p": "inf" if p == math.inf else p, "error": err})
+                failures.append(
+                    {"n": n, "p": num_to_json(p), "error": err, **_replay(spec, SymMatrix._wrap(x))}
+                )
 
-    nd = check_nondegeneracy(
-        _bisection(oracle_from_operator(DominativeP(n=3, p=3.0))), samples=40, seed=seed + 5
-    )
-    if nd.violations:
-        failures.append({"nondegeneracy_violations": len(nd.violations)})
-    lp = check_lipschitz(
-        _bisection(oracle_from_operator(DominativeP(n=3, p=math.inf))), samples=60, seed=seed + 6
-    )
-    if lp.violations:
-        failures.append({"lipschitz_violations": len(lp.violations)})
+    spec = DominativeP(n=3, p=3.0)
+    nd = check_nondegeneracy(_bisection(oracle_from_operator(spec)), samples=40, seed=seed + 5)
+    failures += [{"check": "nondegeneracy", "spec": spec_to_dict(spec), **v} for v in nd.violations]
+    spec = DominativeP(n=3, p=math.inf)
+    lp = check_lipschitz(_bisection(oracle_from_operator(spec)), samples=60, seed=seed + 6)
+    failures += [{"check": "lipschitz", "spec": spec_to_dict(spec), **v} for v in lp.violations]
 
     rng = make_rng(seed, 7)
     max_half_err = 0.0
@@ -247,7 +257,7 @@ def run_acdo_fidelity(seed: int) -> GroupResult:
         err = abs(acdo_eval(oracle, x) - spec.distance(x))
         max_half_err = max(max_half_err, err)
         if err > 2e-10:
-            failures.append({"halfspace_error": err})
+            failures.append({"halfspace_error": err, **_replay(spec, x)})
 
     closed_form_errors = {}
     for name, pairs in _closed_form_cases(seed).items():
@@ -256,7 +266,7 @@ def run_acdo_fidelity(seed: int) -> GroupResult:
             err = abs(acdo_eval(_bisection(oracle_from_operator(spec)), x) - spec.distance(x))
             worst = max(worst, err)
             if err > 2e-10:
-                failures.append({"closed_form": name, "error": err, "X": x.to_dict()})
+                failures.append({"closed_form": name, "error": err, **_replay(spec, x)})
         closed_form_errors[name] = worst
 
     return GroupResult(

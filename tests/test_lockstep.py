@@ -17,12 +17,15 @@ from domcone.acdo import (
     ROOT_TOL,
     EllipticSetOracle,
     PropertyReport,
+    StructureFlags,
     acdo_eval,
     acdo_root,
     acdo_roots,
     check_lipschitz,
     check_nondegeneracy,
+    check_structure,
     oracle_from_operator,
+    _witness_brackets,
 )
 from domcone.aperture import ConvexBody
 from domcone.cones import conjugate_oracle
@@ -39,7 +42,7 @@ from domcone.operators import (
     eval_pucci,
     spec_from_dict,
 )
-from domcone.sampling import goe_matrix, goe_stack, make_rng, random_psd
+from domcone.sampling import goe_matrix, goe_stack, make_rng, random_orthogonal, random_psd
 from domcone.symmat import InvertibleMap, SymMatrix, eigvals_sym, inf_norm
 
 
@@ -129,16 +132,18 @@ class TestLockstepEqualsScalar:
 
     def test_single_sample_and_max_bisect(self):
         # a negative tolerance never closes the bracket; with the root at
-        # t = 0 exactly, hi halves toward 0 through ~1,074 distinct doubles,
-        # so every root stops at the iteration cap with the bracket
-        # [0, 2^-200]: one probe at t = 0, one at t = 1, then 200 bisection
-        # probes, alone and in lockstep
+        # t = 0 exactly, the witnesses' bracket [-2, 2] takes lo to 0 at
+        # the first midpoint, then hi halves toward 0 through ~1,074
+        # distinct doubles, so every root stops at the iteration cap with
+        # the bracket [0, 2^-198]: the bracket evaluation, then 200
+        # bisection probes, alone and in lockstep
         oracle = _bisection(Pucci(n=4, lam=1.0, Lam=3.0))
-        stack = np.zeros((2, 4, 4))
+        stack = np.zeros((3, 4, 4))
         _assert_same_roots(oracle, stack, tol=-1e-3)
         _assert_same_roots(oracle, stack[:1], tol=-1e-3)
         roots = acdo_roots(oracle, stack, tol=-1e-3)
-        assert [(r.value, r.iterations, r.probes) for r in roots] == [(-(2.0**-201), 200, 202)] * 2
+        assert [(r.value, r.iterations, r.probes) for r in roots] == [(-(2.0**-199), 200, 201)] * 3
+        assert roots[0].bracket == (-(2.0**-198), 0.0)
 
     def test_far_root_stops_when_the_bracket_cannot_shrink(self):
         # beyond |t| = 2^19 adjacent doubles lie further apart than ROOT_TOL:
@@ -248,14 +253,15 @@ class TestResume:
         _assert_resumes(oracle, stack[:2], 1e-1, 1e-5, 1e-8)
 
     def test_step_cap_counts_from_the_first_call(self):
-        # the root at t = 0 of test_single_sample_and_max_bisect: 10 steps
-        # to width 1e-3, then on to the cap of 200 in all, 202 probes
+        # the root at t = 0 of test_single_sample_and_max_bisect: 12 steps
+        # from the bracket [-2, 2] to width 1e-3, then on to the cap of 200
+        # in all, 201 probes
         oracle = _bisection(Pucci(n=4, lam=1.0, Lam=3.0))
         for stack in (np.zeros((3, 4, 4)), np.zeros((1, 4, 4))):
             coarse = acdo_roots(oracle, stack, 1e-3)
-            assert [r.iterations for r in coarse] == [10] * len(stack)
+            assert [(r.iterations, r.probes) for r in coarse] == [(12, 13)] * len(stack)
             roots = acdo_roots(oracle, stack, -1e-3, start=coarse)
-            assert [(r.iterations, r.probes) for r in roots] == [(200, 202)] * len(stack)
+            assert [(r.iterations, r.probes) for r in roots] == [(200, 201)] * len(stack)
             _assert_resumes(oracle, stack, 1e-3, -1e-3)
             # a root already at the cap comes back as it is
             assert acdo_roots(oracle, stack, -1.0, start=roots) == roots
@@ -315,6 +321,101 @@ def test_non_proper_set_error_parity(member):
     with pytest.raises(NonProperSetError) as info:
         acdo_roots(oracle, stack)
     assert (info.value.reason, str(info.value)) == (want.reason, str(want))
+
+
+# ---------------------------------------------------------------------------
+# The witnesses' bracket
+
+
+def _with_witnesses(spec, stacked):
+    """A user predicate for the sublevel set of ``spec`` with the witnesses
+    -2I and 2I, and with or without a stacked form."""
+    eye = SymMatrix.identity(spec.n)
+    return EllipticSetOracle(
+        member=lambda x: spec.value(x) <= 0.0,
+        n=spec.n,
+        inside_witness=eye * -2.0,
+        outside_witness=eye * 2.0,
+        member_stack=(lambda a: spec.value_stack(a) <= 0.0) if stacked else None,
+    )
+
+
+#: Every catalog spec type bisected, its congruence image, and user
+#: predicates with witnesses, one at a time and stacked.
+WITNESSED = {
+    **{kind: lambda spec, rng: _bisection(spec) for kind in SPECS},
+    "congruence_image": lambda spec, rng: conjugate_oracle(oracle_from_operator(spec), _map(rng, spec.n)),
+    "user_predicate": lambda spec, rng: _with_witnesses(spec, False),
+    "user_predicate_stacked": lambda spec, rng: _with_witnesses(spec, True),
+}
+
+
+class TestWitnessBracket:
+    @pytest.mark.parametrize("kind", sorted(WITNESSED))
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(salt=st.integers(0, 10_000), k=st.integers(1, 7), radius=st.floats(0.1, 1e4))
+    def test_bracket_holds_the_root(self, kind, salt, k, radius):
+        rng = make_rng(521, salt)
+        spec = _spec(kind if kind in SPECS else "pucci", rng)
+        oracle = WITNESSED[kind](spec, rng)
+        stack = goe_stack(rng, k, spec.n, [radius, 0.1 * radius])
+        lo, hi = _witness_brackets(oracle, stack)
+        assert (lo < hi).all()
+        for x, a, b in zip(stack, lo.tolist(), hi.tolist()):
+            x = SymMatrix._wrap(x.copy())
+            assert oracle.member(x.shift(a)) and not oracle.member(x.shift(b))
+        roots = acdo_roots(oracle, stack)
+        assert roots == [acdo_root(oracle, SymMatrix._wrap(x.copy())) for x in stack]
+        for r, a, b in zip(roots, lo.tolist(), hi.tolist()):
+            assert r.method == "bisection" and r.probes == r.iterations + 1
+            assert -b <= r.bracket[0] <= r.bracket[1] <= -a
+
+    def test_oracle_without_witnesses_still_expands(self):
+        spec = Pucci(n=3, lam=0.5, Lam=2.0)
+        witnessed = _bisection(spec)
+        bare = replace(witnessed, inside_witness=None, outside_witness=None)
+        stack = goe_stack(make_rng(17), 6, 3, [1.0, 100.0])
+        lo, hi = _witness_brackets(bare, stack)
+        assert (lo == 0.0).all() and (hi == 0.0).all()
+        roots = acdo_roots(bare, stack)
+        _assert_same_roots(bare, stack)
+        assert all(r.probes >= r.iterations + 2 for r in roots)
+        for r, w in zip(roots, acdo_roots(witnessed, stack)):
+            assert w.probes == w.iterations + 1
+            assert abs(r.value - w.value) <= ROOT_TOL
+        # a witness-less set that is empty along the identity line
+        # raises as the expansion always did, alone and in lockstep
+        empty = replace(bare, member=lambda x: False, member_stack=lambda a: np.zeros(len(a), dtype=bool))
+        want = _scalar_error(empty, stack)
+        with pytest.raises(NonProperSetError) as info:
+            acdo_roots(empty, stack)
+        assert (info.value.reason, str(info.value)) == (want.reason, str(want))
+        assert want.reason == "empty-line"
+
+    def test_empty_bracket_falls_back_row_by_row(self):
+        # {lambda_max <= 0} u {lambda_max >= 5} is not elliptic, yet 10I is
+        # a member and 2I is not; the witnesses' bracket [10 - lambda_max,
+        # 2 - lambda_min] is empty where the spread of X is at most 8, and
+        # only those rows expand from t = 0
+        def member_stack(a):
+            top = np.linalg.eigvalsh(a)[:, -1]
+            return (top <= 0.0) | (top >= 5.0)
+
+        eye = SymMatrix.identity(3)
+        oracle = EllipticSetOracle(
+            member=lambda x: bool(member_stack(x.a[None])[0]),
+            n=3,
+            inside_witness=eye * 10.0,
+            outside_witness=eye * 2.0,
+            member_stack=member_stack,
+        )
+        spectra = ([-1.0, 0.0, 3.0], [-6.0, 0.5, 4.0], [0.0, 1.0, 2.0], [-9.0, 0.0, 1.0])
+        stack = np.array([np.diag(d) for d in spectra])
+        lo, hi = _witness_brackets(oracle, stack)
+        assert (lo < hi).tolist() == [False, True, False, True]
+        roots = acdo_roots(oracle, stack)
+        _assert_same_roots(oracle, stack)
+        assert [r.probes - r.iterations - 1 > 0 for r in roots] == [True, False, True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -463,3 +564,56 @@ def test_property_reports_equal_the_per_sample_loop(check, reference, kind, tol)
     assert repr(got) == repr(want)
     if tol == -10.0 or (tol < 0 and check is check_nondegeneracy):
         assert len(got["violations"]) == got["checks"]
+
+
+def _per_sample_structure(oracle, flags, samples, seed, tol):
+    """check_structure's per-sample form: one distance at a time."""
+    rng = make_rng(seed)
+    report = PropertyReport(name="structure", samples=samples)
+
+    def dist(x):
+        return acdo_eval(oracle, x, tol)
+
+    for _ in range(samples):
+        x = goe_matrix(rng, oracle.n, radius=1.0)
+        fx = dist(x)
+        if flags.convex or flags.concave_complement:
+            y = goe_matrix(rng, oracle.n, radius=1.0)
+            fy = dist(y)
+            fmid, half = dist((x + y) * 0.5), 0.5 * (fx + fy)
+            pair = {"X": x.to_dict(), "Y": y.to_dict()}
+            for flag, dev in (("convex", fmid - half), ("concave_complement", half - fmid)):
+                if getattr(flags, flag):
+                    report.record(dev, 3.0 * tol, flag=flag, deviation=dev, **pair)
+        if flags.cone:
+            for c in (0.5, 2.0):
+                dev = abs(dist(x * c) - c * fx)
+                limit = 3.0 * tol * max(1.0, c)
+                report.record(dev, limit, flag="cone", c=c, deviation=dev, X=x.to_dict())
+        if flags.rot_invariant:
+            q = random_orthogonal(rng, oracle.n)
+            dev = abs(dist(SymMatrix(q.T @ x.a @ q)) - fx)
+            report.record(dev, 3.0 * tol, flag="rot_invariant", deviation=dev, X=x.to_dict())
+    return report
+
+
+_ALL_FLAGS = StructureFlags(convex=True, concave_complement=True, cone=True, rot_invariant=True)
+
+
+@pytest.mark.parametrize("tol", [ROOT_TOL, -1e-3])
+@pytest.mark.parametrize(
+    "flags",
+    [_ALL_FLAGS, StructureFlags(cone=True), StructureFlags(concave_complement=True, rot_invariant=True)],
+    ids=["all", "cone", "concave_rot"],
+)
+def test_structure_report_equals_the_per_sample_loop(flags, tol):
+    # the congruence image is a convex cone that is not rotation invariant,
+    # so rot_invariant and concave_complement are flagged; a negative
+    # tolerance flags the cone checks too
+    data = Path(__file__).parent / "data"
+    spec = spec_from_dict(json.loads((data / "conjugated_pucci.json").read_text()))
+    oracle = oracle_from_operator(spec)
+    got = check_structure(oracle, flags, samples=20, seed=3, tol=tol).to_dict()
+    want = _per_sample_structure(oracle, flags, 20, 3, tol).to_dict()
+    assert repr(got) == repr(want)
+    assert bool(got["violations"]) == (tol < 0 or flags != StructureFlags(cone=True))
