@@ -8,12 +8,12 @@ catalog operators have it in closed form (``X + tI`` only shifts the
 spectrum), and their oracles carry it.  For any other elliptic set
 (a user predicate, a congruence image) membership along the identity
 line is monotone, and the distance is found by bisection on the
-membership predicate.  The bracket of t comes from the oracle's
-witnesses when it has both: X + tI is a member for t <= lambda_min(W_in
+membership predicate.  Every oracle holds a member W_in and a non-member
+W_out of its set, found once when it is built if the caller gave none,
+and they bracket every root: X + tI is a member for t <= lambda_min(W_in
 - X) and is not one for t >= lambda_max(W_out - X), by downward closure,
-so the ends take one eigensolve and no membership call.  Without both
-witnesses it is found by expanding from t = 0.  :func:`acdo_roots` runs
-the bisections of a whole stack of matrices in lockstep, one stacked
+so the ends take one eigensolve and no membership call.  :func:`acdo_roots`
+runs the bisections of a whole stack of matrices in lockstep, one stacked
 membership call per step, and resumes them from the roots of an earlier
 call at a looser tolerance.
 """
@@ -28,12 +28,8 @@ import numpy as np
 from .errors import InputError, NonProperSetError, PreconditionError
 from .operators import (
     Conjugated,
-    DominativeP,
-    EnsembleSupport,
-    ExampleEq,
     LinearTrace,
     OperatorSpec,
-    Pucci,
     Record,
     Report,
     Shifted,
@@ -46,9 +42,8 @@ from .symmat import SymMatrix, _eye, congruence, eigvals_stack, inf_norm_stack
 #: Absolute tolerance of the root finder.
 ROOT_TOL = 1e-10
 
-#: Bracket expansion from t = 0 (run only where the oracle lacks a witness,
-#: or its witnesses give an empty bracket) beyond this magnitude declares
-#: the set non-proper.  A bracket from both witnesses needs no cap.
+#: The search for a missing witness (expansion along tI from t = 0) beyond
+#: this magnitude declares the set non-proper.
 BRACKET_CAP = 1e15
 
 _MAX_BISECT = 200
@@ -58,18 +53,24 @@ _MAX_BISECT = 200
 class EllipticSetOracle:
     """Membership predicate for a proper negative elliptic set.
 
-    The predicate must be pure and re-entrant.  Witnesses are optional;
-    when both are present they are verified on construction, and they
-    bracket every root of :func:`acdo_root` (with neither or one, the
-    bracket is found by expansion from t = 0).  ``distance``
-    is an optional closed form of the signed distance; without it
-    :func:`acdo_root` bisects on the predicate.  ``member_stack`` is an
-    optional stacked form of the predicate, a ``(k, n, n)`` array to k
-    booleans equal to ``member`` on each matrix; with it and without a
-    closed form, :func:`acdo_roots` bisects a stack in lockstep.
-    :func:`oracle_from_operator` supplies it for every catalog spec and
-    :func:`~domcone.cones.conjugate_oracle` for the image of an oracle
-    that has one; a user predicate has none.  Downward
+    The predicate must be pure and re-entrant.  After construction the
+    oracle always holds both witnesses and a ``member_stack``:
+
+    - a witness the caller gives is verified; a missing one is found by
+      probing tI at t = 0, +-1, +-2, +-4, ... in the direction of the
+      boundary, the last member and the first non-member becoming the
+      witnesses, and :class:`NonProperSetError` (``full-line`` or
+      ``empty-line``) is raised past ``BRACKET_CAP``;
+    - a pair with W_in >= W_out (lambda_min(W_in - W_out) >= 0) raises
+      :class:`InputError`: an elliptic set would then contain W_out, and
+      this is exactly the pair that leaves some X an empty bracket;
+    - ``member_stack``, a ``(k, n, n)`` array to k booleans equal to
+      ``member`` on each matrix, is a row loop of ``member`` when the
+      caller gives none (made again by ``dataclasses.replace``, so that
+      it follows a new ``member``).
+
+    ``distance`` is an optional closed form of the signed distance;
+    without it :func:`acdo_root` bisects on the predicate.  Downward
     closure (membership survives adding any negative semidefinite
     matrix) is a caller contract, testable via
     :func:`check_downward_closure`.
@@ -92,13 +93,46 @@ class EllipticSetOracle:
             raise InputError(
                 f"outside witness is a member of the set ({self.description})"
             )
+        if self.inside_witness is None or self.outside_witness is None:
+            inside, outside = _search_witnesses(self)
+            self.inside_witness = inside if self.inside_witness is None else self.inside_witness
+            self.outside_witness = outside if self.outside_witness is None else self.outside_witness
+        if eigvals_stack(self.inside_witness.a - self.outside_witness.a)[0] >= 0.0:
+            raise InputError(
+                "inside witness lies above the outside witness, which an elliptic"
+                f" set cannot contain ({self.description})"
+            )
+        if not self.member_stack or getattr(self.member_stack, "__func__", None) is EllipticSetOracle._row_loop:
+            self.member_stack = self._row_loop
+
+    def _row_loop(self, a: np.ndarray) -> np.ndarray:
+        return np.array([bool(self.member(SymMatrix._wrap(x))) for x in a], dtype=bool)
+
+
+def _search_witnesses(oracle: EllipticSetOracle) -> tuple[SymMatrix, SymMatrix]:
+    """Witnesses t_in I (a member) and t_out I (not one), t_in < t_out, from
+    probes at t = 0, then 1, 2, 4, ... up or -1, -2, -4, ... down to the
+    first probe on the other side of the boundary."""
+    eye = SymMatrix.identity(oracle.n)
+    up = bool(oracle.member(eye * 0.0))
+    t, step = 0.0, 1.0 if up else -1.0
+    while bool(oracle.member(eye * step)) == up:
+        t, step = step, 2.0 * step
+        if abs(step) > BRACKET_CAP:
+            side = "inside" if up else "outside"
+            raise NonProperSetError(
+                f"no boundary on the identity line: tI is {side} the set up to"
+                f" t = {t:g} ({oracle.description})",
+                reason="full-line" if up else "empty-line",
+            )
+    return (eye * t, eye * step) if up else (eye * step, eye * t)
 
 
 def oracle_from_operator(spec: OperatorSpec, description: str = "") -> EllipticSetOracle:
     """Sublevel-set membership oracle F(X) <= 0 for a catalog operator,
     with its stacked form and the spec's closed-form distance where it
     has one."""
-    inside, outside = _default_witnesses(spec, spec.n)
+    inside, outside = _default_witnesses(spec)
     return EllipticSetOracle(
         member=lambda x: spec.value(x) <= 0.0,
         n=spec.n,
@@ -110,23 +144,19 @@ def oracle_from_operator(spec: OperatorSpec, description: str = "") -> EllipticS
     )
 
 
-def _default_witnesses(spec, n):
-    if isinstance(spec, (DominativeP, Pucci, EnsembleSupport, ExampleEq)):
-        eye = SymMatrix.identity(n)
-        return eye * -2.0, eye * 2.0
+def _default_witnesses(spec):
+    """The witnesses of a catalog spec's sublevel set."""
+    eye = SymMatrix.identity(spec.n)
     if isinstance(spec, LinearTrace):
         tr_a = float(np.trace(spec.A.a))
-        eye = SymMatrix.identity(n)
         return eye * ((spec.m - 1.0) / tr_a), eye * ((spec.m + 1.0) / tr_a)
     if isinstance(spec, Shifted):
-        inside, outside = _default_witnesses(spec.inner, n)
-        shift = lambda w: None if w is None else w + spec.X0
-        return shift(inside), shift(outside)
+        inside, outside = _default_witnesses(spec.inner)
+        return inside + spec.X0, outside + spec.X0
     if isinstance(spec, Conjugated):
-        inside, outside = _default_witnesses(spec.inner, n)
-        conj = lambda w: None if w is None else congruence(w, spec.B)
-        return conj(inside), conj(outside)
-    return None, None
+        inside, outside = _default_witnesses(spec.inner)
+        return congruence(inside, spec.B), congruence(outside, spec.B)
+    return eye * -2.0, eye * 2.0  # DominativeP, Pucci, EnsembleSupport, ExampleEq
 
 
 @dataclass(frozen=True)
@@ -137,10 +167,8 @@ class AcdoRoot(Record):
     the tolerance unused) or "bisection".
 
     ``probes`` counts membership calls, and counts the one stacked
-    eigensolve of a closed form or of a bracket from the witnesses as one
-    probe.  So a bisection bracketed by the witnesses has ``probes ==
-    iterations + 1``, and one bracketed by expansion has more: its
-    expansion probes are ``probes - iterations - 1``."""
+    eigensolve of a closed form or of the witnesses' bracket as one probe.
+    So every bisection has ``probes == iterations + 1``."""
 
     value: float
     bracket: tuple[float, float]
@@ -152,28 +180,22 @@ class AcdoRoot(Record):
 def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) -> AcdoRoot:
     """Signed distance of ``x`` to the set boundary along the identity line.
 
-    The oracle's closed-form ``distance`` when it has one.  Otherwise a
-    bracket [lo, hi] of t, then bisection to absolute width ``tol`` or,
-    far from the origin where adjacent doubles lie more than ``tol``
-    apart, until the midpoint rounds onto an end of the bracket, in at
-    most ``_MAX_BISECT`` steps.  With both witnesses the bracket is lo =
-    lambda_min(W_in - x), hi = lambda_max(W_out - x), from one stacked
-    eigensolve counted as one probe; its ends are not probed.  Without
-    both, or where that bracket is empty (lo >= hi, which only a
-    non-elliptic predicate gives), it comes from exponential expansion
-    from t = 0 (steps 1, 2, 4, ... in the needed direction), which raises
-    :class:`NonProperSetError` past ``BRACKET_CAP``.  Either way the
-    returned value v satisfies ``member(x - (v+e) I)`` and ``not
-    member(x - (v-e) I)`` for e the larger of ``tol`` and one ulp of v,
-    the closed form up to rounding.
+    The oracle's closed-form ``distance`` when it has one.  Otherwise the
+    witnesses' bracket lo = lambda_min(W_in - x), hi = lambda_max(W_out -
+    x) of t, from one stacked eigensolve counted as one probe, then
+    bisection to absolute width ``tol`` or, far from the origin where
+    adjacent doubles lie more than ``tol`` apart, until the midpoint
+    rounds onto an end of the bracket, in at most ``_MAX_BISECT`` steps.
+    The ends of the bracket are not probed.  The returned value v
+    satisfies ``member(x - (v+e) I)`` and ``not member(x - (v-e) I)`` for
+    e the larger of ``tol`` and one ulp of v, the closed form up to
+    rounding.
 
-    Monotonicity of membership in t is a consequence of ellipticity and is
-    enforced by the probing scheme itself: expansion stops at the first
-    sign flip and bisection probes strictly inside the bracket, so for any
-    re-entrant predicate the observed probes are order-consistent.  A
-    non-elliptic oracle yields a well-defined root of *some* crossing (or
-    an end of the witnesses' bracket), not an error; test ellipticity
-    separately via check_downward_closure.
+    Monotonicity of membership in t is a consequence of ellipticity;
+    bisection probes strictly inside the bracket, so a non-elliptic
+    oracle yields a well-defined root of *some* crossing (or an end of
+    the witnesses' bracket), not an error; test ellipticity separately
+    via check_downward_closure.
     """
     if x.n != oracle.n:
         raise PreconditionError(
@@ -183,38 +205,7 @@ def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) ->
         v = float(oracle.distance(x))
         return AcdoRoot(value=v, bracket=(v, v), iterations=0, probes=1, method="closed-form")
     (lo,), (hi,) = _witness_brackets(oracle, x.a[None])
-    if lo < hi:
-        return _bisect(oracle, x, float(lo), float(hi), 0, 1, tol)
-    probes = 0
-
-    def member_at(t: float) -> bool:
-        nonlocal probes
-        probes += 1
-        return bool(oracle.member(x.shift(t)))
-
-    if member_at(0.0):
-        lo, step = 0.0, 1.0
-        while True:
-            if step > BRACKET_CAP:
-                raise _unbracketed(oracle, True, lo)
-            if member_at(step):
-                lo = step
-                step *= 2.0
-            else:
-                hi = step
-                break
-    else:
-        hi, step = 0.0, -1.0
-        while True:
-            if -step > BRACKET_CAP:
-                raise _unbracketed(oracle, False, hi)
-            if member_at(step):
-                lo = step
-                break
-            hi = step
-            step *= 2.0
-
-    return _bisect(oracle, x, lo, hi, 0, probes, tol)
+    return _bisect(oracle, x, float(lo), float(hi), 0, 1, tol)
 
 
 def _bisect(
@@ -247,31 +238,12 @@ def _witness_brackets(oracle: EllipticSetOracle, stack: np.ndarray) -> tuple[np.
 
     X + tI lies below W_in for t <= lo = lambda_min(W_in - X), so it is a
     member, and above W_out for t >= hi = lambda_max(W_out - X), so it is
-    not.  Without both witnesses every bracket is [0, 0].  A bracket with
-    lo >= hi is empty: an elliptic set has none, since W_in >= W_out would
-    make W_out a member."""
+    not.  lo < hi up to rounding: the oracle rejects W_in >= W_out."""
     k = len(stack)
-    if oracle.inside_witness is None or oracle.outside_witness is None:
-        return np.zeros(k), np.zeros(k)
     inside, outside = oracle.inside_witness.a - stack, oracle.outside_witness.a - stack
     ev = eigvals_stack(np.concatenate([inside, outside]))
     return ev[:k, 0], ev[k:, -1]
 
-
-def _unbracketed(oracle: EllipticSetOracle, up: bool, t: float) -> NonProperSetError:
-    """The error of a bracket expansion that passed ``BRACKET_CAP``, upward
-    from the member probe ``t`` or downward from the non-member ``t``."""
-    if up:
-        head, reason = f"no boundary above t = {t:g}: the set contains the whole", "full-line"
-    else:
-        head, reason = f"no member below t = {t:g}: the set is empty along the", "empty-line"
-    return NonProperSetError(
-        f"{head} identity line through the probe ({oracle.description})", reason=reason
-    )
-
-
-# Phases of a root in acdo_roots.
-_START, _EXPAND, _BISECT, _DONE = range(4)
 
 #: Fewest bisected roots that acdo_roots runs in lockstep.
 _MIN_LOCKSTEP = 3
@@ -282,19 +254,16 @@ def acdo_roots(
 ) -> list[AcdoRoot]:
     """:func:`acdo_root` of each matrix of a ``(k, n, n)`` symmetric stack.
 
-    With the oracle's ``member_stack`` and without a closed form, the k
-    bisections run in lockstep: the witnesses' brackets of the whole stack
-    come from one stacked eigensolve, the rows without one (no witnesses,
-    or an empty bracket) expand from t = 0 in lockstep too, and each step
-    probes every unfinished root with one stacked membership call.  Each
-    root sees the probe sequence of :func:`acdo_root` and stops where it
-    stops (at width ``tol``, at a midpoint that rounds onto an end of the
-    bracket, or at the step cap), so every field of its result is equal,
-    and an expansion that passes ``BRACKET_CAP`` raises the
-    :class:`NonProperSetError` that a loop of :func:`acdo_root` raises.
-    Otherwise (a closed form, no ``member_stack``, or fewer than
-    ``_MIN_LOCKSTEP`` matrices, where the bookkeeping of a step costs more
-    than the stacked call saves) it is that loop.
+    Without a closed form, the k bisections run in lockstep: the
+    witnesses' brackets of the whole stack come from one stacked
+    eigensolve, and each step probes every unfinished root with one call
+    of the oracle's ``member_stack``.  Each root sees the probe sequence
+    of :func:`acdo_root` and stops where it stops (at width ``tol``, at a
+    midpoint that rounds onto an end of the bracket, or at the step cap),
+    so every field of its result is equal.  With a closed form, or with
+    fewer than ``_MIN_LOCKSTEP`` roots to bisect, where the bookkeeping
+    of a step costs more than the stacked call saves, it is a loop of
+    :func:`acdo_root`'s scalar bisection.
 
     ``start`` holds the roots of the same stack from an earlier call at a
     looser (or equal) tolerance.  Each bisected root then resumes from its
@@ -310,78 +279,45 @@ def acdo_roots(
         raise PreconditionError(
             f"matrix dimension {stack.shape[-1]} does not match oracle dimension {oracle.n}"
         )
-    if start is not None:
-        return _resume(oracle, stack, list(start), tol)
-    k = len(stack)
-    if oracle.distance is not None or oracle.member_stack is None or k < _MIN_LOCKSTEP:
-        return [acdo_root(oracle, SymMatrix._wrap(x), tol) for x in stack]
-    lo, hi = _witness_brackets(oracle, stack)
-    bracketed = lo < hi  # the other rows start from t = 0, with lo = hi = 0
-    phase = np.where(bracketed, _BISECT, _START)
-    lo, hi = np.where(bracketed, lo, 0.0), np.where(bracketed, hi, 0.0)
-    iterations, probes = np.zeros(k, dtype=int), bracketed.astype(int)
-    return _lockstep(oracle, stack, tol, phase, lo, hi, iterations, probes)
-
-
-def _resume(
-    oracle: EllipticSetOracle, stack: np.ndarray, start: list[AcdoRoot], tol: float
-) -> list[AcdoRoot]:
-    """The ``start`` form of :func:`acdo_roots`."""
-    if len(start) != len(stack):
-        raise PreconditionError(f"{len(start)} start roots for a stack of {len(stack)} matrices")
-    todo = [i for i, r in enumerate(start) if r.method == "bisection"]
-    lo = np.array([-start[i].bracket[1] for i in todo])
-    hi = np.array([-start[i].bracket[0] for i in todo])
-    iterations = np.array([start[i].iterations for i in todo], dtype=int)
-    probes = np.array([start[i].probes for i in todo], dtype=int)
-    if oracle.member_stack is not None and len(todo) >= _MIN_LOCKSTEP:
-        phase = np.full(len(todo), _BISECT)
-        roots = _lockstep(oracle, stack[todo], tol, phase, lo, hi, iterations, probes)
+    if start is None:
+        if oracle.distance is not None:
+            return [acdo_root(oracle, SymMatrix._wrap(x), tol) for x in stack]
+        out, todo = [None] * len(stack), list(range(len(stack)))
+        lo, hi = _witness_brackets(oracle, stack)
+        iterations, probes = np.zeros(len(stack), dtype=int), np.ones(len(stack), dtype=int)
+    else:
+        if len(start) != len(stack):
+            raise PreconditionError(f"{len(start)} start roots for a stack of {len(stack)} matrices")
+        out, todo = list(start), [i for i, r in enumerate(start) if r.method == "bisection"]
+        lo = np.array([-start[i].bracket[1] for i in todo])
+        hi = np.array([-start[i].bracket[0] for i in todo])
+        iterations = np.array([start[i].iterations for i in todo], dtype=int)
+        probes = np.array([start[i].probes for i in todo], dtype=int)
+    if len(todo) >= _MIN_LOCKSTEP:
+        roots = _lockstep(oracle, stack[todo], tol, lo, hi, iterations, probes)
     else:
         columns = zip(todo, lo.tolist(), hi.tolist(), iterations.tolist(), probes.tolist())
         roots = [_bisect(oracle, SymMatrix._wrap(stack[i]), *state, tol) for i, *state in columns]
-    out = list(start)
     for i, root in zip(todo, roots):
         out[i] = root
     return out
 
 
-def _lockstep(oracle, stack, tol, phase, lo, hi, iterations, probes) -> list[AcdoRoot]:
-    """The lockstep loop of :func:`acdo_roots` from the given state: a root
-    at ``_START`` (with lo = hi = 0) first probes t = 0, one at ``_BISECT``
-    the midpoint of its bracket [lo, hi]."""
-    k = len(stack)
+def _lockstep(oracle, stack, tol, lo, hi, iterations, probes) -> list[AcdoRoot]:
+    """The lockstep bisection of :func:`acdo_roots` from brackets [lo, hi]
+    of t after ``iterations`` steps and ``probes`` probes."""
     eye = _eye(oracle.n)
-    iterations, probes, step = iterations.copy(), probes.copy(), np.zeros(k)
-    up = np.zeros(k, dtype=bool)  # expansion direction, set by the probe at t = 0
     while True:
         mid = 0.5 * (lo + hi)
-        shrinks = (hi - lo > tol) & (iterations < _MAX_BISECT) & (mid != lo) & (mid != hi)
-        phase[(phase == _BISECT) & ~shrinks] = _DONE
-        if not (live := phase != _DONE).any():
+        live = (hi - lo > tol) & (iterations < _MAX_BISECT) & (mid != lo) & (mid != hi)
+        if not live.any():
             break
-        t = np.where(phase == _EXPAND, step, mid)  # mid = 0 at _START
-        inside = np.zeros(k, dtype=bool)
-        inside[live] = oracle.member_stack(stack[live] + t[live, None, None] * eye)
+        inside = np.zeros(len(stack), dtype=bool)
+        inside[live] = oracle.member_stack(stack[live] + mid[live, None, None] * eye)
+        lo = np.where(live & inside, mid, lo)
+        hi = np.where(live & ~inside, mid, hi)
+        iterations += live
         probes += live
-        lo = np.where(live & inside, t, lo)
-        hi = np.where(live & ~inside, t, hi)
-        start, expand = phase == _START, phase == _EXPAND
-        up[start] = inside[start]
-        step[start] = np.where(inside[start], 1.0, -1.0)
-        grow = expand & (inside == up)  # still on the probe's side of the boundary
-        step[grow] *= 2.0
-        iterations += phase == _BISECT
-        phase[start] = _EXPAND
-        phase[expand & ~grow] = _BISECT
-
-        # Every expansion still running has |step| = 2^j after the same j
-        # steps, so all of them pass the cap at once; the first is the one
-        # a loop of acdo_root meets first.
-        capped = np.flatnonzero((phase == _EXPAND) & (np.abs(step) > BRACKET_CAP))
-        if capped.size:
-            i = capped[0]
-            raise _unbracketed(oracle, bool(up[i]), float(lo[i] if up[i] else hi[i]))
     columns = zip(mid.tolist(), lo.tolist(), hi.tolist(), iterations.tolist(), probes.tolist())
     return [
         AcdoRoot(value=-mid, bracket=(-b, -a), iterations=i, probes=p, method="bisection")

@@ -29,10 +29,11 @@ def conjugate_oracle(oracle: EllipticSetOracle, B: InvertibleMap) -> EllipticSet
     """Oracle of the congruence image B^T Theta B.
 
     Membership of X in the image is membership of B^-T X B^-1 in Theta;
-    ellipticity and properness survive the congruence.  The image has a
-    ``member_stack``, with the bits of ``member``, when ``oracle`` has one,
-    so :func:`acdo_roots` bisects its roots in lockstep; it has no closed
-    form (see :func:`~domcone.operators.closed_form_distance`).
+    ellipticity and properness survive the congruence, and so do the
+    witnesses, mapped to B^T W B.  The image's ``member_stack`` maps the
+    stack and calls the oracle's own, so it has the bits of ``member``;
+    the image has no closed form (see
+    :func:`~domcone.operators.closed_form_distance`).
     """
     inv = B.B_inv
 
@@ -42,14 +43,13 @@ def conjugate_oracle(oracle: EllipticSetOracle, B: InvertibleMap) -> EllipticSet
     def member_stack(a: np.ndarray) -> np.ndarray:
         return oracle.member_stack(congruence_stack(a, inv))
 
-    conj = lambda w: None if w is None else congruence(w, B)
     return EllipticSetOracle(
         member=member,
         n=oracle.n,
-        inside_witness=conj(oracle.inside_witness),
-        outside_witness=conj(oracle.outside_witness),
+        inside_witness=congruence(oracle.inside_witness, B),
+        outside_witness=congruence(oracle.outside_witness, B),
         description=f"congruence image of ({oracle.description})",
-        member_stack=None if oracle.member_stack is None else member_stack,
+        member_stack=member_stack,
     )
 
 
@@ -78,8 +78,8 @@ def boundary_sample(
     moves the direction by at most 20 d / R in the infinity norm, and
     ``root_tol`` bounds the direction's error whatever the radius.  Each
     pass draws the shortfall as one :func:`goe_stack`, finds its distances
-    with one :func:`acdo_roots` call (in lockstep where the oracle
-    allows) and its norms with one stacked eigensolve, and keeps the
+    with one :func:`acdo_roots` call (a closed form, or bisections in
+    lockstep) and its norms with one stacked eigensolve, and keeps the
     accepted points in draw order.  So the output, and the error after
     ``50 * count + 100`` draws, are those of drawing, projecting and
     testing one sample at a time.

@@ -117,7 +117,11 @@ def _random_bodies(seed: int, count: int = 20) -> list[ConvexBody]:
 
 def run_minimal_bound(seed: int) -> GroupResult:
     """c * F_p <= G on 2000 samples per body, with an equality witness within
-    1e-6 found by probing rotations of the spike direction."""
+    1e-6 found by probing rotations of the spike direction.
+
+    Each failure record carries the body (``to_dict``); a bound failure
+    also carries the aperture's p and c and each violation's X with its
+    margin G(X) - c F_p(X), so that ``eval`` replays it."""
     bodies = [dominative_body(4, 3.0), pucci_body(3, 0.7, 2.1)]
     bodies += _random_bodies(seed)
     worst_margin = math.inf
@@ -128,9 +132,11 @@ def run_minimal_bound(seed: int) -> GroupResult:
         worst_margin = min(worst_margin, rep.worst_margin)
         worst_gap = max(worst_gap, rep.sharpness_gap)
         if rep.violations:
-            failures.append({"body": rep.body, "violations": len(rep.violations)})
+            failures.append(
+                {"body": body.to_dict(), "p": num_to_json(rep.p), "c": rep.c, "violations": rep.violations}
+            )
         if rep.sharpness_gap > 1e-6:
-            failures.append({"body": rep.body, "sharpness_gap": rep.sharpness_gap})
+            failures.append({"body": body.to_dict(), "sharpness_gap": rep.sharpness_gap})
     return GroupResult(
         name="minimal_bound",
         passed=not failures,
@@ -216,10 +222,14 @@ def _replay(spec, x) -> dict:
 
 def run_acdo_fidelity(seed: int) -> GroupResult:
     """Bisection distance of the dominative sublevel sets equals the operator
-    to 2e-10 on 1000 samples, and bisection shift/Lipschitz reports are
-    empty; these bisect in lockstep.  The closed-form distance of the
-    half-space (50 samples) and of the Pucci, model-equation, support and
-    shifted sets (25 samples each) matches bisection to 2e-10.
+    to 2e-10 on 1000 samples, and the bisection Lipschitz report is empty;
+    these bisect in lockstep.  The shift report F(X + tau I) = F(X) + tau
+    is empty on the closed form of F_3 on S(3), where each shifted matrix
+    has an eigensolve of its own: a bisection brackets X and X + tau I by
+    exact shifts of one bracket, so there the check could not fail.  The
+    closed-form distance of the half-space (50 samples) and of the Pucci,
+    model-equation, support and shifted sets (25 samples each) matches
+    bisection to 2e-10.
 
     Each failure record carries the spec (``spec_to_dict``) and the matrix
     X (with tau or Y for a shift or Lipschitz violation), so that it can be
@@ -241,7 +251,7 @@ def run_acdo_fidelity(seed: int) -> GroupResult:
                 )
 
     spec = DominativeP(n=3, p=3.0)
-    nd = check_nondegeneracy(_bisection(oracle_from_operator(spec)), samples=40, seed=seed + 5)
+    nd = check_nondegeneracy(oracle_from_operator(spec), samples=40, seed=seed + 5)
     failures += [{"check": "nondegeneracy", "spec": spec_to_dict(spec), **v} for v in nd.violations]
     spec = DominativeP(n=3, p=math.inf)
     lp = check_lipschitz(_bisection(oracle_from_operator(spec)), samples=60, seed=seed + 6)
@@ -328,7 +338,8 @@ def run_sobolev_dichotomy(seed: int = 0) -> GroupResult:
 def run_example_equation(seed: int) -> GroupResult:
     """The model equation's radial family solves it to 1e-9, its asymptotic
     cone passes the inclusion test at p = 2 with a square-root decay rate,
-    and fails it at p = 2.5."""
+    and fails it at p = 2.5.  A radial failure record carries c and each
+    violation's r with its residual, which ``example_radial_check`` replays."""
     failures = []
     r_grid = [round(0.05 * k, 2) for k in range(1, 20)]
     max_resid = 0.0
@@ -336,7 +347,7 @@ def run_example_equation(seed: int) -> GroupResult:
         rep = example_radial_check(c, r_grid, tol=1e-9)
         max_resid = max(max_resid, rep.max_residual)
         if rep.violations:
-            failures.append({"c": c, "violations": len(rep.violations)})
+            failures.append({"c": c, "violations": rep.violations})
 
     oracle = oracle_from_operator(ExampleEq())
     radii = (1e2, 1e4, 1e6)

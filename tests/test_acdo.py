@@ -25,7 +25,7 @@ from domcone.acdo import (
 )
 from domcone.aperture import ConvexBody
 from domcone.cones import conjugate_oracle
-from domcone.errors import NonProperSetError, PreconditionError
+from domcone.errors import InputError, NonProperSetError, PreconditionError
 from domcone.fundsol import FundamentalSolution, w_gradient, w_hessian, w_value
 from domcone.operators import (
     Conjugated,
@@ -173,16 +173,27 @@ class TestClosedFormAgainstBisection:
 
 
 class TestNonProperSets:
+    # a set that holds the whole identity line or none of it has no
+    # witness to find, so its oracle cannot be built
     def test_full_line(self):
-        oracle = EllipticSetOracle(member=lambda x: True, n=2, description="everything")
         with pytest.raises(NonProperSetError) as exc:
-            acdo_root(oracle, SymMatrix.zeros(2))
+            EllipticSetOracle(member=lambda x: True, n=2, description="everything")
         assert exc.value.reason == "full-line"
+        assert "(everything)" in str(exc.value)
 
     def test_empty_line(self):
-        oracle = EllipticSetOracle(member=lambda x: False, n=2, description="nothing")
         with pytest.raises(NonProperSetError) as exc:
-            acdo_root(oracle, SymMatrix.zeros(2))
+            EllipticSetOracle(member=lambda x: False, n=2, description="nothing")
+        assert exc.value.reason == "empty-line"
+        assert "(nothing)" in str(exc.value)
+
+    def test_a_given_witness_does_not_save_a_non_proper_set(self):
+        # the outside witness of a full line is a member, and the missing
+        # one of an empty line is searched for
+        with pytest.raises(InputError, match="outside witness is a member"):
+            EllipticSetOracle(member=lambda x: True, n=2, outside_witness=SymMatrix.identity(2))
+        with pytest.raises(NonProperSetError) as exc:
+            EllipticSetOracle(member=lambda x: False, n=2, outside_witness=SymMatrix.identity(2))
         assert exc.value.reason == "empty-line"
 
 

@@ -110,6 +110,8 @@ def test_bad_p_is_rejected_before_any_sampling():
         return eval_dominative(x, 3.0) <= 0.0
 
     oracle = EllipticSetOracle(member=member, n=3)
+    assert calls  # the witness search, when the oracle is built
+    calls.clear()
     with pytest.raises(PreconditionError, match=r"exponent p must lie in \[2, inf\], got 1.0"):
         check_inclusion(oracle, None, 1.0, RADII, count=10)
     assert calls == []
@@ -173,8 +175,9 @@ def _cone_predicate(x):
 _B3 = InvertibleMap([[1.5, 0.3, 0.0], [-0.2, 0.8, 0.4], [0.1, 0.0, 1.2]])
 
 #: The four kinds of oracle the sampler meets, all of cones on S(3): a
-#: closed form, a Conjugated spec and a congruence image (lockstep
-#: bisection), and a user predicate (one root at a time).
+#: closed form, and a Conjugated spec, a congruence image and a user
+#: predicate (lockstep bisection; the predicate's witnesses 0 and I are
+#: found when it is built, and its stacked form is a row loop).
 SAMPLER_ORACLES = {
     "closed_form": lambda: oracle_from_operator(Pucci(n=3, lam=0.5, Lam=2.0)),
     "conjugated_spec": lambda: oracle_from_operator(
@@ -367,7 +370,7 @@ def test_tied_worst_values_sharpen_every_direction(monkeypatch):
 #: R/10, on the other side of it from the norm after a bisection to
 #: _COARSE_TOL * R: (kind, D, whether the per-sample loop keeps it).
 STRADDLES = [
-    ("user_predicate", np.diag([1.0, 1.0, 0.86666666]), True),
+    ("user_predicate", np.diag([1.0, 1.0, 0.86666667]), False),
     ("conjugated_spec", np.diag([1.0, 1.0, 0.89120808]), False),
     ("congruence_image", np.diag([1.0, 1.0, 0.88642044]), True),
 ]

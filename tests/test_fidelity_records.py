@@ -23,7 +23,7 @@ from domcone.acdo import (
     check_nondegeneracy,
     oracle_from_operator,
 )
-from domcone.operators import spec_from_dict
+from domcone.operators import DominativeP, spec_from_dict
 from domcone.symmat import SymMatrix, inf_norm
 
 LOOSE = 1e-3
@@ -92,15 +92,32 @@ def test_closed_form_record_replays(tmp_path, loose_failures, kind):
 
 
 def test_nondegeneracy_record_replays(monkeypatch):
+    # the shift check runs on the closed form, which ignores the tolerance
     forced = functools.partial(check_nondegeneracy, tol=-1e-3)
     failures = _failures(monkeypatch, check_nondegeneracy=forced)
     records = [r for r in failures if r.get("check") == "nondegeneracy"]
     assert len(records) == 160  # 40 samples, four shifts each
     for record in records[:12]:
         assert set(record) == {"check", "spec", "X", "tau", "deviation"}
-        oracle, x = _bisection(record), SymMatrix.from_dict(record["X"])
-        moved = acdo_root(oracle, x.shift(record["tau"]), -1e-3).value
-        assert abs(moved - acdo_root(oracle, x, -1e-3).value - record["tau"]) == record["deviation"]
+        oracle, x = oracle_from_operator(spec_from_dict(record["spec"])), SymMatrix.from_dict(record["X"])
+        assert oracle.distance is not None
+        moved = acdo_root(oracle, x.shift(record["tau"])).value
+        assert abs(moved - acdo_root(oracle, x).value - record["tau"]) == record["deviation"]
+
+
+def _doubled(oracle):
+    return replace(oracle, distance=lambda x: 2.0 * oracle.distance(x))
+
+
+def test_nondegeneracy_fails_on_a_doubled_distance(monkeypatch):
+    # 2F(X + tau I) - 2F(X) - tau = tau: every shift check fails, in the
+    # check and in the suite group that runs it
+    spec = DominativeP(n=3, p=3.0)
+    report = check_nondegeneracy(_doubled(oracle_from_operator(spec)), samples=40, seed=5)
+    assert [v["deviation"] for v in report.violations] == pytest.approx([10.0, 1.0, 0.1, 7.0] * 40)
+    doubled = lambda oracle, **kw: check_nondegeneracy(_doubled(oracle), **kw)
+    failures = _failures(monkeypatch, check_nondegeneracy=doubled)
+    assert len([r for r in failures if r.get("check") == "nondegeneracy"]) == 160
 
 
 def test_lipschitz_record_replays(monkeypatch):

@@ -29,7 +29,7 @@ from domcone.acdo import (
 )
 from domcone.aperture import ConvexBody
 from domcone.cones import conjugate_oracle
-from domcone.errors import NonProperSetError, PreconditionError
+from domcone.errors import InputError, NonProperSetError, PreconditionError
 from domcone.operators import (
     Conjugated,
     DominativeP,
@@ -43,7 +43,7 @@ from domcone.operators import (
     spec_from_dict,
 )
 from domcone.sampling import goe_matrix, goe_stack, make_rng, random_orthogonal, random_psd
-from domcone.symmat import InvertibleMap, SymMatrix, eigvals_sym, inf_norm
+from domcone.symmat import InvertibleMap, SymMatrix, congruence, eigvals_sym, inf_norm
 
 
 def _map(rng, n):
@@ -86,6 +86,10 @@ def _bisection(spec):
     return replace(oracle_from_operator(spec), distance=None)
 
 
+def _same(a, b):
+    return a.a.tobytes() == b.a.tobytes()
+
+
 def _assert_same_roots(oracle, stack, tol=ROOT_TOL):
     want = [acdo_root(oracle, SymMatrix._wrap(x.copy()), tol) for x in stack]
     assert acdo_roots(oracle, stack, tol) == want
@@ -101,7 +105,7 @@ class TestLockstepEqualsScalar:
     @given(salt=st.integers(0, 10_000), k=st.integers(1, 9), radius=st.floats(0.1, 20.0))
     def test_every_field(self, kind, salt, k, radius):
         # radii spread over two decades: the stack mixes samples inside and
-        # outside the set, which expand in opposite directions
+        # outside the set, near the witnesses and far from them
         rng = make_rng(503, salt)
         spec = _spec(kind, rng)
         stack = goe_stack(rng, k, spec.n, [radius, 0.1 * radius, 10.0 * radius])
@@ -116,14 +120,15 @@ class TestLockstepEqualsScalar:
         _assert_same_roots(_bisection(spec), stack)
 
     def test_pucci_on_breakpoints(self):
-        # integer spectra: the expansion probes t = +-1, +-2, +-4 land on the
-        # breakpoints -lambda_i, where a shifted eigenvalue is exactly zero
+        # integer spectra: the witnesses' brackets have integer ends, and
+        # their midpoints land on the breakpoints -lambda_i, where a shifted
+        # eigenvalue is exactly zero
         spec = Pucci(n=3, lam=0.5, Lam=2.0)
         stack = np.array([np.diag(d) for d in ([-1.0, 2.0, 4.0], [1.0, -2.0, -4.0], [0.0, 0.0, 1.0])])
         _assert_same_roots(_bisection(spec), stack)
 
     def test_example_below_its_edge(self):
-        # l2 < -1 gives the value -inf until the expansion lifts l2 past -1
+        # l2 < -1 gives the value -inf until the bisection lifts l2 past -1
         stack = np.array([np.diag(d) for d in ([-30.0, -5.0], [-3.0, -1.5], [-3.0, -1.0], [0.5, 2.0])])
         values = ExampleEq().value_stack(stack)
         assert np.isinf(values[:2]).all()
@@ -144,6 +149,30 @@ class TestLockstepEqualsScalar:
         roots = acdo_roots(oracle, stack, tol=-1e-3)
         assert [(r.value, r.iterations, r.probes) for r in roots] == [(-(2.0**-199), 200, 201)] * 3
         assert roots[0].bracket == (-(2.0**-198), 0.0)
+
+    def test_width_equal_to_tol_stops(self):
+        # the bracket [-2, 2] halves to width 2^-8 in exactly 10 steps, and a
+        # width equal to tol is closed: alone and in lockstep
+        oracle = _bisection(Pucci(n=4, lam=1.0, Lam=3.0))
+        stack = np.zeros((3, 4, 4))
+        _assert_same_roots(oracle, stack, tol=2.0**-8)
+        roots = acdo_roots(oracle, stack, tol=2.0**-8)
+        assert [(r.iterations, r.probes) for r in roots] == [(10, 11)] * 3
+        assert roots[0].bracket[1] - roots[0].bracket[0] == 2.0**-8
+
+    @pytest.mark.parametrize("ulps", [0, 1], ids=["even", "odd"])
+    def test_midpoint_rounding_onto_either_end_stops(self, ulps):
+        # the root t = 2^30 + ulps * 2^-22 is a member, so the bracket ends at
+        # [root, root + ulp]; its midpoint rounds half to even, onto lo for
+        # an even root and onto hi for an odd one, and either ends the
+        # bisection short of the step cap, alone and in lockstep
+        oracle = _bisection(Pucci(n=3, lam=0.5, Lam=2.0))
+        root = 2.0**30 + ulps * 2.0**-22
+        stack = np.array([-root * np.eye(3)] * 3)
+        _assert_same_roots(oracle, stack, tol=0.0)
+        for r in acdo_roots(oracle, stack, tol=0.0):
+            assert r.bracket == (-math.nextafter(root, math.inf), -root)
+            assert r.iterations < 200
 
     def test_far_root_stops_when_the_bracket_cannot_shrink(self):
         # beyond |t| = 2^19 adjacent doubles lie further apart than ROOT_TOL:
@@ -171,25 +200,33 @@ class TestFallback:
         assert {r.method for r in roots} == {"closed-form"}
         _assert_same_roots(oracle_from_operator(spec), stack)
 
-    def test_user_predicate_keeps_the_scalar_path(self):
+    def test_user_predicate_bisects_in_lockstep_through_its_row_loop(self):
+        # a predicate given without a stacked form gets a row loop of
+        # member: one stacked call per lockstep step, one member call per
+        # bisection step of each root, and the roots of acdo_root
         spec = DominativeP(n=2, p=4.0)
-        calls = []
+        calls, steps = [], []
 
         def member(x):
             calls.append(1)
             return spec.value(x) <= 0.0
 
         oracle = EllipticSetOracle(member=member, n=2)
-        assert oracle.member_stack is None
+        row_loop = oracle.member_stack
+        oracle.member_stack = lambda a: steps.append(len(a)) or row_loop(a)
         stack = goe_stack(make_rng(10), 4, 2, [1.0])
+        calls.clear()
         roots = acdo_roots(oracle, stack)
-        assert len(calls) == sum(r.probes for r in roots)
+        assert len(calls) == sum(steps) == sum(r.iterations for r in roots) > 0
+        assert len(steps) == max(r.iterations for r in roots)
+        assert all(r.probes == r.iterations + 1 for r in roots)
         _assert_same_roots(oracle, stack)
 
 
 def test_one_root_takes_the_scalar_path():
-    # one or two matrices: scalar membership calls only, as many as the
-    # roots' probes, fresh and resumed; three run in lockstep
+    # one or two matrices: scalar membership calls only, one per bisection
+    # step (the bracket is the probe that calls no member), fresh and
+    # resumed; three run in lockstep
     spec = DominativeP(n=3, p=4.0)
     scalar, stacked = [], []
 
@@ -207,7 +244,7 @@ def test_one_root_takes_the_scalar_path():
         scalar.clear()
         roots = acdo_roots(oracle, stack)
         assert stacked == []
-        assert len(scalar) == sum(r.probes for r in roots) > 0
+        assert len(scalar) == sum(r.iterations for r in roots) > 0
         assert roots == [acdo_root(oracle, SymMatrix._wrap(x.copy())) for x in stack]
         coarse = acdo_roots(oracle, stack, 1e-2)
         scalar.clear()
@@ -241,7 +278,7 @@ class TestResume:
         stack = goe_stack(rng, k, spec.n, [1.0, 0.1, 10.0])
         _assert_resumes(_bisection(spec), stack, 10.0**coarse, ROOT_TOL)
 
-    def test_user_predicate_resumes_one_root_at_a_time(self):
+    def test_user_predicate_resumes_in_lockstep(self):
         spec = DominativeP(n=3, p=3.0)
         oracle = EllipticSetOracle(member=lambda x: spec.value(x) <= 0.0, n=3)
         _assert_resumes(oracle, goe_stack(make_rng(13), 6, 3, [1.0]), 1e-3, ROOT_TOL)
@@ -292,35 +329,55 @@ class TestResume:
             acdo_roots(oracle, stack, start=acdo_roots(oracle, stack[:2]))
 
 
-def _scalar_error(oracle, stack):
+@pytest.mark.parametrize("stacked", [False, True], ids=["member", "member_stack"])
+@pytest.mark.parametrize("always, reason", [(True, "full-line"), (False, "empty-line")])
+def test_non_proper_set_raises_when_the_oracle_is_built(always, reason, stacked):
+    # the witness search probes tI at t = 0, then +-1, +-2, ..., +-2^49,
+    # and the next step passes BRACKET_CAP: 51 probes, then the error
+    calls = []
+
+    def member(x):
+        calls.append(float(x.a[0, 0]))
+        return always
+
     with pytest.raises(NonProperSetError) as info:
-        for x in stack:
-            acdo_root(oracle, SymMatrix._wrap(x.copy()))
-    return info.value
+        EllipticSetOracle(
+            member=member,
+            n=3,
+            description="probe",
+            member_stack=(lambda a: np.full(len(a), always)) if stacked else None,
+        )
+    assert info.value.reason == reason
+    sign = 1.0 if always else -1.0
+    assert calls == [0.0] + [sign * 2.0**j for j in range(50)]
+    side = "inside the set up to t = 5.6295e+14" if always else "outside the set up to t = -5.6295e+14"
+    assert str(info.value) == f"no boundary on the identity line: tI is {side} (probe)"
 
 
-@pytest.mark.parametrize(
-    "member",
-    [
-        lambda a: np.ones(len(a), dtype=bool),
-        lambda a: np.zeros(len(a), dtype=bool),
-        # full line where a_01 > 0.5, empty where a_01 < -0.5, else Theta_3
-        lambda a: (a[:, 0, 1] > 0.5)
-        | ((a[:, 0, 1] >= -0.5) & (DominativeP(n=3, p=3.0).value_stack(a) <= 0.0)),
-    ],
-    ids=["always-true", "always-false", "mixed"],
-)
-def test_non_proper_set_error_parity(member):
+def test_non_elliptic_rows_end_at_their_bracket():
+    # full line where a_01 > 0.5, empty where a_01 < -0.5, else Theta_3:
+    # the set is not elliptic, yet its witnesses 0 and I are found at X = 0
+    # and every root stays in their bracket, with the bisection pushed to
+    # its upper end on a full line and to its lower end on an empty one
+    def member_stack(a):
+        theta = DominativeP(n=3, p=3.0).value_stack(a) <= 0.0
+        return (a[:, 0, 1] > 0.5) | ((a[:, 0, 1] >= -0.5) & theta)
+
     oracle = EllipticSetOracle(
-        member=lambda x: bool(member(x.a[None])[0]), n=3, description="probe", member_stack=member
+        member=lambda x: bool(member_stack(x.a[None])[0]), n=3, description="probe", member_stack=member_stack
     )
-    # reversed, the first non-proper sample of the "mixed" set is the empty
-    # line at index 22, and two full lines follow it
-    stack = goe_stack(make_rng(11), 30, 3, [1.0])[::-1]
-    want = _scalar_error(oracle, stack)
-    with pytest.raises(NonProperSetError) as info:
-        acdo_roots(oracle, stack)
-    assert (info.value.reason, str(info.value)) == (want.reason, str(want))
+    assert _same(oracle.inside_witness, SymMatrix.zeros(3))
+    assert _same(oracle.outside_witness, SymMatrix.identity(3))
+    stack = goe_stack(make_rng(11), 30, 3, [1.0])
+    _assert_same_roots(oracle, stack)
+    lo, hi = _witness_brackets(oracle, stack)
+    for x, root, a, b in zip(stack, acdo_roots(oracle, stack), lo.tolist(), hi.tolist()):
+        assert root.probes == root.iterations + 1
+        if x[0, 1] > 0.5:
+            assert root.bracket[0] == -b
+        elif x[0, 1] < -0.5:
+            assert root.bracket[1] == -a
+    assert (stack[:, 0, 1] > 0.5).any() and (stack[:, 0, 1] < -0.5).any()
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +398,7 @@ def _with_witnesses(spec, stacked):
 
 
 #: Every catalog spec type bisected, its congruence image, and user
-#: predicates with witnesses, one at a time and stacked.
+#: predicates with witnesses, with and without a stacked form.
 WITNESSED = {
     **{kind: lambda spec, rng: _bisection(spec) for kind in SPECS},
     "congruence_image": lambda spec, rng: conjugate_oracle(oracle_from_operator(spec), _map(rng, spec.n)),
@@ -370,52 +427,85 @@ class TestWitnessBracket:
             assert r.method == "bisection" and r.probes == r.iterations + 1
             assert -b <= r.bracket[0] <= r.bracket[1] <= -a
 
-    def test_oracle_without_witnesses_still_expands(self):
-        spec = Pucci(n=3, lam=0.5, Lam=2.0)
-        witnessed = _bisection(spec)
-        bare = replace(witnessed, inside_witness=None, outside_witness=None)
+    @pytest.mark.parametrize(
+        "shift, found",
+        [(0.0, (0.0, 1.0)), (3.0, (2.0, 4.0)), (-3.0, (-4.0, -2.0))],
+        ids=["at-0", "above", "below"],
+    )
+    @pytest.mark.parametrize("stacked", [False, True], ids=["member", "member_stack"])
+    def test_missing_witnesses_are_found_when_built(self, shift, found, stacked):
+        # Pucci's sublevel set moved by shift * I: the search probes tI at
+        # t = 0, +-1, +-2, +-4 and keeps the last member and the first
+        # non-member; the roots equal those of the same predicate given
+        # those witnesses, and lie within ROOT_TOL of those bracketed by
+        # +-2I about the shift
+        spec = Shifted(inner=Pucci(n=3, lam=0.5, Lam=2.0), X0=SymMatrix.identity(3) * shift)
+        member_stack = (lambda a: spec.value_stack(a) <= 0.0) if stacked else None
+        bare = EllipticSetOracle(member=lambda x: spec.value(x) <= 0.0, n=3, member_stack=member_stack)
+        eye = SymMatrix.identity(3)
+        assert _same(bare.inside_witness, eye * found[0]) and _same(bare.outside_witness, eye * found[1])
+        given = replace(bare, inside_witness=eye * found[0], outside_witness=eye * found[1])
         stack = goe_stack(make_rng(17), 6, 3, [1.0, 100.0])
-        lo, hi = _witness_brackets(bare, stack)
-        assert (lo == 0.0).all() and (hi == 0.0).all()
         roots = acdo_roots(bare, stack)
+        assert roots == acdo_roots(given, stack)
         _assert_same_roots(bare, stack)
-        assert all(r.probes >= r.iterations + 2 for r in roots)
-        for r, w in zip(roots, acdo_roots(witnessed, stack)):
-            assert w.probes == w.iterations + 1
+        assert all(r.probes == r.iterations + 1 for r in roots)
+        for r, w in zip(roots, acdo_roots(_bisection(spec), stack)):
             assert abs(r.value - w.value) <= ROOT_TOL
-        # a witness-less set that is empty along the identity line
-        # raises as the expansion always did, alone and in lockstep
-        empty = replace(bare, member=lambda x: False, member_stack=lambda a: np.zeros(len(a), dtype=bool))
-        want = _scalar_error(empty, stack)
-        with pytest.raises(NonProperSetError) as info:
-            acdo_roots(empty, stack)
-        assert (info.value.reason, str(info.value)) == (want.reason, str(want))
-        assert want.reason == "empty-line"
 
-    def test_empty_bracket_falls_back_row_by_row(self):
+    def test_one_missing_witness_is_found(self):
+        # a given inside witness is kept and only the outside one searched
+        spec = Pucci(n=3, lam=0.5, Lam=2.0)
+        inside = SymMatrix.diag([-5.0, -1.0, 0.0])
+        oracle = EllipticSetOracle(member=lambda x: spec.value(x) <= 0.0, n=3, inside_witness=inside)
+        assert oracle.inside_witness is inside
+        assert _same(oracle.outside_witness, SymMatrix.identity(3))
+
+    def test_witnesses_in_the_wrong_order_are_rejected(self):
         # {lambda_max <= 0} u {lambda_max >= 5} is not elliptic, yet 10I is
-        # a member and 2I is not; the witnesses' bracket [10 - lambda_max,
-        # 2 - lambda_min] is empty where the spread of X is at most 8, and
-        # only those rows expand from t = 0
-        def member_stack(a):
-            top = np.linalg.eigvalsh(a)[:, -1]
-            return (top <= 0.0) | (top >= 5.0)
+        # a member and 2I is not; W_in >= W_out would put W_out inside an
+        # elliptic set, and it is the pair that leaves X = W_out (and
+        # any X with lambda_max - lambda_min <= 8) an empty bracket
+        def member(x):
+            top = eigvals_sym(x)[-1]
+            return bool(top <= 0.0 or top >= 5.0)
 
         eye = SymMatrix.identity(3)
+        with pytest.raises(InputError, match="inside witness lies above the outside witness"):
+            EllipticSetOracle(member=member, n=3, inside_witness=eye * 10.0, outside_witness=eye * 2.0)
+        # W_in - W_out = diag(0, 0, 1) is singular and still >= 0: rejected
+        upper = lambda x: bool(x.a[2, 2] >= 1.0)
+        with pytest.raises(InputError, match="inside witness lies above"):
+            EllipticSetOracle(
+                member=upper,
+                n=3,
+                inside_witness=SymMatrix.diag([0.0, 0.0, 1.0]),
+                outside_witness=SymMatrix.zeros(3),
+            )
+        # an unordered pair whose difference is indefinite is accepted
         oracle = EllipticSetOracle(
-            member=lambda x: bool(member_stack(x.a[None])[0]),
-            n=3,
-            inside_witness=eye * 10.0,
-            outside_witness=eye * 2.0,
-            member_stack=member_stack,
+            member=member, n=3, inside_witness=SymMatrix.diag([-9.0, 0.0, 6.0]), outside_witness=eye * 2.0
         )
-        spectra = ([-1.0, 0.0, 3.0], [-6.0, 0.5, 4.0], [0.0, 1.0, 2.0], [-9.0, 0.0, 1.0])
-        stack = np.array([np.diag(d) for d in spectra])
-        lo, hi = _witness_brackets(oracle, stack)
-        assert (lo < hi).tolist() == [False, True, False, True]
-        roots = acdo_roots(oracle, stack)
-        _assert_same_roots(oracle, stack)
-        assert [r.probes - r.iterations - 1 > 0 for r in roots] == [True, False, True, False]
+        lo, hi = _witness_brackets(oracle, np.zeros((1, 3, 3)))
+        assert (lo[0], hi[0]) == (-9.0, 2.0)
+
+    def test_default_member_stack_is_member_row_by_row(self):
+        spec = Pucci(n=3, lam=0.5, Lam=2.0)
+        oracle = EllipticSetOracle(member=lambda x: spec.value(x) <= 0.0, n=3)
+        stack = goe_stack(make_rng(18), 40, 3, [0.1, 1.0, 10.0])
+        got = oracle.member_stack(stack)
+        assert got.dtype == bool and got.shape == (40,)
+        assert got.tolist() == [oracle.member(SymMatrix._wrap(x.copy())) for x in stack]
+        assert got.any() and not got.all()
+        assert oracle.member_stack(np.zeros((0, 3, 3))).shape == (0,)
+        # a replaced member gets a row loop of its own, not the old one
+        looser = replace(oracle, member=lambda x: spec.value(x) <= 0.5)
+        x = SymMatrix.diag([0.05, 0.05, 0.05])
+        assert looser.member(x) and not oracle.member(x)
+        assert looser.member_stack(x.a[None]).tolist() == [True]
+        assert oracle.member_stack(x.a[None]).tolist() == [False]
+        stacked = replace(oracle, member_stack=lambda a: spec.value_stack(a) <= 0.0)
+        assert replace(stacked, description="kept").member_stack is stacked.member_stack
 
 
 # ---------------------------------------------------------------------------
@@ -437,27 +527,34 @@ class TestConjugateOracleStack:
         assert got.tolist() == want
         _assert_same_roots(image, stack)
 
-    def test_user_predicate_image_has_none(self):
+    def test_user_predicate_image_bisects_in_lockstep(self):
+        # the image of a predicate given with neither witnesses nor a
+        # stacked form maps the witnesses found for it, and its stacked
+        # form maps the row loop
         oracle = EllipticSetOracle(member=lambda x: DominativeP(n=2, p=3.0).value(x) <= 0.0, n=2)
-        image = conjugate_oracle(oracle, _map(make_rng(510), 2))
-        assert image.member_stack is None
+        b = _map(make_rng(510), 2)
+        image = conjugate_oracle(oracle, b)
         assert image.distance is None
+        assert _same(image.inside_witness, congruence(oracle.inside_witness, b))
+        assert _same(image.outside_witness, congruence(oracle.outside_witness, b))
+        stack = goe_stack(make_rng(513), 8, 2, [1.0, 10.0])
+        assert image.member_stack(stack).tolist() == [image.member(SymMatrix._wrap(x.copy())) for x in stack]
+        _assert_same_roots(image, stack)
 
-    @pytest.mark.parametrize("always", [True, False], ids=["always-true", "always-false"])
-    def test_non_proper_set_error_parity(self, always):
-        oracle = EllipticSetOracle(
-            member=lambda x: always,
-            n=3,
-            description="probe",
-            member_stack=lambda a: np.full(len(a), always),
-        )
+    def test_image_keeps_the_witness_order(self):
+        # a non-proper set raises before it has an oracle to map (see
+        # test_non_proper_set_raises_when_the_oracle_is_built); the
+        # congruence keeps W_in below W_out, so every bracket of the image
+        # is non-empty and holds its root
+        oracle = oracle_from_operator(Pucci(n=3, lam=0.5, Lam=2.0))
         image = conjugate_oracle(oracle, _map(make_rng(511), 3))
-        stack = goe_stack(make_rng(512), 6, 3, [1.0])
-        want = _scalar_error(image, stack)
-        with pytest.raises(NonProperSetError) as info:
-            acdo_roots(image, stack)
-        assert (info.value.reason, str(info.value)) == (want.reason, str(want))
-        assert want.reason == ("full-line" if always else "empty-line")
+        assert _same(image.inside_witness, congruence(oracle.inside_witness, _map(make_rng(511), 3)))
+        assert eigvals_sym(image.inside_witness - image.outside_witness)[-1] < 0.0
+        stack = goe_stack(make_rng(512), 6, 3, [1.0, 1e4])
+        lo, hi = _witness_brackets(image, stack)
+        assert (lo < hi).all()
+        for r, a, b in zip(acdo_roots(image, stack), lo.tolist(), hi.tolist()):
+            assert -b <= r.bracket[0] <= r.bracket[1] <= -a
 
 
 # ---------------------------------------------------------------------------

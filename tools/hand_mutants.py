@@ -1,0 +1,127 @@
+"""Hand mutants of the root finder and its neighbours.
+
+Each mutant is one exact textual edit of a source file.  The script copies
+``src/`` and ``tests/`` of this checkout into a scratch directory, applies
+one mutant at a time there (never in the checkout), runs the tier-1 tests
+on the copy with ``-x`` and reports whether they killed it.  It is a
+manual check, not a CI step:
+
+    python tools/hand_mutants.py /path/to/scratch/dir
+
+The exit code is the number of surviving mutants.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: (name, file, original text, mutated text); the original must occur once.
+MUTANTS = [
+    (
+        "lockstep: swap the lo/hi update",
+        "src/domcone/acdo.py",
+        "        lo = np.where(live & inside, mid, lo)\n        hi = np.where(live & ~inside, mid, hi)\n",
+        "        lo = np.where(live & ~inside, mid, lo)\n        hi = np.where(live & inside, mid, hi)\n",
+    ),
+    (
+        "lockstep: >= for > in the live mask",
+        "src/domcone/acdo.py",
+        "live = (hi - lo > tol)",
+        "live = (hi - lo >= tol)",
+    ),
+    (
+        "lockstep: drop the mid != lo stop",
+        "src/domcone/acdo.py",
+        " & (mid != lo) & (mid != hi)",
+        " & (mid != hi)",
+    ),
+    (
+        "acdo_roots: start probes at 0",
+        "src/domcone/acdo.py",
+        "np.zeros(len(stack), dtype=int), np.ones(len(stack), dtype=int)",
+        "np.zeros(len(stack), dtype=int), np.zeros(len(stack), dtype=int)",
+    ),
+    (
+        "oracle: flip the witness-order check",
+        "src/domcone/acdo.py",
+        "self.outside_witness.a)[0] >= 0.0:",
+        "self.outside_witness.a)[0] < 0.0:",
+    ),
+    (
+        "oracle: > for >= in the witness-order check",
+        "src/domcone/acdo.py",
+        "self.outside_witness.a)[0] >= 0.0:",
+        "self.outside_witness.a)[0] > 0.0:",
+    ),
+    (
+        "witness search: step by 3 instead of 2",
+        "src/domcone/acdo.py",
+        "t, step = step, 2.0 * step",
+        "t, step = step, 3.0 * step",
+    ),
+    (
+        "Pucci: swap lambda and Lambda",
+        "src/domcone/operators.py",
+        "return Lam * pos + lam * neg",
+        "return lam * pos + Lam * neg",
+    ),
+    (
+        "inclusion_verdict: one value above the threshold, at the largest radius",
+        "src/domcone/cones.py",
+        'return 0.0, "inconclusive" if worst[-1] > zero_thresh else "consistent"',
+        'return 0.0, "consistent" if worst[-1] > zero_thresh else "inconclusive"',
+    ),
+    (
+        "Pucci: negate the closed-form distance",
+        "src/domcone/operators.py",
+        "return float(num / (self.lam * j + self.Lam * (x.n - j)))",
+        "return float(-num / (self.lam * j + self.Lam * (x.n - j)))",
+    ),
+]
+
+
+def _copy(dest: Path) -> None:
+    if dest.exists():
+        shutil.rmtree(dest)
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests", "perfbench"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _killed(dest: Path) -> bool:
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
+    return subprocess.run(cmd, cwd=dest, env=env, capture_output=True).returncode != 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__)
+        return 2
+    dest = Path(argv[0]).resolve() / "mutant"
+    if ROOT in dest.parents or dest == ROOT:
+        raise SystemExit("the scratch directory must lie outside the checkout")
+    survivors = 0
+    for name, rel, old, new in MUTANTS:
+        _copy(dest)
+        path = dest / rel
+        text = path.read_text()
+        if text.count(old) != 1:
+            raise SystemExit(f"mutant {name!r}: its original text occurs {text.count(old)} times in {rel}")
+        path.write_text(text.replace(old, new))
+        killed = _killed(dest)
+        survivors += not killed
+        print(f"{'killed ' if killed else 'SURVIVED'}  {name}", flush=True)
+    print(f"{len(MUTANTS) - survivors}/{len(MUTANTS)} killed")
+    return survivors
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
