@@ -1,9 +1,10 @@
 """Hand mutants of the root finder and its neighbours.
 
 Each mutant is one exact textual edit of a source file.  The script copies
-``src/`` and ``tests/`` of this checkout into a scratch directory, applies
-one mutant at a time there (never in the checkout), runs the tier-1 tests
-on the copy with ``-x`` and reports whether they killed it.  It is a
+``src/``, ``tests/``, ``tools/`` and ``perfbench/`` of this checkout into a
+scratch directory, applies one mutant at a time there (never in the
+checkout), runs the tier-1 tests on the copy with ``-x`` and reports
+whether they killed it.  It is a
 manual check, not a CI step:
 
     python tools/hand_mutants.py /path/to/scratch/dir
@@ -90,7 +91,7 @@ def _copy(dest: Path) -> None:
     if dest.exists():
         shutil.rmtree(dest)
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for part in ("src", "tests", "perfbench"):
+    for part in ("src", "tests", "tools", "perfbench"):
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
     shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
 

@@ -1,0 +1,156 @@
+"""Golden outputs: the reports a change to the program must keep, or name.
+
+The golden files under ``tests/data/golden/`` are
+
+- the ``suite --all`` report at seeds 0 and 1;
+- the 12 ``check_inclusion`` reports of the benchmark's ``inclusion``
+  workload at seed 0 (``perfbench/workloads.py``, read, not changed);
+- the outputs of the CLI commands that CI runs, and of ``example``.
+
+``manifest.json`` records the numpy version they were made with and each
+command's exit code.  ``tests/test_golden.py`` compares current output
+with them: byte for byte when numpy's version is the recorded one, and
+otherwise strings, ints, bools (so every verdict) exactly and floats to
+``REL_TOL`` relative, with ``ABS_TOL`` as the floor for values at
+rounding level, since LAPACK builds differ in the last bits.
+
+A change that alters output runs this script and names each changed
+field in CHANGES.md; the diff of the golden files is its review artifact:
+
+    PYTHONPATH=src python tools/regen_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "golden"
+
+#: Float tolerance of the comparison when numpy's version differs.
+REL_TOL = 1e-6
+ABS_TOL = 1e-9
+
+_CONJ = "tests/data/conjugated_pucci.json"
+
+#: name -> argv of ``domcone``; paths are relative to the repository root.
+CLI_CASES = {
+    "suite.seed0": ["suite", "--all", "--seed", "0"],
+    "suite.seed1": ["suite", "--all", "--seed", "1"],
+    "cli.verify": ["verify", "--op", _CONJ],
+    "cli.verify.structure": ["verify", "--op", _CONJ, "--flags", "convex,cone,rot_invariant"],
+    "cli.check-inclusion": ["check-inclusion", "--op", _CONJ, "--p", "5", "--count", "50"],
+    "cli.aperture": ["aperture", "--body", "dominative:n=3,p=inf"],
+    "cli.report": ["report", "--op", "dominative:n=3,p=inf", "--p", "inf", "--count", "20"],
+    "cli.eval": ["eval", "--op", "example", "--X", "tests/data/example_below_edge.json"],
+    "cli.acdo.far": ["acdo", "--op", _CONJ, "--X", "tests/data/far_probe.json"],
+    "cli.example": ["example"],
+}
+
+
+def run_cli(argv: list[str]) -> tuple[str, int]:
+    """Standard output and exit code of ``domcone <argv>``, run in this
+    process from the repository root."""
+    from domcone import cli
+
+    out, cwd = io.StringIO(), os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    return out.getvalue(), code
+
+
+def inclusion_reports() -> dict[str, str]:
+    """The ``inclusion`` workload's reports at seed 0, rendered as the CLI
+    renders JSON, by request name."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import InclusionWorkload
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    with tempfile.TemporaryDirectory() as tmp:
+        ops = InclusionWorkload(0, Path(tmp)).ops
+    return {
+        "inclusion." + op.name: json.dumps(op.run(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        for op in ops
+    }
+
+
+def manifest() -> dict:
+    """The numpy version the golden files were made with, and the exit code
+    of each (None for a workload report) by name."""
+    return json.loads((GOLDEN / "manifest.json").read_text())
+
+
+def recorded_numpy() -> str:
+    return manifest()["numpy"]
+
+
+def byte_mode() -> bool:
+    """Whether the golden files are compared byte for byte here."""
+    return recorded_numpy() == np.__version__
+
+
+def mode_line() -> str:
+    if byte_mode():
+        return f"golden outputs compared byte for byte (numpy {np.__version__}, as recorded)"
+    return (
+        f"golden outputs compared with float tolerance (numpy {np.__version__}, recorded "
+        f"{recorded_numpy()}): strings, ints and bools exact, floats to rel {REL_TOL:g}, abs {ABS_TOL:g}"
+    )
+
+
+def same(a, b, path: str = "$") -> str | None:
+    """The first place where JSON values ``a`` and ``b`` differ beyond the
+    tolerant comparison, or None."""
+    if isinstance(a, float) and isinstance(b, float):
+        if math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL):
+            return None
+        return f"{path}: {a!r} != {b!r}"
+    if type(a) is not type(b):
+        return f"{path}: {type(a).__name__} {a!r} != {type(b).__name__} {b!r}"
+    if isinstance(a, dict):
+        if list(a) != list(b):
+            return f"{path}: keys {list(a)} != {list(b)}"
+        items = ((f"{path}.{k}", a[k], b[k]) for k in a)
+    elif isinstance(a, list):
+        if len(a) != len(b):
+            return f"{path}: length {len(a)} != {len(b)}"
+        items = ((f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b)))
+    else:
+        return None if a == b else f"{path}: {a!r} != {b!r}"
+    for where, x, y in items:
+        diff = same(x, y, where)
+        if diff:
+            return diff
+    return None
+
+
+def main() -> int:
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    outputs = {name: run_cli(argv) for name, argv in CLI_CASES.items()}
+    outputs.update({name: (text, None) for name, text in inclusion_reports().items()})
+    for old in GOLDEN.glob("*.json"):
+        old.unlink()
+    for name, (text, _) in outputs.items():
+        (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
+    record = {"numpy": np.__version__, "exit_codes": {k: code for k, (_, code) in outputs.items()}}
+    (GOLDEN / "manifest.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {len(outputs)} golden outputs to {GOLDEN.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
