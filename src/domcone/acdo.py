@@ -15,7 +15,8 @@ and they bracket every root: X + tI is a member for t <= lambda_min(W_in
 so the ends take one eigensolve and no membership call.  :func:`acdo_roots`
 runs the bisections of a whole stack of matrices in lockstep, one stacked
 membership call per step, and resumes them from the roots of an earlier
-call at a looser tolerance.
+call at a looser tolerance.  A root's ``probes`` follow from its
+``iterations``: the bracket (or closed form) is one, and each step one.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .operators import (
     Conjugated,
     LinearTrace,
     OperatorSpec,
+    PropertyReport,
     Record,
-    Report,
     Shifted,
     _check_count,
     closed_form_distance,
@@ -128,7 +129,7 @@ def _search_witnesses(oracle: EllipticSetOracle) -> tuple[SymMatrix, SymMatrix]:
     return (eye * t, eye * step) if up else (eye * step, eye * t)
 
 
-def oracle_from_operator(spec: OperatorSpec, description: str = "") -> EllipticSetOracle:
+def oracle_from_operator(spec: OperatorSpec) -> EllipticSetOracle:
     """Sublevel-set membership oracle F(X) <= 0 for a catalog operator,
     with its stacked form and the spec's closed-form distance where it
     has one."""
@@ -138,7 +139,7 @@ def oracle_from_operator(spec: OperatorSpec, description: str = "") -> EllipticS
         n=spec.n,
         inside_witness=inside,
         outside_witness=outside,
-        description=description or f"sublevel set of {type(spec).__name__}",
+        description=f"sublevel set of {type(spec).__name__}",
         distance=closed_form_distance(spec),
         member_stack=lambda a: spec.value_stack(a) <= 0.0,
     )
@@ -168,7 +169,7 @@ class AcdoRoot(Record):
 
     ``probes`` counts membership calls, and counts the one stacked
     eigensolve of a closed form or of the witnesses' bracket as one probe.
-    So every bisection has ``probes == iterations + 1``."""
+    So every root is built with ``probes == iterations + 1``."""
 
     value: float
     bracket: tuple[float, float]
@@ -205,19 +206,18 @@ def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) ->
         v = float(oracle.distance(x))
         return AcdoRoot(value=v, bracket=(v, v), iterations=0, probes=1, method="closed-form")
     (lo,), (hi,) = _witness_brackets(oracle, x.a[None])
-    return _bisect(oracle, x, float(lo), float(hi), 0, 1, tol)
+    return _bisect(oracle, x, float(lo), float(hi), 0, tol)
 
 
 def _bisect(
-    oracle: EllipticSetOracle, x: SymMatrix, lo: float, hi: float, iterations: int, probes: int, tol: float
+    oracle: EllipticSetOracle, x: SymMatrix, lo: float, hi: float, iterations: int, tol: float
 ) -> AcdoRoot:
     """Bisection of :func:`acdo_root` on the bracket [lo, hi] of t, from
-    ``iterations`` steps and ``probes`` probes made so far."""
+    ``iterations`` steps made so far."""
     while hi - lo > tol and iterations < _MAX_BISECT:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # the bracket cannot shrink
             break
-        probes += 1
         if oracle.member(x.shift(mid)):
             lo = mid
         else:
@@ -227,7 +227,7 @@ def _bisect(
         value=-(0.5 * (lo + hi)),
         bracket=(-hi, -lo),
         iterations=iterations,
-        probes=probes,
+        probes=iterations + 1,
         method="bisection",
     )
 
@@ -267,7 +267,7 @@ def acdo_roots(
 
     ``start`` holds the roots of the same stack from an earlier call at a
     looser (or equal) tolerance.  Each bisected root then resumes from its
-    bracket, ``iterations`` and ``probes``, in lockstep or one at a time by
+    bracket and ``iterations``, in lockstep or one at a time by
     the same rule, and a closed-form root comes back as it is.  The
     midpoints and the stopping rule depend only on the bracket, the step
     count and ``tol``, so the result equals that of one call at ``tol``
@@ -284,7 +284,7 @@ def acdo_roots(
             return [acdo_root(oracle, SymMatrix._wrap(x), tol) for x in stack]
         out, todo = [None] * len(stack), list(range(len(stack)))
         lo, hi = _witness_brackets(oracle, stack)
-        iterations, probes = np.zeros(len(stack), dtype=int), np.ones(len(stack), dtype=int)
+        iterations = np.zeros(len(stack), dtype=int)
     else:
         if len(start) != len(stack):
             raise PreconditionError(f"{len(start)} start roots for a stack of {len(stack)} matrices")
@@ -292,20 +292,19 @@ def acdo_roots(
         lo = np.array([-start[i].bracket[1] for i in todo])
         hi = np.array([-start[i].bracket[0] for i in todo])
         iterations = np.array([start[i].iterations for i in todo], dtype=int)
-        probes = np.array([start[i].probes for i in todo], dtype=int)
     if len(todo) >= _MIN_LOCKSTEP:
-        roots = _lockstep(oracle, stack[todo], tol, lo, hi, iterations, probes)
+        roots = _lockstep(oracle, stack[todo], tol, lo, hi, iterations)
     else:
-        columns = zip(todo, lo.tolist(), hi.tolist(), iterations.tolist(), probes.tolist())
+        columns = zip(todo, lo.tolist(), hi.tolist(), iterations.tolist())
         roots = [_bisect(oracle, SymMatrix._wrap(stack[i]), *state, tol) for i, *state in columns]
     for i, root in zip(todo, roots):
         out[i] = root
     return out
 
 
-def _lockstep(oracle, stack, tol, lo, hi, iterations, probes) -> list[AcdoRoot]:
+def _lockstep(oracle, stack, tol, lo, hi, iterations) -> list[AcdoRoot]:
     """The lockstep bisection of :func:`acdo_roots` from brackets [lo, hi]
-    of t after ``iterations`` steps and ``probes`` probes."""
+    of t after ``iterations`` steps."""
     eye = _eye(oracle.n)
     while True:
         mid = 0.5 * (lo + hi)
@@ -317,11 +316,10 @@ def _lockstep(oracle, stack, tol, lo, hi, iterations, probes) -> list[AcdoRoot]:
         lo = np.where(live & inside, mid, lo)
         hi = np.where(live & ~inside, mid, hi)
         iterations += live
-        probes += live
-    columns = zip(mid.tolist(), lo.tolist(), hi.tolist(), iterations.tolist(), probes.tolist())
+    columns = zip(mid.tolist(), lo.tolist(), hi.tolist(), iterations.tolist())
     return [
-        AcdoRoot(value=-mid, bracket=(-b, -a), iterations=i, probes=p, method="bisection")
-        for mid, a, b, i, p in columns
+        AcdoRoot(value=-mid, bracket=(-b, -a), iterations=i, probes=i + 1, method="bisection")
+        for mid, a, b, i in columns
     ]
 
 
@@ -332,21 +330,6 @@ def acdo_eval(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) ->
 
 # ---------------------------------------------------------------------------
 # Property verifiers
-
-
-@dataclass
-class PropertyReport(Report):
-    name: str
-    samples: int
-    checks: int = 0
-    max_deviation: float = 0.0
-
-    def record(self, deviation: float, limit: float, /, **violation) -> None:
-        """Count one check; keep ``violation`` when ``deviation`` > ``limit``."""
-        self.checks += 1
-        self.max_deviation = max(self.max_deviation, deviation)
-        if deviation > limit:
-            self.violations.append(violation)
 
 
 _TAU_GRID = (-10.0, -1.0, 0.1, 7.0)

@@ -41,6 +41,11 @@ PSD_TOL = 1e-10
 #: Uniform lower bound on generator traces, certifying 0 is not in the body.
 TRACE_FLOOR = 1e-8
 
+#: The aperture's two paths must agree to ``_PATH_TOL``; the support root
+#: is bisected to ``_ROOT_TOL``.
+_PATH_TOL = 1e-8
+_ROOT_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ConvexBody:
@@ -81,15 +86,6 @@ class ConvexBody:
     def generator_spectra(self) -> np.ndarray:
         """(num_generators, n) array of ascending generator eigenvalues."""
         return np.vstack([eigvals_sym(g) for g in self.generators])
-
-    def scaled(self, c: float) -> "ConvexBody":
-        if c <= 0.0:
-            raise InvalidBodyError("bodies scale by positive factors only")
-        return ConvexBody(
-            n=self.n,
-            generators=tuple(g * c for g in self.generators),
-            rot_closed=self.rot_closed,
-        )
 
     def summary(self) -> str:
         closure = "rot-closed" if self.rot_closed else "plain hull"
@@ -165,7 +161,7 @@ def _spike_matrix(n: int, a: float) -> SymMatrix:
     return SymMatrix.diag(d)
 
 
-def _alpha_by_support_root(body: ConvexBody, tol: float) -> float:
+def _alpha_by_support_root(body: ConvexBody) -> float:
     """Bisection root of a -> G(diag(a-1, -1, ..., -1)) on [1, n].
 
     The map is a maximum of affine functions of a with strictly positive
@@ -182,7 +178,7 @@ def _alpha_by_support_root(body: ConvexBody, tol: float) -> float:
         return lo
     if g(hi) <= 0.0:
         return hi
-    while hi - lo > tol:
+    while hi - lo > _ROOT_TOL:
         mid = 0.5 * (lo + hi)
         if g(mid) <= 0.0:
             lo = mid
@@ -191,17 +187,12 @@ def _alpha_by_support_root(body: ConvexBody, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def body_cone_aperture(
-    body: ConvexBody,
-    *,
-    path_tol: float = 1e-8,
-    bisect_tol: float = 1e-12,
-) -> ApertureResult:
+def body_cone_aperture(body: ConvexBody) -> ApertureResult:
     """Aperture of a rotation-closed body, computed two independent ways.
 
     Path one minimizes tr/lambda_n over the generators directly; path two
     bisects the support function along the ``diag(a-1, -1, ..., -1)`` ray.
-    Disagreement beyond ``path_tol`` raises, since it signals a body whose
+    Disagreement beyond ``_PATH_TOL`` raises, since it signals a body whose
     ``rot_closed`` flag is dishonest (or broken generator data).
 
     Ties in the generator minimum break to the lowest index; ``c`` is the
@@ -218,8 +209,8 @@ def body_cone_aperture(
     idx = int(np.argmin(ratios))  # argmin resolves ties to the lowest index
     alpha = float(ratios[idx])
 
-    alpha_root = _alpha_by_support_root(body, bisect_tol)
-    if abs(alpha - alpha_root) > path_tol:
+    alpha_root = _alpha_by_support_root(body)
+    if abs(alpha - alpha_root) > _PATH_TOL:
         raise ApertureInconsistencyError(
             f"aperture paths disagree: generator minimum {alpha!r} vs "
             f"support-root {alpha_root!r}; the body likely violates its "

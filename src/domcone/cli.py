@@ -6,6 +6,9 @@ and emit schema-versioned JSON reports whose ``config`` block echoes
 the parsed arguments; ``sobolev --q-sweep`` emits a CSV table instead.
 Exit codes: 0 success, 2 when a verified property is violated (report
 still written), 1 on input or usage errors.
+
+Reports carry ``schema`` 3: the checks of ``verify`` and ``example`` are
+property reports with one set of keys.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import DomconeError, InputError
 from .operators import dim_from_json, num_from_json, num_to_json
 from .symmat import InvertibleMap, SymMatrix
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +225,7 @@ def _cmd_report(args):
 
 def _cmd_fundsol(args):
     point = _parse_float_list(args.at)
-    n = args.n if args.n else len(point)
+    n = len(point) if args.n is None else args.n
     if len(point) != n:
         raise InputError(f"point has {len(point)} coordinates but n = {n}")
     fs = fundsol_mod.FundamentalSolution(n=n, p=num_from_json(args.p))
@@ -251,7 +254,7 @@ def _cmd_sobolev(args):
         return _render_csv(header, rows), 0
     if args.q is None or args.eps is None:
         raise InputError("sobolev needs --q and --eps (or --q-sweep)")
-    eps = float(args.eps)
+    eps = num_from_json(args.eps)
     q = float(args.q)
     return {
         "value": fundsol_mod.sobolev_integral(n, p, q, eps),
@@ -260,12 +263,18 @@ def _cmd_sobolev(args):
     }, 0
 
 
+def _checks_result(reports):
+    """The ``{"checks", "passed"}`` result of property reports; exit 2 on a violation."""
+    passed = all(r.passed for r in reports)
+    return {"checks": [r.to_dict() for r in reports], "passed": passed}, 0 if passed else 2
+
+
 def _cmd_example(args):
     cs = _parse_float_list(args.c)
+    if not cs:
+        raise InputError("example needs at least one c in --c")
     r_grid = _parse_range(args.r_grid)
-    reports = [fundsol_mod.example_radial_check(c, r_grid).to_dict() for c in cs]
-    passed = all(r["passed"] for r in reports)
-    return {"checks": reports, "passed": passed}, 0 if passed else 2
+    return _checks_result([fundsol_mod.example_radial_check(c, r_grid) for c in cs])
 
 
 _FLAG_NAMES = ("convex", "concave_complement", "cone", "rot_invariant")
@@ -295,11 +304,7 @@ def _cmd_verify(args):
                 oracle, flags, samples=args.samples, seed=args.seed + 3, tol=args.tol_root
             )
         )
-    result = {
-        "checks": [r.to_dict() for r in reports],
-        "passed": all(r.passed for r in reports),
-    }
-    return result, 0 if result["passed"] else 2
+    return _checks_result(reports)
 
 
 def _cmd_suite(args):

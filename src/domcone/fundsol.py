@@ -26,7 +26,7 @@ from .aperture import ConvexBody, _spike_matrix, body_cone_aperture
 from .errors import NumericalFailureError, PreconditionError
 from .operators import (
     OperatorSpec,
-    Report,
+    PropertyReport,
     _check_count,
     _check_p,
     eval_example,
@@ -117,13 +117,7 @@ def w_hessian(fs: FundamentalSolution, x) -> SymMatrix:
 
 
 @dataclass
-class AnnihilationReport(Report):
-    operator: str
-    n: int
-    p: float
-    alpha: float
-    samples: int
-    max_scaled_residual: float = 0.0
+class AnnihilationReport(PropertyReport):
     max_scaling_law_error: float = 0.0
 
 
@@ -133,20 +127,17 @@ def verify_annihilation(
     sample_count: int = 500,
     seed: int = 0,
     tol: float = 1e-9,
-    require_aperture_match: bool = True,
 ) -> AnnihilationReport:
     """Check that the body's support function G vanishes on the fundamental
     solution's Hessian.
 
     Samples |x| log-uniformly in [1e-2, 1e2] over random directions and
-    verifies both the scaled residual |G(Hess w(x))| * |x|^alpha <= tol and
-    the homogeneity scaling law G(Hess w(x)) = |x|^(-alpha) G(Lambda_alpha).
+    records the scaled residual |G(Hess w(x))| * |x|^alpha against ``tol``,
+    and the homogeneity scaling law G(Hess w(x)) = |x|^(-alpha) G(Lambda_alpha).
 
     The body's cone aperture (:func:`body_cone_aperture`, so the body must
     be rotation-closed) must equal fs.p — by definition the aperture is the
-    unique exponent whose profile G annihilates.  Passing
-    ``require_aperture_match=False`` skips that gate so a mismatch's
-    nonzero residual can be demonstrated.
+    unique exponent whose profile G annihilates.
     """
     if body.n != fs.n:
         raise PreconditionError(
@@ -154,32 +145,23 @@ def verify_annihilation(
         )
     _check_count(sample_count)
     p_op = body_cone_aperture(body).p
-    if require_aperture_match:
-        both_inf = p_op == math.inf and fs.p == math.inf
-        if not both_inf and abs(p_op - fs.p) > 1e-9:
-            raise PreconditionError(
-                f"aperture mismatch: the body has cone aperture {p_op!r} "
-                f"but the solution is built for exponent {fs.p!r}"
-            )
+    both_inf = p_op == math.inf and fs.p == math.inf
+    if not both_inf and abs(p_op - fs.p) > 1e-9:
+        raise PreconditionError(
+            f"aperture mismatch: the body has cone aperture {p_op!r} "
+            f"but the solution is built for exponent {fs.p!r}"
+        )
 
     rng = make_rng(seed)
     alpha = fs.alpha
     g_spike = eval_support(_spike_matrix(fs.n, alpha), body)
-    report = AnnihilationReport(
-        operator=f"support function of {body.summary()}",
-        n=fs.n,
-        p=fs.p,
-        alpha=alpha,
-        samples=sample_count,
-    )
+    report = AnnihilationReport(name="annihilation", samples=sample_count)
     for _ in range(sample_count):
         r = log_uniform(rng, 1e-2, 1e2)
         x = r * random_unit_vector(rng, fs.n)
         g = eval_support(w_hessian(fs, x), body)
         scaled = abs(g) * r**alpha
-        report.max_scaled_residual = max(report.max_scaled_residual, scaled)
-        if scaled > tol:
-            report.violations.append({"x": x.tolist(), "residual": g, "scaled": scaled})
+        report.record(scaled, tol, x=x.tolist(), residual=g, scaled=scaled)
         law_err = abs(g - r ** (-alpha) * g_spike) * r**alpha
         report.max_scaling_law_error = max(report.max_scaling_law_error, law_err)
     return report
@@ -286,21 +268,15 @@ def sobolev_diverges(n: int, p: float, q: float) -> bool:
 # The model radial family
 
 
-@dataclass
-class RadialCheckReport(Report):
-    c: float
-    r_values: list[float]
-    max_residual: float = 0.0
-
-
-def example_radial_check(c: float, r_grid, tol: float = 1e-9) -> RadialCheckReport:
+def example_radial_check(c: float, r_grid, tol: float = 1e-9) -> PropertyReport:
     """Verify the model equation vanishes on its singular radial family
     ``u(r) = -r^2/2 + 2 c r - c^2 ln r`` on the unit disc.
 
     At each r of the grid the Hessian eigenvalues are u'(r)/r, with
     u'(r) = -r + 2c - c^2/r, and u''(r) = -1 + c^2/r^2 (the larger since
-    r < 1 <= c), and the operator value must vanish to ``tol``.  Requires
-    a finite c >= 1 and a nonempty grid inside (0, 1).
+    r < 1 <= c).  Each r records two checks: the operator value vanishes to
+    ``tol``, and the top eigenvalue is u''(r).  Requires a finite c >= 1
+    and a nonempty grid inside (0, 1).
     """
     if not 1.0 <= c < math.inf:
         raise PreconditionError(f"the radial family needs a finite c >= 1, got {c}")
@@ -308,17 +284,15 @@ def example_radial_check(c: float, r_grid, tol: float = 1e-9) -> RadialCheckRepo
     _check_count(len(r_values), "radial grid size")
     if any(not 0.0 < r < 1.0 for r in r_values):
         raise PreconditionError("the radial grid must lie inside (0, 1)")
-    report = RadialCheckReport(c=c, r_values=r_values)
+    report = PropertyReport(name="radial", samples=len(r_values))
     for r in r_values:
         d2u = -1.0 + c * c / (r * r)
         eigs = np.sort([d2u, (-r + 2.0 * c - c * c / r) / r])
         residual = abs(eval_example(SymMatrix.diag(eigs)))
-        report.max_residual = max(report.max_residual, residual)
-        if residual > tol:
-            report.violations.append({"r": r, "residual": residual})
+        report.record(residual, tol, r=r, residual=residual)
         # the top eigenvalue is the pure second derivative on this family
-        if abs(eigs[-1] - d2u) > tol * max(1.0, abs(eigs[-1])):
-            report.violations.append({"r": r, "top_eig_mismatch": float(eigs[-1])})
+        top = float(eigs[-1])
+        report.record(abs(top - d2u), tol * max(1.0, abs(top)), r=r, top_eig_mismatch=top)
     return report
 
 
@@ -326,29 +300,22 @@ def example_radial_check(c: float, r_grid, tol: float = 1e-9) -> RadialCheckRepo
 # Grid supersolution check
 
 
-@dataclass
-class GridCheckReport(Report):
-    points_checked: int
-    max_value: float = -math.inf
-
-
 def viscosity_grid_check(
     op: OperatorSpec,
     hessian_field: Callable[[np.ndarray], SymMatrix],
     grid,
     tol: float,
-) -> GridCheckReport:
+) -> PropertyReport:
     """Pointwise supersolution check: F(Hess u(x)) <= tol at every grid point.
 
     For twice-differentiable u this is exactly the supersolution property of
-    the equation F(Hess u) = 0 on the grid, which must be nonempty.
+    the equation F(Hess u) = 0 on the grid, which must be nonempty.  Each
+    point records its value.
     """
     points = [np.asarray(x, dtype=float) for x in grid]
     _check_count(len(points), "grid size")
-    report = GridCheckReport(points_checked=len(points))
+    report = PropertyReport(name="grid", samples=len(points))
     for x in points:
         v = op.value(hessian_field(x))
-        report.max_value = max(report.max_value, v)
-        if v > tol:
-            report.violations.append({"x": x.tolist(), "value": v})
+        report.record(v, tol, x=x.tolist(), value=v)
     return report

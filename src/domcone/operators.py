@@ -492,6 +492,24 @@ class Report(Record):
         return {**super().to_dict(), "passed": self.passed}
 
 
+@dataclass
+class PropertyReport(Report):
+    """Report of a sampled check with one deviation per check; its
+    ``max_deviation`` starts at 0.0, so it is never negative."""
+
+    name: str
+    samples: int
+    checks: int = 0
+    max_deviation: float = 0.0
+
+    def record(self, deviation: float, limit: float, /, **violation) -> None:
+        """Count one check; keep ``violation`` when ``deviation`` > ``limit``."""
+        self.checks += 1
+        self.max_deviation = max(self.max_deviation, deviation)
+        if deviation > limit:
+            self.violations.append(violation)
+
+
 def spec_to_dict(spec: OperatorSpec) -> dict:
     if isinstance(spec, DominativeP):
         return {"type": "dominative", "n": spec.n, "p": num_to_json(spec.p)}

@@ -2,13 +2,14 @@
 
 Each group pins its tolerances; a group fails only on a genuine property
 violation, never on tolerance drift, so the suite doubles as the
-acceptance gate.  All groups are deterministic for a fixed seed.
+acceptance gate.  All groups are deterministic for a fixed seed.  Each
+returns its details, whose ``failures`` list alone decides its pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from .operators import (
     ExampleEq,
     LinearTrace,
     Pucci,
-    Record,
     Shifted,
     num_to_json,
     spec_to_dict,
@@ -57,14 +57,7 @@ from .sampling import goe_matrix, goe_stack, log_uniform, make_rng, random_psd, 
 from .symmat import SymMatrix
 
 
-@dataclass
-class GroupResult(Record):
-    name: str
-    passed: bool
-    details: dict
-
-
-def run_aperture_exactness(seed: int) -> GroupResult:
+def run_aperture_exactness(seed: int) -> dict:
     """Dominative bodies return their exponent; the uniform-ellipticity body
     matches its closed-form aperture.  Tolerance 1e-10."""
     max_p_err = 0.0
@@ -94,28 +87,24 @@ def run_aperture_exactness(seed: int) -> GroupResult:
         if err > 1e-10:
             failures.append({"n": n, "lam": lam, "Lam": Lam, "alpha_error": err})
 
-    return GroupResult(
-        name="aperture_exactness",
-        passed=not failures,
-        details={
-            "max_dominative_p_error": max_p_err,
-            "max_pucci_alpha_error": max_alpha_err,
-            "failures": failures,
-        },
-    )
+    return {
+        "max_dominative_p_error": max_p_err,
+        "max_pucci_alpha_error": max_alpha_err,
+        "failures": failures,
+    }
 
 
-def _random_bodies(seed: int, count: int = 20) -> list[ConvexBody]:
+def _random_bodies(seed: int) -> list[ConvexBody]:
     rng = make_rng(seed, 2)
     bodies = []
-    for i in range(count):
+    for i in range(20):
         n = 2 + i % 4  # n <= 5
         gens = tuple(random_psd(rng, n) for _ in range(1 + i % 4))
         bodies.append(ConvexBody(n=n, generators=gens, rot_closed=True))
     return bodies
 
 
-def run_minimal_bound(seed: int) -> GroupResult:
+def run_minimal_bound(seed: int) -> dict:
     """c * F_p <= G on 2000 samples per body, with an equality witness within
     1e-6 found by probing rotations of the spike direction.
 
@@ -137,22 +126,19 @@ def run_minimal_bound(seed: int) -> GroupResult:
             )
         if rep.sharpness_gap > 1e-6:
             failures.append({"body": body.to_dict(), "sharpness_gap": rep.sharpness_gap})
-    return GroupResult(
-        name="minimal_bound",
-        passed=not failures,
-        details={
-            "bodies": len(bodies),
-            "samples_per_body": 2000,
-            "worst_margin": worst_margin,
-            "worst_sharpness_gap": worst_gap,
-            "failures": failures,
-        },
-    )
+    return {
+        "bodies": len(bodies),
+        "samples_per_body": 2000,
+        "worst_margin": worst_margin,
+        "worst_sharpness_gap": worst_gap,
+        "failures": failures,
+    }
 
 
-def run_annihilation(seed: int) -> GroupResult:
+def run_annihilation(seed: int) -> dict:
     """Scaled residual |G(Hess w(x))| |x|^alpha <= 1e-9 at 500 points per
-    body's support function G, |x| in [1e-2, 1e2]."""
+    body's support function G, |x| in [1e-2, 1e2].  A failure record carries
+    the body, p and each violating x, which ``fundsol`` and ``eval`` replay."""
     rng = make_rng(seed, 3)
     bodies = [
         dominative_body(2, 2.0),
@@ -170,21 +156,15 @@ def run_annihilation(seed: int) -> GroupResult:
     for k, body in enumerate(bodies):
         fs = FundamentalSolution(n=body.n, p=body_cone_aperture(body).p)
         rep = verify_annihilation(body, fs, sample_count=500, seed=seed + 17 * k, tol=1e-9)
-        max_resid = max(max_resid, rep.max_scaled_residual)
+        max_resid = max(max_resid, rep.max_deviation)
         if rep.violations:
-            failures.append(
-                {"operator": rep.operator, "max_scaled_residual": rep.max_scaled_residual}
-            )
-    return GroupResult(
-        name="annihilation",
-        passed=not failures,
-        details={
-            "operators": len(bodies),
-            "samples_per_operator": 500,
-            "max_scaled_residual": max_resid,
-            "failures": failures,
-        },
-    )
+            failures.append({"body": body.to_dict(), "p": num_to_json(fs.p), "violations": rep.violations})
+    return {
+        "operators": len(bodies),
+        "samples_per_operator": 500,
+        "max_scaled_residual": max_resid,
+        "failures": failures,
+    }
 
 
 def _bisection(oracle):
@@ -220,7 +200,7 @@ def _replay(spec, x) -> dict:
     return {"spec": spec_to_dict(spec), "X": x.to_dict()}
 
 
-def run_acdo_fidelity(seed: int) -> GroupResult:
+def run_acdo_fidelity(seed: int) -> dict:
     """Bisection distance of the dominative sublevel sets equals the operator
     to 2e-10 on 1000 samples, and the bisection Lipschitz report is empty;
     these bisect in lockstep.  The shift report F(X + tau I) = F(X) + tau
@@ -279,20 +259,16 @@ def run_acdo_fidelity(seed: int) -> GroupResult:
                 failures.append({"closed_form": name, "error": err, **_replay(spec, x)})
         closed_form_errors[name] = worst
 
-    return GroupResult(
-        name="acdo_fidelity",
-        passed=not failures,
-        details={
-            "samples": 1000,
-            "max_distance_error": max_err,
-            "nondegeneracy_max_dev": nd.max_deviation,
-            "lipschitz_max_excess": lp.max_deviation,
-            "max_halfspace_error": max_half_err,
-            "closed_form_samples": 25,
-            "max_closed_form_error": closed_form_errors,
-            "failures": failures,
-        },
-    )
+    return {
+        "samples": 1000,
+        "max_distance_error": max_err,
+        "nondegeneracy_max_dev": nd.max_deviation,
+        "lipschitz_max_excess": lp.max_deviation,
+        "max_halfspace_error": max_half_err,
+        "closed_form_samples": 25,
+        "max_closed_form_error": closed_form_errors,
+        "failures": failures,
+    }
 
 
 _EPS_LADDER = (1e-2, 1e-4, 1e-6)
@@ -303,7 +279,7 @@ def _grows_at_log_rate(n: int, p: float, q: float) -> bool:
     return growth >= 0.4 * surface_measure(n) * math.log(1e2)
 
 
-def run_sobolev_dichotomy(seed: int = 0) -> GroupResult:
+def run_sobolev_dichotomy(seed: int) -> dict:
     """Convergence below the threshold exponent, log-rate divergence at and
     above it, and 1e-8 agreement between the antiderivative and
     Gauss-Legendre quadrature."""
@@ -328,14 +304,10 @@ def run_sobolev_dichotomy(seed: int = 0) -> GroupResult:
                         failures.append(
                             {"n": n, "p": p, "q": q, "eps": eps, "kind": "quadrature", "rel": rel}
                         )
-    return GroupResult(
-        name="sobolev_dichotomy",
-        passed=not failures,
-        details={"max_quadrature_rel_error": max_rel, "failures": failures},
-    )
+    return {"max_quadrature_rel_error": max_rel, "failures": failures}
 
 
-def run_example_equation(seed: int) -> GroupResult:
+def run_example_equation(seed: int) -> dict:
     """The model equation's radial family solves it to 1e-9, its asymptotic
     cone passes the inclusion test at p = 2 with a square-root decay rate,
     and fails it at p = 2.5.  A radial failure record carries c and each
@@ -345,7 +317,7 @@ def run_example_equation(seed: int) -> GroupResult:
     max_resid = 0.0
     for c in (1.0, 1.5, 2.0):
         rep = example_radial_check(c, r_grid, tol=1e-9)
-        max_resid = max(max_resid, rep.max_residual)
+        max_resid = max(max_resid, rep.max_deviation)
         if rep.violations:
             failures.append({"c": c, "violations": rep.violations})
 
@@ -360,19 +332,15 @@ def run_example_equation(seed: int) -> GroupResult:
     if rep25.verdict != "violated":
         failures.append({"p": 2.5, "verdict": rep25.verdict})
 
-    return GroupResult(
-        name="example_equation",
-        passed=not failures,
-        details={
-            "max_radial_residual": max_resid,
-            "inclusion_p2": rep2.to_dict(),
-            "inclusion_p2_5": rep25.to_dict(),
-            "failures": failures,
-        },
-    )
+    return {
+        "max_radial_residual": max_resid,
+        "inclusion_p2": rep2.to_dict(),
+        "inclusion_p2_5": rep25.to_dict(),
+        "failures": failures,
+    }
 
 
-def run_permutation_lemma(seed: int) -> GroupResult:
+def run_permutation_lemma(seed: int) -> dict:
     """Constructive permutation decomposition reconstructs the dominative
     weight vector exactly (1e-12) on 100 hypothesis-satisfying inputs."""
     rng = make_rng(seed, 8)
@@ -393,17 +361,14 @@ def run_permutation_lemma(seed: int) -> GroupResult:
             failures.append({"n": n, "p": "inf" if p == math.inf else p, "error": err})
         if any(perm[-1] != n - 1 for perm in decomp.permutations):
             failures.append({"n": n, "kind": "last-index-not-fixed"})
-    return GroupResult(
-        name="permutation_lemma",
-        passed=not failures,
-        details={"samples": 100, "max_reconstruction_error": max_err, "failures": failures},
-    )
+    return {"samples": 100, "max_reconstruction_error": max_err, "failures": failures}
 
 
-def run_pucci_nonintegrability(seed: int) -> GroupResult:
+def run_pucci_nonintegrability(seed: int) -> dict:
     """Uniform ellipticity caps gradient integrability: for constants (1, 2)
     in the plane the aperture is 3, the profile solves the extremal equation
-    off the origin, and its gradient just fails L^4."""
+    off the origin, and its gradient just fails L^4.  A grid failure record
+    carries the spec and each violating x, which ``fundsol``/``eval`` replay."""
     n, lam, Lam = 2, 1.0, 2.0
     p = Lam / lam + 1.0  # 3
     q = n * Lam / ((n - 1) * lam)  # 4, the threshold for p = 3
@@ -414,26 +379,23 @@ def run_pucci_nonintegrability(seed: int) -> GroupResult:
     grid = [
         log_uniform(rng, 1e-2, 1e2) * random_unit_vector(rng, n) for _ in range(300)
     ]
-    rep = viscosity_grid_check(Pucci(n=n, lam=lam, Lam=Lam), lambda x: w_hessian(fs, x), grid, tol=1e-9)
+    spec = Pucci(n=n, lam=lam, Lam=Lam)
+    rep = viscosity_grid_check(spec, lambda x: w_hessian(fs, x), grid, tol=1e-9)
     if rep.violations:
-        failures.append({"grid_violations": len(rep.violations)})
+        failures.append({"spec": spec_to_dict(spec), "violations": rep.violations})
 
     if q != sobolev_threshold(n, p):
         failures.append({"kind": "threshold-algebra", "q": q})
     if not _grows_at_log_rate(n, p, q):
         failures.append({"kind": "no-log-divergence", "q": q})
 
-    return GroupResult(
-        name="pucci_nonintegrability",
-        passed=not failures,
-        details={
-            "p": p,
-            "q": q,
-            "grid_points": 300,
-            "max_grid_value": rep.max_value,
-            "failures": failures,
-        },
-    )
+    return {
+        "p": p,
+        "q": q,
+        "grid_points": 300,
+        "max_grid_value": rep.max_deviation,
+        "failures": failures,
+    }
 
 
 GROUPS = {
@@ -449,13 +411,17 @@ GROUPS = {
 
 
 def run_suite(group_names=None, seed: int = 0) -> dict:
-    """Run the named groups (all by default) and collect a JSON-able report."""
+    """Run the named groups (all by default, never none) and collect a
+    JSON-able report; a group passes when its details hold no failure."""
     names = list(GROUPS) if group_names is None else list(group_names)
+    if not names:
+        raise InputError("no suite group to run")
     results = []
     for name in names:
         if name not in GROUPS:
             raise InputError(f"unknown suite group {name!r}; known: {', '.join(GROUPS)}")
-        results.append(GROUPS[name](seed).to_dict())
+        details = GROUPS[name](seed)
+        results.append({"name": name, "passed": not details["failures"], "details": details})
     return {
         "schema": 1,
         "seed": seed,

@@ -136,7 +136,8 @@ class TestBodyConeAperture:
         body = ConvexBody(n=4, generators=tuple(random_psd(rng, 4) for _ in range(2)))
         base = body_cone_aperture(body).alpha
         for c in (0.1, 1.0, 10.0):
-            assert body_cone_aperture(body.scaled(c)).alpha == pytest.approx(base, rel=1e-12)
+            scaled = ConvexBody(n=4, generators=tuple(g * c for g in body.generators))
+            assert body_cone_aperture(scaled).alpha == pytest.approx(base, rel=1e-12)
 
     def test_generator_ratio_bounds(self):
         rng = make_rng(305)
@@ -160,7 +161,7 @@ class TestBodyConeAperture:
 
     def test_inconsistent_paths_raise(self, monkeypatch):
         body = dominative_body(3, 4.0)
-        monkeypatch.setattr(aperture_mod, "_alpha_by_support_root", lambda b, tol: 2.9)
+        monkeypatch.setattr(aperture_mod, "_alpha_by_support_root", lambda b: 2.9)
         with pytest.raises(ApertureInconsistencyError):
             body_cone_aperture(body)
 

@@ -11,6 +11,7 @@ import warnings
 import pytest
 
 from domcone import cli, suite
+from domcone.fundsol import example_radial_check
 
 #: Options each command reads besides its own arguments.
 SHARED = {
@@ -144,6 +145,12 @@ def test_failed_property_exits_2_and_still_reports():
         (["aperture", "--body", "pucci:n=2,lam=1,Lam=inf"], "precondition"),
         (["sobolev", "--n", "5", "--p", "2", "--q", "1000", "--eps", "1e-6"], "numerical-failure"),
         (["sobolev", "--n", "2", "--p", "3", "--q", "4000", "--eps", "0.1"], "numerical-failure"),
+        (["sobolev", "--n", "3", "--p", "3", "--q", "2", "--eps", "abc"], "input"),
+        # a check that runs nothing must not pass
+        (["suite", "--groups", ","], "input"),
+        (["example", "--c", ""], "input"),
+        # n = 0 is a dimension that does not match the point, not a missing --n
+        (["fundsol", "--n", "0", "--p", "3", "--at", "1,2"], "input"),
     ],
 )
 def test_bad_input_exits_1_with_the_error_report(matrix_files, argv, want):
@@ -271,17 +278,17 @@ def test_verify_violation_shape():
 
 
 def test_example_report_shape():
-    code, rep = run_json(["example"])
+    # the checks of verify's shape, one per --c value in the order config echoes
+    code, rep = run_json(["example", "--c", "2,1"])
     assert code == 0
     assert set(rep) == {"schema", "command", "config", "result"}
-    keys = {k: None for k in ("c", "max_residual", "passed")}
-    assert _keys(rep["result"]) == {
-        "checks": [{**keys, "r_values": [], "violations": []}],
-        "passed": None,
-    }
+    assert rep["schema"] == 3 and rep["config"]["c"] == "2,1"
+    assert _keys(rep["result"]) == {"checks": [{**CHECK_KEYS, "violations": []}], "passed": None}
     checks = rep["result"]["checks"]
-    assert [c["c"] for c in checks] == [1.0, 1.5, 2.0]
-    assert all(len(c["r_values"]) == 19 and c["passed"] for c in checks)
+    # two checks per radius: the residual and the top eigenvalue
+    assert [(c["name"], c["samples"], c["checks"], c["passed"]) for c in checks] == [("radial", 19, 38, True)] * 2
+    grid = cli._parse_range("0.05:0.95:0.05")
+    assert [c["max_deviation"] for c in checks] == [example_radial_check(c, grid).max_deviation for c in (2.0, 1.0)]
 
 
 # ---------------------------------------------------------------------------

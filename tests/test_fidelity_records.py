@@ -32,7 +32,7 @@ LOOSE = 1e-3
 def _failures(monkeypatch, **patches):
     for name, fn in patches.items():
         monkeypatch.setattr(suite, name, fn)
-    details = json.loads(json.dumps(suite.run_acdo_fidelity(0).to_dict(), allow_nan=False))["details"]
+    details = json.loads(json.dumps(suite.run_acdo_fidelity(0), allow_nan=False))
     return details["failures"]
 
 
@@ -61,7 +61,7 @@ def loose_failures(monkeypatch):
 
 
 def test_a_passing_group_has_no_failure_record():
-    assert suite.run_acdo_fidelity(0).details["failures"] == []
+    assert suite.run_acdo_fidelity(0)["failures"] == []
 
 
 def test_dominative_record_replays(tmp_path, loose_failures):

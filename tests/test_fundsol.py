@@ -12,7 +12,6 @@ from domcone.aperture import ConvexBody, dominative_body, minimal_bound_check, p
 from domcone.errors import NumericalFailureError, PreconditionError
 from domcone.fundsol import (
     FundamentalSolution,
-    GridCheckReport,
     example_radial_check,
     sobolev_diverges,
     sobolev_integral,
@@ -25,7 +24,7 @@ from domcone.fundsol import (
     w_hessian,
     w_value,
 )
-from domcone.operators import Pucci
+from domcone.operators import PropertyReport, Pucci
 from domcone.symmat import SymMatrix
 
 
@@ -124,22 +123,44 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "False"
 
 
+#: The JSON keys of a property report.
+CHECK_KEYS = {"name", "samples", "checks", "max_deviation", "violations", "passed"}
+
+
 class TestReportForm:
-    """The property reports serialise their fields plus ``passed``."""
+    """The three fundsol checks return property reports: their fields plus
+    ``passed``, and annihilation's scaling-law error beside them."""
 
     def test_annihilation(self):
         rep = verify_annihilation(pucci_body(2, 1.0, 2.0), FundamentalSolution(n=2, p=3.0), sample_count=20)
-        assert rep.passed
+        assert rep.passed and isinstance(rep, PropertyReport)
         d = rep.to_dict()
-        assert set(d) == {
-            "operator", "n", "p", "alpha", "samples", "max_scaled_residual",
-            "max_scaling_law_error", "violations", "passed",
-        }
-        assert d["operator"].startswith("support function of")
+        assert set(d) == CHECK_KEYS | {"max_scaling_law_error"}
+        assert (d["name"], d["samples"], d["checks"]) == ("annihilation", 20, 20)
+        assert 0.0 < d["max_deviation"] <= 1e-9
+
+    def test_annihilation_records_each_violating_point(self):
+        fs = FundamentalSolution(n=2, p=3.0)
+        rep = verify_annihilation(pucci_body(2, 1.0, 2.0), fs, sample_count=4, tol=-1.0)
+        assert len(rep.violations) == 4
+        for v in rep.violations:
+            assert set(v) == {"x", "residual", "scaled"}
+            r = math.hypot(*v["x"])
+            assert v["scaled"] == pytest.approx(abs(v["residual"]) * r**fs.alpha, rel=1e-12)
+        assert rep.max_deviation == max(v["scaled"] for v in rep.violations)
 
     def test_annihilation_infinite_exponent(self):
+        # the aperture gate lets p = inf through on both sides, and G = F_inf
+        # annihilates -|x|
         rep = verify_annihilation(dominative_body(3, math.inf), FundamentalSolution(n=3, p=math.inf), sample_count=5)
-        assert rep.to_dict()["p"] == "inf"
+        assert rep.passed and rep.checks == 5
+
+    @pytest.mark.parametrize(
+        "body, p", [(dominative_body(3, math.inf), 3.0), (dominative_body(3, 3.0), math.inf), (dominative_body(3, 3.0), 4.0)]
+    )
+    def test_annihilation_gate_refuses_another_exponent(self, body, p):
+        with pytest.raises(PreconditionError, match="aperture mismatch"):
+            verify_annihilation(body, FundamentalSolution(n=3, p=p), sample_count=5)
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_annihilation_rejects_an_empty_sample(self, count):
@@ -149,8 +170,10 @@ class TestReportForm:
     def test_radial_check_records_violations(self):
         rep = example_radial_check(1.0, [0.5], tol=-1.0)  # every residual exceeds a negative tol
         d = rep.to_dict()
-        assert set(d) == {"c", "r_values", "max_residual", "violations", "passed"}
-        assert d["passed"] is False and d["violations"]
+        assert set(d) == CHECK_KEYS
+        assert (d["name"], d["samples"], d["checks"]) == ("radial", 1, 2)
+        assert d["passed"] is False
+        assert [set(v) for v in d["violations"]] == [{"r", "residual"}, {"r", "top_eig_mismatch"}]
 
     @pytest.mark.parametrize("c", [0.999, -1.0, math.nan, math.inf])
     def test_radial_check_needs_finite_c_at_least_one(self, c):
@@ -175,10 +198,16 @@ class TestReportForm:
         with pytest.raises(PreconditionError, match="rotation-closed"):
             verify_annihilation(body, FundamentalSolution(n=2, p=2.0), sample_count=5)
 
-    def test_grid_check_empty_grid(self):
-        assert GridCheckReport(points_checked=0).to_dict() == {
-            "points_checked": 0, "max_value": "-inf", "violations": [], "passed": True,
+    def test_grid_check_records_each_point(self):
+        # F = Pucci on -I is -2 everywhere: no violation, and the maximum
+        # deviation stays at its floor 0.0 rather than -2
+        field = lambda x: SymMatrix.identity(2) * -1.0
+        rep = viscosity_grid_check(Pucci(n=2, lam=1.0, Lam=2.0), field, [[1.0, 0.0], [0.0, 2.0]], 1e-9)
+        assert rep.to_dict() == {
+            "name": "grid", "samples": 2, "checks": 2, "max_deviation": 0.0, "violations": [], "passed": True,
         }
+        rep = viscosity_grid_check(Pucci(n=2, lam=1.0, Lam=2.0), field, [[1.0, 0.0]], -3.0)
+        assert rep.violations == [{"x": [1.0, 0.0], "value": -2.0}]
 
     def test_minimal_bound(self):
         d = minimal_bound_check(dominative_body(3, 3.0), samples=10, sharpness_probes=2).to_dict()

@@ -6,11 +6,14 @@ fields; the comparison goes through strict JSON, the form the CLI prints."""
 import json
 import math
 
+import pytest
+
 from domcone.acdo import AcdoRoot, EllipticSetOracle, acdo_root, oracle_from_operator
 from domcone.aperture import ApertureResult, body_cone_aperture, dominative_body
 from domcone.cones import InclusionReport, check_inclusion
+from domcone import suite
+from domcone.errors import InputError
 from domcone.operators import DominativeP, EvalResult, Record
-from domcone.suite import GroupResult
 from domcone.symmat import SymMatrix, eigvals_sym
 
 RADII = (1e2, 1e4, 1e6)
@@ -31,7 +34,7 @@ def acdo_root_dict(r):
 
 
 def test_no_record_writes_its_own_json():
-    for cls in (AcdoRoot, ApertureResult, EvalResult, GroupResult, InclusionReport):
+    for cls in (AcdoRoot, ApertureResult, EvalResult, InclusionReport):
         assert issubclass(cls, Record) and cls.to_dict is Record.to_dict
 
 
@@ -115,7 +118,19 @@ def test_inclusion_report_at_finite_p():
     assert got["verdict"] == "violated" and got["decay_exponent"] == -got["trend_slope"]
 
 
-def test_group_result():
-    details = {"max_err": 1.5e-12, "failures": [{"n": 3}]}
-    got = as_json(GroupResult(name="g", passed=False, details=details))
-    assert got == {"name": "g", "passed": False, "details": details}
+def test_run_suite_pass_rule(monkeypatch):
+    # a group returns its details; run_suite names it and passes it when
+    # its failures list is empty, and passes the suite when every group does
+    bad = {"max_err": 1.5e-12, "failures": [{"n": 3}]}
+    good = {"max_err": 0.0, "failures": []}
+    monkeypatch.setattr(suite, "GROUPS", {"bad": lambda seed: bad, "good": lambda seed: good})
+    got = suite.run_suite(["good", "bad"], seed=7)
+    assert [list(g) for g in got["groups"]] == [["name", "passed", "details"]] * 2
+    assert got["groups"] == [
+        {"name": "good", "passed": True, "details": good},
+        {"name": "bad", "passed": False, "details": bad},
+    ]
+    assert (got["seed"], got["passed"]) == (7, False)
+    assert suite.run_suite(["good"])["passed"] is True
+    with pytest.raises(InputError, match="no suite group"):
+        suite.run_suite([])
