@@ -208,6 +208,8 @@ class TestReportForm:
         }
         rep = viscosity_grid_check(Pucci(n=2, lam=1.0, Lam=2.0), field, [[1.0, 0.0]], -3.0)
         assert rep.violations == [{"x": [1.0, 0.0], "value": -2.0}]
+        # F <= tol is the supersolution property, so a value at tol passes
+        assert viscosity_grid_check(Pucci(n=2, lam=1.0, Lam=2.0), field, [[1.0, 0.0]], -2.0).passed
 
     def test_minimal_bound(self):
         d = minimal_bound_check(dominative_body(3, 3.0), samples=10, sharpness_probes=2).to_dict()

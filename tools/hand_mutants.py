@@ -1,4 +1,4 @@
-"""Hand mutants of the root finder and its neighbours.
+"""Hand mutants of the root finder, the property reports and their neighbours.
 
 Each mutant is one exact textual edit of a source file.  The script copies
 ``src/``, ``tests/``, ``tools/`` and ``perfbench/`` of this checkout into a
@@ -43,10 +43,34 @@ MUTANTS = [
         " & (mid != hi)",
     ),
     (
-        "acdo_roots: start probes at 0",
+        "oracle_from_operator: < for <= in the membership test",
         "src/domcone/acdo.py",
-        "np.zeros(len(stack), dtype=int), np.ones(len(stack), dtype=int)",
-        "np.zeros(len(stack), dtype=int), np.zeros(len(stack), dtype=int)",
+        "member=lambda x: spec.value(x) <= 0.0,",
+        "member=lambda x: spec.value(x) < 0.0,",
+    ),
+    (
+        "oracle_from_operator: < for <= in the stacked membership test",
+        "src/domcone/acdo.py",
+        "member_stack=lambda a: spec.value_stack(a) <= 0.0,",
+        "member_stack=lambda a: spec.value_stack(a) < 0.0,",
+    ),
+    (
+        "PropertyReport.record: >= for > against the limit",
+        "src/domcone/operators.py",
+        "        if deviation > limit:\n",
+        "        if deviation >= limit:\n",
+    ),
+    (
+        "PropertyReport.record: min for max",
+        "src/domcone/operators.py",
+        "self.max_deviation = max(self.max_deviation, deviation)",
+        "self.max_deviation = min(self.max_deviation, deviation)",
+    ),
+    (
+        "run_suite: a group always passes",
+        "src/domcone/suite.py",
+        '"passed": not details["failures"]',
+        '"passed": True',
     ),
     (
         "oracle: flip the witness-order check",
