@@ -15,8 +15,8 @@ and they bracket every root: X + tI is a member for t <= lambda_min(W_in
 so the ends take one eigensolve and no membership call.  :func:`acdo_roots`
 runs the bisections of a whole stack of matrices in lockstep, one stacked
 membership call per step, and resumes them from the roots of an earlier
-call at a looser tolerance.  A root's ``probes`` follow from its
-``iterations``: the bracket (or closed form) is one, and each step one.
+call at a looser tolerance.  A root's ``probes`` is ``iterations + 1``:
+one for the bracket (or the closed form), and one per bisection step.
 """
 
 from __future__ import annotations

@@ -288,7 +288,8 @@ def test_example_report_shape():
     # two checks per radius: the residual and the top eigenvalue
     assert [(c["name"], c["samples"], c["checks"], c["passed"]) for c in checks] == [("radial", 19, 38, True)] * 2
     grid = cli._parse_range("0.05:0.95:0.05")
-    assert [c["max_deviation"] for c in checks] == [example_radial_check(c, grid).max_deviation for c in (2.0, 1.0)]
+    want = [example_radial_check(c, grid).max_deviation for c in (2.0, 1.0)]
+    assert [c["max_deviation"] for c in checks] == want
 
 
 # ---------------------------------------------------------------------------
