@@ -25,6 +25,7 @@ from .aperture import (
     ConvexBody,
     PermutationDecomposition,
     body_cone_aperture,
+    bound_certificate,
     dominative_body,
     dominative_weights,
     minimal_bound_check,

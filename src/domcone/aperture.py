@@ -32,7 +32,7 @@ from .operators import (
     eval_support,
     support_from_eigs,
 )
-from .sampling import goe_stack, make_rng, random_orthogonal
+from .sampling import make_rng, random_orthogonal
 from .symmat import SymMatrix, eigvals_stack, eigvals_sym
 
 #: Generators must be positive semidefinite within this tolerance.
@@ -231,6 +231,10 @@ def body_cone_aperture(body: ConvexBody) -> ApertureResult:
 
 @dataclass
 class MinimalBoundReport(Report):
+    """The sampled bound (``violations``, ``worst_margin``, ``tightest``,
+    ``sharpness_gap``) and its exact ``certificate``; ``passed`` speaks
+    for the sampled bound only."""
+
     body: str
     alpha: float
     p: float
@@ -240,9 +244,29 @@ class MinimalBoundReport(Report):
     worst_margin: float = math.inf
     tightest: dict | None = None
     sharpness_gap: float = math.inf
+    certificate: dict | None = None
 
 
 _BOUND_RADII = (0.5, 1.0, 2.0, 10.0)
+
+
+def bound_certificate(body: ConvexBody, index: int, c: float, p: float) -> dict:
+    """Exact certificate of c * F_p <= G from one generator's spectrum.
+
+    With s the ascending spectrum of generator ``index`` and
+    l = c * :func:`dominative_weights` (n, p), c * F_p(X) = <l, lambda(X)>
+    and G(X) >= <s, lambda(X)> on the ascending spectrum lambda(X), so the
+    bound holds for every X when <s - l, lambda> >= 0 for every ascending
+    lambda: when the suffix sums sum_{i >= j} (s_i - l_i), j = 2..n, are
+    nonnegative and the full sum vanishes (lambda may be shifted by +-tI).
+    ``min_suffix_sum`` is the least of those suffix sums and of -|full
+    sum|; the certificate holds to ``tol`` when it is at least -tol.  At
+    the aperture's argmin generator and c it holds exactly; the j = n sum
+    is the equality at the spike ``diag(alpha-1, -1, ..., -1)``.
+    """
+    d = body.generator_spectra[index] - c * dominative_weights(body.n, p)
+    suffix = np.cumsum(d[::-1])[::-1]  # suffix[j] = sum of d[j:]
+    return {"index": index, "min_suffix_sum": float(min(suffix[1:].min(), -abs(suffix[0])))}
 
 
 def minimal_bound_check(
@@ -257,21 +281,28 @@ def minimal_bound_check(
     Records the worst margin ``G(X) - c F_p(X)`` and the tightest sampled X
     (the first one on a tie).  ``sharpness_probes`` targeted evaluations at
     rotations of ``diag(alpha-1, -1, ..., -1)`` witness equality (both
-    sides vanish there), tracked as ``sharpness_gap``.
+    sides vanish there), tracked as ``sharpness_gap``.  The report also
+    carries the exact :func:`bound_certificate` of the aperture's argmin
+    generator and c.
 
-    The ``samples`` GOE matrices (radii cycling through 0.5, 1, 2, 10)
-    come from one :func:`goe_stack`, the probes are drawn after them from
-    the same stream, and both sides are evaluated on one stacked
-    eigensolve of all of them; the report is the one a loop of
-    ``goe_matrix``, ``eval_dominative`` and ``eval_support`` per matrix
-    gives, bit for bit.
+    The ``samples`` matrices are symmetrized Gaussian draws
+    ``(G + G^T) / 2`` scaled by the radii 0.5, 1, 2, 10 in turn; both
+    sides are positively homogeneous of degree 1, so normalizing a draw
+    could not change the sign of its margin.  The draws come from one
+    ``standard_normal`` call, the probes are drawn after them from the
+    same stream, and both sides come from one stacked eigensolve of all
+    of them: one eigensolve per matrix, and the report is the one a loop
+    of a draw, ``eval_dominative`` and ``eval_support`` per matrix gives,
+    bit for bit.  Each violation holds the X it was evaluated on.
     """
     _check_count(samples)
     _check_count(sharpness_probes, "sharpness probe count", minimum=0)
     ap = body_cone_aperture(body)
     rng = make_rng(seed)
     n = body.n
-    x = goe_stack(rng, samples, n, _BOUND_RADII)
+    g = rng.standard_normal((samples, n, n))
+    x = 0.5 * (g + g.swapaxes(1, 2))
+    x *= np.resize(_BOUND_RADII, samples)[:, None, None]
     spike = _spike_matrix(n, ap.alpha)
     rotations = [random_orthogonal(rng, n) for _ in range(sharpness_probes)]
     probes = [SymMatrix(q.T @ spike.a @ q).a for q in rotations]
@@ -301,6 +332,7 @@ def minimal_bound_check(
         worst_margin=float(margin[worst]),
         tightest=SymMatrix._wrap(x[worst]).to_dict(),
         sharpness_gap=float(np.abs(margin).min()),
+        certificate=bound_certificate(body, ap.argmin_index, ap.c, ap.p),
     )
 
 

@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -337,6 +338,12 @@ _HANDLERS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value that starts with a negative number, such as the point
+        # -1,2 of --at, is a value and not an option (no option starts so)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         raise InputError(message)
 

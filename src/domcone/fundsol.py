@@ -99,17 +99,26 @@ def w_hessian(fs: FundamentalSolution, x) -> SymMatrix:
     """Hessian |x|^(-alpha) ((alpha-1) xx^T/|x|^2 - (I - xx^T/|x|^2)).
 
     Eigenvalues: (alpha-1)|x|^(-alpha) once (along x), -|x|^(-alpha) with
-    multiplicity n-1.
+    multiplicity n-1.  The one-row case of :func:`_hessian_stack`; a
+    Hessian that passes the float range raises ``InvalidMatrixError``.
     """
     x = np.asarray(x, dtype=float)
     r = _radius(x)
     if r == 0.0:
         raise PreconditionError("the Hessian is undefined at the origin")
-    xhat = x / r
-    proj = np.outer(xhat, xhat)
-    alpha = fs.alpha
-    h = r ** (-alpha) * ((alpha - 1.0) * proj - (np.eye(fs.n) - proj))
-    return SymMatrix(h)
+    return SymMatrix(_hessian_stack(fs.alpha, x[None], [r])[0])
+
+
+def _hessian_stack(alpha: float, x: np.ndarray, r: list[float]) -> np.ndarray:
+    """(k, n, n) stack of the Hessians of :func:`w_hessian` at the k rows
+    of ``x``, with ``r`` their nonzero radii (:func:`_radius`).
+
+    |x|^(-alpha) is taken one radius at a time with Python's power, whose
+    bits a numpy power of the stack does not always give."""
+    xhat = x / np.array(r)[:, None]
+    proj = xhat[:, :, None] * xhat[:, None, :]
+    scale = np.array([ri ** (-alpha) for ri in r])
+    return scale[:, None, None] * ((alpha - 1.0) * proj - (np.eye(x.shape[1]) - proj))
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +143,11 @@ def verify_annihilation(
     Samples |x| log-uniformly in [1e-2, 1e2] over random directions and
     records the scaled residual |G(Hess w(x))| * |x|^alpha against ``tol``,
     and the homogeneity scaling law G(Hess w(x)) = |x|^(-alpha) G(Lambda_alpha).
+    The points are drawn one radius and direction at a time, and their
+    Hessians are built as one stack (:func:`_hessian_stack`), each with
+    the bits of :func:`w_hessian`.  G is still one ``eval_support`` call
+    per point; once the benchmark counts stacked eigensolves (ROADMAP
+    item 1) it can be one ``eigvals_stack`` of the Hessians.
 
     The body's cone aperture (:func:`body_cone_aperture`, so the body must
     be rotation-closed) must equal fs.p — by definition the aperture is the
@@ -155,13 +169,16 @@ def verify_annihilation(
     rng = make_rng(seed)
     alpha = fs.alpha
     g_spike = eval_support(_spike_matrix(fs.n, alpha), body)
+    drawn, x = [], np.empty((sample_count, fs.n))
+    for row in x:  # one radius and direction per point, in stream order
+        drawn.append(log_uniform(rng, 1e-2, 1e2))
+        row[:] = drawn[-1] * random_unit_vector(rng, fs.n)
+    hessians = _hessian_stack(alpha, x, [_radius(row) for row in x])
     report = AnnihilationReport(name="annihilation", samples=sample_count)
-    for _ in range(sample_count):
-        r = log_uniform(rng, 1e-2, 1e2)
-        x = r * random_unit_vector(rng, fs.n)
-        g = eval_support(w_hessian(fs, x), body)
+    for point, r, h in zip(x, drawn, hessians):
+        g = eval_support(SymMatrix._wrap(h), body)
         scaled = abs(g) * r**alpha
-        report.record(scaled, tol, x=x.tolist(), residual=g, scaled=scaled)
+        report.record(scaled, tol, x=point.tolist(), residual=g, scaled=scaled)
         law_err = abs(g - r ** (-alpha) * g_spike) * r**alpha
         report.max_scaling_law_error = max(report.max_scaling_law_error, law_err)
     return report

@@ -14,7 +14,6 @@ from dataclasses import replace
 import numpy as np
 
 from .acdo import (
-    acdo_eval,
     acdo_roots,
     check_lipschitz,
     check_nondegeneracy,
@@ -105,32 +104,40 @@ def _random_bodies(seed: int) -> list[ConvexBody]:
 
 
 def run_minimal_bound(seed: int) -> dict:
-    """c * F_p <= G on 2000 samples per body, with an equality witness within
-    1e-6 found by probing rotations of the spike direction.
+    """c * F_p <= G on 2000 scaled Gaussian samples per body (the bound is
+    positively homogeneous, so the samples need no normalizing), with one
+    stacked eigensolve per body and an equality witness within 1e-6 found
+    by probing rotations of the spike direction; the exact certificate of
+    the bound (:func:`bound_certificate`) holds to 1e-9 on every body, and
+    ``worst_certificate`` is its least ``min_suffix_sum``.
 
     Each failure record carries the body (``to_dict``); a bound failure
     also carries the aperture's p and c and each violation's X with its
-    margin G(X) - c F_p(X), so that ``eval`` replays it."""
+    margin G(X) - c F_p(X), so that ``eval`` replays it, and a certificate
+    failure carries p, c and the certificate."""
     bodies = [dominative_body(4, 3.0), pucci_body(3, 0.7, 2.1)]
     bodies += _random_bodies(seed)
-    worst_margin = math.inf
+    worst_margin = worst_certificate = math.inf
     worst_gap = 0.0
     failures = []
     for k, body in enumerate(bodies):
         rep = minimal_bound_check(body, samples=2000, seed=seed + 31 * k, tol=1e-9)
         worst_margin = min(worst_margin, rep.worst_margin)
         worst_gap = max(worst_gap, rep.sharpness_gap)
+        worst_certificate = min(worst_certificate, rep.certificate["min_suffix_sum"])
+        bound = {"body": body.to_dict(), "p": num_to_json(rep.p), "c": rep.c}
         if rep.violations:
-            failures.append(
-                {"body": body.to_dict(), "p": num_to_json(rep.p), "c": rep.c, "violations": rep.violations}
-            )
+            failures.append({**bound, "violations": rep.violations})
         if rep.sharpness_gap > 1e-6:
             failures.append({"body": body.to_dict(), "sharpness_gap": rep.sharpness_gap})
+        if rep.certificate["min_suffix_sum"] < -1e-9:
+            failures.append({**bound, "certificate": rep.certificate})
     return {
         "bodies": len(bodies),
         "samples_per_body": 2000,
         "worst_margin": worst_margin,
         "worst_sharpness_gap": worst_gap,
+        "worst_certificate": worst_certificate,
         "failures": failures,
     }
 
@@ -174,11 +181,12 @@ def _bisection(oracle):
 
 def _closed_form_cases(seed: int) -> dict:
     """Catalog specs paired with sampled matrices for the closed-form check:
-    25 per type, n in 2..5 (2 for the model equation), radius 2 so that
-    some model-equation samples fall below its l2 = -1 edge."""
+    5 specs per type, each with a stack of 5 matrices, n in 2..5 (2 for
+    the model equation), radius 2 so that some model-equation samples
+    fall below its l2 = -1 edge."""
     rng = make_rng(seed, 10)
     cases = {}
-    for i in range(25):
+    for i in range(5):
         n = 2 + i % 4
         lam = 0.25 + 1.75 * rng.uniform()
         Lam = lam * (1.0 + 4.0 * rng.uniform())
@@ -191,8 +199,16 @@ def _closed_form_cases(seed: int) -> dict:
             "shifted": Shifted(inner=Pucci(n=n, lam=lam, Lam=Lam), X0=goe_matrix(rng, n)),
         }
         for name, spec in specs.items():
-            cases.setdefault(name, []).append((spec, goe_matrix(rng, spec.n, radius=2.0)))
+            cases.setdefault(name, []).append((spec, goe_stack(rng, 5, spec.n, [2.0])))
     return cases
+
+
+def _closed_form_errors(spec, xs: np.ndarray) -> list:
+    """(X, |bisected - closed-form distance|) for each matrix X of a stack;
+    the bisections run in lockstep, each with the bits of ``acdo_root``."""
+    roots = acdo_roots(_bisection(oracle_from_operator(spec)), xs)
+    xs = [SymMatrix._wrap(x) for x in xs]
+    return [(x, abs(root.value - spec.distance(x))) for x, root in zip(xs, roots)]
 
 
 def _replay(spec, x) -> dict:
@@ -207,9 +223,9 @@ def run_acdo_fidelity(seed: int) -> dict:
     is empty on the closed form of F_3 on S(3), where each shifted matrix
     has an eigensolve of its own: a bisection brackets X and X + tau I by
     exact shifts of one bracket, so there the check could not fail.  The
-    closed-form distance of the half-space (50 samples) and of the Pucci,
-    model-equation, support and shifted sets (25 samples each) matches
-    bisection to 2e-10.
+    closed-form distance of the half-space (10 specs) and of the Pucci,
+    model-equation, support and shifted sets (5 specs each) matches
+    bisection to 2e-10 on 5 matrices per spec, which bisect in lockstep.
 
     Each failure record carries the spec (``spec_to_dict``) and the matrix
     X (with tau or Y for a shift or Lipschitz violation), so that it can be
@@ -239,24 +255,22 @@ def run_acdo_fidelity(seed: int) -> dict:
 
     rng = make_rng(seed, 7)
     max_half_err = 0.0
-    for _ in range(50):
+    for _ in range(10):
         n = int(rng.integers(2, 5))
         spec = LinearTrace(A=random_psd(rng, n), m=float(rng.normal()))
-        oracle = _bisection(oracle_from_operator(spec))
-        x = goe_matrix(rng, n, radius=2.0)
-        err = abs(acdo_eval(oracle, x) - spec.distance(x))
-        max_half_err = max(max_half_err, err)
-        if err > 2e-10:
-            failures.append({"halfspace_error": err, **_replay(spec, x)})
+        for x, err in _closed_form_errors(spec, goe_stack(rng, 5, n, [2.0])):
+            max_half_err = max(max_half_err, err)
+            if err > 2e-10:
+                failures.append({"halfspace_error": err, **_replay(spec, x)})
 
     closed_form_errors = {}
     for name, pairs in _closed_form_cases(seed).items():
         worst = 0.0
-        for spec, x in pairs:
-            err = abs(acdo_eval(_bisection(oracle_from_operator(spec)), x) - spec.distance(x))
-            worst = max(worst, err)
-            if err > 2e-10:
-                failures.append({"closed_form": name, "error": err, **_replay(spec, x)})
+        for spec, xs in pairs:
+            for x, err in _closed_form_errors(spec, xs):
+                worst = max(worst, err)
+                if err > 2e-10:
+                    failures.append({"closed_form": name, "error": err, **_replay(spec, x)})
         closed_form_errors[name] = worst
 
     return {

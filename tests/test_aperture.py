@@ -10,6 +10,7 @@ from domcone.aperture import (
     ConvexBody,
     MinimalBoundReport,
     body_cone_aperture,
+    bound_certificate,
     dominative_body,
     dominative_weights,
     minimal_bound_check,
@@ -204,13 +205,24 @@ class TestMinimalBound:
             assert rep.tightest is not None
 
 
+def _reference_certificate(body, index, c, p):
+    """bound_certificate as a loop over the suffixes of s - c w_p."""
+    d = body.generator_spectra[index] - c * dominative_weights(body.n, p)
+    suffix, sums = 0.0, []
+    for v in d[::-1].tolist():
+        suffix += v
+        sums.append(suffix)
+    return {"index": index, "min_suffix_sum": min(min(sums[:-1]), -abs(sums[-1]))}
+
+
 def _reference_minimal_bound(body, samples=2000, seed=0, tol=1e-9, sharpness_probes=8):
-    """minimal_bound_check as one goe_matrix, eval_dominative and
-    eval_support call per matrix."""
+    """minimal_bound_check as one symmetrized Gaussian draw scaled by the
+    radius cycle, eval_dominative and eval_support call per matrix."""
     ap = body_cone_aperture(body)
     rng = make_rng(seed)
     report = MinimalBoundReport(
-        body=body.summary(), alpha=ap.alpha, p=ap.p, c=ap.c, samples=samples, probes=sharpness_probes
+        body=body.summary(), alpha=ap.alpha, p=ap.p, c=ap.c, samples=samples, probes=sharpness_probes,
+        certificate=_reference_certificate(body, ap.argmin_index, ap.c, ap.p),
     )
 
     def record(x):
@@ -226,7 +238,8 @@ def _reference_minimal_bound(body, samples=2000, seed=0, tol=1e-9, sharpness_pro
 
     radii = (0.5, 1.0, 2.0, 10.0)
     for i in range(samples):
-        record(goe_matrix(rng, body.n, radius=radii[i % len(radii)]))
+        g = rng.standard_normal((body.n, body.n))
+        record(SymMatrix(0.5 * (g + g.T) * radii[i % len(radii)]))
     spike = aperture_mod._spike_matrix(body.n, ap.alpha)
     for _ in range(sharpness_probes):
         q = random_orthogonal(rng, body.n)
@@ -276,6 +289,43 @@ class TestMinimalBoundAgainstReference:
     def test_empty_or_negative_counts_are_rejected(self, kwargs):
         with pytest.raises(PreconditionError, match="at least"):
             minimal_bound_check(dominative_body(3, 4.0), **kwargs)
+
+
+def _certificate_bodies():
+    rng = make_rng(78)
+    bodies = [dominative_body(4, 3.0), dominative_body(3, math.inf), pucci_body(3, 0.7, 2.1)]
+    return bodies + [
+        ConvexBody(n=n, generators=tuple(random_psd(rng, n) for _ in range(gens)))
+        for n, gens in ((2, 1), (3, 2), (4, 3), (5, 4))
+    ]
+
+
+class TestBoundCertificate:
+    @pytest.mark.parametrize("body", _certificate_bodies())
+    def test_holds_at_the_aperture(self, body):
+        ap = body_cone_aperture(body)
+        cert = bound_certificate(body, ap.argmin_index, ap.c, ap.p)
+        assert cert["index"] == ap.argmin_index
+        assert -1e-12 <= cert["min_suffix_sum"] <= 0.0
+
+    @pytest.mark.parametrize("body", _certificate_bodies())
+    def test_a_wrong_c_fails(self, body):
+        ap = body_cone_aperture(body)
+        for c in (1.01 * ap.c, 0.99 * ap.c):
+            assert bound_certificate(body, ap.argmin_index, c, ap.p)["min_suffix_sum"] < -1e-9
+
+    @pytest.mark.parametrize("body", [b for b in _certificate_bodies() if len(b.generators) > 1])
+    def test_a_wrong_argmin_index_fails(self, body):
+        ap = body_cone_aperture(body)
+        spectra = body.generator_spectra
+        ratios = spectra.sum(axis=1) / spectra[:, -1]
+        wrong = np.flatnonzero(ratios > ap.alpha + 1e-9)
+        assert wrong.size
+        for i in wrong.tolist():
+            # the trace of its own generator keeps the full sum at 0, but
+            # its top eigenvalue falls short of c / alpha
+            assert bound_certificate(body, i, float(spectra[i].sum()), ap.p)["min_suffix_sum"] < -1e-9
+            assert bound_certificate(body, i, ap.c, ap.p)["min_suffix_sum"] < -1e-9
 
 
 def _random_hypothesis_pair(rng, n, p):

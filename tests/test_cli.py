@@ -133,6 +133,7 @@ def test_failed_property_exits_2_and_still_reports():
         (["verify", "--op", "dominative:n=3,p=3", "--samples", "-4"], "precondition"),
         (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--radii", "0,1e3,1e6"], "precondition"),
         (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--radii=-1,1e3,1e6"], "precondition"),
+        (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--radii", "-1,1e3,1e6"], "precondition"),
         (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--radii", "1e2,1e4,inf"], "precondition"),
         (["report", "--op", "dominative:n=2,p=3", "--p", "4", "--radii", "1,1e3,nan"], "precondition"),
         (["report", "--op", "dominative:n=2,p=3", "--p", "4", "--radii", "0,1e3,1e6"], "precondition"),
@@ -343,6 +344,21 @@ def test_inclusion_reports_name_the_root_method(tmp_path):
         assert code == 0
         res = rep["result"] if command == "check-inclusion" else rep["result"]["inclusion"]
         assert res["root_method"] == "bisection"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["fundsol", "--p", "3", "--at", "-1,2"], 0),
+        (["fundsol", "--p", "3", "--at", "-.5,-2,1e-3"], 0),
+        (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--radii", "-1,1e3,1e6"], 1),
+    ],
+)
+def test_a_value_may_start_with_a_minus_sign(argv, want):
+    # "--opt value" and "--opt=value" read the same value
+    joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+    assert run(argv) == run(joined)
+    assert run(argv)[0] == want
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,21 @@ import pytest
 
 from domcone import cli, suite
 from domcone.acdo import (
-    acdo_eval,
     acdo_root,
     acdo_roots,
     check_lipschitz,
     check_nondegeneracy,
     oracle_from_operator,
 )
-from domcone.operators import DominativeP, spec_from_dict
+from domcone.operators import (
+    DominativeP,
+    EnsembleSupport,
+    ExampleEq,
+    LinearTrace,
+    Pucci,
+    Shifted,
+    spec_from_dict,
+)
 from domcone.symmat import SymMatrix, inf_norm
 
 LOOSE = 1e-3
@@ -53,11 +60,7 @@ def _bisection(record):
 
 @pytest.fixture
 def loose_failures(monkeypatch):
-    return _failures(
-        monkeypatch,
-        acdo_roots=lambda oracle, stack: acdo_roots(oracle, stack, LOOSE),
-        acdo_eval=lambda oracle, x: acdo_eval(oracle, x, LOOSE),
-    )
+    return _failures(monkeypatch, acdo_roots=lambda oracle, stack: acdo_roots(oracle, stack, LOOSE))
 
 
 def test_a_passing_group_has_no_failure_record():
@@ -89,6 +92,32 @@ def test_closed_form_record_replays(tmp_path, loose_failures, kind):
         x = SymMatrix.from_dict(record["X"])
         bisected = acdo_root(_bisection(record), x, LOOSE).value
         assert abs(bisected - _cli_value(tmp_path, "acdo", record)) == record[error]
+
+
+@pytest.mark.parametrize(
+    "spec_type, kinds",
+    [
+        (LinearTrace, {"halfspace"}),
+        (Pucci, {"pucci", "shifted"}),  # a shifted spec here shifts a Pucci spec
+        (ExampleEq, {"example"}),
+        (EnsembleSupport, {"support_rot_closed", "support_plain"}),
+        (Shifted, {"shifted"}),
+    ],
+)
+def test_a_closed_form_off_by_1e_9_fails(tmp_path, monkeypatch, spec_type, kinds):
+    # bisection finds the true distance, so every matrix of these kinds
+    # fails the 2e-10 gate by about 1e-9, and each record replays
+    true_distance = spec_type.distance
+    monkeypatch.setattr(spec_type, "distance", lambda self, x: true_distance(self, x) + 1e-9)
+    failures = _failures(monkeypatch)
+    assert {r.get("closed_form", "halfspace") for r in failures} == kinds
+    assert len(failures) == sum(50 if kind == "halfspace" else 25 for kind in kinds)
+    for record in failures:
+        error = record.get("error", record.get("halfspace_error"))
+        assert error == pytest.approx(1e-9, abs=2e-10)
+        x = SymMatrix.from_dict(record["X"])
+        bisected = acdo_root(_bisection(record), x).value
+        assert abs(bisected - _cli_value(tmp_path, "acdo", record)) == error
 
 
 def test_nondegeneracy_record_replays(monkeypatch):

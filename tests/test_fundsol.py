@@ -6,10 +6,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import domcone
+import domcone.fundsol as fundsol_mod
 from domcone.aperture import ConvexBody, dominative_body, minimal_bound_check, pucci_body
-from domcone.errors import NumericalFailureError, PreconditionError
+from domcone.errors import InvalidMatrixError, NumericalFailureError, PreconditionError
 from domcone.fundsol import (
     FundamentalSolution,
     example_radial_check,
@@ -25,6 +28,7 @@ from domcone.fundsol import (
     w_value,
 )
 from domcone.operators import PropertyReport, Pucci
+from domcone.sampling import make_rng
 from domcone.symmat import SymMatrix
 
 
@@ -214,7 +218,7 @@ class TestReportForm:
         d = minimal_bound_check(dominative_body(3, 3.0), samples=10, sharpness_probes=2).to_dict()
         assert set(d) == {
             "body", "alpha", "p", "c", "samples", "probes", "violations",
-            "worst_margin", "tightest", "sharpness_gap", "passed",
+            "worst_margin", "tightest", "sharpness_gap", "certificate", "passed",
         }
         assert d["passed"] and d["p"] == 3.0
 
@@ -229,6 +233,31 @@ def test_profile_at_radii_past_the_plain_norm(scale):
     assert np.allclose(w_gradient(fs, x), -(r**-0.5) / math.sqrt(2.0), rtol=1e-14, atol=0.0)
     eigs = np.linalg.eigvalsh(w_hessian(fs, x).a)
     assert eigs == pytest.approx([-(r**-1.5), 0.5 * r**-1.5], rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    p=st.sampled_from(["2", "n", "7.5", "inf"]),
+    k=st.integers(1, 12),
+    salt=st.integers(0, 10_000),
+    decades=st.floats(-3.0, 3.0),
+)
+def test_stacked_hessians_equal_w_hessian_bit_for_bit(n, p, k, salt, decades):
+    fs = FundamentalSolution(n=n, p=float(n) if p == "n" else float(p))
+    rng = make_rng(salt)
+    x = rng.standard_normal((k, n)) * 10.0 ** (decades + rng.uniform(-2.0, 2.0, (k, 1)))
+    stack = fundsol_mod._hessian_stack(fs.alpha, x, [fundsol_mod._radius(row) for row in x])
+    assert stack.shape == (k, n, n)
+    for row, h in zip(x, stack):
+        assert w_hessian(fs, row).a.tobytes() == h.tobytes()
+
+
+def test_w_hessian_keeps_the_finiteness_check():
+    # |x|^(-alpha) is finite but (alpha - 1) times it is not
+    fs = FundamentalSolution(n=16, p=2.0)
+    with np.errstate(over="ignore"), pytest.raises(InvalidMatrixError, match="finite"):
+        w_hessian(fs, [6e-20] + [0.0] * 15)
 
 
 def test_profile_keeps_the_plain_norm_inside_the_safe_range():

@@ -13,12 +13,14 @@ pass.  Records go through strict JSON first, as the CLI prints them."""
 import contextlib
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import domcone.aperture as aperture_mod
 from domcone import cli, suite
-from domcone.aperture import ConvexBody, minimal_bound_check
+from domcone.aperture import ConvexBody, bound_certificate, minimal_bound_check
 from domcone.fundsol import example_radial_check, verify_annihilation, viscosity_grid_check
 
 
@@ -74,6 +76,25 @@ def test_minimal_bound_record_replays(monkeypatch, tmp_path):
             f = _cli_eval(tmp_path, {"type": "dominative", "n": n, "p": record["p"]}, v["X"])
             assert (g, record["c"] * f) == (v["rhs"], v["lhs"])
             assert g - record["c"] * f == v["margin"] < 1e-3
+
+
+def test_minimal_bound_fails_on_a_bad_certificate(monkeypatch):
+    # an aperture whose c is 1% too large: the certificate fails on every
+    # body, and each record replays through bound_certificate
+    true_aperture = aperture_mod.body_cone_aperture
+    monkeypatch.setattr(
+        aperture_mod, "body_cone_aperture", lambda body: replace(true_aperture(body), c=1.01 * true_aperture(body).c)
+    )
+    details = json.loads(json.dumps(suite.run_minimal_bound(0), allow_nan=False))
+    records = [r for r in details["failures"] if "certificate" in r]
+    assert len(records) == details["bodies"]
+    assert details["worst_certificate"] == min(r["certificate"]["min_suffix_sum"] for r in records) < -1e-9
+    for record in records:
+        assert set(record) == {"body", "p", "c", "certificate"}
+        body = ConvexBody.from_dict(record["body"])
+        index = record["certificate"]["index"]
+        p = float(record["p"])
+        assert bound_certificate(body, index, record["c"], p) == record["certificate"]
 
 
 def test_example_equation_record_replays(monkeypatch):

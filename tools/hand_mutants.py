@@ -1,4 +1,5 @@
-"""Hand mutants of the root finder, the property reports and their neighbours.
+"""Hand mutants of the root finder, the property reports, the suite's
+stacked checks and their neighbours.
 
 Each mutant is one exact textual edit of a source file.  The script copies
 ``src/``, ``tests/``, ``tools/`` and ``perfbench/`` of this checkout into a
@@ -107,6 +108,30 @@ MUTANTS = [
         "src/domcone/operators.py",
         "return float(num / (self.lam * j + self.Lam * (x.n - j)))",
         "return float(-num / (self.lam * j + self.Lam * (x.n - j)))",
+    ),
+    (
+        "minimal_bound_check: drop the radius cycle",
+        "src/domcone/aperture.py",
+        "    x *= np.resize(_BOUND_RADII, samples)[:, None, None]\n",
+        "",
+    ),
+    (
+        "bound_certificate: c 1% too large",
+        "src/domcone/aperture.py",
+        "- c * dominative_weights(body.n, p)",
+        "- 1.01 * c * dominative_weights(body.n, p)",
+    ),
+    (
+        "closed-form cross-check: every row against row 0's closed form",
+        "src/domcone/suite.py",
+        "abs(root.value - spec.distance(x))) for x, root",
+        "abs(root.value - spec.distance(xs[0]))) for x, root",
+    ),
+    (
+        "stacked Hessian: alpha for alpha - 1",
+        "src/domcone/fundsol.py",
+        "((alpha - 1.0) * proj - ",
+        "(alpha * proj - ",
     ),
 ]
 
