@@ -340,8 +340,8 @@ _HANDLERS = {
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a value that starts with a negative number, such as the point
-        # -1,2 of --at, is a value and not an option (no option starts so)
+        # an argument that starts with a negative number, such as the
+        # point -1,2 of --at, is a value: no option starts with -<digit>
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):  # exit 1 on usage errors, not argparse's 2

@@ -99,8 +99,8 @@ def w_hessian(fs: FundamentalSolution, x) -> SymMatrix:
     """Hessian |x|^(-alpha) ((alpha-1) xx^T/|x|^2 - (I - xx^T/|x|^2)).
 
     Eigenvalues: (alpha-1)|x|^(-alpha) once (along x), -|x|^(-alpha) with
-    multiplicity n-1.  The one-row case of :func:`_hessian_stack`; a
-    Hessian that passes the float range raises ``InvalidMatrixError``.
+    multiplicity n-1.  The one-row case of :func:`_hessian_stack`,
+    checked finite by ``SymMatrix``.
     """
     x = np.asarray(x, dtype=float)
     r = _radius(x)

@@ -23,7 +23,7 @@ from domcone.errors import (
     PreconditionError,
 )
 from domcone.operators import eval_dominative, eval_support
-from domcone.sampling import goe_matrix, make_rng, random_orthogonal, random_psd
+from domcone.sampling import make_rng, random_orthogonal, random_psd
 from domcone.symmat import SymMatrix, eigvals_sym
 
 

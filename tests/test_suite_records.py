@@ -82,19 +82,20 @@ def test_minimal_bound_fails_on_a_bad_certificate(monkeypatch):
     # an aperture whose c is 1% too large: the certificate fails on every
     # body, and each record replays through bound_certificate
     true_aperture = aperture_mod.body_cone_aperture
-    monkeypatch.setattr(
-        aperture_mod, "body_cone_aperture", lambda body: replace(true_aperture(body), c=1.01 * true_aperture(body).c)
-    )
+
+    def wrong_c(body):
+        ap = true_aperture(body)
+        return replace(ap, c=1.01 * ap.c)
+
+    monkeypatch.setattr(aperture_mod, "body_cone_aperture", wrong_c)
     details = json.loads(json.dumps(suite.run_minimal_bound(0), allow_nan=False))
     records = [r for r in details["failures"] if "certificate" in r]
     assert len(records) == details["bodies"]
     assert details["worst_certificate"] == min(r["certificate"]["min_suffix_sum"] for r in records) < -1e-9
     for record in records:
         assert set(record) == {"body", "p", "c", "certificate"}
-        body = ConvexBody.from_dict(record["body"])
-        index = record["certificate"]["index"]
-        p = float(record["p"])
-        assert bound_certificate(body, index, record["c"], p) == record["certificate"]
+        body, index = ConvexBody.from_dict(record["body"]), record["certificate"]["index"]
+        assert bound_certificate(body, index, record["c"], float(record["p"])) == record["certificate"]
 
 
 def test_example_equation_record_replays(monkeypatch):
