@@ -155,10 +155,11 @@ class ApertureResult(Record):
 
 
 def _spike_matrix(n: int, a: float) -> SymMatrix:
-    """diag(a-1, -1, ..., -1): the ray on which the support root equals alpha."""
+    """diag(a-1, -1, ..., -1): the ray on which the support root equals alpha;
+    finite and diagonal, so ``SymMatrix.diag``'s checks could not change a bit."""
     d = np.full(n, -1.0)
     d[0] = a - 1.0
-    return SymMatrix.diag(d)
+    return SymMatrix._wrap(np.diag(d))
 
 
 def _alpha_by_support_root(body: ConvexBody) -> float:

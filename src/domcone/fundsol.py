@@ -31,9 +31,10 @@ from .operators import (
     _check_p,
     eval_example,
     eval_support,
+    support_from_eigs,
 )
-from .sampling import log_uniform, make_rng, random_unit_vector
-from .symmat import SymMatrix
+from .sampling import make_rng, radial_points
+from .symmat import SymMatrix, eigvals_sym
 
 
 def _check_n(n: int) -> None:
@@ -63,11 +64,24 @@ class FundamentalSolution:
 
 def _radius(x: np.ndarray) -> float:
     """|x|, rescaled by s = max |x_i| where the plain norm would overflow or
-    underflow (s outside [1e-150, 1e150]); inside, the plain norm's bits."""
-    s = float(np.max(np.abs(x), initial=0.0))
+    underflow (s outside [1e-150, 1e150]).  Inside, ``sqrt(x . x)`` in plain
+    floats, the bits of ``np.linalg.norm``; outside, or where Python's ``max``
+    meets a NaN first, s again from numpy, which propagates a NaN, so the
+    value and any warning are always those of the norm."""
+    flat = x.ravel(order="K")  # the order np.linalg.norm sums in
+    s = max(map(abs, flat.tolist()), default=0.0)
     if s == 0.0 or 1e-150 <= s <= 1e150:
-        return float(np.linalg.norm(x))
+        return math.sqrt(flat.dot(flat))
+    s = float(np.max(np.abs(x), initial=0.0))
     return s * float(np.linalg.norm(x / s))
+
+
+def _power(r: float, e: float) -> float:
+    """``r ** e``, but inf where Python's power raises ``OverflowError``."""
+    try:
+        return r**e
+    except OverflowError:
+        return math.inf
 
 
 def w_value(fs: FundamentalSolution, x) -> float:
@@ -80,7 +94,7 @@ def w_value(fs: FundamentalSolution, x) -> float:
         return math.inf if p <= n else 0.0
     if p == n:
         return -math.log(r)
-    return -(p - 1.0) / (p - n) * r ** ((p - n) / (p - 1.0))
+    return -(p - 1.0) / (p - n) * _power(r, (p - n) / (p - 1.0))
 
 
 def w_gradient(fs: FundamentalSolution, x) -> np.ndarray:
@@ -92,7 +106,7 @@ def w_gradient(fs: FundamentalSolution, x) -> np.ndarray:
     xhat = x / r
     if fs.p == math.inf:
         return -xhat
-    return -(r ** (-(fs.n - 1.0) / (fs.p - 1.0))) * xhat
+    return -_power(r, -(fs.n - 1.0) / (fs.p - 1.0)) * xhat
 
 
 def w_hessian(fs: FundamentalSolution, x) -> SymMatrix:
@@ -100,13 +114,15 @@ def w_hessian(fs: FundamentalSolution, x) -> SymMatrix:
 
     Eigenvalues: (alpha-1)|x|^(-alpha) once (along x), -|x|^(-alpha) with
     multiplicity n-1.  The one-row case of :func:`_hessian_stack`,
-    checked finite by ``SymMatrix``.
+    checked finite by ``SymMatrix``, so an overflow near the origin raises
+    ``InvalidMatrixError`` (with no numpy warning).
     """
     x = np.asarray(x, dtype=float)
     r = _radius(x)
     if r == 0.0:
         raise PreconditionError("the Hessian is undefined at the origin")
-    return SymMatrix(_hessian_stack(fs.alpha, x[None], [r])[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SymMatrix(_hessian_stack(fs.alpha, x[None], [r])[0])
 
 
 def _hessian_stack(alpha: float, x: np.ndarray, r: list[float]) -> np.ndarray:
@@ -117,7 +133,7 @@ def _hessian_stack(alpha: float, x: np.ndarray, r: list[float]) -> np.ndarray:
     bits a numpy power of the stack does not always give."""
     xhat = x / np.array(r)[:, None]
     proj = xhat[:, :, None] * xhat[:, None, :]
-    scale = np.array([ri ** (-alpha) for ri in r])
+    scale = np.array([_power(ri, -alpha) for ri in r])
     return scale[:, None, None] * ((alpha - 1.0) * proj - (np.eye(x.shape[1]) - proj))
 
 
@@ -143,11 +159,12 @@ def verify_annihilation(
     Samples |x| log-uniformly in [1e-2, 1e2] over random directions and
     records the scaled residual |G(Hess w(x))| * |x|^alpha against ``tol``,
     and the homogeneity scaling law G(Hess w(x)) = |x|^(-alpha) G(Lambda_alpha).
-    The points are drawn one radius and direction at a time, and their
-    Hessians are built as one stack (:func:`_hessian_stack`), each with
-    the bits of :func:`w_hessian`.  G is still one ``eval_support`` call
-    per point; once the benchmark counts stacked eigensolves (ROADMAP
-    item 1) it can be one ``eigvals_stack`` of the Hessians.
+    The points come from one :func:`radial_points` call and their Hessians
+    from one :func:`_hessian_stack`, each with the bits of :func:`w_hessian`.
+    Each Hessian's spectrum is one ``eigvals_sym`` call, and G is one
+    ``support_from_eigs`` over all of them, with the bits of ``eval_support``
+    per point.  Once the benchmark counts stacked eigensolves (ROADMAP
+    item 1) the spectra can be one ``eigvals_stack``.
 
     The body's cone aperture (:func:`body_cone_aperture`, so the body must
     be rotation-closed) must equal fs.p — by definition the aperture is the
@@ -166,19 +183,16 @@ def verify_annihilation(
             f"but the solution is built for exponent {fs.p!r}"
         )
 
-    rng = make_rng(seed)
     alpha = fs.alpha
     g_spike = eval_support(_spike_matrix(fs.n, alpha), body)
-    drawn, x = [], np.empty((sample_count, fs.n))
-    for row in x:  # one radius and direction per point, in stream order
-        drawn.append(log_uniform(rng, 1e-2, 1e2))
-        row[:] = drawn[-1] * random_unit_vector(rng, fs.n)
+    radii, x = radial_points(make_rng(seed), sample_count, fs.n, 1e-2, 1e2)
     hessians = _hessian_stack(alpha, x, [_radius(row) for row in x])
+    spectra = np.array([eigvals_sym(SymMatrix._wrap(h)) for h in hessians])
+    g_values = support_from_eigs(spectra, body.generator_spectra).tolist()
     report = AnnihilationReport(name="annihilation", samples=sample_count)
-    for point, r, h in zip(x, drawn, hessians):
-        g = eval_support(SymMatrix._wrap(h), body)
+    for point, r, g in zip(x.tolist(), radii.tolist(), g_values):
         scaled = abs(g) * r**alpha
-        report.record(scaled, tol, x=point.tolist(), residual=g, scaled=scaled)
+        report.record(scaled, tol, x=point, residual=g, scaled=scaled)
         law_err = abs(g - r ** (-alpha) * g_spike) * r**alpha
         report.max_scaling_law_error = max(report.max_scaling_law_error, law_err)
     return report

@@ -23,7 +23,7 @@ def make_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-#: Draws with spectral norm at or below this are rejected and drawn again.
+#: Draws and directions with norm at or below this are rejected and drawn again.
 _MIN_GOE_NORM = 1e-12
 
 
@@ -69,6 +69,26 @@ def goe_stack(rng: np.random.Generator, k: int, n: int, radii) -> np.ndarray:
     return x
 
 
+def radial_points(rng: np.random.Generator, k: int, n: int, lo: float, hi: float):
+    """``(radii, points)``: k radii log-uniform in [lo, hi], 0 < lo <= hi,
+    from one ``uniform`` draw, and the (k, n) points at those radii in the
+    directions of one ``standard_normal((k, n))`` draw.  A direction of norm
+    at most ``_MIN_GOE_NORM`` is dropped and only the shortfall drawn again,
+    so the kept ones stay in stream order, as in :func:`goe_stack`."""
+    radii = np.clip(np.exp(rng.uniform(np.log(lo), np.log(hi), k)), lo, hi)
+    points = np.empty((k, n))
+    done = 0
+    while done < k:
+        g = rng.standard_normal((k - done, n))
+        norms = np.linalg.norm(g, axis=1)
+        keep = norms > _MIN_GOE_NORM
+        kept = int(np.count_nonzero(keep))
+        np.divide(g[keep], norms[keep, None], out=points[done : done + kept])
+        done += kept
+    points *= radii[:, None]
+    return radii, points
+
+
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish orthogonal matrix from QR of a Gaussian matrix (sign-fixed)."""
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
@@ -84,16 +104,3 @@ def random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> SymMatri
 def random_nsd(rng: np.random.Generator, n: int, scale: float = 1.0) -> SymMatrix:
     """Random negative semidefinite matrix."""
     return -random_psd(rng, n, scale)
-
-
-def random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    while True:
-        v = rng.standard_normal(n)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-12:
-            return v / nrm
-
-
-def log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    """Sample log-uniformly from [lo, hi], lo > 0."""
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))

@@ -52,7 +52,7 @@ from .operators import (
     num_to_json,
     spec_to_dict,
 )
-from .sampling import goe_matrix, goe_stack, log_uniform, make_rng, random_psd, random_unit_vector
+from .sampling import goe_matrix, goe_stack, make_rng, radial_points, random_psd
 from .symmat import SymMatrix
 
 
@@ -381,18 +381,16 @@ def run_permutation_lemma(seed: int) -> dict:
 def run_pucci_nonintegrability(seed: int) -> dict:
     """Uniform ellipticity caps gradient integrability: for constants (1, 2)
     in the plane the aperture is 3, the profile solves the extremal equation
-    off the origin, and its gradient just fails L^4.  A grid failure record
-    carries the spec and each violating x, which ``fundsol``/``eval`` replay."""
+    off the origin (at 300 :func:`radial_points`, |x| in [1e-2, 1e2]), and
+    its gradient just fails L^4.  A grid failure record carries the spec and
+    each violating x, which ``fundsol``/``eval`` replay."""
     n, lam, Lam = 2, 1.0, 2.0
     p = Lam / lam + 1.0  # 3
     q = n * Lam / ((n - 1) * lam)  # 4, the threshold for p = 3
     failures = []
 
     fs = FundamentalSolution(n=n, p=p)
-    rng = make_rng(seed, 9)
-    grid = [
-        log_uniform(rng, 1e-2, 1e2) * random_unit_vector(rng, n) for _ in range(300)
-    ]
+    _, grid = radial_points(make_rng(seed, 9), 300, n, 1e-2, 1e2)
     spec = Pucci(n=n, lam=lam, Lam=Lam)
     rep = viscosity_grid_check(spec, lambda x: w_hessian(fs, x), grid, tol=1e-9)
     if rep.violations:

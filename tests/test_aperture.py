@@ -166,6 +166,16 @@ class TestBodyConeAperture:
         with pytest.raises(ApertureInconsistencyError):
             body_cone_aperture(body)
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_spike_matrix_has_the_bytes_of_symmatrix_diag(self, n):
+        ends = [1.0, math.nextafter(1.0, 2.0), 1.5, float(n), math.nextafter(float(n), 0.0)]
+        for a in ends + make_rng(n).uniform(1.0, n, 20).tolist():
+            d = np.full(n, -1.0)
+            d[0] = a - 1.0
+            got, want = aperture_mod._spike_matrix(n, a).a, SymMatrix.diag(d).a
+            assert (got.shape, got.dtype, got.flags.writeable) == (want.shape, want.dtype, False)
+            assert got.tobytes() == want.tobytes()
+
 
 class TestMinimalBound:
     def test_dominative_bound_is_identity(self):

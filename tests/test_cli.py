@@ -152,6 +152,9 @@ def test_failed_property_exits_2_and_still_reports():
         (["example", "--c", ""], "input"),
         # n = 0 is a dimension that does not match the point, not a missing --n
         (["fundsol", "--n", "0", "--p", "3", "--at", "1,2"], "input"),
+        # |x|^(-alpha) passes the float range, so the Hessian is not finite
+        (["fundsol", "--p", "3", "--at=1e-300,0"], "invalid-matrix"),
+        (["fundsol", "--p", "2", "--at=1e-300,0,0"], "invalid-matrix"),
     ],
 )
 def test_bad_input_exits_1_with_the_error_report(matrix_files, argv, want):

@@ -3,6 +3,7 @@ import os
 from decimal import Decimal, localcontext
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import domcone
 import domcone.fundsol as fundsol_mod
-from domcone.aperture import ConvexBody, dominative_body, minimal_bound_check, pucci_body
+from domcone.aperture import ConvexBody, body_cone_aperture, dominative_body, minimal_bound_check, pucci_body
 from domcone.errors import InvalidMatrixError, NumericalFailureError, PreconditionError
 from domcone.fundsol import (
     FundamentalSolution,
@@ -27,9 +28,9 @@ from domcone.fundsol import (
     w_hessian,
     w_value,
 )
-from domcone.operators import PropertyReport, Pucci
-from domcone.sampling import make_rng
-from domcone.symmat import SymMatrix
+from domcone.operators import PropertyReport, Pucci, eval_support, support_from_eigs
+from domcone.sampling import make_rng, random_psd
+from domcone.symmat import SymMatrix, eigvals_sym
 
 
 class TestSobolev:
@@ -265,3 +266,104 @@ def test_profile_keeps_the_plain_norm_inside_the_safe_range():
     for x in ([0.3, -1.2, 2.5], [1e-150, 0.0, 0.0], [1e150, 2.0, -3.0]):
         r = float(np.linalg.norm(np.asarray(x)))
         assert w_value(fs, x) == -(3.0 / 1.0) * r ** (1.0 / 3.0)
+
+
+@pytest.mark.parametrize("n, p", [(2, 3.0), (3, 2.0)])
+def test_hessian_past_the_float_range_is_an_invalid_matrix(n, p):
+    # |x|^(-alpha) = 1e450 and 1e900: inf, not an OverflowError, and no
+    # warning on the way to the finiteness check
+    with pytest.raises(InvalidMatrixError, match="finite"):
+        w_hessian(FundamentalSolution(n=n, p=p), [1e-300] + [0.0] * (n - 1))
+
+
+def test_powers_past_the_float_range_are_inf():
+    # w = -((p-1)/(p-n)) |x|^((p-n)/(p-1)) = 0.5 |x|^(-2) at p = 2, n = 4
+    assert w_value(FundamentalSolution(n=4, p=2.0), [1e-300, 0.0, 0.0, 0.0]) == math.inf
+    assert w_value(FundamentalSolution(n=4, p=2.0), [1e-150, 0.0, 0.0, 0.0]) == 0.5e300
+
+
+def _parent_radius(x):
+    """|x| as ``np.linalg.norm`` alone took it: the reference of ``_radius``."""
+    s = float(np.max(np.abs(x), initial=0.0))
+    if s == 0.0 or 1e-150 <= s <= 1e150:
+        return float(np.linalg.norm(x))
+    return s * float(np.linalg.norm(x / s))
+
+
+def _value_and_warnings(f, x):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = f(x)
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+def _assert_same_radius(x):
+    got, got_warnings = _value_and_warnings(fundsol_mod._radius, x)
+    want, want_warnings = _value_and_warnings(_parent_radius, x)
+    assert type(got) is float
+    assert (math.isnan(got) and math.isnan(want)) or got.hex() == want.hex()
+    assert got_warnings == want_warnings
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-150, -1e-150, 1e150, -1e150,
+            math.nextafter(1e-150, 0.0), math.nextafter(1e150, math.inf), math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    entries=st.lists(
+        st.one_of(
+            st.sampled_from(_SPECIAL),
+            st.builds(lambda m, e: m * 10.0**e, st.floats(-9.99, 9.99), st.integers(-300, 300)),
+        ),
+        min_size=1,
+        max_size=16,
+    ),
+    common=st.integers(-300, 300),
+)
+def test_radius_has_the_bits_and_warnings_of_the_norm(entries, common):
+    x = np.array(entries)
+    _assert_same_radius(x)
+    # the same direction at one scale, near either edge of the plain range
+    with np.errstate(all="ignore"):
+        scaled = x * 10.0**common
+    _assert_same_radius(scaled)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [0.0, 0.0], [-0.0], [1e-150, 0.0], [1e150, 1.0], [1e155, 1.0], [1e160, -1e160], [1e-155, 0.0],
+        [5e-324, 5e-324], [math.inf, 1.0], [math.inf, math.nan], [math.nan, math.inf],
+        [1.0, math.nan, math.inf], [1.0, math.nan], [math.nan, 0.0], [-math.inf, -math.inf],
+        [3.0, 4.0] * 8, [1e200, 1e200], [1e-200, 1e-200],
+    ],
+)
+def test_radius_at_the_edges(x):
+    _assert_same_radius(np.array(x))
+
+
+def test_radius_of_strided_and_scalar_input():
+    base = make_rng(4).standard_normal((6, 7)) * 1e3
+    for x in (base[:, 2], base[::-2, 1], base[1, ::3], np.asarray(2.5), base[:3, :3], base.T):
+        _assert_same_radius(x)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(n=st.integers(2, 5), generators=st.integers(1, 4), salt=st.integers(0, 10_000))
+def test_stacked_support_has_the_bits_of_eval_support(n, generators, salt):
+    rng = make_rng(salt)
+    body = ConvexBody(n=n, generators=tuple(random_psd(rng, n) for _ in range(generators)))
+    fs = FundamentalSolution(n=n, p=body_cone_aperture(body).p)
+    # every point is recorded, with the G that the stacked pairing gave it
+    rep = verify_annihilation(body, fs, sample_count=16, seed=salt, tol=-1.0)
+    assert len(rep.violations) == 16
+    for v in rep.violations:
+        assert v["residual"].hex() == eval_support(w_hessian(fs, v["x"]), body).hex()
+    # and directly, on a stack of Hessians of any sign pattern
+    stack = rng.standard_normal((16, n, n))
+    stack = 0.5 * (stack + stack.swapaxes(1, 2))
+    spectra = np.array([eigvals_sym(SymMatrix._wrap(a)) for a in stack])
+    got = support_from_eigs(spectra, body.generator_spectra)
+    want = [eval_support(SymMatrix._wrap(a), body) for a in stack]
+    assert got.tobytes() == np.array(want).tobytes()

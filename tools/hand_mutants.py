@@ -133,6 +133,30 @@ MUTANTS = [
         "((alpha - 1.0) * proj - ",
         "(alpha * proj - ",
     ),
+    (
+        "_radius: the plain path up to s = 1e160",
+        "src/domcone/fundsol.py",
+        "    if s == 0.0 or 1e-150 <= s <= 1e150:\n        return math.sqrt",
+        "    if s == 0.0 or 1e-150 <= s <= 1e160:\n        return math.sqrt",
+    ),
+    (
+        "radial_points: divide by the squared norm",
+        "src/domcone/sampling.py",
+        "np.divide(g[keep], norms[keep, None], ",
+        "np.divide(g[keep], norms[keep, None] ** 2, ",
+    ),
+    (
+        "verify_annihilation: stacked G on reversed spectra",
+        "src/domcone/fundsol.py",
+        "support_from_eigs(spectra, body.generator_spectra)",
+        "support_from_eigs(spectra[:, ::-1], body.generator_spectra)",
+    ),
+    (
+        "_spike_matrix: d[0] = a",
+        "src/domcone/aperture.py",
+        "    d[0] = a - 1.0\n    return SymMatrix._wrap",
+        "    d[0] = a\n    return SymMatrix._wrap",
+    ),
 ]
 
 
