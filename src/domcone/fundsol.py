@@ -65,9 +65,8 @@ class FundamentalSolution:
 def _radius(x: np.ndarray) -> float:
     """|x|, rescaled by s = max |x_i| where the plain norm would overflow or
     underflow (s outside [1e-150, 1e150]).  Inside, ``sqrt(x . x)`` in plain
-    floats, the bits of ``np.linalg.norm``; outside, or where Python's ``max``
-    meets a NaN first, s again from numpy, which propagates a NaN, so the
-    value and any warning are always those of the norm."""
+    floats; outside, or where Python's ``max`` meets a NaN first, s from
+    numpy, which propagates it: always the value and warnings of the norm."""
     flat = x.ravel(order="K")  # the order np.linalg.norm sums in
     s = max(map(abs, flat.tolist()), default=0.0)
     if s == 0.0 or 1e-150 <= s <= 1e150:
@@ -122,7 +121,8 @@ def w_hessian(fs: FundamentalSolution, x) -> SymMatrix:
     if r == 0.0:
         raise PreconditionError("the Hessian is undefined at the origin")
     with np.errstate(over="ignore", invalid="ignore"):
-        return SymMatrix(_hessian_stack(fs.alpha, x[None], [r])[0])
+        h = _hessian_stack(fs.alpha, x[None], [r])[0]
+    return SymMatrix(h)
 
 
 def _hessian_stack(alpha: float, x: np.ndarray, r: list[float]) -> np.ndarray:
