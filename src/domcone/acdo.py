@@ -15,8 +15,10 @@ and they bracket every root: X + tI is a member for t <= lambda_min(W_in
 so the ends take one eigensolve and no membership call.  :func:`acdo_roots`
 runs the bisections of a whole stack of matrices in lockstep, one stacked
 membership call per step, and resumes them from the roots of an earlier
-call at a looser tolerance.  A root's ``probes`` is ``iterations + 1``:
-one for the bracket (or the closed form), and one per bisection step.
+call at a looser tolerance; it is the one bisection loop, and
+:func:`acdo_root` bisects through it as a stack of one.  A root's
+``probes`` is ``iterations + 1``: one for the bracket (or the closed
+form), and one per bisection step.
 """
 
 from __future__ import annotations
@@ -186,7 +188,8 @@ def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) ->
     x) of t, from one stacked eigensolve counted as one probe, then
     bisection to absolute width ``tol`` or, far from the origin where
     adjacent doubles lie more than ``tol`` apart, until the midpoint
-    rounds onto an end of the bracket, in at most ``_MAX_BISECT`` steps.
+    rounds onto an end of the bracket, in at most ``_MAX_BISECT`` steps:
+    the lockstep bisection of :func:`acdo_roots` on a stack of one.
     The ends of the bracket are not probed.  The returned value v
     satisfies ``member(x - (v+e) I)`` and ``not member(x - (v-e) I)`` for
     e the larger of ``tol`` and one ulp of v, the closed form up to
@@ -205,31 +208,7 @@ def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) ->
     if oracle.distance is not None:
         v = float(oracle.distance(x))
         return AcdoRoot(value=v, bracket=(v, v), iterations=0, probes=1, method="closed-form")
-    (lo,), (hi,) = _witness_brackets(oracle, x.a[None])
-    return _bisect(oracle, x, float(lo), float(hi), 0, tol)
-
-
-def _bisect(
-    oracle: EllipticSetOracle, x: SymMatrix, lo: float, hi: float, iterations: int, tol: float
-) -> AcdoRoot:
-    """Bisection of :func:`acdo_root` on the bracket [lo, hi] of t, from
-    ``iterations`` steps made so far."""
-    while hi - lo > tol and iterations < _MAX_BISECT:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # the bracket cannot shrink
-            break
-        if oracle.member(x.shift(mid)):
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    return AcdoRoot(
-        value=-(0.5 * (lo + hi)),
-        bracket=(-hi, -lo),
-        iterations=iterations,
-        probes=iterations + 1,
-        method="bisection",
-    )
+    return acdo_roots(oracle, x.a[None], tol)[0]
 
 
 def _witness_brackets(oracle: EllipticSetOracle, stack: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -245,39 +224,35 @@ def _witness_brackets(oracle: EllipticSetOracle, stack: np.ndarray) -> tuple[np.
     return ev[:k, 0], ev[k:, -1]
 
 
-#: Fewest bisected roots that acdo_roots runs in lockstep.
-_MIN_LOCKSTEP = 3
-
-
 def acdo_roots(
     oracle: EllipticSetOracle, stack, tol: float = ROOT_TOL, start: list[AcdoRoot] | None = None
 ) -> list[AcdoRoot]:
-    """:func:`acdo_root` of each matrix of a ``(k, n, n)`` symmetric stack.
+    """:func:`acdo_root` of each matrix of a ``(k, n, n)`` symmetric stack,
+    n the oracle's dimension; any other shape raises
+    :class:`PreconditionError`.
 
-    Without a closed form, the k bisections run in lockstep: the
-    witnesses' brackets of the whole stack come from one stacked
+    Without a closed form, the k bisections run in lockstep, whatever k:
+    the witnesses' brackets of the whole stack come from one stacked
     eigensolve, and each step probes every unfinished root with one call
-    of the oracle's ``member_stack``.  Each root sees the probe sequence
-    of :func:`acdo_root` and stops where it stops (at width ``tol``, at a
-    midpoint that rounds onto an end of the bracket, or at the step cap),
-    so every field of its result is equal.  With a closed form, or with
-    fewer than ``_MIN_LOCKSTEP`` roots to bisect, where the bookkeeping
-    of a step costs more than the stacked call saves, it is a loop of
-    :func:`acdo_root`'s scalar bisection.
+    of the oracle's ``member_stack``.  Each root stops where it would
+    alone (at width ``tol``, at a midpoint that rounds onto an end of
+    the bracket, or at the step cap), so every field of its result is
+    that of a plain one-root bisection.  With a closed form it is a loop
+    of :func:`acdo_root`, one call per matrix, which a tracer of
+    :func:`acdo_root` counts.
 
     ``start`` holds the roots of the same stack from an earlier call at a
     looser (or equal) tolerance.  Each bisected root then resumes from its
-    bracket and ``iterations``, in lockstep or one at a time by
-    the same rule, and a closed-form root comes back as it is.  The
-    midpoints and the stopping rule depend only on the bracket, the step
-    count and ``tol``, so the result equals that of one call at ``tol``
-    in every field, the step cap counted from the first call; only the
-    first call's membership calls are saved.
+    bracket and ``iterations``, and a closed-form root comes back as it
+    is.  The midpoints and the stopping rule depend only on the bracket,
+    the step count and ``tol``, so the result equals that of one call at
+    ``tol`` in every field, the step cap counted from the first call;
+    only the first call's membership calls are saved.
     """
     stack = np.asarray(stack, dtype=float)
-    if stack.shape[-1] != oracle.n:
+    if stack.shape[1:] != (oracle.n, oracle.n):
         raise PreconditionError(
-            f"matrix dimension {stack.shape[-1]} does not match oracle dimension {oracle.n}"
+            f"stack of shape {stack.shape} is not (k, n, n) for oracle dimension n = {oracle.n}"
         )
     if start is None:
         if oracle.distance is not None:
@@ -292,12 +267,7 @@ def acdo_roots(
         lo = np.array([-start[i].bracket[1] for i in todo])
         hi = np.array([-start[i].bracket[0] for i in todo])
         iterations = np.array([start[i].iterations for i in todo], dtype=int)
-    if len(todo) >= _MIN_LOCKSTEP:
-        roots = _lockstep(oracle, stack[todo], tol, lo, hi, iterations)
-    else:
-        columns = zip(todo, lo.tolist(), hi.tolist(), iterations.tolist())
-        roots = [_bisect(oracle, SymMatrix._wrap(stack[i]), *state, tol) for i, *state in columns]
-    for i, root in zip(todo, roots):
+    for i, root in zip(todo, _lockstep(oracle, stack[todo], tol, lo, hi, iterations)):
         out[i] = root
     return out
 

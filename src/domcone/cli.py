@@ -226,6 +226,8 @@ def _cmd_report(args):
 
 def _cmd_fundsol(args):
     point = _parse_float_list(args.at)
+    if not all(map(math.isfinite, point)):
+        raise InputError("point coordinates must be finite")
     n = len(point) if args.n is None else args.n
     if len(point) != n:
         raise InputError(f"point has {len(point)} coordinates but n = {n}")

@@ -97,7 +97,10 @@ def w_value(fs: FundamentalSolution, x) -> float:
 
 
 def w_gradient(fs: FundamentalSolution, x) -> np.ndarray:
-    """Gradient -|x|^(-(n-1)/(p-1)) * x/|x| (unit inward slope at p = inf)."""
+    """Gradient -|x|^(-(n-1)/(p-1)) * x/|x| (unit inward slope at p = inf).
+
+    Next to the origin, where |x|^(-(n-1)/(p-1)) passes the float range,
+    raises :class:`NumericalFailureError` (with no numpy warning)."""
     x = np.asarray(x, dtype=float)
     r = _radius(x)
     if r == 0.0:
@@ -105,7 +108,10 @@ def w_gradient(fs: FundamentalSolution, x) -> np.ndarray:
     xhat = x / r
     if fs.p == math.inf:
         return -xhat
-    return -_power(r, -(fs.n - 1.0) / (fs.p - 1.0)) * xhat
+    scale = _power(r, -(fs.n - 1.0) / (fs.p - 1.0))
+    if scale == math.inf:
+        raise NumericalFailureError(f"the gradient at |x| = {r:g} exceeds the float range", payload=x)
+    return -scale * xhat
 
 
 def w_hessian(fs: FundamentalSolution, x) -> SymMatrix:

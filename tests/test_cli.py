@@ -155,6 +155,10 @@ def test_failed_property_exits_2_and_still_reports():
         # |x|^(-alpha) passes the float range, so the Hessian is not finite
         (["fundsol", "--p", "3", "--at=1e-300,0"], "invalid-matrix"),
         (["fundsol", "--p", "2", "--at=1e-300,0,0"], "invalid-matrix"),
+        # a non-finite coordinate is rejected before anything is computed
+        (["fundsol", "--p", "3", "--at=inf,0"], "input"),
+        (["fundsol", "--p", "3", "--at=nan,0"], "input"),
+        (["fundsol", "--p", "3", "--at=1,-inf"], "input"),
     ],
 )
 def test_bad_input_exits_1_with_the_error_report(matrix_files, argv, want):

@@ -282,8 +282,8 @@ def _resume_calls(monkeypatch):
 @pytest.mark.parametrize("kind", sorted(SAMPLER_ORACLES))
 def test_resumed_roots_equal_one_shot_roots(kind):
     # coarse, then sharp from where the coarse bisections stopped, equals
-    # one call at the sharp tolerance on each oracle the sampler meets, in
-    # lockstep (seven matrices) and one at a time (two)
+    # one call at the sharp tolerance on each oracle the sampler meets, on
+    # stacks of seven matrices and of two
     oracle = SAMPLER_ORACLES[kind]()
     R = 1e4
     for k in (7, 2):

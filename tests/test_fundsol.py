@@ -282,6 +282,32 @@ def test_powers_past_the_float_range_are_inf():
     assert w_value(FundamentalSolution(n=4, p=2.0), [1e-150, 0.0, 0.0, 0.0]) == 0.5e300
 
 
+@pytest.mark.parametrize(
+    "n, p, x",
+    [(3, 2.0, [1e-300, 0.0, 0.0]), (2, 2.0, [0.0, -1e-310]), (4, 3.0, [1e-250, 0.0, 1e-250, 0.0])],
+)
+def test_gradient_past_the_float_range_is_a_numerical_failure(n, p, x):
+    # |x|^(-(n-1)/(p-1)) is inf: an error naming |x|, not inf * 0 = nan on
+    # the zero coordinates, and no warning (warnings are errors here)
+    r = fundsol_mod._radius(np.asarray(x))
+    with pytest.raises(NumericalFailureError, match=f"gradient at \\|x\\| = {r:g} exceeds the float range"):
+        w_gradient(FundamentalSolution(n=n, p=p), x)
+
+
+@pytest.mark.parametrize(
+    "n, p, x",
+    [(2, 3.0, [1e-300, 0.0]), (3, 2.0, [1e-150, 0.0, -0.0]), (3, 4.0, [-1e-300, 2e-300, 0.0]), (5, 2.5, [3.0] * 5)],
+)
+def test_finite_gradient_keeps_its_bits(n, p, x):
+    # -(r^e) * x/r with Python's power, as before the overflow check
+    r = fundsol_mod._radius(np.asarray(x))
+    want = -(r ** (-(n - 1.0) / (p - 1.0))) * (np.asarray(x) / r)
+    got = w_gradient(FundamentalSolution(n=n, p=p), x)
+    assert got.tobytes() == want.tobytes()
+    if x == [1e-300, 0.0]:
+        assert got.tolist() == [-1e150, 0.0] and math.copysign(1.0, got[1]) == -1.0
+
+
 def _parent_radius(x):
     """|x| as ``np.linalg.norm`` alone took it: the reference of ``_radius``."""
     s = float(np.max(np.abs(x), initial=0.0))

@@ -1,7 +1,9 @@
-"""Lockstep bisection: ``acdo_roots`` against a loop of ``acdo_root``, the
-stacked membership of congruence images against the scalar one, the
-stacked spec values against the scalar ones, and the property checks
-built on them against their per-sample form."""
+"""Lockstep bisection: ``acdo_roots``, and ``acdo_root`` that bisects
+through it as a stack of one, against a plain one-root bisection kept
+here, for stacks of any size, fresh and resumed; the shape check of the
+stack; the stacked membership of congruence images against the scalar
+one, the stacked spec values against the scalar ones, and the property
+checks built on them against their per-sample form."""
 
 import json
 import math
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from domcone.acdo import (
     ROOT_TOL,
+    AcdoRoot,
     EllipticSetOracle,
     PropertyReport,
     StructureFlags,
@@ -90,13 +93,50 @@ def _same(a, b):
     return a.a.tobytes() == b.a.tobytes()
 
 
+def _reference_root(oracle, x, tol=ROOT_TOL, start=None):
+    """The distance of ``x`` as a plain one-root bisection: the closed form
+    where the oracle has one; else the witnesses' bracket (or the bracket
+    and step count of a ``start`` root), then one ``member`` call per step
+    until the width is at most ``tol``, the midpoint rounds onto an end of
+    the bracket, or 200 steps are made."""
+    if oracle.distance is not None:
+        v = float(oracle.distance(x))
+        return AcdoRoot(value=v, bracket=(v, v), iterations=0, probes=1, method="closed-form")
+    if start is None:
+        (lo,), (hi,) = _witness_brackets(oracle, x.a[None])
+        lo, hi, iterations = float(lo), float(hi), 0
+    else:
+        lo, hi, iterations = -start.bracket[1], -start.bracket[0], start.iterations
+    while hi - lo > tol and iterations < 200:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if oracle.member(x.shift(mid)):
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    return AcdoRoot(
+        value=-(0.5 * (lo + hi)),
+        bracket=(-hi, -lo),
+        iterations=iterations,
+        probes=iterations + 1,
+        method="bisection",
+    )
+
+
 def _assert_same_roots(oracle, stack, tol=ROOT_TOL):
-    want = [acdo_root(oracle, SymMatrix._wrap(x.copy()), tol) for x in stack]
-    assert acdo_roots(oracle, stack, tol) == want
+    """acdo_roots on the stack, and acdo_root on each matrix, give the
+    roots of the plain bisection, to the bit (repr tells -0.0 from 0.0)."""
+    want = [_reference_root(oracle, SymMatrix._wrap(x.copy()), tol) for x in stack]
+    got = acdo_roots(oracle, stack, tol)
+    assert got == want and repr(got) == repr(want)
+    alone = [acdo_root(oracle, SymMatrix._wrap(x.copy()), tol) for x in stack]
+    assert alone == want and repr(alone) == repr(want)
 
 
 # ---------------------------------------------------------------------------
-# acdo_roots is a loop of acdo_root
+# acdo_roots and acdo_root equal a plain one-root bisection
 
 
 class TestLockstepEqualsScalar:
@@ -186,7 +226,7 @@ class TestLockstepEqualsScalar:
         assert oracle.distance is None
         stack = np.array([far.a, far.a])
         _assert_same_roots(oracle, stack)
-        for root in acdo_roots(oracle, stack) + [acdo_root(oracle, far)]:
+        for root in acdo_roots(oracle, stack) + [acdo_root(oracle, far), _reference_root(oracle, far)]:
             assert root.value == 1180325.103301331
             assert root.bracket == (1180325.103301331, 1180325.1033013312)
             assert root.iterations < 200
@@ -203,7 +243,7 @@ class TestFallback:
     def test_user_predicate_bisects_in_lockstep_through_its_row_loop(self):
         # a predicate given without a stacked form gets a row loop of
         # member: one stacked call per lockstep step, one member call per
-        # bisection step of each root, and the roots of acdo_root
+        # bisection step of each root, and the roots of the plain bisection
         spec = DominativeP(n=2, p=4.0)
         calls, steps = [], []
 
@@ -223,10 +263,12 @@ class TestFallback:
         _assert_same_roots(oracle, stack)
 
 
-def test_one_root_takes_the_scalar_path():
-    # one or two matrices: scalar membership calls only, one per bisection
-    # step (the bracket is the probe that calls no member), fresh and
-    # resumed; three run in lockstep
+def test_one_or_two_roots_bisect_in_lockstep():
+    # one or two matrices, fresh and resumed, and acdo_root alone: one
+    # member_stack call per step of the longest bisection, each on the
+    # roots still unfinished (the bracket is the probe that calls
+    # neither), and no member call; the roots are those of the plain
+    # bisection, fresh and resumed
     spec = DominativeP(n=3, p=4.0)
     scalar, stacked = [], []
 
@@ -241,18 +283,53 @@ def test_one_root_takes_the_scalar_path():
     oracle = EllipticSetOracle(member=member, n=3, member_stack=member_stack)
     for k in (1, 2):
         stack = goe_stack(make_rng(12), k, 3, [1.0])
+        xs = [SymMatrix._wrap(x.copy()) for x in stack]
         scalar.clear()
+        stacked.clear()
         roots = acdo_roots(oracle, stack)
-        assert stacked == []
-        assert len(scalar) == sum(r.iterations for r in roots) > 0
-        assert roots == [acdo_root(oracle, SymMatrix._wrap(x.copy())) for x in stack]
+        assert len(stacked) == max(r.iterations for r in roots)
+        assert sum(stacked) == sum(r.iterations for r in roots) > 0
         coarse = acdo_roots(oracle, stack, 1e-2)
-        scalar.clear()
+        stacked.clear()
         assert acdo_roots(oracle, stack, start=coarse) == roots
-        assert stacked == []
-        assert len(scalar) == sum(r.probes for r in roots) - sum(r.probes for r in coarse) > 0
-    acdo_roots(oracle, goe_stack(make_rng(12), 3, 3, [1.0]))
-    assert stacked
+        assert len(stacked) == max(r.iterations - c.iterations for r, c in zip(roots, coarse))
+        assert sum(stacked) == sum(r.probes for r in roots) - sum(r.probes for r in coarse) > 0
+        stacked.clear()
+        assert acdo_root(oracle, xs[0]) == roots[0]
+        assert stacked == [1] * roots[0].iterations
+        assert scalar == []
+        assert roots == [_reference_root(oracle, x) for x in xs]
+        assert roots == [_reference_root(oracle, x, start=c) for x, c in zip(xs, coarse)]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(3, 3), (2, 4, 3), (2, 3, 4), (2, 2, 3, 3), (1, 2, 2), (3,), ()],
+    ids=["matrix", "rows", "columns", "4d", "other-n", "vector", "scalar"],
+)
+@pytest.mark.parametrize("closed", [False, True], ids=["bisection", "closed-form"])
+def test_stack_of_the_wrong_shape_is_rejected(shape, closed, monkeypatch):
+    # any shape but (k, n, n) with n = oracle.n raises PreconditionError
+    # before any eigensolve, distance or membership call, fresh and
+    # resumed; (0, n, n) gives no roots
+    spec = Pucci(n=3, lam=0.5, Lam=2.0)
+    oracle = oracle_from_operator(spec) if closed else _bisection(spec)
+    assert acdo_roots(oracle, np.zeros((0, 3, 3))) == []
+    assert acdo_roots(oracle, np.zeros((0, 3, 3)), start=[]) == []
+
+    def fail(*args):
+        raise AssertionError("called before the shape check")
+
+    monkeypatch.setattr("domcone.acdo.eigvals_stack", fail)
+    for attr in ("member", "member_stack") + (("distance",) if closed else ()):
+        monkeypatch.setattr(oracle, attr, fail)
+    match = r"stack of shape .* is not \(k, n, n\) for oracle dimension n = 3"
+    with pytest.raises(PreconditionError, match=match):
+        acdo_roots(oracle, np.zeros(shape))
+    with pytest.raises(PreconditionError, match=match):
+        acdo_roots(oracle, np.zeros(shape), start=[])
+    with pytest.raises(PreconditionError, match="matrix dimension 2 does not match oracle dimension 3"):
+        acdo_root(oracle, SymMatrix.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +499,7 @@ class TestWitnessBracket:
             x = SymMatrix._wrap(x.copy())
             assert oracle.member(x.shift(a)) and not oracle.member(x.shift(b))
         roots = acdo_roots(oracle, stack)
-        assert roots == [acdo_root(oracle, SymMatrix._wrap(x.copy())) for x in stack]
+        assert roots == [_reference_root(oracle, SymMatrix._wrap(x.copy())) for x in stack]
         for r, a, b in zip(roots, lo.tolist(), hi.tolist()):
             assert r.method == "bisection" and r.probes == r.iterations + 1
             assert -b <= r.bracket[0] <= r.bracket[1] <= -a

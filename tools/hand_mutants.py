@@ -38,6 +38,18 @@ MUTANTS = [
         "live = (hi - lo >= tol)",
     ),
     (
+        "acdo_root: bisect at the default tolerance",
+        "src/domcone/acdo.py",
+        "return acdo_roots(oracle, x.a[None], tol)[0]",
+        "return acdo_roots(oracle, x.a[None])[0]",
+    ),
+    (
+        "lockstep: value -a for -mid",
+        "src/domcone/acdo.py",
+        "AcdoRoot(value=-mid, bracket=(-b, -a)",
+        "AcdoRoot(value=-a, bracket=(-b, -a)",
+    ),
+    (
         "lockstep: drop the mid != lo stop",
         "src/domcone/acdo.py",
         " & (mid != lo) & (mid != hi)",
