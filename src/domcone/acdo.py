@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, NonProperSetError, PreconditionError
+from .errors import InputError, InvalidMatrixError, NonProperSetError, PreconditionError
 from .operators import (
     Conjugated,
     LinearTrace,
@@ -40,7 +40,7 @@ from .operators import (
     closed_form_distance,
 )
 from .sampling import goe_matrix, goe_stack, make_rng, random_nsd, random_orthogonal
-from .symmat import SymMatrix, _eye, congruence, eigvals_stack, inf_norm_stack
+from .symmat import SymMatrix, _check_symmetric, _eye, congruence, eigvals_stack, inf_norm_stack
 
 #: Absolute tolerance of the root finder.
 ROOT_TOL = 1e-10
@@ -228,8 +228,11 @@ def acdo_roots(
     oracle: EllipticSetOracle, stack, tol: float = ROOT_TOL, start: list[AcdoRoot] | None = None
 ) -> list[AcdoRoot]:
     """:func:`acdo_root` of each matrix of a ``(k, n, n)`` symmetric stack,
-    n the oracle's dimension; any other shape raises
-    :class:`PreconditionError`.
+    n the oracle's dimension.  Before any eigensolve, distance or
+    membership call, any other shape raises :class:`PreconditionError`,
+    and a stack with an entry that is not finite, or with a matrix
+    asymmetric beyond the tolerance of :meth:`SymMatrix.from_dict`, raises
+    :class:`InvalidMatrixError`.
 
     Without a closed form, the k bisections run in lockstep, whatever k:
     the witnesses' brackets of the whole stack come from one stacked
@@ -254,6 +257,9 @@ def acdo_roots(
         raise PreconditionError(
             f"stack of shape {stack.shape} is not (k, n, n) for oracle dimension n = {oracle.n}"
         )
+    if not np.isfinite(stack).all():
+        raise InvalidMatrixError("matrix entries must be finite")
+    _check_symmetric(stack)
     if start is None:
         if oracle.distance is not None:
             return [acdo_root(oracle, SymMatrix._wrap(x), tol) for x in stack]

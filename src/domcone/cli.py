@@ -20,8 +20,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import acdo as acdo_mod
 from . import cones as cones_mod
 from . import fundsol as fundsol_mod
@@ -30,7 +28,7 @@ from . import suite as suite_mod
 from .aperture import ConvexBody, body_cone_aperture, dominative_body, pucci_body
 from .errors import DomconeError, InputError
 from .operators import dim_from_json, num_from_json, num_to_json
-from .symmat import InvertibleMap, SymMatrix
+from .symmat import InvertibleMap, SymMatrix, eigvals_sym
 
 SCHEMA_VERSION = 3
 
@@ -238,7 +236,7 @@ def _cmd_fundsol(args):
         hess = fundsol_mod.w_hessian(fs, point)
         result["gradient"] = fundsol_mod.w_gradient(fs, point).tolist()
         result["hessian"] = hess.to_dict()
-        result["eigs"] = np.linalg.eigvalsh(hess.a).tolist()
+        result["eigs"] = eigvals_sym(hess).tolist()
     else:
         result["gradient"] = None
         result["hessian"] = None

@@ -62,7 +62,7 @@ def eval_dominative(x: SymMatrix, p: float) -> float:
     ``(tr X + (p-2) lambda_n(X)) / (n+p-2)`` for finite p, and the largest
     eigenvalue at p = inf.  Normalized so that F(X + mI) = F(X) + m.
     """
-    return float(dominative_from_eigs(eigvals_sym(x), np.trace(x.a), p))
+    return float(dominative_from_eigs(eigvals_sym(x), x.a.trace(), p))
 
 
 def dominative_from_eigs(ev: np.ndarray, trace, p: float):
@@ -180,7 +180,7 @@ class DominativeP:
         """:meth:`value` of each matrix of a ``(k, n, n)`` symmetric stack, bit
         for bit; every spec's ``value_stack`` has this contract."""
         _check_op_dim(self, a.shape[-1])
-        return dominative_from_eigs(eigvals_stack(a), np.trace(a, axis1=-2, axis2=-1), self.p)
+        return dominative_from_eigs(eigvals_stack(a), a.trace(axis1=-2, axis2=-1), self.p)
 
     def distance(self, x: SymMatrix) -> float:
         """F(X) itself, by the normalization F(X + mI) = F(X) + m."""
@@ -219,10 +219,10 @@ class Pucci:
         _check_op_dim(self, x.n)
         ev = eigvals_sym(x)
         gaps = ev[None, :] - ev[:, None]  # gaps[k, i] = lambda_i - lambda_k
-        up = np.maximum(gaps, 0.0).sum(axis=1)
-        down = np.minimum(gaps, 0.0).sum(axis=1)
+        up = np.add.reduce(np.maximum(gaps, 0.0), axis=1)
+        down = np.add.reduce(np.minimum(gaps, 0.0), axis=1)
         j = int(np.count_nonzero(self.Lam * up + self.lam * down >= 0.0))
-        num = self.lam * ev[:j].sum() + self.Lam * ev[j:].sum()
+        num = self.lam * np.add.reduce(ev[:j]) + self.Lam * np.add.reduce(ev[j:])
         return float(num / (self.lam * j + self.Lam * (x.n - j)))
 
 

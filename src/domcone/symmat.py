@@ -4,6 +4,16 @@ Everything downstream works on elements of S(n), the real symmetric
 n-by-n matrices with the trace inner product.  Matrices are small
 (2 <= n <= 16), stored dense, and immutable after construction.
 Constructors symmetrize their input instead of trusting it.
+
+Every eigenvalue in the package comes from one kernel, behind
+:func:`eigvals_sym` and :func:`eigvals_stack` (only :func:`eigh_sym`, which
+also returns eigenvectors, calls ``np.linalg.eigh``): the gufunc that
+``np.linalg.eigvalsh`` calls (LAPACK ``dsyevd`` on the lower triangle),
+called directly under the error state ``np.linalg.eigvalsh`` sets.  So
+it returns the bits of ``np.linalg.eigvalsh`` on every float64 input, and
+a routine that does not converge raises :class:`NumericalFailureError`.
+At n <= 5 numpy's Python wrapper costs more than LAPACK does, and the
+kernel skips it.
 """
 
 from __future__ import annotations
@@ -145,14 +155,22 @@ class SymMatrix:
         """Parse the wire format, rejecting asymmetry beyond tolerance."""
         entries = _entries_from_dict(d)
         if entries.size and np.all(np.isfinite(entries)):
-            scale = 1.0 + np.max(np.abs(entries))
-            asym = np.max(np.abs(entries - entries.T))
-            if asym > SYMMETRY_RTOL * scale:
-                raise InvalidMatrixError(
-                    f"matrix is asymmetric beyond tolerance "
-                    f"(max |a_ij - a_ji| = {asym:g}, allowed {SYMMETRY_RTOL * scale:g})"
-                )
+            _check_symmetric(entries)
         return cls(entries)
+
+
+def _check_symmetric(a: np.ndarray) -> None:
+    """Reject a finite ``(..., n, n)`` array holding a matrix asymmetric
+    beyond ``SYMMETRY_RTOL * (1 + max |a_ij|)``, naming the first such."""
+    scale = 1.0 + np.abs(a).max(axis=(-2, -1))
+    asym = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = np.flatnonzero(asym > SYMMETRY_RTOL * scale)
+    if bad.size:
+        worst, allowed = asym.flat[bad[0]], SYMMETRY_RTOL * scale.flat[bad[0]]
+        raise InvalidMatrixError(
+            f"matrix is asymmetric beyond tolerance "
+            f"(max |a_ij - a_ji| = {worst:g}, allowed {allowed:g})"
+        )
 
 
 def _check_dims(x: SymMatrix, y: SymMatrix) -> None:
@@ -160,15 +178,34 @@ def _check_dims(x: SymMatrix, y: SymMatrix) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {x.n} vs {y.n}")
 
 
+#: The gufunc ``np.linalg.eigvalsh`` calls with its default ``UPLO="L"``.
+_eigvalsh_lo = np.linalg._umath_linalg.eigvalsh_lo
+
+
+def _raise_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@np.errstate(call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _eigvalsh(a) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)`` of a float64 ``(..., n, n)`` array without
+    its Python wrapper: the same gufunc, signature and error state, so the
+    same bits, and ``LinAlgError`` where the routine does not converge
+    (the gufunc then raises the ``invalid`` flag)."""
+    return _eigvalsh_lo(a, signature="d->d")
+
+
 def eigvals_sym(x: SymMatrix) -> np.ndarray:
-    """Ascending eigenvalues of ``x``.
+    """Ascending eigenvalues of ``x``, from the module's kernel: the bits of
+    ``np.linalg.eigvalsh(x.a)``, and :class:`NumericalFailureError` (payload
+    ``x``) where LAPACK does not converge.
 
     Returns
     -------
     ndarray of shape (n,), sorted ascending (lambda_1 <= ... <= lambda_n).
     """
     try:
-        return np.linalg.eigvalsh(x.a)
+        return _eigvalsh(x.a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(
             f"symmetric eigensolver failed to converge: {exc}", payload=x
@@ -177,10 +214,13 @@ def eigvals_sym(x: SymMatrix) -> np.ndarray:
 
 def eigvals_stack(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each matrix of a ``(..., n, n)`` stack of
-    symmetric arrays, shape ``(..., n)``: one call in place of one
-    :func:`eigvals_sym` per matrix, with the same values bit for bit."""
+    symmetric arrays, shape ``(..., n)``: one call of the module's kernel in
+    place of one :func:`eigvals_sym` per matrix, with the same values bit
+    for bit.  Like ``np.linalg.eigvalsh(a)``, whose bits it returns, it
+    reads the lower triangle; where LAPACK does not converge it raises
+    :class:`NumericalFailureError` with payload ``a``."""
     try:
-        return np.linalg.eigvalsh(a)
+        return _eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(
             f"symmetric eigensolver failed to converge: {exc}", payload=a

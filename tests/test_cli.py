@@ -8,9 +8,10 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from domcone import cli, suite
+from domcone import cli, suite, symmat
 from domcone.fundsol import example_radial_check
 
 #: Options each command reads besides its own arguments.
@@ -170,6 +171,26 @@ def test_bad_input_exits_1_with_the_error_report(matrix_files, argv, want):
     assert set(rep["error"]) == {"code", "message"}
     assert rep["error"]["code"] == want
     assert rep["error"]["message"]
+
+
+def test_fundsol_eigensolve_failure_exits_1_with_the_error_report(monkeypatch):
+    # fundsol's eigenvalues come from the package's kernel, so a LAPACK
+    # failure there is a numerical-failure report, not a traceback; the stub
+    # does what the LAPACK gufunc does then: NaN and the invalid flag
+    shapes = []
+
+    def fail(a, signature):
+        shapes.append(a.shape)
+        return np.sqrt(np.full(a.shape[:-1], -1.0))
+
+    monkeypatch.setattr(symmat, "_eigvalsh_lo", fail)
+    code, rep = run_json(["fundsol", "--p", "3", "--at", "1,2,0.5"])
+    assert code == 1
+    assert rep["error"] == {
+        "code": "numerical-failure",
+        "message": "symmetric eigensolver failed to converge: Eigenvalues did not converge",
+    }
+    assert shapes == [(3, 3)]
 
 
 # ---------------------------------------------------------------------------

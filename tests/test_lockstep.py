@@ -1,9 +1,9 @@
 """Lockstep bisection: ``acdo_roots``, and ``acdo_root`` that bisects
 through it as a stack of one, against a plain one-root bisection kept
-here, for stacks of any size, fresh and resumed; the shape check of the
-stack; the stacked membership of congruence images against the scalar
-one, the stacked spec values against the scalar ones, and the property
-checks built on them against their per-sample form."""
+here, for stacks of any size, fresh and resumed; the shape and entry
+checks of the stack; the stacked membership of congruence images against
+the scalar one, the stacked spec values against the scalar ones, and the
+property checks built on them against their per-sample form."""
 
 import json
 import math
@@ -32,7 +32,7 @@ from domcone.acdo import (
 )
 from domcone.aperture import ConvexBody
 from domcone.cones import conjugate_oracle
-from domcone.errors import InputError, NonProperSetError, PreconditionError
+from domcone.errors import InputError, InvalidMatrixError, NonProperSetError, PreconditionError
 from domcone.operators import (
     Conjugated,
     DominativeP,
@@ -330,6 +330,69 @@ def test_stack_of_the_wrong_shape_is_rejected(shape, closed, monkeypatch):
         acdo_roots(oracle, np.zeros(shape), start=[])
     with pytest.raises(PreconditionError, match="matrix dimension 2 does not match oracle dimension 3"):
         acdo_root(oracle, SymMatrix.zeros(2))
+
+
+def _bad_stack(case):
+    """A stack of three symmetric 3x3 matrices whose second one is spoilt:
+    a non-finite entry in the lower triangle (the one LAPACK reads), or an
+    asymmetry; "asymmetric-ok" stays within the tolerance."""
+    stack = goe_stack(make_rng(7), 3, 3, [1.0])
+    if case in ("nan", "inf", "-inf"):
+        stack[1, 2, 0] = float(case)
+    elif case == "asymmetric":
+        stack[1] = [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    elif case == "asymmetric-1e-9":
+        stack[1, 0, 1] += 1e-9  # allowed: 1e-12 * (1 + max |a_ij|), below 1e-11
+    else:
+        stack[1, 0, 1] += 1e-13
+    return stack
+
+
+def _oracle_kind(kind, spec, calls):
+    if kind == "predicate":
+        return EllipticSetOracle(member=lambda x: calls.append(x) or spec.value(x) <= 0.0, n=spec.n)
+    return oracle_from_operator(spec) if kind == "closed-form" else _bisection(spec)
+
+
+@pytest.mark.parametrize(
+    "case, match",
+    [
+        ("nan", "matrix entries must be finite"),
+        ("inf", "matrix entries must be finite"),
+        ("-inf", "matrix entries must be finite"),
+        ("asymmetric", "matrix is asymmetric beyond tolerance"),
+        ("asymmetric-1e-9", "matrix is asymmetric beyond tolerance"),
+    ],
+)
+@pytest.mark.parametrize("kind", ["closed-form", "bisection", "predicate"])
+def test_stack_with_bad_entries_is_rejected(kind, case, match, monkeypatch):
+    # after the shape check, a non-finite entry or a matrix asymmetric beyond
+    # the tolerance of SymMatrix.from_dict raises InvalidMatrixError before
+    # any eigensolve, distance or membership call, fresh and resumed
+    spec, calls = Pucci(n=3, lam=0.5, Lam=2.0), []
+    oracle = _oracle_kind(kind, spec, calls)
+    start = acdo_roots(oracle, _bad_stack("none"), 1e-2)
+    calls.clear()
+
+    def fail(*args):
+        raise AssertionError("called before the entry check")
+
+    monkeypatch.setattr("domcone.acdo.eigvals_stack", fail)
+    if kind != "predicate":
+        for attr in ("member", "member_stack") + (("distance",) if kind == "closed-form" else ()):
+            monkeypatch.setattr(oracle, attr, fail)
+    for kwargs in ({}, {"start": start}):
+        with pytest.raises(InvalidMatrixError, match=match) as info:
+            acdo_roots(oracle, _bad_stack(case), **kwargs)
+        assert info.value.code == "invalid-matrix"
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["closed-form", "bisection", "predicate"])
+def test_stack_within_the_symmetry_tolerance_is_accepted(kind):
+    spec, calls = Pucci(n=3, lam=0.5, Lam=2.0), []
+    roots = acdo_roots(_oracle_kind(kind, spec, calls), _bad_stack("asymmetric-ok"))
+    assert len(roots) == 3 and all(math.isfinite(r.value) for r in roots)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The stacked GOE draw and eigensolve against the scalar ones they
-replace, and the stacked draw of points at log-uniform radii."""
+replace, the eigensolve kernel's failure path, and the stacked draw of
+points at log-uniform radii."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from domcone.errors import NumericalFailureError
 from domcone.sampling import goe_matrix, goe_stack, make_rng, radial_points
-from domcone.symmat import eigvals_stack
+from domcone import symmat
+from domcone.symmat import SymMatrix, eigvals_stack, eigvals_sym
 
 RADII = (0.5, 1.0, 2.0, 10.0)
 
@@ -62,15 +64,44 @@ def test_rejected_draw_is_replaced_in_stream_order(index):
     assert np.array_equal(goe_matrix(stacked_rng, n).a, goe_matrix(scalar_rng, n).a)
 
 
-def test_stacked_eigensolve_failure_is_a_numerical_failure(monkeypatch):
-    def fail(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+def _failing_gufunc(monkeypatch):
+    """Replace the kernel's gufunc by one that does what the LAPACK gufunc
+    does where the routine does not converge: it returns NaN and raises the
+    floating-point ``invalid`` flag.  Only the kernel's error state turns
+    that flag into an exception; outside it, it is a RuntimeWarning.
+    Returns the shapes the stub was called on."""
+    calls = []
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    def fail(a, signature):
+        assert signature == "d->d"
+        calls.append(a.shape)
+        return np.sqrt(np.full(a.shape[:-1], -1.0))
+
+    monkeypatch.setattr(symmat, "_eigvalsh_lo", fail)
+    return calls
+
+
+_NONCONVERGENCE = "symmetric eigensolver failed to converge: Eigenvalues did not converge"
+
+
+def test_stacked_eigensolve_failure_is_a_numerical_failure(monkeypatch):
+    calls = _failing_gufunc(monkeypatch)
     stack = np.zeros((2, 3, 3))
-    with pytest.raises(NumericalFailureError) as info:
+    with pytest.raises(NumericalFailureError, match=_NONCONVERGENCE) as info:
         eigvals_stack(stack)
     assert info.value.payload is stack
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    assert calls == [(2, 3, 3)]
+
+
+def test_scalar_eigensolve_failure_is_a_numerical_failure(monkeypatch):
+    calls = _failing_gufunc(monkeypatch)
+    x = SymMatrix.identity(3)
+    with pytest.raises(NumericalFailureError, match=_NONCONVERGENCE) as info:
+        eigvals_sym(x)
+    assert info.value.payload is x
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    assert calls == [(3, 3)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from domcone.errors import DimensionMismatchError, InvalidMatrixError
+from domcone.errors import DimensionMismatchError, InvalidMatrixError, NumericalFailureError
 from domcone.sampling import goe_matrix, make_rng, random_nsd, random_psd
 from domcone.symmat import (
     InvertibleMap,
     SymMatrix,
     congruence,
     eigh_sym,
+    eigvals_stack,
     eigvals_sym,
     inf_norm,
     inner,
@@ -44,6 +47,16 @@ class TestConstruction:
     def test_wire_rejects_asymmetric(self):
         with pytest.raises(InvalidMatrixError, match="asymmetric"):
             SymMatrix.from_dict({"n": 2, "entries": [[0.0, 1.0], [0.0, 0.0]]})
+
+    @pytest.mark.parametrize("asym, rejected", [(1e-9, True), (3e-12, True), (1e-12, False), (0.0, False)])
+    def test_wire_symmetry_tolerance(self, asym, rejected):
+        # allowed: SYMMETRY_RTOL * (1 + max |a_ij|) = 2e-12 here
+        d = {"n": 2, "entries": [[1.0, 0.5 + asym], [0.5, -1.0]]}
+        if rejected:
+            with pytest.raises(InvalidMatrixError, match="asymmetric beyond tolerance"):
+                SymMatrix.from_dict(d)
+        else:
+            assert SymMatrix.from_dict(d).n == 2
 
     def test_wire_rejects_shape_mismatch(self):
         with pytest.raises(InvalidMatrixError):
@@ -100,6 +113,42 @@ class TestEigvals:
             x = goe_matrix(rng, n)
             neg = random_nsd(rng, n, scale=0.5)
             assert np.all(eigvals_sym(x + neg) <= eigvals_sym(x) + 1e-10)
+
+
+#: Entries at the edges of the float range, mixed into the kernel's inputs.
+_EDGE_ENTRIES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-300, -1e-300, 1e300, -1e300])
+
+
+def _bits(f, a):
+    """The dtype, shape and bytes of ``f(a)``, or the failure it raises."""
+    try:
+        w = f(a)
+    except (np.linalg.LinAlgError, NumericalFailureError):
+        return "no convergence"
+    return w.dtype, w.shape, w.tobytes()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    n=st.integers(2, 16),
+    k=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+    edge=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+)
+def test_kernel_has_the_bits_of_eigvalsh(n, k, seed, edge):
+    # eigvals_sym and eigvals_stack call LAPACK's gufunc without numpy's
+    # wrapper, and must return what np.linalg.eigvalsh returns, bit for bit:
+    # on symmetric stacks, on the lower triangle of asymmetric ones, and on
+    # entries at the edges of the float range (a share ``edge`` of them)
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((k, n, n)) * 10.0 ** rng.integers(-8, 9, (k, 1, 1))
+    pick = rng.random((k, n, n)) < edge
+    raw[pick] = rng.choice(_EDGE_ENTRIES, int(pick.sum()))
+    sym = np.tril(raw) + np.swapaxes(np.tril(raw, -1), -1, -2)
+    for stack in (raw, sym, raw.swapaxes(-1, -2)):  # the last one strided
+        assert _bits(eigvals_stack, stack) == _bits(np.linalg.eigvalsh, stack)
+    for a in sym[:8]:
+        assert _bits(eigvals_sym, SymMatrix(a)) == _bits(np.linalg.eigvalsh, a)
 
 
 class TestInner:

@@ -1,5 +1,5 @@
 """Hand mutants of the root finder, the property reports, the suite's
-stacked checks and their neighbours.
+stacked checks, the eigensolve kernel and their neighbours.
 
 Each mutant is one exact textual edit of a source file.  The script copies
 ``src/``, ``tests/``, ``tools/`` and ``perfbench/`` of this checkout into a
@@ -168,6 +168,30 @@ MUTANTS = [
         "src/domcone/aperture.py",
         "    d[0] = a - 1.0\n    return SymMatrix._wrap",
         "    d[0] = a\n    return SymMatrix._wrap",
+    ),
+    (
+        "eigensolve kernel: the upper triangle",
+        "src/domcone/symmat.py",
+        "_umath_linalg.eigvalsh_lo",
+        "_umath_linalg.eigvalsh_up",
+    ),
+    (
+        "eigensolve kernel: nonconvergence ignored",
+        "src/domcone/symmat.py",
+        'invalid="call"',
+        'invalid="ignore"',
+    ),
+    (
+        "acdo_roots: finiteness check on isnan only",
+        "src/domcone/acdo.py",
+        "    if not np.isfinite(stack).all():\n",
+        "    if np.isnan(stack).any():\n",
+    ),
+    (
+        "symmetry tolerance x1e6",
+        "src/domcone/symmat.py",
+        "asym > SYMMETRY_RTOL * scale",
+        "asym > 1e6 * SYMMETRY_RTOL * scale",
     ),
 ]
 
