@@ -161,7 +161,8 @@ class SymMatrix:
 
 def _check_symmetric(a: np.ndarray) -> None:
     """Reject a finite ``(..., n, n)`` array holding a matrix asymmetric
-    beyond ``SYMMETRY_RTOL * (1 + max |a_ij|)``, naming the first such."""
+    beyond ``SYMMETRY_RTOL * (1 + max |a_ij|)``, with the figures of the
+    first such."""
     scale = 1.0 + np.abs(a).max(axis=(-2, -1))
     asym = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
     bad = np.flatnonzero(asym > SYMMETRY_RTOL * scale)

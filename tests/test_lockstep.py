@@ -333,9 +333,10 @@ def test_stack_of_the_wrong_shape_is_rejected(shape, closed, monkeypatch):
 
 
 def _bad_stack(case):
-    """A stack of three symmetric 3x3 matrices whose second one is spoilt:
-    a non-finite entry in the lower triangle (the one LAPACK reads), or an
-    asymmetry; "asymmetric-ok" stays within the tolerance."""
+    """A stack of three symmetric 3x3 matrices whose second one is spoilt
+    by ``case``: a non-finite entry in the lower triangle (the one LAPACK
+    reads), or an asymmetry; "asymmetric-ok" stays within the tolerance,
+    and any other case leaves the stack as drawn."""
     stack = goe_stack(make_rng(7), 3, 3, [1.0])
     if case in ("nan", "inf", "-inf"):
         stack[1, 2, 0] = float(case)
@@ -343,7 +344,7 @@ def _bad_stack(case):
         stack[1] = [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
     elif case == "asymmetric-1e-9":
         stack[1, 0, 1] += 1e-9  # allowed: 1e-12 * (1 + max |a_ij|), below 1e-11
-    else:
+    elif case == "asymmetric-ok":
         stack[1, 0, 1] += 1e-13
     return stack
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from domcone import symmat
 from domcone.errors import NumericalFailureError
 from domcone.sampling import goe_matrix, goe_stack, make_rng, radial_points
-from domcone import symmat
 from domcone.symmat import SymMatrix, eigvals_stack, eigvals_sym
 
 RADII = (0.5, 1.0, 2.0, 10.0)
