@@ -73,7 +73,6 @@ from .operators import (
     OperatorSpec,
     Pucci,
     Shifted,
-    closed_form_distance,
     eval_dominative,
     eval_example,
     eval_pucci,

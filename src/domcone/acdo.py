@@ -37,7 +37,6 @@ from .operators import (
     Record,
     Shifted,
     _check_count,
-    closed_form_distance,
 )
 from .sampling import goe_matrix, goe_stack, make_rng, random_nsd, random_orthogonal
 from .symmat import SymMatrix, _check_symmetric, _eye, congruence, eigvals_stack, inf_norm_stack
@@ -142,7 +141,7 @@ def oracle_from_operator(spec: OperatorSpec) -> EllipticSetOracle:
         inside_witness=inside,
         outside_witness=outside,
         description=f"sublevel set of {type(spec).__name__}",
-        distance=closed_form_distance(spec),
+        distance=spec.distance,
         member_stack=lambda a: spec.value_stack(a) <= 0.0,
     )
 

@@ -226,11 +226,8 @@ def _cmd_fundsol(args):
     point = _parse_float_list(args.at)
     if not all(map(math.isfinite, point)):
         raise InputError("point coordinates must be finite")
-    n = len(point) if args.n is None else args.n
-    if len(point) != n:
-        raise InputError(f"point has {len(point)} coordinates but n = {n}")
-    fs = fundsol_mod.FundamentalSolution(n=n, p=num_from_json(args.p))
-    result = {"n": n, "p": num_to_json(fs.p), "alpha": fs.alpha, "at": point}
+    fs = fundsol_mod.FundamentalSolution(n=len(point), p=num_from_json(args.p))
+    result = {"n": fs.n, "p": num_to_json(fs.p), "alpha": fs.alpha, "at": point}
     result["value"] = num_to_json(fundsol_mod.w_value(fs, point))
     if any(c != 0.0 for c in point):
         hess = fundsol_mod.w_hessian(fs, point)
@@ -430,9 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_options(sp, "seed", "tol-root", "tol-property")
 
     sp = sub.add_parser("fundsol", help="fundamental solution value/gradient/Hessian")
-    sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--p", required=True)
-    sp.add_argument("--at", required=True, help="comma-separated point coordinates")
+    sp.add_argument("--at", required=True, help="comma-separated point coordinates; n is their count")
     _add_options(sp)
 
     sp = sub.add_parser("sobolev", help="gradient-power integral over an annulus")

@@ -33,7 +33,7 @@ def conjugate_oracle(oracle: EllipticSetOracle, B: InvertibleMap) -> EllipticSet
     witnesses, mapped to B^T W B.  The image's ``member_stack`` maps the
     stack and calls the oracle's own, so it has the bits of ``member``;
     the image has no closed form (see
-    :func:`~domcone.operators.closed_form_distance`).
+    :class:`~domcone.operators.Conjugated`).
     """
     inv = B.B_inv
 

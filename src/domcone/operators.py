@@ -8,17 +8,18 @@ set of ``Shifted(F, X0)`` is Theta(F) + {X0}.
 
 Each spec has ``value_stack(a)``, the bits of ``value`` on each matrix
 of a ``(k, n, n)`` stack from at most one stacked eigensolve.  Each spec
-but ``Conjugated`` also has ``distance(x)``, the signed distance
-``-sup{t | F(X + tI) <= 0}`` to the boundary of its sublevel set in
-closed form.  ``X + tI`` only shifts the spectrum by t, so one
-eigensolve (none for ``LinearTrace``) gives it.
+also has ``distance(x)``, the signed distance ``-sup{t | F(X + tI) <= 0}``
+to the boundary of its sublevel set in closed form, or ``distance`` None
+where it has none (a congruence image, and a shift of one).  ``X + tI``
+only shifts the spectrum by t, so one eigensolve (none for
+``LinearTrace``) gives it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -234,6 +235,8 @@ class LinearTrace:
     m: float
 
     def __post_init__(self):
+        if not math.isfinite(self.m):
+            raise InputError(f"linear operator offset m must be finite, got {self.m}")
         ev = eigvals_sym(self.A)
         if ev[0] < -LOEWNER_TOL:
             raise InputError(
@@ -326,6 +329,8 @@ class Shifted:
             raise DimensionMismatchError(
                 "shift matrix dimension does not match inner operator"
             )
+        if self.inner.distance is None:  # no closed form to shift
+            object.__setattr__(self, "distance", None)
 
     @property
     def n(self) -> int:
@@ -340,8 +345,7 @@ class Shifted:
         return self.inner.value_stack(a - self.X0.a)
 
     def distance(self, x: SymMatrix) -> float:
-        """The inner spec's distance at X - X0; see :func:`closed_form_distance`
-        for when the inner spec has one."""
+        """The inner spec's distance at X - X0; None when the inner spec's is."""
         _check_op_dim(self, x.n)
         return self.inner.distance(x - self.X0)
 
@@ -350,6 +354,10 @@ class Shifted:
 class Conjugated:
     inner: "OperatorSpec"
     B: InvertibleMap
+
+    #: No closed form: B^-T (X + tI) B^-1 moves along B^-T B^-1, not along
+    #: the identity.
+    distance = None
 
     def __post_init__(self):
         if self.inner.n != self.B.n:
@@ -389,20 +397,6 @@ def _check_op_dim(spec, n: int) -> None:
         )
 
 
-def closed_form_distance(spec: OperatorSpec) -> Callable[[SymMatrix], float] | None:
-    """The spec's ``distance`` method, or None when it has no closed form.
-
-    A congruence image has none: B^-T (X + tI) B^-1 moves along
-    B^-T B^-1, not along the identity.  A shift has one when its inner
-    spec has.
-    """
-    if isinstance(spec, Conjugated):
-        return None
-    if isinstance(spec, Shifted) and closed_form_distance(spec.inner) is None:
-        return None
-    return spec.distance
-
-
 class Record:
     """Base of the result dataclasses; it has no fields of its own.
 
@@ -430,7 +424,7 @@ class EvalResult(Record):
 
 
 def evaluate_result(spec: OperatorSpec, x: SymMatrix) -> EvalResult:
-    distance = closed_form_distance(spec)
+    distance = spec.distance
     return EvalResult(
         value=spec.value(x), boundary_distance_hint=None if distance is None else distance(x)
     )

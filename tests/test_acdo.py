@@ -35,7 +35,7 @@ from domcone.operators import (
     LinearTrace,
     Pucci,
     Shifted,
-    closed_form_distance,
+    evaluate_result,
 )
 from domcone.sampling import goe_matrix, make_rng, random_orthogonal, random_psd
 from domcone.suite import run_suite
@@ -164,12 +164,18 @@ class TestClosedFormAgainstBisection:
         assert spec.distance(SymMatrix.zeros(2)) == 0.0
 
     def test_only_congruence_images_lack_a_closed_form(self):
-        b = InvertibleMap(np.diag([2.0, 1.0]))
-        conj = Conjugated(inner=DominativeP(n=2, p=3.0), B=b)
-        assert closed_form_distance(conj) is None
-        assert closed_form_distance(Shifted(inner=conj, X0=SymMatrix.identity(2))) is None
+        # a shift of a spec without a closed form has none either: its oracle
+        # bisects and its evaluation leaves the hint out
+        b = InvertibleMap(np.array([[2.0, 0.5], [0.0, 1.0]]))
+        conj = Conjugated(inner=Pucci(n=2, lam=1.0, Lam=2.0), B=b)
+        shifted_conj = Shifted(inner=conj, X0=SymMatrix.identity(2))
+        for spec in (conj, shifted_conj):
+            assert spec.distance is None
+            assert oracle_from_operator(spec).distance is None
+            assert evaluate_result(spec, SymMatrix.zeros(2)).boundary_distance_hint is None
         shifted = Shifted(inner=ExampleEq(), X0=SymMatrix.identity(2))
-        assert closed_form_distance(shifted) == shifted.distance
+        x = SymMatrix.diag([-1.0, 0.5])
+        assert shifted.distance(x) == ExampleEq().distance(x - SymMatrix.identity(2))
 
 
 class TestNonProperSets:

@@ -50,7 +50,12 @@ def matrix_files(tmp_path_factory):
     sym.write_text(json.dumps({"n": 2, "entries": [[1.0, 0.5], [0.5, -2.0]]}))
     asym = d / "asym.json"
     asym.write_text(json.dumps({"n": 2, "entries": [[1.0, 1.5], [0.5, -2.0]]}))
-    return {"sym": str(sym), "asym": str(asym), "missing": str(d / "missing.json")}
+    files = {"sym": str(sym), "asym": str(asym), "missing": str(d / "missing.json")}
+    for name, m in (("linear_nan", "NaN"), ("linear_inf", "Infinity")):
+        spec = d / f"{name}.json"
+        spec.write_text('{"type": "linear", "A": {"n": 2, "entries": [[1, 0], [0, 1]]}, "m": %s}' % m)
+        files[name] = str(spec)
+    return files
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +117,10 @@ def test_failed_property_exits_2_and_still_reports():
         (["eval", "--op", "dominative:n=2", "--X", "{sym}"], "input"),
         (["eval", "--op", "dominative:n=2,p=3", "--X", "{missing}"], "input"),
         (["eval", "--op", "dominative:n=2,p=3", "--X", "{asym}"], "invalid-matrix"),
+        # json reads NaN and Infinity; the offset of a half-space must be finite
+        (["eval", "--op", "{linear_nan}", "--X", "{sym}"], "input"),
+        (["eval", "--op", "{linear_inf}", "--X", "{sym}"], "input"),
+        (["acdo", "--op", "{linear_inf}", "--X", "{sym}"], "input"),
         (["aperture", "--body", "pucci:n=2,lam=3,Lam=1"], "precondition"),
         (["aperture", "--body", "pucci:n=two,lam=1,Lam=3"], "input"),
         (["aperture", "--body", "pucci:n=2,lam=1,Lam"], "input"),
@@ -151,8 +160,8 @@ def test_failed_property_exits_2_and_still_reports():
         # a check that runs nothing must not pass
         (["suite", "--groups", ","], "input"),
         (["example", "--c", ""], "input"),
-        # n = 0 is a dimension that does not match the point, not a missing --n
-        (["fundsol", "--n", "0", "--p", "3", "--at", "1,2"], "input"),
+        # fundsol takes n from the point, so it declares no --n
+        (["fundsol", "--n", "2", "--p", "3", "--at", "1,2"], "input"),
         # |x|^(-alpha) passes the float range, so the Hessian is not finite
         (["fundsol", "--p", "3", "--at=1e-300,0"], "invalid-matrix"),
         (["fundsol", "--p", "2", "--at=1e-300,0,0"], "invalid-matrix"),

@@ -3,11 +3,15 @@
 Byte for byte when numpy's version is the one the files record;
 otherwise every string, int, bool and verdict exactly and floats to the
 script's stated tolerance.  The test session's summary says which mode
-ran.  A change that alters output regenerates the files and names each
-changed field in CHANGES.md."""
+ran.  In either mode each CLI case also runs in a fresh process, which
+must give the in-process bytes and the recorded exit code.  A change
+that alters output regenerates the files and names each changed field in
+CHANGES.md."""
 
 import functools
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,9 +28,14 @@ def _inclusion_reports():
     return regen_golden.inclusion_reports()
 
 
+@functools.cache
+def _cli_output(name):
+    return regen_golden.run_cli(regen_golden.CLI_CASES[name])
+
+
 def _current(name):
     if name in regen_golden.CLI_CASES:
-        return regen_golden.run_cli(regen_golden.CLI_CASES[name])
+        return _cli_output(name)
     return _inclusion_reports()[name], None
 
 
@@ -55,3 +64,49 @@ def test_tolerant_comparison_keeps_exact_fields_exact():
     assert regen_golden.same({"ok": True}, {"ok": 1}) is not None
     assert regen_golden.same([1.0], [1.1]) is not None
     assert regen_golden.same({"a": 1}, {"b": 1}) is not None
+
+
+@pytest.mark.parametrize("name", list(regen_golden.CLI_CASES))
+def test_cli_case_replays_in_a_fresh_process(name):
+    # the same bytes from a new interpreter (so no state of this one leaks
+    # into the output), and no RuntimeWarning at any point of the run
+    path = [str(regen_golden.ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = regen_golden.CLI_CASES[name]
+    child = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "domcone.cli", *argv],
+        cwd=regen_golden.ROOT,
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert child.stdout == _cli_output(name)[0].encode("utf-8"), child.stderr.decode()
+    assert child.returncode == EXIT_CODES[name]
+
+
+def _report(name):
+    return json.loads(_cli_output(name)[0])
+
+
+def test_cli_cases_show_what_they_stand_for():
+    # what regen_golden.CLI_CASES says of each case, checked on the output
+    # itself, so that regenerating the golden files cannot drop it unseen
+    assert _report("cli.aperture")["result"]["p"] == "inf"
+    assert _report("cli.report")["result"]["guaranteed_q_interval"]["hi"] == "inf"
+    assert _report("cli.eval")["result"]["value"] == "-inf"
+    # witness brackets need no expansion: one probe more than the steps
+    far = _report("cli.acdo.far")["result"]
+    assert far["iterations"] < 200 and far["probes"] == far["iterations"] + 1
+    # the image is a convex cone, but B is not orthogonal
+    *props, structure = _report("cli.verify.structure")["result"]["checks"]
+    assert [c["name"] for c in props] == ["downward-closure", "nondegeneracy", "lipschitz"]
+    assert all(c["passed"] for c in props)
+    assert structure["violations"]
+    assert {v["flag"] for v in structure["violations"]} == {"rot_invariant"}
+    assert _report("cli.check-inclusion")["result"]["verdict"] == "violated"
+    for name, code in [
+        ("cli.fundsol.near-origin.n2", "invalid-matrix"),
+        ("cli.fundsol.near-origin.n3", "invalid-matrix"),
+        ("cli.fundsol.inf", "input"),
+    ]:
+        assert _report(name)["error"]["code"] == code

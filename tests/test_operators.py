@@ -400,6 +400,11 @@ class TestSpecValidationAndWire:
         with pytest.raises(InputError):
             LinearTrace(A=SymMatrix.diag([1.0, -1.0]), m=0.0)
 
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    def test_linear_requires_a_finite_offset(self, m):
+        with pytest.raises(InputError, match="must be finite"):
+            LinearTrace(A=SymMatrix.identity(2), m=m)
+
     def test_linear_requires_positive_trace(self):
         with pytest.raises(InputError):
             LinearTrace(A=SymMatrix.zeros(2), m=0.0)

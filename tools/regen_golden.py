@@ -5,14 +5,19 @@ The golden files under ``tests/data/golden/`` are
 - the ``suite --all`` report at seeds 0 and 1;
 - the 12 ``check_inclusion`` reports of the benchmark's ``inclusion``
   workload at seed 0 (``perfbench/workloads.py``, read, not changed);
-- the outputs of the CLI commands that CI runs, and of ``example``.
+- the outputs of the CLI commands in ``CLI_CASES``.
 
 ``manifest.json`` records the numpy version they were made with and each
 command's exit code.  ``tests/test_golden.py`` compares current output
 with them: byte for byte when numpy's version is the recorded one, and
 otherwise strings, ints, bools (so every verdict) exactly and floats to
 ``REL_TOL`` relative, with ``ABS_TOL`` as the floor for values at
-rounding level, since LAPACK builds differ in the last bits.
+rounding level, since LAPACK builds differ in the last bits.  It also
+runs each CLI case in a fresh ``python -W error::RuntimeWarning -m
+domcone.cli`` process, whose output must be the in-process bytes and
+whose exit code the recorded one.  ``CLI_CASES`` is the one list of the
+commands whose bytes and exit codes are the CLI's contract: a new case is
+one entry here and a run of this script.
 
 A change that alters output runs this script and names each changed
 field in CHANGES.md; the diff of the golden files is its review artifact:
@@ -43,6 +48,11 @@ ABS_TOL = 1e-9
 _CONJ = "tests/data/conjugated_pucci.json"
 
 #: name -> argv of ``domcone``; paths are relative to the repository root.
+#: ``suite`` passes (exit 0); the congruence image passes ``verify`` but not
+#: its rotation-invariance check, and violates the inclusion (exit 2); the
+#: non-finite results of ``aperture``, ``report`` and ``eval`` are strings;
+#: the far ``acdo`` probe stops short of the step cap; ``fundsol`` next to
+#: the origin and at an infinite point exits 1 with the error report.
 CLI_CASES = {
     "suite.seed0": ["suite", "--all", "--seed", "0"],
     "suite.seed1": ["suite", "--all", "--seed", "1"],
@@ -54,6 +64,9 @@ CLI_CASES = {
     "cli.eval": ["eval", "--op", "example", "--X", "tests/data/example_below_edge.json"],
     "cli.acdo.far": ["acdo", "--op", _CONJ, "--X", "tests/data/far_probe.json"],
     "cli.example": ["example"],
+    "cli.fundsol.near-origin.n2": ["fundsol", "--p", "3", "--at=1e-300,0"],
+    "cli.fundsol.near-origin.n3": ["fundsol", "--p", "2", "--at=1e-300,0,0"],
+    "cli.fundsol.inf": ["fundsol", "--p", "3", "--at=inf,0"],
 }
 
 
