@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, InvalidMatrixError, NonProperSetError, PreconditionError
+from .errors import InputError, NonProperSetError, PreconditionError
 from .operators import (
     Conjugated,
     LinearTrace,
@@ -39,7 +39,7 @@ from .operators import (
     _check_count,
 )
 from .sampling import goe_matrix, goe_stack, make_rng, random_nsd, random_orthogonal
-from .symmat import SymMatrix, _check_symmetric, _eye, congruence, eigvals_stack, inf_norm_stack
+from .symmat import SymMatrix, _check_symmetric, _eye, check_dim, congruence, eigvals_stack, inf_norm_stack
 
 #: Absolute tolerance of the root finder.
 ROOT_TOL = 1e-10
@@ -200,10 +200,7 @@ def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) ->
     the witnesses' bracket), not an error; test ellipticity separately
     via check_downward_closure.
     """
-    if x.n != oracle.n:
-        raise PreconditionError(
-            f"matrix dimension {x.n} does not match oracle dimension {oracle.n}"
-        )
+    check_dim(x.n, oracle.n, against="oracle")
     if oracle.distance is not None:
         v = float(oracle.distance(x))
         return AcdoRoot(value=v, bracket=(v, v), iterations=0, probes=1, method="closed-form")
@@ -256,8 +253,6 @@ def acdo_roots(
         raise PreconditionError(
             f"stack of shape {stack.shape} is not (k, n, n) for oracle dimension n = {oracle.n}"
         )
-    if not np.isfinite(stack).all():
-        raise InvalidMatrixError("matrix entries must be finite")
     _check_symmetric(stack)
     if start is None:
         if oracle.distance is not None:

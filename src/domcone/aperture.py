@@ -27,13 +27,13 @@ from .operators import (
     Report,
     _check_count,
     _check_p,
-    dim_from_json,
+    _check_pucci,
     dominative_from_eigs,
     eval_support,
     support_from_eigs,
 )
 from .sampling import make_rng, random_orthogonal
-from .symmat import SymMatrix, eigvals_stack, eigvals_sym
+from .symmat import SymMatrix, dim_from_json, eigvals_stack, eigvals_sym
 
 #: Generators must be positive semidefinite within this tolerance.
 PSD_TOL = 1e-10
@@ -135,8 +135,7 @@ def pucci_body(n: int, lam: float, Lam: float) -> ConvexBody:
     leading copies of Lam, k = 0..n; rotation closure recovers the full
     set {lam*I <= A <= Lam*I}.
     """
-    if not 0.0 < lam <= Lam < math.inf:
-        raise PreconditionError(f"require 0 < lam <= Lam < inf, got lam={lam}, Lam={Lam}")
+    _check_pucci(lam, Lam)
     gens = []
     for k in range(n + 1):
         gens.append(SymMatrix.diag([Lam] * k + [lam] * (n - k)))

@@ -27,8 +27,8 @@ from . import operators as operators_mod
 from . import suite as suite_mod
 from .aperture import ConvexBody, body_cone_aperture, dominative_body, pucci_body
 from .errors import DomconeError, InputError
-from .operators import dim_from_json, num_from_json, num_to_json
-from .symmat import InvertibleMap, SymMatrix, eigvals_sym
+from .operators import num_from_json, num_to_json
+from .symmat import InvertibleMap, SymMatrix, dim_from_json, eigvals_sym
 
 SCHEMA_VERSION = 3
 
@@ -47,39 +47,31 @@ def _load_json_file(path: str) -> dict:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _parse_shorthand(arg: str, builders: dict, what: str):
-    """Build a catalog object from ``kind:key=value,...`` with ``builders[kind]``."""
+def _shorthand_fields(arg: str, kinds, what: str) -> dict:
+    """The fields ``{"type": kind, key: value, ...}`` of a ``kind:key=value,...``
+    shorthand whose kind is one of ``kinds``."""
     kind, _, params = arg.partition(":")
-    if kind not in builders:
+    if kind not in kinds:
         raise InputError(f"unknown {what} shorthand kind {kind!r}")
-    kv = {}
+    fields = {}
     for chunk in params.split(",") if params else ():
         if "=" not in chunk:
             raise InputError(f"bad shorthand parameter {chunk!r} (expected key=value)")
         key, val = chunk.split("=", 1)
-        kv[key.strip()] = val.strip()
-    try:
-        return builders[kind](kv)
-    except KeyError as exc:
-        raise InputError(f"shorthand {arg!r} is missing parameter {exc}") from exc
-    except ValueError as exc:
-        raise InputError(f"bad value in shorthand {arg!r}: {exc}") from exc
+        fields[key.strip()] = val.strip()
+    fields["type"] = kind
+    return fields
 
 
 _BODY_SHORTHANDS = {
     "dominative": lambda kv: dominative_body(dim_from_json(kv["n"]), num_from_json(kv["p"])),
-    "pucci": lambda kv: pucci_body(dim_from_json(kv["n"]), float(kv["lam"]), float(kv["Lam"])),
+    "pucci": lambda kv: pucci_body(
+        dim_from_json(kv["n"]), num_from_json(kv["lam"]), num_from_json(kv["Lam"])
+    ),
 }
 
-_OPERATOR_SHORTHANDS = {
-    "dominative": lambda kv: operators_mod.DominativeP(
-        n=dim_from_json(kv["n"]), p=num_from_json(kv["p"])
-    ),
-    "pucci": lambda kv: operators_mod.Pucci(
-        n=dim_from_json(kv["n"]), lam=float(kv["lam"]), Lam=float(kv["Lam"])
-    ),
-    "example": lambda kv: operators_mod.ExampleEq(n=dim_from_json(kv.get("n", 2))),
-}
+#: The operator kinds a shorthand may name; its fields are a spec's.
+_OPERATOR_KINDS = ("dominative", "pucci", "example")
 
 
 def parse_matrix_arg(arg: str) -> SymMatrix:
@@ -93,15 +85,22 @@ def parse_map_arg(arg: str) -> InvertibleMap:
 def parse_body_arg(arg: str) -> ConvexBody:
     """A body file, or a catalog shorthand such as ``dominative:n=3,p=4``."""
     if ":" in arg and not os.path.exists(arg):
-        return _parse_shorthand(arg, _BODY_SHORTHANDS, "body")
+        fields = _shorthand_fields(arg, _BODY_SHORTHANDS, "body")
+        try:
+            return _BODY_SHORTHANDS[fields["type"]](fields)
+        except KeyError as exc:
+            raise InputError(f"shorthand {arg!r} is missing parameter {exc}") from exc
+        except ValueError as exc:
+            raise InputError(f"bad value in shorthand {arg!r}: {exc}") from exc
     return ConvexBody.from_dict(_load_json_file(arg))
 
 
 def parse_operator_arg(arg: str) -> operators_mod.OperatorSpec:
     """An operator spec file, or a shorthand: ``dominative:n=3,p=4``,
-    ``pucci:n=2,lam=1,Lam=3``, ``example``."""
+    ``pucci:n=2,lam=1,Lam=3``, ``example``; a shorthand is read as the
+    spec object of its fields."""
     if arg == "example" or (":" in arg and not os.path.exists(arg)):
-        return _parse_shorthand(arg, _OPERATOR_SHORTHANDS, "operator")
+        return operators_mod.spec_from_dict(_shorthand_fields(arg, _OPERATOR_KINDS, "operator"))
     return operators_mod.spec_from_dict(_load_json_file(arg))
 
 

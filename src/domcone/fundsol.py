@@ -34,13 +34,25 @@ from .operators import (
     support_from_eigs,
 )
 from .sampling import make_rng, radial_points
-from .symmat import SymMatrix, eigvals_sym
+from .symmat import SymMatrix, check_dim, eigvals_sym
 
 
 def _check_n(n: int) -> None:
     # n = 1 has no sphere to integrate over and q* = n (p-1)/(n-1) divides by 0
     if n < 2:
         raise PreconditionError(f"dimension must be at least 2, got {n}")
+
+
+def _check_sobolev(n: int, p: float, q: float, eps: float) -> None:
+    """The arguments of the Sobolev integrals: n >= 2, eps in (0, 1), a
+    finite q > 0 and a finite p >= 2."""
+    _check_n(n)
+    if not 0.0 < eps < 1.0:
+        raise PreconditionError(f"eps must lie in (0, 1), got {eps}")
+    if not 0.0 < q < math.inf:
+        raise PreconditionError(f"gradient exponent q must be finite and positive, got {q}")
+    if _check_p(p) == math.inf:
+        raise PreconditionError("exponent p must be finite in the Sobolev integrals, got inf")
 
 
 @dataclass(frozen=True)
@@ -88,11 +100,11 @@ def w_value(fs: FundamentalSolution, x) -> float:
     r = _radius(np.asarray(x, dtype=float))
     n, p = fs.n, fs.p
     if p == math.inf:
-        return -r
+        return 0.0 - r  # +0.0 at the origin, not -0.0
     if r == 0.0:
         return math.inf if p <= n else 0.0
     if p == n:
-        return -math.log(r)
+        return 0.0 - math.log(r)  # +0.0 at |x| = 1
     return -(p - 1.0) / (p - n) * _power(r, (p - n) / (p - 1.0))
 
 
@@ -176,10 +188,7 @@ def verify_annihilation(
     be rotation-closed) must equal fs.p — by definition the aperture is the
     unique exponent whose profile G annihilates.
     """
-    if body.n != fs.n:
-        raise PreconditionError(
-            f"body dimension {body.n} does not match solution dimension {fs.n}"
-        )
+    check_dim(body.n, fs.n, "body", "solution")
     _check_count(sample_count)
     p_op = body_cone_aperture(body).p
     both_inf = p_op == math.inf and fs.p == math.inf
@@ -225,7 +234,7 @@ def _log_surface_measure(n: int) -> float:
 def sobolev_threshold(n: int, p: float) -> float:
     """Critical gradient exponent q* = n (p-1) / (n-1)."""
     _check_n(n)
-    if p == math.inf:
+    if _check_p(p) == math.inf:
         return math.inf
     return n * (p - 1.0) / (n - 1.0)
 
@@ -247,13 +256,7 @@ def sobolev_integral(n: int, p: float, q: float, eps: float) -> float:
     to about 1e-13 relative; an integral beyond the float range raises
     :class:`NumericalFailureError`.
     """
-    _check_n(n)
-    if not 0.0 < eps < 1.0:
-        raise PreconditionError(f"eps must lie in (0, 1), got {eps}")
-    if not 0.0 < q < math.inf:
-        raise PreconditionError(f"gradient exponent q must be finite and positive, got {q}")
-    if math.isnan(p) or p < 2.0 or p == math.inf:
-        raise PreconditionError(f"exponent p must lie in [2, inf), got {p}")
+    _check_sobolev(n, p, q, eps)
     e = _radial_exponent(n, p, q)
     omega = surface_measure(n)
     s = e + 1.0
@@ -286,9 +289,7 @@ def sobolev_integral_quadrature(n: int, p: float, q: float, eps: float) -> float
     smooth exponential), so the near-singular endpoint costs nothing and
     64 nodes reach rounding level over the exponents the suite uses.
     """
-    _check_n(n)
-    if not 0.0 < eps < 1.0:
-        raise PreconditionError(f"eps must lie in (0, 1), got {eps}")
+    _check_sobolev(n, p, q, eps)
     e = _radial_exponent(n, p, q)
     half = -0.5 * math.log(eps)  # half the length of [ln eps, 0]
     u = half * (_GL_NODES - 1.0)

@@ -23,15 +23,15 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputError, PreconditionError
+from .errors import InputError, PreconditionError
 from .symmat import (
     LOEWNER_TOL,
-    MAX_DIM,
-    MIN_DIM,
     InvertibleMap,
     SymMatrix,
+    check_dim,
     congruence,
     congruence_stack,
+    dim_from_json,
     eigvals_stack,
     eigvals_sym,
     inner,
@@ -50,6 +50,12 @@ def _check_p(p: float) -> float:
     return p
 
 
+def _check_pucci(lam: float, Lam: float) -> None:
+    """Check Pucci's ellipticity constants as :func:`_check_p` checks p."""
+    if not 0.0 < lam <= Lam < math.inf:
+        raise PreconditionError(f"require 0 < lam <= Lam < inf, got lam={lam}, Lam={Lam}")
+
+
 def _check_count(value: int, what: str = "sample count", minimum: int = 1) -> None:
     """Reject a count below ``minimum``: a sampled check that runs no
     sample would pass without evidence."""
@@ -63,13 +69,13 @@ def eval_dominative(x: SymMatrix, p: float) -> float:
     ``(tr X + (p-2) lambda_n(X)) / (n+p-2)`` for finite p, and the largest
     eigenvalue at p = inf.  Normalized so that F(X + mI) = F(X) + m.
     """
-    return float(dominative_from_eigs(eigvals_sym(x), x.a.trace(), p))
+    return float(dominative_from_eigs(eigvals_sym(x), x.a.trace(), _check_p(p)))
 
 
 def dominative_from_eigs(ev: np.ndarray, trace, p: float):
     """:func:`eval_dominative` over the trailing axis of ascending spectra
-    ``ev`` of shape ``(..., n)``, with ``trace`` their matrices' traces."""
-    p = _check_p(p)
+    ``ev`` of shape ``(..., n)``, with ``trace`` their matrices' traces and
+    ``p`` an exponent its caller has checked."""
     top = ev[..., -1][()]  # [()]: a scalar for one spectrum, not a slower 0-d array
     if p == P_INF:
         return top
@@ -81,20 +87,19 @@ def eval_pucci(x: SymMatrix, lam: float, Lam: float) -> float:
 
     Equals ``Lam * sum(positive eigenvalues) + lam * sum(negative eigenvalues)``.
     """
+    _check_pucci(lam, Lam)
     return float(pucci_from_eigs(eigvals_sym(x), lam, Lam))
 
 
 def pucci_from_eigs(ev: np.ndarray, lam: float, Lam: float):
     """:func:`eval_pucci` over the trailing axis of spectra ``ev`` of shape
-    ``(..., n)``.
+    ``(..., n)``, with constants its caller has checked.
 
     The masked ``add.reduce`` sums as ``ev[ev > 0].sum()`` does, for one
     spectrum and per row of a stack; ``np.where(...).sum()`` and
     ``np.maximum(ev, 0).sum()`` add zeros in and differ in the last bit
     from n = 8 on.
     """
-    if not 0.0 < lam <= Lam < math.inf:
-        raise PreconditionError(f"require 0 < lam <= Lam < inf, got lam={lam}, Lam={Lam}")
     pos = np.add.reduce(ev, -1, where=ev > 0.0)
     neg = np.add.reduce(ev, -1, where=ev < 0.0)
     return Lam * pos + lam * neg
@@ -115,17 +120,10 @@ def _support_pairings(x: SymMatrix, body) -> np.ndarray:
     it is the direct pairing ``<A, X>``.  The matmul against ``ev[:, None]``
     sums as :func:`support_from_eigs` does, so both give the same bits.
     """
-    _check_body_dim(body, x.n)
+    check_dim(x.n, body.n, against="body")
     if body.rot_closed:
         return np.matmul(body.generator_spectra, eigvals_sym(x)[:, None])[:, 0]
     return np.array([inner(a, x) for a in body.generators])
-
-
-def _check_body_dim(body, n: int) -> None:
-    if n != body.n:
-        raise DimensionMismatchError(
-            f"matrix dimension {n} does not match body dimension {body.n}"
-        )
 
 
 def support_from_eigs(ev: np.ndarray, spectra: np.ndarray):
@@ -148,8 +146,7 @@ def eval_example(x: SymMatrix) -> float:
     l1 <= l2 when l2 >= -1; -inf below that edge, which is the unique
     extension keeping the sublevel set downward closed.
     """
-    if x.n != 2:
-        raise DimensionMismatchError(f"example operator is defined on S(2), got n={x.n}")
+    check_dim(x.n, 2)
     return float(example_from_eigs(eigvals_sym(x)))
 
 
@@ -174,13 +171,13 @@ class DominativeP:
         _check_p(self.p)
 
     def value(self, x: SymMatrix) -> float:
-        _check_op_dim(self, x.n)
+        check_dim(x.n, self.n)
         return eval_dominative(x, self.p)
 
     def value_stack(self, a: np.ndarray) -> np.ndarray:
         """:meth:`value` of each matrix of a ``(k, n, n)`` symmetric stack, bit
         for bit; every spec's ``value_stack`` has this contract."""
-        _check_op_dim(self, a.shape[-1])
+        check_dim(a.shape[-1], self.n)
         return dominative_from_eigs(eigvals_stack(a), a.trace(axis1=-2, axis2=-1), self.p)
 
     def distance(self, x: SymMatrix) -> float:
@@ -195,17 +192,14 @@ class Pucci:
     Lam: float
 
     def __post_init__(self):
-        if not 0.0 < self.lam <= self.Lam < math.inf:
-            raise InputError(
-                f"require 0 < lam <= Lam < inf, got lam={self.lam}, Lam={self.Lam}"
-            )
+        _check_pucci(self.lam, self.Lam)
 
     def value(self, x: SymMatrix) -> float:
-        _check_op_dim(self, x.n)
+        check_dim(x.n, self.n)
         return eval_pucci(x, self.lam, self.Lam)
 
     def value_stack(self, a: np.ndarray) -> np.ndarray:
-        _check_op_dim(self, a.shape[-1])
+        check_dim(a.shape[-1], self.n)
         return pucci_from_eigs(eigvals_stack(a), self.lam, self.Lam)
 
     def distance(self, x: SymMatrix) -> float:
@@ -217,7 +211,7 @@ class Pucci:
         F(X + tI) = lam (S_j + j t) + Lam (T_j + (n-j) t), with S_j and T_j
         the sums of the j smallest and the n-j largest eigenvalues.
         """
-        _check_op_dim(self, x.n)
+        check_dim(x.n, self.n)
         ev = eigvals_sym(x)
         gaps = ev[None, :] - ev[:, None]  # gaps[k, i] = lambda_i - lambda_k
         up = np.add.reduce(np.maximum(gaps, 0.0), axis=1)
@@ -251,16 +245,16 @@ class LinearTrace:
         return self.A.n
 
     def value(self, x: SymMatrix) -> float:
-        _check_op_dim(self, x.n)
+        check_dim(x.n, self.n)
         return inner(self.A, x) - self.m
 
     def value_stack(self, a: np.ndarray) -> np.ndarray:
-        _check_op_dim(self, a.shape[-1])
+        check_dim(a.shape[-1], self.n)
         return _inner_stack(self.A, a) - self.m
 
     def distance(self, x: SymMatrix) -> float:
         """``(<A, X> - m) / tr A``, as <A, X + tI> = <A, X> + t tr A."""
-        _check_op_dim(self, x.n)
+        check_dim(x.n, self.n)
         return (inner(self.A, x) - self.m) / float(np.trace(self.A.a))
 
 
@@ -277,7 +271,7 @@ class EnsembleSupport:
 
     def value_stack(self, a: np.ndarray) -> np.ndarray:
         body = self.body
-        _check_body_dim(body, a.shape[-1])
+        check_dim(a.shape[-1], body.n, against="body")
         if body.rot_closed:
             return support_from_eigs(eigvals_stack(a), body.generator_spectra)
         return np.stack([_inner_stack(g, a) for g in body.generators], -1).max(-1)
@@ -303,8 +297,7 @@ class ExampleEq:
         return eval_example(x)
 
     def value_stack(self, a: np.ndarray) -> np.ndarray:
-        if a.shape[-1] != 2:
-            raise DimensionMismatchError(f"example operator is defined on S(2), got n={a.shape[-1]}")
+        check_dim(a.shape[-1], self.n)
         return example_from_eigs(eigvals_stack(a))
 
     def distance(self, x: SymMatrix) -> float:
@@ -313,7 +306,7 @@ class ExampleEq:
         With u = sqrt(1 + l2 + t), F(X + tI) = 2u^2 - 2u - (l2 - l1), which
         is nonpositive up to its larger root u = s; below u = 0 it is -inf.
         """
-        _check_op_dim(self, x.n)
+        check_dim(x.n, self.n)
         l1, l2 = eigvals_sym(x)
         s = 0.5 * (1.0 + math.sqrt(1.0 + 2.0 * (l2 - l1)))
         return float(1.0 + l2 - s * s)
@@ -325,10 +318,7 @@ class Shifted:
     X0: SymMatrix
 
     def __post_init__(self):
-        if self.inner.n != self.X0.n:
-            raise DimensionMismatchError(
-                "shift matrix dimension does not match inner operator"
-            )
+        check_dim(self.X0.n, self.inner.n)
         if self.inner.distance is None:  # no closed form to shift
             object.__setattr__(self, "distance", None)
 
@@ -337,16 +327,16 @@ class Shifted:
         return self.X0.n
 
     def value(self, x: SymMatrix) -> float:
-        _check_op_dim(self, x.n)
+        check_dim(x.n, self.n)
         return self.inner.value(x - self.X0)
 
     def value_stack(self, a: np.ndarray) -> np.ndarray:
-        _check_op_dim(self, a.shape[-1])
+        check_dim(a.shape[-1], self.n)
         return self.inner.value_stack(a - self.X0.a)
 
     def distance(self, x: SymMatrix) -> float:
         """The inner spec's distance at X - X0; None when the inner spec's is."""
-        _check_op_dim(self, x.n)
+        check_dim(x.n, self.n)
         return self.inner.distance(x - self.X0)
 
 
@@ -360,22 +350,19 @@ class Conjugated:
     distance = None
 
     def __post_init__(self):
-        if self.inner.n != self.B.n:
-            raise DimensionMismatchError(
-                "conjugating map dimension does not match inner operator"
-            )
+        check_dim(self.B.n, self.inner.n, "map")
 
     @property
     def n(self) -> int:
         return self.B.n
 
     def value(self, x: SymMatrix) -> float:
-        _check_op_dim(self, x.n)
+        check_dim(x.n, self.n)
         # F(B^-T X B^-1): sublevel set becomes B^T Theta B.
         return self.inner.value(congruence(x, self.B.B_inv))
 
     def value_stack(self, a: np.ndarray) -> np.ndarray:
-        _check_op_dim(self, a.shape[-1])
+        check_dim(a.shape[-1], self.n)
         return self.inner.value_stack(congruence_stack(a, self.B.B_inv))
 
 
@@ -388,13 +375,6 @@ def _inner_stack(A: SymMatrix, a: np.ndarray) -> np.ndarray:
     """:func:`inner` of ``A`` with each matrix of a ``(k, n, n)`` stack; the
     flattened rows sum in the order of ``np.sum`` on one matrix."""
     return (A.a * a).reshape(len(a), -1).sum(-1)
-
-
-def _check_op_dim(spec, n: int) -> None:
-    if n != spec.n:
-        raise DimensionMismatchError(
-            f"matrix dimension {n} does not match operator dimension {spec.n}"
-        )
 
 
 class Record:
@@ -444,6 +424,10 @@ def num_to_json(x: float):
 
 
 def num_from_json(v) -> float:
+    """A number from JSON or a shorthand: a JSON number, or a numeral string
+    (``"inf"`` and ``"-inf"`` will do), not a boolean."""
+    if isinstance(v, bool):
+        raise InputError(f"expected a number, got {v!r}")
     if isinstance(v, str):
         s = v.strip().lower()
         if s in ("inf", "+inf", "infinity"):
@@ -455,17 +439,6 @@ def num_from_json(v) -> float:
         except ValueError as exc:
             raise InputError(f"cannot parse number {v!r}") from exc
     return float(v)
-
-
-def dim_from_json(v) -> int:
-    """A dimension from JSON or a shorthand: an integer (an integral float
-    or a numeral string will do) in the supported range, not a boolean."""
-    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
-        raise ValueError(f"dimension must be an integer, got {v!r}")
-    n = int(v)
-    if not MIN_DIM <= n <= MAX_DIM:
-        raise ValueError(f"dimension {n} outside supported range [{MIN_DIM}, {MAX_DIM}]")
-    return n
 
 
 @dataclass(kw_only=True)
@@ -533,9 +506,10 @@ def spec_from_dict(d: dict) -> OperatorSpec:
         if kind == "dominative":
             return DominativeP(n=dim_from_json(d["n"]), p=num_from_json(d["p"]))
         if kind == "pucci":
-            return Pucci(n=dim_from_json(d["n"]), lam=float(d["lam"]), Lam=float(d["Lam"]))
+            lam, Lam = num_from_json(d["lam"]), num_from_json(d["Lam"])
+            return Pucci(n=dim_from_json(d["n"]), lam=lam, Lam=Lam)
         if kind == "linear":
-            return LinearTrace(A=SymMatrix.from_dict(d["A"]), m=float(d["m"]))
+            return LinearTrace(A=SymMatrix.from_dict(d["A"]), m=num_from_json(d["m"]))
         if kind == "ensemble":
             return EnsembleSupport(body=ConvexBody.from_dict(d["body"]))
         if kind == "example":

@@ -371,10 +371,12 @@ def run_permutation_lemma(seed: int) -> dict:
         decomp = perc_weights(a, p_vec)
         err = float(np.max(np.abs(decomp.reconstruct(a) - p_vec)))
         max_err = max(max_err, err)
+        # n, p and a replay a failure: perc_weights(a, dominative_weights(n, p))
+        record = {"n": n, "p": "inf" if p == math.inf else p, "a": a.tolist()}
         if err > 1e-12:
-            failures.append({"n": n, "p": "inf" if p == math.inf else p, "error": err})
+            failures.append({**record, "error": err})
         if any(perm[-1] != n - 1 for perm in decomp.permutations):
-            failures.append({"n": n, "kind": "last-index-not-fixed"})
+            failures.append({**record, "kind": "last-index-not-fixed"})
     return {"samples": 100, "max_reconstruction_error": max_err, "failures": failures}
 
 

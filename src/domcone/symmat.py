@@ -48,15 +48,38 @@ def _square_array(entries) -> np.ndarray:
         raise InvalidMatrixError(
             f"dimension {n} outside supported range [{MIN_DIM}, {MAX_DIM}]"
         )
+    _check_finite(a)
+    return a
+
+
+def _check_finite(a: np.ndarray) -> None:
     if not np.all(np.isfinite(a)):
         raise InvalidMatrixError("matrix entries must be finite")
-    return a
+
+
+def check_dim(n, expected, what: str = "matrix", against: str = "operator") -> None:
+    """The dimension-agreement rule: a ``what`` of dimension ``n`` meets an
+    ``against`` of dimension ``expected``."""
+    if n != expected:
+        raise DimensionMismatchError(f"{what} dimension {n} does not match {against} dimension {expected}")
+
+
+def dim_from_json(v) -> int:
+    """A dimension from JSON or a shorthand: an integer (an integral float
+    or a numeral string will do) in the supported range, not a boolean;
+    ``ValueError`` otherwise, which each reader reports with its own code."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"dimension must be an integer, got {v!r}")
+    n = int(v)
+    if not MIN_DIM <= n <= MAX_DIM:
+        raise ValueError(f"dimension {n} outside supported range [{MIN_DIM}, {MAX_DIM}]")
+    return n
 
 
 def _entries_from_dict(d: dict) -> np.ndarray:
     """Entries of the ``{"n", "entries"}`` wire format, shape-checked against n."""
     try:
-        n = int(d["n"])
+        n = dim_from_json(d["n"])
         entries = np.array(d["entries"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidMatrixError(f"malformed matrix object: {exc}") from exc
@@ -128,11 +151,11 @@ class SymMatrix:
         return SymMatrix._wrap(self.a + t * _eye(self.n))
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        _check_dims(self, other)
+        check_dim(other.n, self.n, against="matrix")
         return SymMatrix._wrap(self.a + other.a)
 
     def __sub__(self, other: "SymMatrix") -> "SymMatrix":
-        _check_dims(self, other)
+        check_dim(other.n, self.n, against="matrix")
         return SymMatrix._wrap(self.a - other.a)
 
     def __neg__(self) -> "SymMatrix":
@@ -154,15 +177,15 @@ class SymMatrix:
     def from_dict(cls, d: dict) -> "SymMatrix":
         """Parse the wire format, rejecting asymmetry beyond tolerance."""
         entries = _entries_from_dict(d)
-        if entries.size and np.all(np.isfinite(entries)):
-            _check_symmetric(entries)
+        _check_symmetric(entries)
         return cls(entries)
 
 
 def _check_symmetric(a: np.ndarray) -> None:
-    """Reject a finite ``(..., n, n)`` array holding a matrix asymmetric
-    beyond ``SYMMETRY_RTOL * (1 + max |a_ij|)``, with the figures of the
-    first such."""
+    """Reject a ``(..., n, n)`` array with an entry that is not finite, or
+    holding a matrix asymmetric beyond ``SYMMETRY_RTOL * (1 + max |a_ij|)``,
+    with the figures of the first such."""
+    _check_finite(a)
     scale = 1.0 + np.abs(a).max(axis=(-2, -1))
     asym = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
     bad = np.flatnonzero(asym > SYMMETRY_RTOL * scale)
@@ -172,11 +195,6 @@ def _check_symmetric(a: np.ndarray) -> None:
             f"matrix is asymmetric beyond tolerance "
             f"(max |a_ij - a_ji| = {worst:g}, allowed {allowed:g})"
         )
-
-
-def _check_dims(x: SymMatrix, y: SymMatrix) -> None:
-    if x.n != y.n:
-        raise DimensionMismatchError(f"dimension mismatch: {x.n} vs {y.n}")
 
 
 #: The gufunc ``np.linalg.eigvalsh`` calls with its default ``UPLO="L"``.
@@ -241,7 +259,7 @@ def eigh_sym(x: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 def inner(a: SymMatrix, x: SymMatrix) -> float:
     """Trace pairing <A, X> = tr(AX)."""
-    _check_dims(a, x)
+    check_dim(x.n, a.n, against="matrix")
     return float(np.sum(a.a * x.a))
 
 
@@ -263,15 +281,17 @@ class InvertibleMap:
 
     __slots__ = ("B", "B_inv")
 
-    #: Determinants at or below this magnitude are rejected as singular.
-    MIN_ABS_DET = 1e-10
+    #: A map whose smallest singular value is at most this fraction of its
+    #: largest is rejected as singular; c B is judged as B is.
+    SINGULAR_RTOL = 1e-10
 
     def __init__(self, B):
         B = _square_array(B)
-        det = float(np.linalg.det(B))
-        if abs(det) <= self.MIN_ABS_DET:
+        s = np.linalg.svd(B, compute_uv=False)
+        if s[-1] <= self.SINGULAR_RTOL * s[0]:
             raise InvalidMatrixError(
-                f"matrix is singular within tolerance (|det| = {abs(det):g})"
+                f"matrix is singular within tolerance "
+                f"(singular values from {s[0]:g} down to {s[-1]:g})"
             )
         B.setflags(write=False)
         self.B = B
@@ -305,11 +325,7 @@ def congruence(x: SymMatrix, b) -> SymMatrix:
     square array of matching dimension.
     """
     mat = b.B if isinstance(b, InvertibleMap) else np.asarray(b, dtype=float)
-    if mat.shape != (x.n, x.n):
-        raise DimensionMismatchError(
-            f"congruence dimension mismatch: matrix is {x.n}x{x.n}, "
-            f"map is {mat.shape}"
-        )
+    check_dim(mat.shape, (x.n, x.n), "map", "matrix")
     m = mat.T @ x.a @ mat
     return SymMatrix(m)  # symmetrizes away the float asymmetry
 
@@ -319,6 +335,5 @@ def congruence_stack(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
     ``(k, n, n)`` stack, with the same bits: ``(mat^T X) mat``, the same
     finiteness check, then the symmetrization of :class:`SymMatrix`."""
     m = (mat.T @ a) @ mat
-    if not np.all(np.isfinite(m)):
-        raise InvalidMatrixError("matrix entries must be finite")
+    _check_finite(m)
     return 0.5 * (m + m.swapaxes(-1, -2))

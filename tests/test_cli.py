@@ -7,6 +7,7 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ def test_failed_property_exits_2_and_still_reports():
         (["sobolev", "--n", "2", "--p", "3", "--q-sweep", "1:inf:1"], "input"),
         (["example", "--r-grid", "0.1:nan:0.1"], "input"),
         (["example", "--c", "nan"], "precondition"),
-        (["eval", "--op", "pucci:n=2,lam=1,Lam=inf", "--X", "{sym}"], "input"),
+        (["eval", "--op", "pucci:n=2,lam=1,Lam=inf", "--X", "{sym}"], "precondition"),
         (["aperture", "--body", "pucci:n=2,lam=1,Lam=inf"], "precondition"),
         (["sobolev", "--n", "5", "--p", "2", "--q", "1000", "--eps", "1e-6"], "numerical-failure"),
         (["sobolev", "--n", "2", "--p", "3", "--q", "4000", "--eps", "0.1"], "numerical-failure"),
@@ -398,6 +399,13 @@ def test_a_value_may_start_with_a_minus_sign(argv, want):
     assert run(argv)[0] == want
 
 
+@pytest.mark.parametrize("p, at", [("2", "1,0"), ("3", "0.6,0.8,0"), ("inf", "0,0")])
+def test_fundsol_prints_no_negative_zero(p, at):
+    code, rep = run_json(["fundsol", "--p", p, f"--at={at}"])
+    value = rep["result"]["value"]
+    assert code == 0 and value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # Extreme but valid inputs give finite values, without a RuntimeWarning
 
@@ -504,3 +512,101 @@ def test_unknown_suite_group_message_is_not_quoted():
         "code": "input",
         "message": f"unknown suite group 'nope'; known: {known}",
     }
+
+
+# ---------------------------------------------------------------------------
+# One mistake, one code: each input rule has one definition, so every
+# command that takes the input reports the mistake with the same code
+
+_CONJUGATED_N3 = str(Path(__file__).parent / "data" / "conjugated_pucci.json")
+
+
+def _op_commands(op):
+    """Every command that takes ``--op``, with ``op`` and light arguments."""
+    return [
+        ["eval", "--op", op, "--X", "{sym}"],
+        ["acdo", "--op", op, "--X", "{sym}"],
+        ["check-inclusion", "--op", op, "--p", "3", "--count", "5"],
+        ["report", "--op", op, "--p", "3", "--count", "5"],
+        ["verify", "--op", op, "--samples", "5"],
+    ]
+
+
+def _matrix_commands(path):
+    """Every command that reads a matrix or map file, with ``path`` as it."""
+    return [
+        ["eval", "--op", "dominative:n=2,p=3", "--X", path],
+        ["acdo", "--op", "dominative:n=2,p=3", "--X", path],
+        ["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "3", "--count", "5", "--B", path],
+        ["report", "--op", "dominative:n=2,p=3", "--p", "3", "--count", "5", "--B", path],
+    ]
+
+
+#: mistake -> (its one code, the invocations that carry it)
+MISTAKES = {
+    "matrix of the wrong size": ("dimension-mismatch", [
+        ["eval", "--op", "dominative:n=3,p=3", "--X", "{sym}"],
+        ["acdo", "--op", "dominative:n=3,p=3", "--X", "{sym}"],
+        ["eval", "--op", _CONJUGATED_N3, "--X", "{sym}"],
+        ["acdo", "--op", _CONJUGATED_N3, "--X", "{sym}"],
+        ["check-inclusion", "--op", "dominative:n=3,p=3", "--p", "3", "--count", "5", "--B", "{identity}"],
+        ["report", "--op", "dominative:n=3,p=3", "--p", "3", "--count", "5", "--B", "{identity}"],
+    ]),
+    "bad Pucci constants": ("precondition", [
+        *_op_commands("pucci:n=2,lam=3,Lam=1"),
+        *_op_commands("{pucci_swapped}"),
+        *_op_commands("pucci:n=2,lam=0,Lam=1"),
+        ["aperture", "--body", "pucci:n=2,lam=3,Lam=1"],
+        ["aperture", "--body", "pucci:n=2,lam=0,Lam=1"],
+    ]),
+    "exponent below 2": ("precondition", [
+        *_op_commands("dominative:n=2,p=1.5"),
+        *_op_commands("{dominative_p15}"),
+        ["aperture", "--body", "dominative:n=2,p=1.5"],
+        ["fundsol", "--p", "1.5", "--at", "1,2"],
+        ["sobolev", "--n", "2", "--p", "1.5", "--q", "1", "--eps", "0.1"],
+        ["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "1.5", "--count", "5"],
+    ]),
+    "non-integral n in a matrix file": ("invalid-matrix", _matrix_commands("{n_fraction}")),
+    "boolean n in a matrix file": ("invalid-matrix", _matrix_commands("{n_true}")),
+    "boolean lam": ("input", _op_commands("{lam_true}")),
+    "boolean p": ("input", _op_commands("{p_true}")),
+    "boolean m": ("input", _op_commands("{m_false}")),
+}
+
+
+@pytest.fixture(scope="module")
+def mistake_files(matrix_files, tmp_path_factory):
+    d = tmp_path_factory.mktemp("mistakes")
+    contents = {
+        "identity": _GENERATOR,
+        "pucci_swapped": {"type": "pucci", "n": 2, "lam": 3.0, "Lam": 1.0},
+        "dominative_p15": {"type": "dominative", "n": 2, "p": 1.5},
+        "n_fraction": {**_GENERATOR, "n": 2.7},
+        "n_true": {**_GENERATOR, "n": True},
+        "lam_true": {"type": "pucci", "n": 2, "lam": True, "Lam": 3.0},
+        "p_true": {"type": "dominative", "n": 2, "p": True},
+        "m_false": {"type": "linear", "A": _GENERATOR, "m": False},
+    }
+    files = dict(matrix_files)
+    for name, content in contents.items():
+        path = d / f"{name}.json"
+        path.write_text(json.dumps(content))
+        files[name] = str(path)
+    return files
+
+
+@pytest.mark.parametrize(
+    "want, argv",
+    [(want, argv) for want, cases in MISTAKES.values() for argv in cases],
+    ids=[f"{name}-{i}" for name, (_, cases) in MISTAKES.items() for i in range(len(cases))],
+)
+def test_a_mistake_gets_one_code_from_every_command(mistake_files, want, argv):
+    code, rep = run_json([a.format(**mistake_files) for a in argv])
+    assert code == 1
+    assert rep["error"]["code"] == want, rep["error"]["message"]
+
+
+def test_equal_pucci_constants_are_accepted(matrix_files):
+    assert run(["eval", "--op", "pucci:n=2,lam=2,Lam=2", "--X", matrix_files["sym"]])[0] == 0
+    assert run(["aperture", "--body", "pucci:n=2,lam=2,Lam=2"])[0] == 0

@@ -276,6 +276,13 @@ def test_hessian_past_the_float_range_is_an_invalid_matrix(n, p):
         w_hessian(FundamentalSolution(n=n, p=p), [1e-300] + [0.0] * (n - 1))
 
 
+@pytest.mark.parametrize("p, x", [(2.0, [1.0, 0.0]), (3.0, [0.6, 0.8, 0.0]), (math.inf, [0.0, 0.0])])
+def test_a_vanishing_profile_is_positive_zero(p, x):
+    # -ln|x| at p = n vanishes at |x| = 1, and -|x| at p = inf at the origin
+    value = w_value(FundamentalSolution(n=len(x), p=p), x)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_powers_past_the_float_range_are_inf():
     # w = -((p-1)/(p-n)) |x|^((p-n)/(p-1)) = 0.5 |x|^(-2) at p = 2, n = 4
     assert w_value(FundamentalSolution(n=4, p=2.0), [1e-300, 0.0, 0.0, 0.0]) == math.inf

@@ -32,7 +32,13 @@ from domcone.acdo import (
 )
 from domcone.aperture import ConvexBody
 from domcone.cones import conjugate_oracle
-from domcone.errors import InputError, InvalidMatrixError, NonProperSetError, PreconditionError
+from domcone.errors import (
+    DimensionMismatchError,
+    InputError,
+    InvalidMatrixError,
+    NonProperSetError,
+    PreconditionError,
+)
 from domcone.operators import (
     Conjugated,
     DominativeP,
@@ -328,7 +334,7 @@ def test_stack_of_the_wrong_shape_is_rejected(shape, closed, monkeypatch):
         acdo_roots(oracle, np.zeros(shape))
     with pytest.raises(PreconditionError, match=match):
         acdo_roots(oracle, np.zeros(shape), start=[])
-    with pytest.raises(PreconditionError, match="matrix dimension 2 does not match oracle dimension 3"):
+    with pytest.raises(DimensionMismatchError, match="matrix dimension 2 does not match oracle dimension 3"):
         acdo_root(oracle, SymMatrix.zeros(2))
 
 

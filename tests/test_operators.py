@@ -390,10 +390,6 @@ class TestStackedFormulas:
                 inner(a, x) / t for a, t in zip(gens, traces)
             )
 
-    def test_dominative_formula_checks_p(self):
-        with pytest.raises(PreconditionError):
-            dominative_from_eigs(np.zeros((3, 2)), np.zeros(3), 1.5)
-
 
 class TestSpecValidationAndWire:
     def test_linear_requires_psd(self):

@@ -1,14 +1,17 @@
 """Failure records of the ``minimal_bound``, ``example_equation``,
-``annihilation`` and ``pucci_nonintegrability`` suite groups replay from
-the report alone: a bound violation carries the body, the aperture's p
-and c and the violating X, and ``eval`` gives back its margin; a radial
-violation carries c, r and the residual, and ``example_radial_check``
-gives back the residual; an annihilation or grid violation carries the
-body or spec and the point x, and ``fundsol`` gives the Hessian on which
-``eval`` gives back the residual or value.
+``annihilation``, ``pucci_nonintegrability`` and ``permutation_lemma``
+suite groups replay from the report alone: a bound violation carries the
+body, the aperture's p and c and the violating X, and ``eval`` gives back
+its margin; a radial violation carries c, r and the residual, and
+``example_radial_check`` gives back the residual; an annihilation or grid
+violation carries the body or spec and the point x, and ``fundsol`` gives
+the Hessian on which ``eval`` gives back the residual or value; a
+permutation-lemma failure carries n, p and the drawn vector a, and
+``perc_weights`` gives back its error.
 
 Failures are forced by a negative tolerance, which flags checks that
-pass.  Records go through strict JSON first, as the CLI prints them."""
+pass, or by a patched step of the check.  Records go through strict JSON
+first, as the CLI prints them."""
 
 import contextlib
 import io
@@ -20,8 +23,9 @@ import pytest
 
 import domcone.aperture as aperture_mod
 from domcone import cli, suite
-from domcone.aperture import ConvexBody, bound_certificate, minimal_bound_check
+from domcone.aperture import ConvexBody, bound_certificate, dominative_weights, minimal_bound_check, perc_weights
 from domcone.fundsol import example_radial_check, verify_annihilation, viscosity_grid_check
+from domcone.operators import num_from_json
 
 
 def _failures(monkeypatch, group, **patches):
@@ -136,3 +140,43 @@ def test_pucci_grid_record_replays(monkeypatch, tmp_path):
     for v in record["violations"][:10]:
         assert set(v) == {"x", "value"}
         assert _cli_eval(tmp_path, record["spec"], _cli_fundsol(p, v["x"])["hessian"]) == v["value"]
+
+
+def _lemma_inputs(record):
+    """The vectors a and p_vec a permutation-lemma record was drawn with."""
+    return np.array(record["a"]), dominative_weights(record["n"], num_from_json(record["p"]))
+
+
+def test_permutation_lemma_error_record_replays(monkeypatch):
+    # a reconstruction 1e-9 off in its first entry fails every sample; the
+    # record alone rebuilds the error through perc_weights
+    true_reconstruct = aperture_mod.PermutationDecomposition.reconstruct
+
+    def off(self, a):
+        out = true_reconstruct(self, a)
+        out[0] += 1e-9
+        return out
+
+    monkeypatch.setattr(aperture_mod.PermutationDecomposition, "reconstruct", off)
+    failures = _failures(monkeypatch, suite.run_permutation_lemma)
+    assert len(failures) == 100
+    for record in failures:
+        assert set(record) == {"n", "p", "a", "error"}
+        a, p_vec = _lemma_inputs(record)
+        assert float(np.max(np.abs(perc_weights(a, p_vec).reconstruct(a) - p_vec))) == record["error"]
+
+
+def test_permutation_lemma_permutation_record_replays(monkeypatch):
+    # permutations read backwards move the last index, and the reconstruction
+    # fails with them
+    def backwards(a, p_vec):
+        decomp = perc_weights(a, p_vec)
+        return replace(decomp, permutations=tuple(perm[::-1] for perm in decomp.permutations))
+
+    failures = _failures(monkeypatch, suite.run_permutation_lemma, perc_weights=backwards)
+    records = [r for r in failures if "kind" in r]
+    assert len(records) == 100
+    for record in records:
+        assert set(record) == {"n", "p", "a", "kind"}
+        a, p_vec = _lemma_inputs(record)
+        assert any(perm[-1] != record["n"] - 1 for perm in backwards(a, p_vec).permutations)

@@ -263,6 +263,16 @@ class TestInvertibleMap:
         with pytest.raises(InvalidMatrixError, match="singular"):
             InvertibleMap([[1.0, 1.0], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("c, n", [(0.2, 16), (0.05, 8), (1e-5, 2)])
+    def test_a_small_scale_is_not_singular(self, c, n):
+        # det(c I) = c^n is far below 1e-10, but c I is perfectly conditioned
+        assert np.array_equal(InvertibleMap(c * np.eye(n)).B_inv, np.eye(n) / c)
+
+    def test_an_ill_conditioned_map_is_singular(self):
+        # det = 1, but the condition number is 1e16
+        with pytest.raises(InvalidMatrixError, match="singular"):
+            InvertibleMap(np.diag([1e8, 1e-8, 1.0]))
+
     def test_inverse_round_trip(self):
         rng = make_rng(118)
         b = InvertibleMap(rng.normal(size=(4, 4)) + 3 * np.eye(4))

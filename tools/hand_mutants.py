@@ -1,5 +1,6 @@
 """Hand mutants of the root finder, the property reports, the suite's
-stacked checks, the eigensolve kernel and their neighbours.
+stacked checks, the eigensolve kernel, the input rules and their
+neighbours.
 
 Each mutant is one exact textual edit of a source file.  The script copies
 ``src/``, ``tests/``, ``tools/`` and ``perfbench/`` of this checkout into a
@@ -182,10 +183,22 @@ MUTANTS = [
         'invalid="ignore"',
     ),
     (
-        "acdo_roots: finiteness check on isnan only",
-        "src/domcone/acdo.py",
-        "    if not np.isfinite(stack).all():\n",
-        "    if np.isnan(stack).any():\n",
+        "finiteness check on isnan only",
+        "src/domcone/symmat.py",
+        "    if not np.all(np.isfinite(a)):\n",
+        "    if np.isnan(a).any():\n",
+    ),
+    (
+        "dimension check: < for !=",
+        "src/domcone/symmat.py",
+        "    if n != expected:\n",
+        "    if n < expected:\n",
+    ),
+    (
+        "Pucci constants: < for lam <= Lam",
+        "src/domcone/operators.py",
+        "if not 0.0 < lam <= Lam < math.inf:",
+        "if not 0.0 < lam < Lam < math.inf:",
     ),
     (
         "symmetry tolerance x1e6",
