@@ -119,11 +119,11 @@ def w_gradient(fs: FundamentalSolution, x) -> np.ndarray:
         raise PreconditionError("the gradient is undefined at the origin")
     xhat = x / r
     if fs.p == math.inf:
-        return -xhat
+        return -xhat + 0.0
     scale = _power(r, -(fs.n - 1.0) / (fs.p - 1.0))
     if scale == math.inf:
         raise NumericalFailureError(f"the gradient at |x| = {r:g} exceeds the float range", payload=x)
-    return -scale * xhat
+    return -scale * xhat + 0.0  # + 0.0: no -0.0 on a zero coordinate
 
 
 def w_hessian(fs: FundamentalSolution, x) -> SymMatrix:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -210,15 +211,30 @@ class Pucci:
         j smallest shifted eigenvalues are <= 0 and the others positive, so
         F(X + tI) = lam (S_j + j t) + Lam (T_j + (n-j) t), with S_j and T_j
         the sums of the j smallest and the n-j largest eigenvalues.
+
+        One scan of the ascending spectrum, as Python floats, counts j: with
+        the exclusive prefix sum P_k of the k smallest and the total T,
+        F(X - lambda_k I) = Lam ((T - P_k - lambda_k) - (n-1-k) lambda_k)
+        + lam (P_k - k lambda_k), and no n x n array of gaps is built.
+        S_j and T_j stay ``np.add.reduce`` of the spectrum, so the value
+        keeps numpy's summation order (Python's ``sum`` compensates from
+        3.12 on).  Where the root lies within rounding of a breakpoint, the
+        scan's sums and a gap matrix's may round to opposite signs there
+        and j differ by one; both pieces meet at that breakpoint, so the
+        value then moves by about eps * max|lambda_i|.
         """
         check_dim(x.n, self.n)
         ev = eigvals_sym(x)
-        gaps = ev[None, :] - ev[:, None]  # gaps[k, i] = lambda_i - lambda_k
-        up = np.add.reduce(np.maximum(gaps, 0.0), axis=1)
-        down = np.add.reduce(np.minimum(gaps, 0.0), axis=1)
-        j = int(np.count_nonzero(self.Lam * up + self.lam * down >= 0.0))
-        num = self.lam * np.add.reduce(ev[:j]) + self.Lam * np.add.reduce(ev[j:])
-        return float(num / (self.lam * j + self.Lam * (x.n - j)))
+        e = ev.tolist()
+        n, lam, Lam = len(e), self.lam, self.Lam
+        pre = list(accumulate(e, initial=0.0))
+        tot = pre[-1]
+        j = 0
+        for k, v in enumerate(e):
+            p = pre[k]
+            j += Lam * ((tot - p - v) - (n - 1 - k) * v) + lam * (p - k * v) >= 0.0
+        num = lam * np.add.reduce(ev[:j]) + Lam * np.add.reduce(ev[j:])
+        return float(num / (lam * j + Lam * (n - j)))
 
 
 @dataclass(frozen=True)

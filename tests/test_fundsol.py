@@ -303,16 +303,25 @@ def test_gradient_past_the_float_range_is_a_numerical_failure(n, p, x):
 
 @pytest.mark.parametrize(
     "n, p, x",
-    [(2, 3.0, [1e-300, 0.0]), (3, 2.0, [1e-150, 0.0, -0.0]), (3, 4.0, [-1e-300, 2e-300, 0.0]), (5, 2.5, [3.0] * 5)],
+    [
+        (2, 3.0, [1e-300, 0.0]),
+        (3, 2.0, [1e-150, 0.0, -0.0]),
+        (3, 4.0, [-1e-300, 2e-300, 0.0]),
+        (5, 2.5, [3.0] * 5),
+        (2, 2.0, [1.0, 0.0]),
+        (3, math.inf, [0.0, -3.0, 0.0]),
+    ],
 )
 def test_finite_gradient_keeps_its_bits(n, p, x):
-    # -(r^e) * x/r with Python's power, as before the overflow check
+    # -(r^e) * x/r with Python's power, as before the overflow check, and
+    # + 0.0 so that a zero coordinate gives 0.0, not -0.0
     r = fundsol_mod._radius(np.asarray(x))
-    want = -(r ** (-(n - 1.0) / (p - 1.0))) * (np.asarray(x) / r)
+    want = -(r ** (-(n - 1.0) / (p - 1.0))) * (np.asarray(x) / r) + 0.0
     got = w_gradient(FundamentalSolution(n=n, p=p), x)
     assert got.tobytes() == want.tobytes()
+    assert all(math.copysign(1.0, g) == 1.0 for g, xi in zip(got.tolist(), x) if xi == 0.0)
     if x == [1e-300, 0.0]:
-        assert got.tolist() == [-1e150, 0.0] and math.copysign(1.0, got[1]) == -1.0
+        assert got.tolist() == [-1e150, 0.0]
 
 
 def _parent_radius(x):

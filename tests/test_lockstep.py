@@ -740,6 +740,71 @@ def test_eval_pucci_keeps_its_arithmetic(n):
         assert eval_pucci(x, 0.3, 1.7).hex() == _reference_eval_pucci(x, 0.3, 1.7).hex()
 
 
+def _reference_pucci_distance(spec, x):
+    """The gap-matrix rule ``Pucci.distance`` had before its scan."""
+    ev = eigvals_sym(x)
+    gaps = ev[None, :] - ev[:, None]  # gaps[k, i] = lambda_i - lambda_k
+    up = np.add.reduce(np.maximum(gaps, 0.0), axis=1)
+    down = np.add.reduce(np.minimum(gaps, 0.0), axis=1)
+    j = int(np.count_nonzero(spec.Lam * up + spec.lam * down >= 0.0))
+    num = spec.lam * np.add.reduce(ev[:j]) + spec.Lam * np.add.reduce(ev[j:])
+    return float(num / (spec.lam * j + spec.Lam * (x.n - j)))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_pucci_distance_keeps_its_arithmetic(n):
+    """The scan gives the gap-matrix rule's bits on random matrices, and
+    on integer spectra (ties included), where every sum is exact."""
+    rng = make_rng(15, n)
+    for spec in (Pucci(n=n, lam=0.3, Lam=1.7), Pucci(n=n, lam=1.0, Lam=1.0)):
+        for x in goe_stack(rng, 200, n, [1.0, 10.0]):
+            x = SymMatrix._wrap(x)
+            assert spec.distance(x).hex() == _reference_pucci_distance(spec, x).hex()
+        for d in rng.integers(-3, 4, (100, n)).astype(float):
+            x = SymMatrix._wrap(np.diag(d))
+            assert spec.distance(x).hex() == _reference_pucci_distance(spec, x).hex()
+
+
+def test_pucci_distance_next_to_a_breakpoint():
+    """Where the root lies within rounding of a breakpoint, the scan and the
+    gap-matrix rule may count one breakpoint apart.  Both pieces meet
+    there, so the value moves by at most 4 eps max|lambda_i|.  Integer
+    tenths with 1e-16 noise put roots there: 11 of this corpus's 6,000
+    spectra count apart, by at most 0.84 eps max|lambda_i|, and the bound
+    is pinned on all of it."""
+    eps, apart = np.finfo(float).eps, 0
+    for n in range(2, 17):
+        rng = make_rng(16, n)
+        for spec in (Pucci(n=n, lam=0.3, Lam=1.7), Pucci(n=n, lam=1.0, Lam=1.0)):
+            for _ in range(200):
+                d = rng.integers(-5, 6, n) / 10.0 + 1e-16 * rng.standard_normal(n)
+                x = SymMatrix._wrap(np.diag(d))
+                got, want = spec.distance(x), _reference_pucci_distance(spec, x)
+                assert abs(got - want) <= 4.0 * eps * np.abs(d).max()
+                apart += got != want
+    assert apart > 0  # the corpus reaches the breakpoints it is meant to test
+
+
+@pytest.mark.parametrize(
+    "lam, Lam, diagonal, want",
+    [
+        (0.5, 2.0, [-1.0, -1.0, 2.0], 1.0),  # 3 / 3 on the piece j = 2
+        (0.5, 2.0, [-2.0, -2.0, 1.0, 1.0], 0.4),  # 2 / 5, tied pairs
+        (1.0, 1.0, [0.0, 1.0, 2.0], 1.0),  # the trace: the root -1 is a breakpoint
+        (0.5, 2.0, [3.0, 3.0, 3.0], 3.0),  # every breakpoint at the root
+    ],
+)
+def test_pucci_distance_on_exact_spectra(lam, Lam, diagonal, want):
+    spec = Pucci(n=len(diagonal), lam=lam, Lam=Lam)
+    assert spec.distance(SymMatrix._wrap(np.diag(diagonal))) == want
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_pucci_distance_of_zero_is_zero(n):
+    # F(tI) = Lam n t above 0 and lam n t below: the root t = 0 is every breakpoint
+    assert Pucci(n=n, lam=0.3, Lam=1.7).distance(SymMatrix.zeros(n)) == 0.0
+
+
 def test_eval_example_keeps_its_arithmetic():
     # radius 3 puts about a third of the samples below the l2 = -1 edge
     for x in goe_stack(make_rng(14), 500, 2, [0.5, 3.0]):

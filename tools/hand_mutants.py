@@ -119,8 +119,14 @@ MUTANTS = [
     (
         "Pucci: negate the closed-form distance",
         "src/domcone/operators.py",
-        "return float(num / (self.lam * j + self.Lam * (x.n - j)))",
-        "return float(-num / (self.lam * j + self.Lam * (x.n - j)))",
+        "return float(num / (lam * j + Lam * (n - j)))",
+        "return float(-num / (lam * j + Lam * (n - j)))",
+    ),
+    (
+        "Pucci distance scan: n - k for n - 1 - k larger eigenvalues",
+        "src/domcone/operators.py",
+        "(n - 1 - k) * v",
+        "(n - k) * v",
     ),
     (
         "minimal_bound_check: drop the radius cycle",

@@ -51,8 +51,9 @@ _CONJ = "tests/data/conjugated_pucci.json"
 #: ``suite`` passes (exit 0); the congruence image passes ``verify`` but not
 #: its rotation-invariance check, and violates the inclusion (exit 2); the
 #: non-finite results of ``aperture``, ``report`` and ``eval`` are strings;
-#: the far ``acdo`` probe stops short of the step cap; ``fundsol`` next to
-#: the origin and at an infinite point exits 1 with the error report.
+#: the far ``acdo`` probe stops short of the step cap; ``fundsol`` on an
+#: axis prints no signed zero, and next to the origin and at an infinite
+#: point exits 1 with the error report.
 CLI_CASES = {
     "suite.seed0": ["suite", "--all", "--seed", "0"],
     "suite.seed1": ["suite", "--all", "--seed", "1"],
@@ -64,6 +65,7 @@ CLI_CASES = {
     "cli.eval": ["eval", "--op", "example", "--X", "tests/data/example_below_edge.json"],
     "cli.acdo.far": ["acdo", "--op", _CONJ, "--X", "tests/data/far_probe.json"],
     "cli.example": ["example"],
+    "cli.fundsol.axis": ["fundsol", "--p", "2", "--at=1,0"],
     "cli.fundsol.near-origin.n2": ["fundsol", "--p", "3", "--at=1e-300,0"],
     "cli.fundsol.near-origin.n3": ["fundsol", "--p", "2", "--at=1e-300,0,0"],
     "cli.fundsol.inf": ["fundsol", "--p", "3", "--at=inf,0"],
