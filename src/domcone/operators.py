@@ -219,9 +219,9 @@ class Pucci:
         S_j and T_j stay ``np.add.reduce`` of the spectrum, so the value
         keeps numpy's summation order (Python's ``sum`` compensates from
         3.12 on).  Where the root lies within rounding of a breakpoint, the
-        scan's sums and a gap matrix's may round to opposite signs there
-        and j differ by one; both pieces meet at that breakpoint, so the
-        value then moves by about eps * max|lambda_i|.
+        test there may round either way and j be off by one; both pieces
+        meet at that breakpoint, so the value moves by about
+        eps * max|lambda_i|.
         """
         check_dim(x.n, self.n)
         ev = eigvals_sym(x)

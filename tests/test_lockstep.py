@@ -792,17 +792,13 @@ def test_pucci_distance_next_to_a_breakpoint():
         (0.5, 2.0, [-2.0, -2.0, 1.0, 1.0], 0.4),  # 2 / 5, tied pairs
         (1.0, 1.0, [0.0, 1.0, 2.0], 1.0),  # the trace: the root -1 is a breakpoint
         (0.5, 2.0, [3.0, 3.0, 3.0], 3.0),  # every breakpoint at the root
+        # X = 0: F(tI) = Lam n t above 0 and lam n t below, every breakpoint at 0
+        *[(0.3, 1.7, [0.0] * n, 0.0) for n in range(2, 17)],
     ],
 )
 def test_pucci_distance_on_exact_spectra(lam, Lam, diagonal, want):
     spec = Pucci(n=len(diagonal), lam=lam, Lam=Lam)
     assert spec.distance(SymMatrix._wrap(np.diag(diagonal))) == want
-
-
-@pytest.mark.parametrize("n", range(2, 17))
-def test_pucci_distance_of_zero_is_zero(n):
-    # F(tI) = Lam n t above 0 and lam n t below: the root t = 0 is every breakpoint
-    assert Pucci(n=n, lam=0.3, Lam=1.7).distance(SymMatrix.zeros(n)) == 0.0
 
 
 def test_eval_example_keeps_its_arithmetic():
