@@ -274,19 +274,29 @@ def acdo_roots(
 
 def _lockstep(oracle, stack, tol, lo, hi, iterations) -> list[AcdoRoot]:
     """The lockstep bisection of :func:`acdo_roots` from brackets [lo, hi]
-    of t after ``iterations`` steps."""
+    of t after ``iterations`` steps.
+
+    Each step works on the unfinished rows alone: when some finish, their
+    brackets and counts are written back and the rest are compacted, so a
+    step costs what its live rows cost."""
     eye = _eye(oracle.n)
+    done_lo, done_hi, done_iterations = lo.copy(), hi.copy(), iterations.copy()
+    rows = np.arange(len(stack))
     while True:
         mid = 0.5 * (lo + hi)
         live = (hi - lo > tol) & (iterations < _MAX_BISECT) & (mid != lo) & (mid != hi)
-        if not live.any():
+        if not live.all():
+            end = rows[~live]
+            done_lo[end], done_hi[end], done_iterations[end] = lo[~live], hi[~live], iterations[~live]
+            rows, stack, lo, hi, mid, iterations = (v[live] for v in (rows, stack, lo, hi, mid, iterations))
+        if not rows.size:  # every root has finished, or the stack was empty
             break
-        inside = np.zeros(len(stack), dtype=bool)
-        inside[live] = oracle.member_stack(stack[live] + mid[live, None, None] * eye)
-        lo = np.where(live & inside, mid, lo)
-        hi = np.where(live & ~inside, mid, hi)
-        iterations += live
-    columns = zip(mid.tolist(), lo.tolist(), hi.tolist(), iterations.tolist())
+        inside = oracle.member_stack(stack + mid[:, None, None] * eye)
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+        iterations = iterations + 1
+    mid = 0.5 * (done_lo + done_hi)
+    columns = zip(mid.tolist(), done_lo.tolist(), done_hi.tolist(), done_iterations.tolist())
     return [
         AcdoRoot(value=-mid, bracket=(-b, -a), iterations=i, probes=i + 1, method="bisection")
         for mid, a, b, i in columns

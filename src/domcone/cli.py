@@ -19,16 +19,20 @@ import math
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
+# The parser needs these (acdo and cones hold the defaults of --tol-root
+# and --tol-property).  aperture, fundsol and suite are imported by the
+# handlers that use them, so that a one-shot command loads only its own.
 from . import acdo as acdo_mod
 from . import cones as cones_mod
-from . import fundsol as fundsol_mod
 from . import operators as operators_mod
-from . import suite as suite_mod
-from .aperture import ConvexBody, body_cone_aperture, dominative_body, pucci_body
 from .errors import DomconeError, InputError
 from .operators import num_from_json, num_to_json
 from .symmat import InvertibleMap, SymMatrix, dim_from_json, eigvals_sym
+
+if TYPE_CHECKING:
+    from .aperture import ConvexBody
 
 SCHEMA_VERSION = 3
 
@@ -63,9 +67,11 @@ def _shorthand_fields(arg: str, kinds, what: str) -> dict:
     return fields
 
 
+#: The body kinds a shorthand may name, and how each builds its body from
+#: the ``aperture`` module and the shorthand's fields.
 _BODY_SHORTHANDS = {
-    "dominative": lambda kv: dominative_body(dim_from_json(kv["n"]), num_from_json(kv["p"])),
-    "pucci": lambda kv: pucci_body(
+    "dominative": lambda ap, kv: ap.dominative_body(dim_from_json(kv["n"]), num_from_json(kv["p"])),
+    "pucci": lambda ap, kv: ap.pucci_body(
         dim_from_json(kv["n"]), num_from_json(kv["lam"]), num_from_json(kv["Lam"])
     ),
 }
@@ -84,15 +90,17 @@ def parse_map_arg(arg: str) -> InvertibleMap:
 
 def parse_body_arg(arg: str) -> ConvexBody:
     """A body file, or a catalog shorthand such as ``dominative:n=3,p=4``."""
+    from . import aperture
+
     if ":" in arg and not os.path.exists(arg):
         fields = _shorthand_fields(arg, _BODY_SHORTHANDS, "body")
         try:
-            return _BODY_SHORTHANDS[fields["type"]](fields)
+            return _BODY_SHORTHANDS[fields["type"]](aperture, fields)
         except KeyError as exc:
             raise InputError(f"shorthand {arg!r} is missing parameter {exc}") from exc
         except ValueError as exc:
             raise InputError(f"bad value in shorthand {arg!r}: {exc}") from exc
-    return ConvexBody.from_dict(_load_json_file(arg))
+    return aperture.ConvexBody.from_dict(_load_json_file(arg))
 
 
 def parse_operator_arg(arg: str) -> operators_mod.OperatorSpec:
@@ -175,6 +183,8 @@ def _cmd_eval(args):
 
 
 def _cmd_aperture(args):
+    from .aperture import body_cone_aperture
+
     body = parse_body_arg(args.body)
     return body_cone_aperture(body).to_dict(), 0
 
@@ -222,6 +232,8 @@ def _cmd_report(args):
 
 
 def _cmd_fundsol(args):
+    from . import fundsol as fundsol_mod
+
     point = _parse_float_list(args.at)
     if not all(map(math.isfinite, point)):
         raise InputError("point coordinates must be finite")
@@ -241,6 +253,8 @@ def _cmd_fundsol(args):
 
 
 def _cmd_sobolev(args):
+    from . import fundsol as fundsol_mod
+
     n = args.n
     p = num_from_json(args.p)
     if args.q_sweep:
@@ -267,6 +281,8 @@ def _checks_result(reports):
 
 
 def _cmd_example(args):
+    from . import fundsol as fundsol_mod
+
     cs = _parse_float_list(args.c)
     if not cs:
         raise InputError("example needs at least one c in --c")
@@ -305,6 +321,8 @@ def _cmd_verify(args):
 
 
 def _cmd_suite(args):
+    from . import suite as suite_mod
+
     if args.all:
         groups = None
     elif args.groups:

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cache
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .aperture import ConvexBody, _spike_matrix, body_cone_aperture
 from .errors import NumericalFailureError, PreconditionError
 from .operators import (
     OperatorSpec,
@@ -35,6 +34,9 @@ from .operators import (
 )
 from .sampling import make_rng, radial_points
 from .symmat import SymMatrix, check_dim, eigvals_sym
+
+if TYPE_CHECKING:
+    from .aperture import ConvexBody
 
 
 def _check_n(n: int) -> None:
@@ -188,6 +190,8 @@ def verify_annihilation(
     be rotation-closed) must equal fs.p — by definition the aperture is the
     unique exponent whose profile G annihilates.
     """
+    from .aperture import _spike_matrix, body_cone_aperture
+
     check_dim(body.n, fs.n, "body", "solution")
     _check_count(sample_count)
     p_op = body_cone_aperture(body).p
@@ -278,8 +282,16 @@ def sobolev_integral(n: int, p: float, q: float, eps: float) -> float:
     return value
 
 
-#: 64-node Gauss-Legendre rule on [-1, 1] for the quadrature cross-check.
-_GL_NODES, _GL_WEIGHTS = leggauss(64)
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 64-node Gauss-Legendre rule on [-1, 1] of the quadrature
+    cross-check, built (and ``numpy.polynomial`` imported) on first use."""
+    from numpy.polynomial.legendre import leggauss
+
+    rule = leggauss(64)
+    for a in rule:
+        a.setflags(write=False)  # one rule, shared by every call
+    return rule
 
 
 def sobolev_integral_quadrature(n: int, p: float, q: float, eps: float) -> float:
@@ -292,8 +304,9 @@ def sobolev_integral_quadrature(n: int, p: float, q: float, eps: float) -> float
     _check_sobolev(n, p, q, eps)
     e = _radial_exponent(n, p, q)
     half = -0.5 * math.log(eps)  # half the length of [ln eps, 0]
-    u = half * (_GL_NODES - 1.0)
-    val = half * float(_GL_WEIGHTS @ np.exp((e + 1.0) * u))
+    nodes, weights = _gauss_legendre()
+    u = half * (nodes - 1.0)
+    val = half * float(weights @ np.exp((e + 1.0) * u))
     return surface_measure(n) * val
 
 

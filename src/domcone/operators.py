@@ -512,8 +512,6 @@ def spec_to_dict(spec: OperatorSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> OperatorSpec:
-    from .aperture import ConvexBody  # deferred: avoids a module cycle
-
     try:
         kind = d["type"]
     except (KeyError, TypeError) as exc:
@@ -527,6 +525,8 @@ def spec_from_dict(d: dict) -> OperatorSpec:
         if kind == "linear":
             return LinearTrace(A=SymMatrix.from_dict(d["A"]), m=num_from_json(d["m"]))
         if kind == "ensemble":
+            from .aperture import ConvexBody  # deferred: avoids a module cycle
+
             return EnsembleSupport(body=ConvexBody.from_dict(d["body"]))
         if kind == "example":
             return ExampleEq(n=dim_from_json(d.get("n", 2)))

@@ -39,7 +39,8 @@ _EYE_CACHE: dict[int, np.ndarray] = {}
 
 
 def _square_array(entries) -> np.ndarray:
-    """Float copy of a finite square array of supported dimension."""
+    """Float copy of a square array of supported dimension; its caller
+    checks that the entries are finite."""
     a = np.array(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidMatrixError(f"expected a square matrix, got shape {a.shape}")
@@ -48,13 +49,30 @@ def _square_array(entries) -> np.ndarray:
         raise InvalidMatrixError(
             f"dimension {n} outside supported range [{MIN_DIM}, {MAX_DIM}]"
         )
-    _check_finite(a)
     return a
 
 
 def _check_finite(a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidMatrixError("matrix entries must be finite")
+
+
+def _symmetric_part(a: np.ndarray) -> np.ndarray:
+    """``(a + a^T) / 2`` of each matrix of a ``(..., n, n)`` array, whose
+    entries must be finite, and so must their sums: an entry of magnitude
+    near 2^1023 can pass the float range.  One finiteness check of the
+    result covers both, with no numpy warning; the entries are checked
+    apart only to name the fault."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = 0.5 * (a + a.swapaxes(-1, -2))
+    try:
+        _check_finite(s)
+    except InvalidMatrixError:
+        _check_finite(a)
+        raise InvalidMatrixError(
+            "matrix entries are finite, but their symmetric part (A + A^T) / 2 is not"
+        ) from None
+    return s
 
 
 def check_dim(n, expected, what: str = "matrix", against: str = "operator") -> None:
@@ -106,14 +124,14 @@ class SymMatrix:
     ----------
     entries : array_like
         Square n-by-n real array, 2 <= n <= 16, all entries finite.
-        The stored matrix is ``(entries + entries.T) / 2``.
+        The stored matrix is ``(entries + entries.T) / 2``, whose entries
+        must be finite too.
     """
 
     __slots__ = ("a",)
 
     def __init__(self, entries):
-        a = _square_array(entries)
-        a = 0.5 * (a + a.T)
+        a = _symmetric_part(_square_array(entries))
         a.setflags(write=False)
         self.a = a
 
@@ -187,7 +205,8 @@ def _check_symmetric(a: np.ndarray) -> None:
     with the figures of the first such."""
     _check_finite(a)
     scale = 1.0 + np.abs(a).max(axis=(-2, -1))
-    asym = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
+    with np.errstate(over="ignore"):  # a difference past the float range is inf, rejected
+        asym = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
     bad = np.flatnonzero(asym > SYMMETRY_RTOL * scale)
     if bad.size:
         worst, allowed = asym.flat[bad[0]], SYMMETRY_RTOL * scale.flat[bad[0]]
@@ -287,6 +306,7 @@ class InvertibleMap:
 
     def __init__(self, B):
         B = _square_array(B)
+        _check_finite(B)
         s = np.linalg.svd(B, compute_uv=False)
         if s[-1] <= self.SINGULAR_RTOL * s[0]:
             raise InvalidMatrixError(
@@ -332,8 +352,6 @@ def congruence(x: SymMatrix, b) -> SymMatrix:
 
 def congruence_stack(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """:func:`congruence` by the array ``mat`` of each matrix of a
-    ``(k, n, n)`` stack, with the same bits: ``(mat^T X) mat``, the same
-    finiteness check, then the symmetrization of :class:`SymMatrix`."""
-    m = (mat.T @ a) @ mat
-    _check_finite(m)
-    return 0.5 * (m + m.swapaxes(-1, -2))
+    ``(k, n, n)`` stack, with the same bits: ``(mat^T X) mat``, then the
+    checked symmetrization of :class:`SymMatrix`."""
+    return _symmetric_part((mat.T @ a) @ mat)

@@ -1,8 +1,5 @@
 import math
-import os
 from decimal import Decimal, localcontext
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -10,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import domcone
 import domcone.fundsol as fundsol_mod
 from domcone.aperture import ConvexBody, body_cone_aperture, dominative_body, minimal_bound_check, pucci_body
 from domcone.errors import InvalidMatrixError, NumericalFailureError, PreconditionError
@@ -116,16 +112,6 @@ def test_dimension_below_two_is_rejected(call):
         with pytest.raises(PreconditionError, match="at least 2"):
             call(n)
     call(2)
-
-
-def test_cli_import_leaves_scipy_out():
-    src = os.path.dirname(os.path.dirname(domcone.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, domcone.cli; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    )
-    assert out.stdout.strip() == "False"
 
 
 #: The JSON keys of a property report.

@@ -108,5 +108,6 @@ def test_cli_cases_show_what_they_stand_for():
         ("cli.fundsol.near-origin.n2", "invalid-matrix"),
         ("cli.fundsol.near-origin.n3", "invalid-matrix"),
         ("cli.fundsol.inf", "input"),
+        ("cli.eval.overflow", "invalid-matrix"),
     ]:
         assert _report(name)["error"]["code"] == code

@@ -184,15 +184,50 @@ def _overflowing_congruence():
     "call",
     [
         lambda: SymMatrix([[1.0, 0.0], [0.0, math.inf]]),
+        lambda: SymMatrix([[1.0, math.inf], [-math.inf, 1.0]]),
         lambda: InvertibleMap([[1.0, math.nan], [0.0, 1.0]]),
         _overflowing_congruence,
         lambda: acdo_roots(oracle_from_operator(DominativeP(n=2, p=3.0)), np.full((1, 2, 2), -math.inf)),
     ],
-    ids=["SymMatrix", "InvertibleMap", "congruence_stack", "acdo_roots"],
+    ids=["SymMatrix", "SymMatrix.opposite-infinities", "InvertibleMap", "congruence_stack", "acdo_roots"],
 )
 def test_a_non_finite_entry_raises_one_error(call):
     with pytest.raises(InvalidMatrixError, match="matrix entries must be finite"):
         call()
+
+
+#: Finite entries whose sum a_ij + a_ji passes the float range.
+_HUGE = [[1e308, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SymMatrix(_HUGE),
+        lambda: SymMatrix.from_dict({"n": 2, "entries": _HUGE}),
+        lambda: congruence_stack(np.array(_HUGE)[None], np.eye(2)),
+    ],
+    ids=["SymMatrix", "from_dict", "congruence_stack"],
+)
+def test_a_symmetric_part_past_the_float_range_raises_one_error(call):
+    # by the finiteness rule, and with no overflow warning (an error here)
+    with pytest.raises(InvalidMatrixError, match=r"entries are finite, but their symmetric part \(A \+ A\^T\) / 2 is not"):
+        call()
+
+
+def test_an_asymmetry_past_the_float_range_is_rejected_without_a_warning():
+    with pytest.raises(InvalidMatrixError, match="asymmetric beyond tolerance"):
+        SymMatrix.from_dict({"n": 2, "entries": [[1.0, 1e308], [-1e308, 1.0]]})
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[[8e307, 8e307], [8e307, -8e307]], [[5e-324, 1e-310], [3e-310, -2.5e-308]]],
+    ids=["largest", "subnormal"],
+)
+def test_symmetrization_keeps_the_bits_of_every_accepted_matrix(entries):
+    a = np.array(entries)
+    assert SymMatrix(a).a.tobytes() == (0.5 * (a + a.T)).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Hand mutants of the root finder, the property reports, the suite's
-stacked checks, the eigensolve kernel, the input rules and their
-neighbours.
+stacked checks, the eigensolve kernel, the input rules, the CLI's imports
+and their neighbours.
 
 Each mutant is one exact textual edit of a source file.  The script copies
 ``src/``, ``tests/``, ``tools/`` and ``perfbench/`` of this checkout into a
@@ -29,8 +29,8 @@ MUTANTS = [
     (
         "lockstep: swap the lo/hi update",
         "src/domcone/acdo.py",
-        "        lo = np.where(live & inside, mid, lo)\n        hi = np.where(live & ~inside, mid, hi)\n",
-        "        lo = np.where(live & ~inside, mid, lo)\n        hi = np.where(live & inside, mid, hi)\n",
+        "        lo = np.where(inside, mid, lo)\n        hi = np.where(inside, hi, mid)\n",
+        "        lo = np.where(inside, lo, mid)\n        hi = np.where(inside, mid, hi)\n",
     ),
     (
         "lockstep: >= for > in the live mask",
@@ -191,7 +191,7 @@ MUTANTS = [
     (
         "finiteness check on isnan only",
         "src/domcone/symmat.py",
-        "    if not np.all(np.isfinite(a)):\n",
+        "    if not np.isfinite(a).all():\n",
         "    if np.isnan(a).any():\n",
     ),
     (
@@ -205,6 +205,18 @@ MUTANTS = [
         "src/domcone/operators.py",
         "if not 0.0 < lam <= Lam < math.inf:",
         "if not 0.0 < lam < Lam < math.inf:",
+    ),
+    (
+        "symmetric part: overflow guard removed",
+        "src/domcone/symmat.py",
+        '    with np.errstate(over="ignore", invalid="ignore"):\n        s = 0.5 * (a + a.swapaxes(-1, -2))\n',
+        "    s = 0.5 * (a + a.swapaxes(-1, -2))\n",
+    ),
+    (
+        "cli: import suite at module level",
+        "src/domcone/cli.py",
+        "from . import cones as cones_mod\n",
+        "from . import cones as cones_mod\nfrom . import suite  # noqa: F401\n",
     ),
     (
         "symmetry tolerance x1e6",

@@ -53,7 +53,8 @@ _CONJ = "tests/data/conjugated_pucci.json"
 #: non-finite results of ``aperture``, ``report`` and ``eval`` are strings;
 #: the far ``acdo`` probe stops short of the step cap; ``fundsol`` on an
 #: axis prints no signed zero, and next to the origin and at an infinite
-#: point exits 1 with the error report.
+#: point exits 1 with the error report, as ``eval`` does on a finite matrix
+#: whose symmetric part overflows.
 CLI_CASES = {
     "suite.seed0": ["suite", "--all", "--seed", "0"],
     "suite.seed1": ["suite", "--all", "--seed", "1"],
@@ -63,6 +64,7 @@ CLI_CASES = {
     "cli.aperture": ["aperture", "--body", "dominative:n=3,p=inf"],
     "cli.report": ["report", "--op", "dominative:n=3,p=inf", "--p", "inf", "--count", "20"],
     "cli.eval": ["eval", "--op", "example", "--X", "tests/data/example_below_edge.json"],
+    "cli.eval.overflow": ["eval", "--op", "dominative:n=2,p=3", "--X", "tests/data/overflow_symmetrization.json"],
     "cli.acdo.far": ["acdo", "--op", _CONJ, "--X", "tests/data/far_probe.json"],
     "cli.example": ["example"],
     "cli.fundsol.axis": ["fundsol", "--p", "2", "--at=1,0"],
