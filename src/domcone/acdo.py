@@ -39,7 +39,7 @@ from .operators import (
     _check_count,
 )
 from .sampling import goe_matrix, goe_stack, make_rng, random_nsd, random_orthogonal
-from .symmat import SymMatrix, _check_symmetric, _eye, check_dim, congruence, eigvals_stack, inf_norm_stack
+from .symmat import SymMatrix, _check_symmetric, check_dim, congruence, eigvals_stack, inf_norm_stack
 
 #: Absolute tolerance of the root finder.
 ROOT_TOL = 1e-10
@@ -279,7 +279,7 @@ def _lockstep(oracle, stack, tol, lo, hi, iterations) -> list[AcdoRoot]:
     Each step works on the unfinished rows alone: when some finish, their
     brackets and counts are written back and the rest are compacted, so a
     step costs what its live rows cost."""
-    eye = _eye(oracle.n)
+    eye = np.eye(oracle.n)
     done_lo, done_hi, done_iterations = lo.copy(), hi.copy(), iterations.copy()
     rows = np.arange(len(stack))
     while True:
@@ -329,7 +329,7 @@ def check_nondegeneracy(
     report = PropertyReport(name="nondegeneracy", samples=samples)
     n, width = oracle.n, 1 + len(_TAU_GRID)
     xs = goe_stack(rng, samples, n, [1.0])[:, None]
-    shifted = xs + np.asarray(_TAU_GRID)[:, None, None] * _eye(n)  # X + tau I, as x.shift(tau)
+    shifted = xs + np.asarray(_TAU_GRID)[:, None, None] * np.eye(n)  # X + tau I, as x.shift(tau)
     stack = np.concatenate([xs, shifted], axis=1).reshape(-1, n, n)
     values = [r.value for r in acdo_roots(oracle, stack, tol)]
     for i in range(samples):
@@ -406,7 +406,7 @@ def check_structure(
             row += [x * 0.5, x * 2.0]
         if flags.rot_invariant:
             q = random_orthogonal(rng, oracle.n)
-            row.append(SymMatrix(q.T @ x.a @ q))
+            row.append(congruence(x, q))
         rows.append(row)
     roots = acdo_roots(oracle, np.array([m.a for row in rows for m in row]), tol)
     values = iter([r.value for r in roots])

@@ -33,7 +33,7 @@ from .operators import (
     support_from_eigs,
 )
 from .sampling import make_rng, random_orthogonal
-from .symmat import SymMatrix, dim_from_json, eigvals_stack, eigvals_sym
+from .symmat import SymMatrix, congruence, dim_from_json, eigvals_stack, eigvals_sym
 
 #: Generators must be positive semidefinite within this tolerance.
 PSD_TOL = 1e-10
@@ -87,6 +87,11 @@ class ConvexBody:
         """(num_generators, n) array of ascending generator eigenvalues."""
         return np.vstack([eigvals_sym(g) for g in self.generators])
 
+    @cached_property
+    def generator_traces(self) -> np.ndarray:
+        """The generators' traces, as sums of :attr:`generator_spectra`."""
+        return self.generator_spectra.sum(axis=1)
+
     def summary(self) -> str:
         closure = "rot-closed" if self.rot_closed else "plain hull"
         return f"{len(self.generators)} generator(s) in S({self.n}), {closure}"
@@ -114,18 +119,11 @@ class ConvexBody:
 def dominative_body(n: int, p: float) -> ConvexBody:
     """Body whose support function is the dominative operator with exponent p.
 
-    A single generator suffices under rotation closure:
-    ``(I + (p-2) e_n e_n^T) / (n+p-2)`` for finite p, the rank-one
-    projector ``e_n e_n^T`` at p = inf.
+    A single generator suffices under rotation closure: the diagonal of
+    :func:`dominative_weights`, ``(I + (p-2) e_n e_n^T) / (n+p-2)`` for
+    finite p and the rank-one projector ``e_n e_n^T`` at p = inf.
     """
-    p = _check_p(p)
-    spike = np.zeros((n, n))
-    spike[n - 1, n - 1] = 1.0
-    if p == math.inf:
-        gen = SymMatrix(spike)
-    else:
-        gen = SymMatrix((np.eye(n) + (p - 2.0) * spike) / (n + p - 2.0))
-    return ConvexBody(n=n, generators=(gen,), rot_closed=True)
+    return ConvexBody(n=n, generators=(SymMatrix.diag(dominative_weights(n, p)),), rot_closed=True)
 
 
 def pucci_body(n: int, lam: float, Lam: float) -> ConvexBody:
@@ -203,9 +201,8 @@ def body_cone_aperture(body: ConvexBody) -> ApertureResult:
             "the aperture is exact only for rotation-closed bodies; "
             "a plain generator hull is refused"
         )
-    spectra = body.generator_spectra
-    traces = spectra.sum(axis=1)
-    ratios = traces / spectra[:, -1]
+    traces = body.generator_traces
+    ratios = traces / body.generator_spectra[:, -1]
     idx = int(np.argmin(ratios))  # argmin resolves ties to the lowest index
     alpha = float(ratios[idx])
 
@@ -305,7 +302,7 @@ def minimal_bound_check(
     x *= np.resize(_BOUND_RADII, samples)[:, None, None]
     spike = _spike_matrix(n, ap.alpha)
     rotations = [random_orthogonal(rng, n) for _ in range(sharpness_probes)]
-    probes = [SymMatrix(q.T @ spike.a @ q).a for q in rotations]
+    probes = [congruence(spike, q).a for q in rotations]
     x = np.concatenate((x, np.reshape(probes, (-1, n, n))))
 
     ev = eigvals_stack(x)

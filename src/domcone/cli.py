@@ -19,6 +19,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import fields
 from typing import TYPE_CHECKING
 
 # The parser needs these (acdo and cones hold the defaults of --tol-root
@@ -290,7 +291,7 @@ def _cmd_example(args):
     return _checks_result([fundsol_mod.example_radial_check(c, r_grid) for c in cs])
 
 
-_FLAG_NAMES = ("convex", "concave_complement", "cone", "rot_invariant")
+_FLAG_NAMES = tuple(f.name for f in fields(acdo_mod.StructureFlags))
 
 
 def _cmd_verify(args):

@@ -17,9 +17,9 @@ import numpy as np
 
 from .acdo import ROOT_TOL, EllipticSetOracle, acdo_roots
 from .errors import NumericalFailureError, PreconditionError
-from .operators import DominativeP, Record, _check_count, num_to_json
+from .operators import DominativeP, Record, _check_count, num_to_json, sobolev_threshold
 from .sampling import goe_stack, make_rng
-from .symmat import InvertibleMap, SymMatrix, _eye, congruence, congruence_stack, inf_norm_stack
+from .symmat import InvertibleMap, SymMatrix, congruence, congruence_stack, inf_norm_stack
 
 #: Default property tolerance for "numerically zero" worst values.
 PROPERTY_TOL = 1e-8
@@ -102,7 +102,7 @@ def boundary_sample(
     """
     rng = make_rng(seed)
     n = oracle.n
-    eye = _eye(n)
+    eye = np.eye(n)
     fine = root_tol * R
     # a closed form has no bracket to sharpen, so it takes one pass of roots
     lazy = oracle.distance is None and _COARSE_TOL > root_tol
@@ -260,8 +260,7 @@ def check_inclusion(
         worst.append(max(score.value_stack(np.array([d.a for d in directions])).tolist()))
 
     slope, verdict = inclusion_verdict(radii, worst, 5.0 * property_tol)
-    n = oracle.n
-    q_hi = math.inf if p == math.inf else n * (p - 1.0) / (n - 1.0)
+    q_hi = sobolev_threshold(oracle.n, p)
     return InclusionReport(
         p=p,
         radii=radii,

@@ -27,9 +27,11 @@ from .operators import (
     OperatorSpec,
     PropertyReport,
     _check_count,
+    _check_n,
     _check_p,
     eval_example,
     eval_support,
+    sobolev_threshold,
     support_from_eigs,
 )
 from .sampling import make_rng, radial_points
@@ -37,12 +39,6 @@ from .symmat import SymMatrix, check_dim, eigvals_sym
 
 if TYPE_CHECKING:
     from .aperture import ConvexBody
-
-
-def _check_n(n: int) -> None:
-    # n = 1 has no sphere to integrate over and q* = n (p-1)/(n-1) divides by 0
-    if n < 2:
-        raise PreconditionError(f"dimension must be at least 2, got {n}")
 
 
 def _check_sobolev(n: int, p: float, q: float, eps: float) -> None:
@@ -233,14 +229,6 @@ def surface_measure(n: int) -> float:
 
 def _log_surface_measure(n: int) -> float:
     return math.log(2.0) + (n / 2.0) * math.log(math.pi) - math.lgamma(n / 2.0)
-
-
-def sobolev_threshold(n: int, p: float) -> float:
-    """Critical gradient exponent q* = n (p-1) / (n-1)."""
-    _check_n(n)
-    if _check_p(p) == math.inf:
-        return math.inf
-    return n * (p - 1.0) / (n - 1.0)
 
 
 def _radial_exponent(n: int, p: float, q: float) -> float:

@@ -36,6 +36,7 @@ from .symmat import (
     eigvals_stack,
     eigvals_sym,
     inner,
+    inner_stack,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,6 +52,20 @@ def _check_p(p: float) -> float:
     return p
 
 
+def _check_n(n: int) -> None:
+    # n = 1 has no sphere to integrate over and q* = n (p-1)/(n-1) divides by 0
+    if n < 2:
+        raise PreconditionError(f"dimension must be at least 2, got {n}")
+
+
+def sobolev_threshold(n: int, p: float) -> float:
+    """Critical gradient exponent q* = n (p-1) / (n-1)."""
+    _check_n(n)
+    if _check_p(p) == math.inf:
+        return math.inf
+    return n * (p - 1.0) / (n - 1.0)
+
+
 def _check_pucci(lam: float, Lam: float) -> None:
     """Check Pucci's ellipticity constants as :func:`_check_p` checks p."""
     if not 0.0 < lam <= Lam < math.inf:
@@ -64,13 +79,73 @@ def _check_count(value: int, what: str = "sample count", minimum: int = 1) -> No
         raise PreconditionError(f"{what} must be at least {minimum}, got {value}")
 
 
+#: Where max |lambda_i| times a rule's growth is below this, no
+#: intermediate of the rule can pass the float range (see
+#: :func:`_rescaled`), with a factor 2 to spare for rounding.
+_NO_OVERFLOW = 2.0**1015
+
+
+def _in_range(ev: np.ndarray, growth: float) -> bool:
+    """Whether the ascending spectrum ``ev`` keeps every intermediate of a
+    rule of the given ``growth`` (see :func:`_rescaled`) in the float range."""
+    bound = _NO_OVERFLOW / growth
+    return -bound < ev[0] and ev[-1] < bound
+
+
+def _rescaled(rule, x: SymMatrix, ev: np.ndarray, growth: float, *args) -> float:
+    """``rule(x, ev, *args)`` where :func:`_in_range` fails, for x of
+    spectrum ``ev`` and a rule positively homogeneous of degree one in x
+    whose intermediates are at most 2^7 ``growth`` max |lambda_i| in size
+    (``growth`` >= 1): 2^k rule(2^-k x) on 2^-k x and 2^-k ev (solved again
+    only where ev passed the float range), with every intermediate below
+    2^1022.  A power of two scales each operation exactly but for subnormal
+    results, far below the values these rules turn on; so the value keeps
+    the plain rule's bits wherever that one is right, is finite wherever
+    the exact value is in the float range, and is +-inf, with no numpy
+    warning, elsewhere.  A finite plain value would not do as the test:
+    where the scan of :meth:`Pucci.distance` overflows, it miscounts its
+    pieces and stays finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        # |lambda_i| <= n max|x_ij| <= 2^4 max|x_ij|, so the intermediates
+        # of 2^-k x are below 2^(7 + 4) growth 2^(1011 - e(growth)) <= 2^1022
+        k = math.frexp(np.abs(x.a).max())[1] + math.frexp(growth)[1] - 1011
+        y = SymMatrix._wrap(np.ldexp(x.a, -k))
+        ev = np.ldexp(ev, -k) if np.isfinite(ev).all() else eigvals_sym(y)
+        return float(np.ldexp(rule(y, ev, *args), k))
+
+
+def _stacked(rule, a: np.ndarray, ev: np.ndarray, growth: float, value) -> np.ndarray:
+    """``rule()``, a spec's rule on a ``(k, n, n)`` stack ``a`` of spectra
+    ``ev``, with each row whose spectrum fails the test of
+    :func:`_in_range` replaced by the spec's scalar ``value`` of its
+    matrix, so that a stack has the bits of its rows."""
+    bound = _NO_OVERFLOW / growth
+    if np.abs(ev).max(initial=0.0) < bound:
+        return rule()
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = rule()
+    far = np.flatnonzero(~(np.abs(ev).max(-1) < bound))
+    v[far] = [value(SymMatrix._wrap(a[i])) for i in far]
+    return v
+
+
 def eval_dominative(x: SymMatrix, p: float) -> float:
     """Normalized dominative operator.
 
     ``(tr X + (p-2) lambda_n(X)) / (n+p-2)`` for finite p, and the largest
-    eigenvalue at p = inf.  Normalized so that F(X + mI) = F(X) + m.
+    eigenvalue at p = inf.  Normalized so that F(X + mI) = F(X) + m.  Where
+    the formula passes the float range, :func:`_rescaled` rescales X.
     """
-    return float(dominative_from_eigs(eigvals_sym(x), x.a.trace(), _check_p(p)))
+    p = _check_p(p)
+    ev, growth = eigvals_sym(x), 1.0 if p == P_INF else p
+    if _in_range(ev, growth):
+        return float(_dominative_rule(x, ev, p))
+    return _rescaled(_dominative_rule, x, ev, growth, p)
+
+
+def _dominative_rule(x: SymMatrix, ev: np.ndarray, p: float):
+    return dominative_from_eigs(ev, x.a.trace(), p)
 
 
 def dominative_from_eigs(ev: np.ndarray, trace, p: float):
@@ -87,9 +162,17 @@ def eval_pucci(x: SymMatrix, lam: float, Lam: float) -> float:
     """Maximal uniformly elliptic operator with ellipticity constants [lam, Lam].
 
     Equals ``Lam * sum(positive eigenvalues) + lam * sum(negative eigenvalues)``.
+    Where that passes the float range, :func:`_rescaled` rescales X.
     """
     _check_pucci(lam, Lam)
-    return float(pucci_from_eigs(eigvals_sym(x), lam, Lam))
+    ev, growth = eigvals_sym(x), max(1.0, Lam)
+    if _in_range(ev, growth):
+        return float(_pucci_rule(x, ev, lam, Lam))
+    return _rescaled(_pucci_rule, x, ev, growth, lam, Lam)
+
+
+def _pucci_rule(x: SymMatrix, ev: np.ndarray, lam: float, Lam: float):
+    return pucci_from_eigs(ev, lam, Lam)
 
 
 def pucci_from_eigs(ev: np.ndarray, lam: float, Lam: float):
@@ -117,27 +200,34 @@ def _support_pairings(x: SymMatrix, body) -> np.ndarray:
 
     For a rotation-closed body (``body.rot_closed``) the maximum of
     tr(Q A Q^T X) over orthogonal Q is the ascending-sorted eigenvalue dot
-    product (von Neumann's trace inequality); for a plain generator hull
-    it is the direct pairing ``<A, X>``.  The matmul against ``ev[:, None]``
-    sums as :func:`support_from_eigs` does, so both give the same bits.
+    product (von Neumann's trace inequality), :func:`_sorted_pairings`, as
+    in :func:`support_from_eigs`; for a plain generator hull it is the
+    direct pairing ``<A, X>``.
     """
     check_dim(x.n, body.n, against="body")
     if body.rot_closed:
-        return np.matmul(body.generator_spectra, eigvals_sym(x)[:, None])[:, 0]
+        return _sorted_pairings(eigvals_sym(x), body.generator_spectra)
     return np.array([inner(a, x) for a in body.generators])
 
 
-def support_from_eigs(ev: np.ndarray, spectra: np.ndarray):
-    """Rotation-closed :func:`eval_support` over the trailing axis of
-    ascending spectra ``ev`` of shape ``(..., n)``: the maximum over the
-    rows of ``spectra`` (the generators' ascending spectra) of the
-    sorted-eigenvalue pairing, von Neumann's trace inequality.
+def _sorted_pairings(ev: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """Sorted-eigenvalue pairings, shape ``(..., g)``, of ascending spectra
+    ``ev`` of shape ``(..., n)`` with each row of ``spectra`` (the
+    generators' ascending spectra).
 
     The pairing is a matmul against ``ev[..., None]``, which gives the
     same bits for one spectrum and for a stack; ``ev @ spectra.T`` and
     ``einsum`` sum in another order and differ in the last digits.
     """
-    return np.matmul(spectra, ev[..., None])[..., 0].max(-1)
+    return np.matmul(spectra, ev[..., None])[..., 0]
+
+
+def support_from_eigs(ev: np.ndarray, spectra: np.ndarray):
+    """Rotation-closed :func:`eval_support` over the trailing axis of
+    ascending spectra ``ev`` of shape ``(..., n)``: the maximum of the
+    :func:`_sorted_pairings` with the rows of ``spectra``, von Neumann's
+    trace inequality."""
+    return _sorted_pairings(ev, spectra).max(-1)
 
 
 def eval_example(x: SymMatrix) -> float:
@@ -179,7 +269,10 @@ class DominativeP:
         """:meth:`value` of each matrix of a ``(k, n, n)`` symmetric stack, bit
         for bit; every spec's ``value_stack`` has this contract."""
         check_dim(a.shape[-1], self.n)
-        return dominative_from_eigs(eigvals_stack(a), a.trace(axis1=-2, axis2=-1), self.p)
+        ev, p = eigvals_stack(a), self.p
+        # the rule runs after _stacked's range test: the trace may overflow
+        rule = lambda: dominative_from_eigs(ev, a.trace(axis1=-2, axis2=-1), p)  # noqa: E731
+        return _stacked(rule, a, ev, 1.0 if p == P_INF else p, self.value)
 
     def distance(self, x: SymMatrix) -> float:
         """F(X) itself, by the normalization F(X + mI) = F(X) + m."""
@@ -201,7 +294,9 @@ class Pucci:
 
     def value_stack(self, a: np.ndarray) -> np.ndarray:
         check_dim(a.shape[-1], self.n)
-        return pucci_from_eigs(eigvals_stack(a), self.lam, self.Lam)
+        ev = eigvals_stack(a)
+        rule = lambda: pucci_from_eigs(ev, self.lam, self.Lam)  # noqa: E731
+        return _stacked(rule, a, ev, max(1.0, self.Lam), self.value)
 
     def distance(self, x: SymMatrix) -> float:
         """Root of the strictly increasing, piecewise-linear t -> F(X + tI).
@@ -221,20 +316,31 @@ class Pucci:
         3.12 on).  Where the root lies within rounding of a breakpoint, the
         test there may round either way and j be off by one; both pieces
         meet at that breakpoint, so the value moves by about
-        eps * max|lambda_i|.
+        eps * max|lambda_i|.  Where the scan passes the float range,
+        :func:`_rescaled` rescales X.
         """
         check_dim(x.n, self.n)
-        ev = eigvals_sym(x)
-        e = ev.tolist()
-        n, lam, Lam = len(e), self.lam, self.Lam
-        pre = list(accumulate(e, initial=0.0))
-        tot = pre[-1]
-        j = 0
-        for k, v in enumerate(e):
-            p = pre[k]
-            j += Lam * ((tot - p - v) - (n - 1 - k) * v) + lam * (p - k * v) >= 0.0
-        num = lam * np.add.reduce(ev[:j]) + Lam * np.add.reduce(ev[j:])
-        return float(num / (lam * j + Lam * (n - j)))
+        lam, Lam = self.lam, self.Lam
+        if Lam >= 2.0**1018:  # the root of (c lam, c Lam) is the same; keep n Lam in range
+            lam, Lam = lam * 2.0**-8, Lam * 2.0**-8
+        ev, growth = eigvals_sym(x), max(1.0, Lam)
+        if _in_range(ev, growth):
+            return float(_pucci_root(x, ev, lam, Lam))
+        return _rescaled(_pucci_root, x, ev, growth, lam, Lam)
+
+
+def _pucci_root(x: SymMatrix, ev: np.ndarray, lam: float, Lam: float):
+    """The scan of :meth:`Pucci.distance` on the ascending spectrum ``ev``."""
+    e = ev.tolist()
+    n = len(e)
+    pre = list(accumulate(e, initial=0.0))
+    tot = pre[-1]
+    j = 0
+    for k, v in enumerate(e):
+        p = pre[k]
+        j += Lam * ((tot - p - v) - (n - 1 - k) * v) + lam * (p - k * v) >= 0.0
+    num = lam * np.add.reduce(ev[:j]) + Lam * np.add.reduce(ev[j:])
+    return num / (lam * j + Lam * (n - j))
 
 
 @dataclass(frozen=True)
@@ -266,7 +372,7 @@ class LinearTrace:
 
     def value_stack(self, a: np.ndarray) -> np.ndarray:
         check_dim(a.shape[-1], self.n)
-        return _inner_stack(self.A, a) - self.m
+        return inner_stack(self.A, a) - self.m
 
     def distance(self, x: SymMatrix) -> float:
         """``(<A, X> - m) / tr A``, as <A, X + tI> = <A, X> + t tr A."""
@@ -290,15 +396,14 @@ class EnsembleSupport:
         check_dim(a.shape[-1], body.n, against="body")
         if body.rot_closed:
             return support_from_eigs(eigvals_stack(a), body.generator_spectra)
-        return np.stack([_inner_stack(g, a) for g in body.generators], -1).max(-1)
+        return np.stack([inner_stack(g, a) for g in body.generators], -1).max(-1)
 
     def distance(self, x: SymMatrix) -> float:
         """``max_k pairing_k / tr A_k`` over the :func:`_support_pairings`:
         each pairing grows by t tr A_k along X + tI, and ``ConvexBody``
         keeps every tr A_k positive.
         """
-        traces = self.body.generator_spectra.sum(axis=1)
-        return float(np.max(_support_pairings(x, self.body) / traces))
+        return float(np.max(_support_pairings(x, self.body) / self.body.generator_traces))
 
 
 @dataclass(frozen=True)
@@ -385,12 +490,6 @@ class Conjugated:
 OperatorSpec = Union[
     DominativeP, Pucci, LinearTrace, EnsembleSupport, ExampleEq, Shifted, Conjugated
 ]
-
-
-def _inner_stack(A: SymMatrix, a: np.ndarray) -> np.ndarray:
-    """:func:`inner` of ``A`` with each matrix of a ``(k, n, n)`` stack; the
-    flattened rows sum in the order of ``np.sum`` on one matrix."""
-    return (A.a * a).reshape(len(a), -1).sum(-1)
 
 
 class Record:

@@ -72,7 +72,7 @@ def run_aperture_exactness(seed: int) -> dict:
                 ok = err <= 1e-10
             max_p_err = max(max_p_err, 0.0 if err == math.inf else err)
             if not ok:
-                failures.append({"n": n, "p": "inf" if p == math.inf else p, "got": repr(got)})
+                failures.append({"n": n, "p": num_to_json(p), "got": repr(got)})
 
     rng = make_rng(seed, 1)
     max_alpha_err = 0.0
@@ -372,7 +372,7 @@ def run_permutation_lemma(seed: int) -> dict:
         err = float(np.max(np.abs(decomp.reconstruct(a) - p_vec)))
         max_err = max(max_err, err)
         # n, p and a replay a failure: perc_weights(a, dominative_weights(n, p))
-        record = {"n": n, "p": "inf" if p == math.inf else p, "a": a.tolist()}
+        record = {"n": n, "p": num_to_json(p), "a": a.tolist()}
         if err > 1e-12:
             failures.append({**record, "error": err})
         if any(perm[-1] != n - 1 for perm in decomp.permutations):

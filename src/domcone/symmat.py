@@ -35,8 +35,6 @@ LOEWNER_TOL = 1e-9
 #: Relative symmetry tolerance accepted on the wire format.
 SYMMETRY_RTOL = 1e-12
 
-_EYE_CACHE: dict[int, np.ndarray] = {}
-
 
 def _square_array(entries) -> np.ndarray:
     """Float copy of a square array of supported dimension; its caller
@@ -108,15 +106,6 @@ def _entries_from_dict(d: dict) -> np.ndarray:
     return entries
 
 
-def _eye(n: int) -> np.ndarray:
-    eye = _EYE_CACHE.get(n)
-    if eye is None:
-        eye = np.eye(n)
-        eye.setflags(write=False)
-        _EYE_CACHE[n] = eye
-    return eye
-
-
 class SymMatrix:
     """Element of S(n).
 
@@ -166,7 +155,7 @@ class SymMatrix:
 
     def shift(self, t: float) -> "SymMatrix":
         """Return ``X + t*I``."""
-        return SymMatrix._wrap(self.a + t * _eye(self.n))
+        return SymMatrix._wrap(self.a + t * np.eye(self.n))
 
     def __add__(self, other: "SymMatrix") -> "SymMatrix":
         check_dim(other.n, self.n, against="matrix")
@@ -277,9 +266,15 @@ def eigh_sym(x: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def inner(a: SymMatrix, x: SymMatrix) -> float:
-    """Trace pairing <A, X> = tr(AX)."""
+    """Trace pairing <A, X> = tr(AX): :func:`inner_stack` on a stack of one."""
     check_dim(x.n, a.n, against="matrix")
-    return float(np.sum(a.a * x.a))
+    return float(inner_stack(a, x.a[None])[0])
+
+
+def inner_stack(a: SymMatrix, x: np.ndarray) -> np.ndarray:
+    """Trace pairing of ``a`` with each matrix of a ``(k, n, n)`` stack; the
+    flattened rows sum in the order of ``np.sum`` on one matrix."""
+    return (a.a * x).reshape(len(x), -1).sum(-1)
 
 
 def inf_norm(x: SymMatrix) -> float:
@@ -338,7 +333,7 @@ class InvertibleMap:
 
 
 def congruence(x: SymMatrix, b) -> SymMatrix:
-    """Congruence transform B^T X B.
+    """Congruence transform B^T X B: :func:`congruence_stack` on a stack of one.
 
     Preserves the Loewner order and, by Sylvester's law of inertia, the
     signature of ``x``.  ``b`` may be an :class:`InvertibleMap` or a plain
@@ -346,12 +341,14 @@ def congruence(x: SymMatrix, b) -> SymMatrix:
     """
     mat = b.B if isinstance(b, InvertibleMap) else np.asarray(b, dtype=float)
     check_dim(mat.shape, (x.n, x.n), "map", "matrix")
-    m = mat.T @ x.a @ mat
-    return SymMatrix(m)  # symmetrizes away the float asymmetry
+    return SymMatrix._wrap(congruence_stack(x.a[None], mat)[0])
 
 
 def congruence_stack(a: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """:func:`congruence` by the array ``mat`` of each matrix of a
-    ``(k, n, n)`` stack, with the same bits: ``(mat^T X) mat``, then the
-    checked symmetrization of :class:`SymMatrix`."""
-    return _symmetric_part((mat.T @ a) @ mat)
+    """B^T X B for the array B = ``mat`` and each matrix X of a ``(k, n, n)``
+    stack: ``(mat^T X) mat``, then the checked symmetrization of
+    :class:`SymMatrix`, which alone reports a product past the float range
+    (with no numpy warning)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = (mat.T @ a) @ mat
+    return _symmetric_part(m)

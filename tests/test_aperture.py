@@ -68,6 +68,18 @@ class TestCatalogBodies:
         body = dominative_body(3, 4.0)
         assert np.allclose(eigvals_sym(body.generators[0]), [0.2, 0.2, 0.6])
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_dominative_generator_is_the_diagonal_of_the_weights(self, n):
+        # with the bits of (I + (p-2) e_n e_n^T) / (n+p-2), and e_n e_n^T at p = inf
+        ps = [2.0, 2.5, 3.0, float(n), 1e6, 2.0**53 + 2.0, math.inf]
+        for p in ps + make_rng(n).uniform(2.0, 1e3, 20).tolist():
+            got = dominative_body(n, p).generators[0].a
+            spike = np.zeros((n, n))
+            spike[n - 1, n - 1] = 1.0
+            old = spike if p == math.inf else (np.eye(n) + (p - 2.0) * spike) / (n + p - 2.0)
+            for want in (SymMatrix.diag(dominative_weights(n, p)).a, SymMatrix(old).a):
+                assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+
     def test_pucci_degenerate_constants(self):
         body = pucci_body(3, 0.7, 0.7)
         rng = make_rng(301)

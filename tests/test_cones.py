@@ -7,7 +7,7 @@ from domcone import cones
 from domcone.acdo import ROOT_TOL, EllipticSetOracle, acdo_eval, acdo_root, acdo_roots, oracle_from_operator
 from domcone.cones import boundary_sample, check_inclusion, conjugate_oracle, inclusion_verdict
 from domcone.errors import NumericalFailureError, PreconditionError
-from domcone.operators import Conjugated, DominativeP, Pucci, eval_dominative
+from domcone.operators import Conjugated, DominativeP, Pucci, eval_dominative, num_to_json, sobolev_threshold
 from domcone.sampling import goe_matrix, goe_stack, make_rng
 from domcone.symmat import InvertibleMap, SymMatrix, inf_norm
 
@@ -65,6 +65,17 @@ def test_union_with_one_nonzero_radius_is_not_consistent():
     assert rep.worst_fp_per_radius[-1] > 0.1
     assert rep.verdict == "inconclusive"
     assert rep.to_dict()["q_interval"]["hi"] == pytest.approx(3 * 3.0 / 2.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16])
+def test_q_interval_ends_at_the_sobolev_threshold(n):
+    # with the bits of n (p-1) / (n-1), and "inf" at p = inf
+    oracle = oracle_from_operator(DominativeP(n=n, p=3.0))
+    for p in [2.0, 2.7, 3.0, float(n), 1e6, math.inf]:
+        hi = check_inclusion(oracle, None, p, [1.0, 10.0, 1e3], count=1).q_interval["hi"]
+        want = "inf" if p == math.inf else n * (p - 1.0) / (n - 1.0)
+        assert hi == num_to_json(sobolev_threshold(n, p)) == want
+        assert type(hi) is type(want)
 
 
 def test_catalog_inclusion_verdicts():

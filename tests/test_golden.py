@@ -109,5 +109,10 @@ def test_cli_cases_show_what_they_stand_for():
         ("cli.fundsol.near-origin.n3", "invalid-matrix"),
         ("cli.fundsol.inf", "input"),
         ("cli.eval.overflow", "invalid-matrix"),
+        ("cli.acdo.overflow", "invalid-matrix"),
     ]:
         assert _report(name)["error"]["code"] == code
+    assert _report("cli.acdo.overflow")["error"]["message"] == "matrix entries must be finite"
+    # F and its distance are in the float range, though the formulas pass it
+    assert _report("cli.eval.overflow.dominative")["result"] == {"boundary_distance_hint": 8e307, "value": 8e307}
+    assert _report("cli.eval.overflow.pucci")["result"] == {"boundary_distance_hint": 4e307, "value": 1.6e308}

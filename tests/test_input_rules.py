@@ -176,8 +176,8 @@ def test_both_sobolev_integrals_check_their_arguments_alike(integral, p, q, eps,
 
 
 def _overflowing_congruence():
-    with np.errstate(over="ignore"):
-        return congruence_stack(np.eye(2)[None], np.diag([1e200, 1.0]))
+    # the product passes the float range with no numpy warning (an error here)
+    return congruence_stack(np.eye(2)[None], np.diag([1e200, 1.0]))
 
 
 @pytest.mark.parametrize(
@@ -187,9 +187,10 @@ def _overflowing_congruence():
         lambda: SymMatrix([[1.0, math.inf], [-math.inf, 1.0]]),
         lambda: InvertibleMap([[1.0, math.nan], [0.0, 1.0]]),
         _overflowing_congruence,
+        lambda: congruence(SymMatrix.identity(2), InvertibleMap(np.eye(2) * 1e160)),
         lambda: acdo_roots(oracle_from_operator(DominativeP(n=2, p=3.0)), np.full((1, 2, 2), -math.inf)),
     ],
-    ids=["SymMatrix", "SymMatrix.opposite-infinities", "InvertibleMap", "congruence_stack", "acdo_roots"],
+    ids=["SymMatrix", "SymMatrix.opposite-infinities", "InvertibleMap", "congruence_stack", "congruence", "acdo_roots"],
 )
 def test_a_non_finite_entry_raises_one_error(call):
     with pytest.raises(InvalidMatrixError, match="matrix entries must be finite"):

@@ -391,6 +391,58 @@ class TestStackedFormulas:
             )
 
 
+class TestOverflow:
+    """Where the dominative and Pucci formulas pass the float range, the
+    value and distance are still finite wherever the exact ones are, +-inf
+    where they are not, with no numpy warning (an error in this suite), and
+    ``value_stack`` keeps the bits of ``value``."""
+
+    HUGE = [
+        (DominativeP(n=2, p=3.0), [8e307, 8e307], 8e307, 8e307),
+        (DominativeP(n=2, p=1e308), [1.0, 2.0], 2.0, 2.0),
+        (Pucci(n=2, lam=1.0, Lam=3.0), [8e307, -8e307], 1.6e308, 4e307),
+        (Pucci(n=2, lam=4.0, Lam=4.0), [8e307, -8e307], 0.0, 0.0),
+        (Pucci(n=2, lam=1.0, Lam=3.0), [8e307, 8e307], math.inf, 8e307),
+        (Pucci(n=3, lam=1.0, Lam=1e307), [-1.0, 1e-300, 20.0], math.inf, 20.0),
+        # n Lam passes the float range, and the root has two eigenvalues above it
+        (Pucci(n=3, lam=1.0, Lam=1.7e308), [0.0, 1.0, 1.0], math.inf, 1.0),
+        (Pucci(n=3, lam=1.0, Lam=1.7e308), [0.0, 0.1, 0.1], 3.4e307, 0.1),
+    ]
+
+    @pytest.mark.parametrize("spec, diag, value, distance", HUGE)
+    def test_value_and_distance_of_a_huge_diagonal(self, spec, diag, value, distance):
+        x = SymMatrix.diag(diag)
+        assert spec.value(x) == pytest.approx(value, rel=1e-15)
+        assert spec.distance(x) == pytest.approx(distance, rel=1e-15, abs=1e-300)
+
+    def test_a_spectrum_past_the_float_range(self):
+        # eigenvalues 0, 0 and 2.4e308: F_p = 2.4e308 (p-1)/(p+1) is in range
+        # for finite p, and tr X is not
+        x = SymMatrix(np.full((3, 3), 8e307))
+        assert np.isinf(eigvals_sym(x)[-1])
+        assert eval_dominative(x, 2.0) == pytest.approx(8e307, rel=1e-15)
+        assert eval_dominative(x, 3.0) == pytest.approx(1.2e308, rel=1e-15)
+        assert eval_dominative(x, math.inf) == math.inf
+        assert eval_pucci(x, 1.0, 1.0) == math.inf
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16])
+    def test_rescaled_values_are_homogeneous_and_stack_bit_for_bit(self, n):
+        rng = make_rng(47, n)
+        specs = [DominativeP(n, 3.0), DominativeP(n, math.inf), Pucci(n, 0.5, 2.0), Pucci(n, 0.5, 1e200)]
+        # mostly rows whose formulas overflow, and one that needs no rescale
+        x = goe_stack(rng, 12, n, [1.0])
+        x[:-1] *= np.exp2(rng.uniform(1014.0, 1020.0, (11, 1, 1)))
+        for spec in specs:
+            values = spec.value_stack(x)
+            for row, v in zip(x, values.tolist()):
+                m = SymMatrix._wrap(row.copy())
+                assert v.hex() == spec.value(m).hex()
+                small = SymMatrix(row * 2.0**-60)
+                assert v == pytest.approx(spec.value(small) * 2.0**60, rel=1e-12)
+                if isinstance(spec, Pucci):
+                    assert spec.distance(m) == pytest.approx(spec.distance(small) * 2.0**60, rel=1e-12)
+
+
 class TestSpecValidationAndWire:
     def test_linear_requires_psd(self):
         with pytest.raises(InputError):

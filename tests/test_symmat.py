@@ -4,16 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domcone.errors import DimensionMismatchError, InvalidMatrixError, NumericalFailureError
-from domcone.sampling import goe_matrix, make_rng, random_nsd, random_psd
+from domcone.sampling import goe_matrix, goe_stack, make_rng, random_nsd, random_psd
 from domcone.symmat import (
     InvertibleMap,
     SymMatrix,
     congruence,
+    congruence_stack,
     eigh_sym,
     eigvals_stack,
     eigvals_sym,
     inf_norm,
     inner,
+    inner_stack,
 )
 
 
@@ -256,6 +258,25 @@ class TestCongruence:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             congruence(SymMatrix.identity(2), InvertibleMap.identity(3))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_one_matrix_pairings_have_the_bits_of_their_stacked_forms(n):
+    # inner and congruence are their stacked forms on a stack of one, with
+    # the bits of the one-matrix formulas they replaced, on a map that is
+    # not orthogonal
+    rng = make_rng(119, n)
+    stack = goe_stack(rng, 5, n, [0.5, 1.0, 10.0])
+    a = goe_matrix(rng, n, radius=3.0)
+    b = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+    paired = inner_stack(a, stack)
+    mapped = congruence_stack(stack, b)
+    for i, row in enumerate(stack):
+        x = SymMatrix._wrap(row)
+        assert inner(a, x).hex() == float(paired[i]).hex() == float(np.sum(a.a * x.a)).hex()
+        want = SymMatrix(b.T @ x.a @ b).a.tobytes()
+        assert congruence(x, b).a.tobytes() == mapped[i].tobytes() == want
+        assert congruence(x, InvertibleMap(b)).a.tobytes() == want
 
 
 class TestInvertibleMap:

@@ -1,6 +1,6 @@
 """Hand mutants of the root finder, the property reports, the suite's
-stacked checks, the eigensolve kernel, the input rules, the CLI's imports
-and their neighbours.
+stacked checks, the eigensolve kernel, the input rules, the shared
+formulas, the overflow fallback, the CLI's imports and their neighbours.
 
 Each mutant is one exact textual edit of a source file.  The script copies
 ``src/``, ``tests/``, ``tools/`` and ``perfbench/`` of this checkout into a
@@ -119,8 +119,8 @@ MUTANTS = [
     (
         "Pucci: negate the closed-form distance",
         "src/domcone/operators.py",
-        "return float(num / (lam * j + Lam * (n - j)))",
-        "return float(-num / (lam * j + Lam * (n - j)))",
+        "return num / (lam * j + Lam * (n - j))",
+        "return -num / (lam * j + Lam * (n - j))",
     ),
     (
         "Pucci distance scan: n - k for n - 1 - k larger eigenvalues",
@@ -217,6 +217,30 @@ MUTANTS = [
         "src/domcone/cli.py",
         "from . import cones as cones_mod\n",
         "from . import cones as cones_mod\nfrom . import suite  # noqa: F401\n",
+    ),
+    (
+        "Sobolev threshold: (n-1)(p-1)/n",
+        "src/domcone/operators.py",
+        "return n * (p - 1.0) / (n - 1.0)",
+        "return (n - 1.0) * (p - 1.0) / n",
+    ),
+    (
+        "dominative weights: last entry p - 2",
+        "src/domcone/aperture.py",
+        "w[-1] = p - 1.0",
+        "w[-1] = p - 2.0",
+    ),
+    (
+        "congruence: M X M^T",
+        "src/domcone/symmat.py",
+        "m = (mat.T @ a) @ mat",
+        "m = (mat @ a) @ mat.T",
+    ),
+    (
+        "dominative and Pucci: overflow fallback removed",
+        "src/domcone/operators.py",
+        "    return -bound < ev[0] and ev[-1] < bound\n",
+        "    return True\n",
     ),
     (
         "symmetry tolerance x1e6",

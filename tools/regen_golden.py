@@ -54,7 +54,9 @@ _CONJ = "tests/data/conjugated_pucci.json"
 #: the far ``acdo`` probe stops short of the step cap; ``fundsol`` on an
 #: axis prints no signed zero, and next to the origin and at an infinite
 #: point exits 1 with the error report, as ``eval`` does on a finite matrix
-#: whose symmetric part overflows.
+#: whose symmetric part overflows and ``acdo`` on a congruence image whose
+#: witnesses overflow; ``eval`` gives the finite value and distance of the
+#: dominative and Pucci operators where their formulas pass the float range.
 CLI_CASES = {
     "suite.seed0": ["suite", "--all", "--seed", "0"],
     "suite.seed1": ["suite", "--all", "--seed", "1"],
@@ -65,6 +67,9 @@ CLI_CASES = {
     "cli.report": ["report", "--op", "dominative:n=3,p=inf", "--p", "inf", "--count", "20"],
     "cli.eval": ["eval", "--op", "example", "--X", "tests/data/example_below_edge.json"],
     "cli.eval.overflow": ["eval", "--op", "dominative:n=2,p=3", "--X", "tests/data/overflow_symmetrization.json"],
+    "cli.eval.overflow.dominative": ["eval", "--op", "dominative:n=2,p=3", "--X", "tests/data/overflow_dominative.json"],
+    "cli.eval.overflow.pucci": ["eval", "--op", "pucci:n=2,lam=1,Lam=3", "--X", "tests/data/overflow_pucci.json"],
+    "cli.acdo.overflow": ["acdo", "--op", "tests/data/conjugated_overflow.json", "--X", "tests/data/identity2.json"],
     "cli.acdo.far": ["acdo", "--op", _CONJ, "--X", "tests/data/far_probe.json"],
     "cli.example": ["example"],
     "cli.fundsol.axis": ["fundsol", "--p", "2", "--at=1,0"],
