@@ -17,7 +17,6 @@ _EXPORTS = {
     "acdo": (
         "AcdoRoot",
         "EllipticSetOracle",
-        "StructureFlags",
         "acdo_eval",
         "acdo_root",
         "acdo_roots",
@@ -62,7 +61,6 @@ _EXPORTS = {
         "sobolev_diverges",
         "sobolev_integral",
         "sobolev_integral_quadrature",
-        "sobolev_threshold",
         "surface_measure",
         "verify_annihilation",
         "viscosity_grid_check",
@@ -87,6 +85,7 @@ _EXPORTS = {
         "spec_from_dict",
         "spec_to_dict",
     ),
+    "rules": ("StructureFlags", "sobolev_threshold"),
     "symmat": (
         "InvertibleMap",
         "SymMatrix",

@@ -29,20 +29,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, NonProperSetError, PreconditionError
-from .operators import (
-    Conjugated,
-    LinearTrace,
-    OperatorSpec,
-    PropertyReport,
-    Record,
-    Shifted,
-    _check_count,
-)
+from .operators import Conjugated, LinearTrace, OperatorSpec, Shifted
+from .rules import ROOT_TOL, PropertyReport, Record, StructureFlags, _check_count, check_dim
 from .sampling import goe_matrix, goe_stack, make_rng, random_nsd, random_orthogonal
-from .symmat import SymMatrix, _check_symmetric, check_dim, congruence, eigvals_stack, inf_norm_stack
-
-#: Absolute tolerance of the root finder.
-ROOT_TOL = 1e-10
+from .symmat import SymMatrix, _check_symmetric, congruence, eigvals_stack, inf_norm_stack
 
 #: The search for a missing witness (expansion along tI from t = 0) beyond
 #: this magnitude declares the set non-proper.
@@ -363,18 +353,6 @@ def check_lipschitz(
         x, y = SymMatrix._wrap(xs[i]), SymMatrix._wrap(ys[i])
         report.record(excess, 3.0 * tol, excess=excess, X=x.to_dict(), Y=y.to_dict())
     return report
-
-
-@dataclass(frozen=True)
-class StructureFlags:
-    """Structural assertions supplied by the caller about the set; only
-    asserted flags are checked, and a violation falsifies the assertion,
-    not the distance computation."""
-
-    convex: bool = False
-    concave_complement: bool = False
-    cone: bool = False
-    rot_invariant: bool = False
 
 
 def check_structure(

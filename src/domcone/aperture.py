@@ -22,18 +22,10 @@ from .errors import (
     InvalidBodyError,
     PreconditionError,
 )
-from .operators import (
-    Record,
-    Report,
-    _check_count,
-    _check_p,
-    _check_pucci,
-    dominative_from_eigs,
-    eval_support,
-    support_from_eigs,
-)
+from .operators import dominative_from_eigs, eval_support, support_from_eigs
+from .rules import Record, Report, _check_count, _check_p, _check_pucci, dim_from_json
 from .sampling import make_rng, random_orthogonal
-from .symmat import SymMatrix, congruence, dim_from_json, eigvals_stack, eigvals_sym
+from .symmat import SymMatrix, congruence, eigvals_stack, eigvals_sym
 
 #: Generators must be positive semidefinite within this tolerance.
 PSD_TOL = 1e-10

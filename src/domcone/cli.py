@@ -22,18 +22,23 @@ import sys
 from dataclasses import fields
 from typing import TYPE_CHECKING
 
-# The parser needs these (acdo and cones hold the defaults of --tol-root
-# and --tol-property).  aperture, fundsol and suite are imported by the
-# handlers that use them, so that a one-shot command loads only its own.
-from . import acdo as acdo_mod
-from . import cones as cones_mod
-from . import operators as operators_mod
+# Every other domcone module is imported by the handler that uses it, so
+# that a one-shot command loads only its own.
 from .errors import DomconeError, InputError
-from .operators import num_from_json, num_to_json
-from .symmat import InvertibleMap, SymMatrix, dim_from_json, eigvals_sym
+from .rules import (
+    PROPERTY_TOL,
+    ROOT_TOL,
+    StructureFlags,
+    dim_from_json,
+    num_from_json,
+    num_to_json,
+    sobolev_threshold,
+)
+from .symmat import InvertibleMap, SymMatrix, eigvals_sym
 
 if TYPE_CHECKING:
     from .aperture import ConvexBody
+    from .operators import OperatorSpec
 
 SCHEMA_VERSION = 3
 
@@ -104,13 +109,15 @@ def parse_body_arg(arg: str) -> ConvexBody:
     return aperture.ConvexBody.from_dict(_load_json_file(arg))
 
 
-def parse_operator_arg(arg: str) -> operators_mod.OperatorSpec:
+def parse_operator_arg(arg: str) -> OperatorSpec:
     """An operator spec file, or a shorthand: ``dominative:n=3,p=4``,
     ``pucci:n=2,lam=1,Lam=3``, ``example``; a shorthand is read as the
     spec object of its fields."""
+    from .operators import spec_from_dict
+
     if arg == "example" or (":" in arg and not os.path.exists(arg)):
-        return operators_mod.spec_from_dict(_shorthand_fields(arg, _OPERATOR_KINDS, "operator"))
-    return operators_mod.spec_from_dict(_load_json_file(arg))
+        return spec_from_dict(_shorthand_fields(arg, _OPERATOR_KINDS, "operator"))
+    return spec_from_dict(_load_json_file(arg))
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -177,9 +184,11 @@ def _wrap(args, result: dict) -> dict:
 
 
 def _cmd_eval(args):
+    from .operators import evaluate_result
+
     spec = parse_operator_arg(args.op)
     x = parse_matrix_arg(args.X)
-    res = operators_mod.evaluate_result(spec, x)
+    res = evaluate_result(spec, x)
     return res.to_dict(), 0
 
 
@@ -191,19 +200,24 @@ def _cmd_aperture(args):
 
 
 def _cmd_acdo(args):
+    from .acdo import acdo_root, oracle_from_operator
+
     spec = parse_operator_arg(args.op)
     x = parse_matrix_arg(args.X)
-    oracle = acdo_mod.oracle_from_operator(spec)
-    root = acdo_mod.acdo_root(oracle, x, tol=args.tol_root)
+    oracle = oracle_from_operator(spec)
+    root = acdo_root(oracle, x, tol=args.tol_root)
     return root.to_dict(), 0
 
 
 def _cmd_check_inclusion(args):
+    from .acdo import oracle_from_operator
+    from .cones import check_inclusion
+
     spec = parse_operator_arg(args.op)
-    oracle = acdo_mod.oracle_from_operator(spec)
+    oracle = oracle_from_operator(spec)
     b_map = parse_map_arg(args.B) if args.B else None
     radii = _parse_float_list(args.radii)
-    rep = cones_mod.check_inclusion(
+    rep = check_inclusion(
         oracle,
         b_map,
         num_from_json(args.p),
@@ -271,7 +285,7 @@ def _cmd_sobolev(args):
     return {
         "value": fundsol_mod.sobolev_integral(n, p, q, eps),
         "diverges": fundsol_mod.sobolev_diverges(n, p, q),
-        "threshold_q": num_to_json(fundsol_mod.sobolev_threshold(n, p)),
+        "threshold_q": num_to_json(sobolev_threshold(n, p)),
     }, 0
 
 
@@ -291,17 +305,19 @@ def _cmd_example(args):
     return _checks_result([fundsol_mod.example_radial_check(c, r_grid) for c in cs])
 
 
-_FLAG_NAMES = tuple(f.name for f in fields(acdo_mod.StructureFlags))
+_FLAG_NAMES = tuple(f.name for f in fields(StructureFlags))
 
 
 def _cmd_verify(args):
+    from . import acdo as acdo_mod
+
     spec = parse_operator_arg(args.op)
     oracle = acdo_mod.oracle_from_operator(spec)
     flag_tokens = [t.strip() for t in args.flags.split(",") if t.strip()] if args.flags else []
     for t in flag_tokens:
         if t not in _FLAG_NAMES:
             raise InputError(f"unknown structure flag {t!r}; known: {', '.join(_FLAG_NAMES)}")
-    flags = acdo_mod.StructureFlags(**{t: True for t in flag_tokens})
+    flags = StructureFlags(**{t: True for t in flag_tokens})
 
     reports = [
         acdo_mod.check_downward_closure(oracle, samples=args.samples, seed=args.seed),
@@ -378,7 +394,7 @@ _SHARED_OPTIONS = {
     "seed": dict(type=int, default=0, help="RNG seed (default 0)"),
     "tol-root": dict(
         type=_tolerance,
-        default=acdo_mod.ROOT_TOL,
+        default=ROOT_TOL,
         help="tolerance of the distance bisection: absolute for acdo and verify, per "
         "unit of sampling radius for check-inclusion and report; unused where the "
         "distance has a closed form (every catalog operator but a congruence image), "
@@ -386,7 +402,7 @@ _SHARED_OPTIONS = {
     ),
     "tol-property": dict(
         type=_tolerance,
-        default=cones_mod.PROPERTY_TOL,
+        default=PROPERTY_TOL,
         help="worst values at or below 5x this count as zero in the inclusion verdict",
     ),
 }

@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acdo import ROOT_TOL, EllipticSetOracle, acdo_roots
+from .acdo import EllipticSetOracle, acdo_roots
 from .errors import NumericalFailureError, PreconditionError
-from .operators import DominativeP, Record, _check_count, num_to_json, sobolev_threshold
+from .operators import DominativeP
+from .rules import PROPERTY_TOL, ROOT_TOL, Record, _check_count, num_to_json, sobolev_threshold
 from .sampling import goe_stack, make_rng
 from .symmat import InvertibleMap, SymMatrix, congruence, congruence_stack, inf_norm_stack
-
-#: Default property tolerance for "numerically zero" worst values.
-PROPERTY_TOL = 1e-8
 
 
 def conjugate_oracle(oracle: EllipticSetOracle, B: InvertibleMap) -> EllipticSetOracle:

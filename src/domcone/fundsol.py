@@ -23,34 +23,12 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import NumericalFailureError, PreconditionError
-from .operators import (
-    OperatorSpec,
-    PropertyReport,
-    _check_count,
-    _check_n,
-    _check_p,
-    eval_example,
-    eval_support,
-    sobolev_threshold,
-    support_from_eigs,
-)
-from .sampling import make_rng, radial_points
-from .symmat import SymMatrix, check_dim, eigvals_sym
+from .rules import PropertyReport, _check_count, _check_n, _check_p, _check_sobolev, check_dim, sobolev_threshold
+from .symmat import SymMatrix, eigvals_sym
 
 if TYPE_CHECKING:
     from .aperture import ConvexBody
-
-
-def _check_sobolev(n: int, p: float, q: float, eps: float) -> None:
-    """The arguments of the Sobolev integrals: n >= 2, eps in (0, 1), a
-    finite q > 0 and a finite p >= 2."""
-    _check_n(n)
-    if not 0.0 < eps < 1.0:
-        raise PreconditionError(f"eps must lie in (0, 1), got {eps}")
-    if not 0.0 < q < math.inf:
-        raise PreconditionError(f"gradient exponent q must be finite and positive, got {q}")
-    if _check_p(p) == math.inf:
-        raise PreconditionError("exponent p must be finite in the Sobolev integrals, got inf")
+    from .operators import OperatorSpec
 
 
 @dataclass(frozen=True)
@@ -187,6 +165,8 @@ def verify_annihilation(
     unique exponent whose profile G annihilates.
     """
     from .aperture import _spike_matrix, body_cone_aperture
+    from .operators import eval_support, support_from_eigs
+    from .sampling import make_rng, radial_points
 
     check_dim(body.n, fs.n, "body", "solution")
     _check_count(sample_count)
@@ -317,6 +297,8 @@ def example_radial_check(c: float, r_grid, tol: float = 1e-9) -> PropertyReport:
     ``tol``, and the top eigenvalue is u''(r).  Requires a finite c >= 1
     and a nonempty grid inside (0, 1).
     """
+    from .operators import eval_example
+
     if not 1.0 <= c < math.inf:
         raise PreconditionError(f"the radial family needs a finite c >= 1, got {c}")
     r_values = [float(r) for r in r_grid]

@@ -18,21 +18,20 @@ only shifts the spectrum by t, so one eigensolve (none for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .errors import InputError, PreconditionError
+from .errors import InputError
+from .rules import Record, _check_p, _check_pucci, check_dim, dim_from_json, num_from_json, num_to_json
 from .symmat import (
     LOEWNER_TOL,
     InvertibleMap,
     SymMatrix,
-    check_dim,
     congruence,
     congruence_stack,
-    dim_from_json,
     eigvals_stack,
     eigvals_sym,
     inner,
@@ -43,40 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .aperture import ConvexBody
 
 P_INF = math.inf
-
-
-def _check_p(p: float) -> float:
-    p = float(p)
-    if math.isnan(p) or p < 2.0:
-        raise PreconditionError(f"exponent p must lie in [2, inf], got {p}")
-    return p
-
-
-def _check_n(n: int) -> None:
-    # n = 1 has no sphere to integrate over and q* = n (p-1)/(n-1) divides by 0
-    if n < 2:
-        raise PreconditionError(f"dimension must be at least 2, got {n}")
-
-
-def sobolev_threshold(n: int, p: float) -> float:
-    """Critical gradient exponent q* = n (p-1) / (n-1)."""
-    _check_n(n)
-    if _check_p(p) == math.inf:
-        return math.inf
-    return n * (p - 1.0) / (n - 1.0)
-
-
-def _check_pucci(lam: float, Lam: float) -> None:
-    """Check Pucci's ellipticity constants as :func:`_check_p` checks p."""
-    if not 0.0 < lam <= Lam < math.inf:
-        raise PreconditionError(f"require 0 < lam <= Lam < inf, got lam={lam}, Lam={Lam}")
-
-
-def _check_count(value: int, what: str = "sample count", minimum: int = 1) -> None:
-    """Reject a count below ``minimum``: a sampled check that runs no
-    sample would pass without evidence."""
-    if value < minimum:
-        raise PreconditionError(f"{what} must be at least {minimum}, got {value}")
 
 
 #: Where max |lambda_i| times a rule's growth is below this, no
@@ -128,6 +93,22 @@ def _stacked(rule, a: np.ndarray, ev: np.ndarray, growth: float, value) -> np.nd
     far = np.flatnonzero(~(np.abs(ev).max(-1) < bound))
     v[far] = [value(SymMatrix._wrap(a[i])) for i in far]
     return v
+
+
+def _paired(rule, x: SymMatrix, m: float = 0.0):
+    """``rule(x, m)``, a value or an array, for a rule of pairings with
+    positive semidefinite matrices, positively homogeneous of degree one in
+    (x, m).  Where a value is not finite, 2^k rule(2^-k x, 2^-k m) instead,
+    for 2^-k x and 2^-k m below 1 in size, whose pairings with an A >= 0
+    are at most n tr A.  So the values keep their bits where all are
+    finite; elsewhere each, and so their maximum, is finite wherever the
+    exact one is and +-inf otherwise, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = rule(x, m)
+        if np.isfinite(v).all():
+            return v
+        k = max(math.frexp(np.abs(x.a).max())[1], math.frexp(m)[1])
+        return np.ldexp(rule(SymMatrix._wrap(np.ldexp(x.a, -k)), math.ldexp(m, -k)), k)
 
 
 def eval_dominative(x: SymMatrix, p: float) -> float:
@@ -368,16 +349,25 @@ class LinearTrace:
 
     def value(self, x: SymMatrix) -> float:
         check_dim(x.n, self.n)
-        return inner(self.A, x) - self.m
+        return self._affine(x, 1.0)
 
     def value_stack(self, a: np.ndarray) -> np.ndarray:
         check_dim(a.shape[-1], self.n)
-        return inner_stack(self.A, a) - self.m
+        with np.errstate(over="ignore"):
+            v = inner_stack(self.A, a) - self.m
+        far = np.flatnonzero(~np.isfinite(v))
+        v[far] = [self.value(SymMatrix._wrap(a[i])) for i in far]
+        return v
 
     def distance(self, x: SymMatrix) -> float:
         """``(<A, X> - m) / tr A``, as <A, X + tI> = <A, X> + t tr A."""
         check_dim(x.n, self.n)
-        return (inner(self.A, x) - self.m) / float(np.trace(self.A.a))
+        return self._affine(x, float(np.trace(self.A.a)))
+
+    def _affine(self, x: SymMatrix, t: float) -> float:
+        """``(<A, X> - m) / t``, by :func:`_paired` where it is not finite."""
+        v = (inner(self.A, x) - self.m) / t
+        return v if math.isfinite(v) else float(_paired(lambda y, m: (inner(self.A, y) - m) / t, x, self.m))
 
 
 @dataclass(frozen=True)
@@ -403,7 +393,8 @@ class EnsembleSupport:
         each pairing grows by t tr A_k along X + tI, and ``ConvexBody``
         keeps every tr A_k positive.
         """
-        return float(np.max(_support_pairings(x, self.body) / self.body.generator_traces))
+        body = self.body
+        return float(np.max(_paired(lambda y, _: _support_pairings(y, body) / body.generator_traces, x)))
 
 
 @dataclass(frozen=True)
@@ -426,11 +417,15 @@ class ExampleEq:
 
         With u = sqrt(1 + l2 + t), F(X + tI) = 2u^2 - 2u - (l2 - l1), which
         is nonpositive up to its larger root u = s; below u = 0 it is -inf.
+        Where 2 (l2 - l1) passes the float range, the same value is taken in
+        halves, as (1 + l1 + l2) / 2 - sqrt(1/4 + (l2 - l1) / 2).
         """
         check_dim(x.n, self.n)
-        l1, l2 = eigvals_sym(x)
-        s = 0.5 * (1.0 + math.sqrt(1.0 + 2.0 * (l2 - l1)))
-        return float(1.0 + l2 - s * s)
+        l1, l2 = eigvals_sym(x).tolist()
+        if 2.0 * (l2 - l1) < math.inf:
+            s = 0.5 * (1.0 + math.sqrt(1.0 + 2.0 * (l2 - l1)))
+            return 1.0 + l2 - s * s
+        return 0.5 * l1 + 0.5 * l2 + 0.5 - math.sqrt(0.25 + (0.5 * l2 - 0.5 * l1))
 
 
 @dataclass(frozen=True)
@@ -492,22 +487,6 @@ OperatorSpec = Union[
 ]
 
 
-class Record:
-    """Base of the result dataclasses; it has no fields of its own.
-
-    Its JSON form is the dataclass fields in order, float fields rendered
-    by :func:`num_to_json` so that infinities survive strict JSON.  Wire
-    formats read back by a parser are hand-written.
-    """
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = num_to_json(v) if isinstance(v, float) else v
-        return out
-
-
 @dataclass(frozen=True)
 class EvalResult(Record):
     """Evaluation outcome; ``boundary_distance_hint`` is the signed distance
@@ -527,69 +506,6 @@ def evaluate_result(spec: OperatorSpec, x: SymMatrix) -> EvalResult:
 
 # ---------------------------------------------------------------------------
 # JSON wire format
-
-
-def num_to_json(x: float):
-    """Render a float for strict JSON; infinities become strings."""
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return float(x)
-
-
-def num_from_json(v) -> float:
-    """A number from JSON or a shorthand: a JSON number, or a numeral string
-    (``"inf"`` and ``"-inf"`` will do), not a boolean."""
-    if isinstance(v, bool):
-        raise InputError(f"expected a number, got {v!r}")
-    if isinstance(v, str):
-        s = v.strip().lower()
-        if s in ("inf", "+inf", "infinity"):
-            return math.inf
-        if s in ("-inf", "-infinity"):
-            return -math.inf
-        try:
-            return float(v)
-        except ValueError as exc:
-            raise InputError(f"cannot parse number {v!r}") from exc
-    return float(v)
-
-
-@dataclass(kw_only=True)
-class Report(Record):
-    """Base of the sampled property reports.
-
-    A report passes when it records no violation.  Its JSON form is the
-    :class:`Record` form plus ``passed``.
-    """
-
-    violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "passed": self.passed}
-
-
-@dataclass
-class PropertyReport(Report):
-    """Report of a sampled check with one deviation per check; its
-    ``max_deviation`` starts at 0.0, so it is never negative."""
-
-    name: str
-    samples: int
-    checks: int = 0
-    max_deviation: float = 0.0
-
-    def record(self, deviation: float, limit: float, /, **violation) -> None:
-        """Count one check; keep ``violation`` when ``deviation`` > ``limit``."""
-        self.checks += 1
-        self.max_deviation = max(self.max_deviation, deviation)
-        if deviation > limit:
-            self.violations.append(violation)
 
 
 def spec_to_dict(spec: OperatorSpec) -> dict:

@@ -36,7 +36,6 @@ from .fundsol import (
     sobolev_diverges,
     sobolev_integral,
     sobolev_integral_quadrature,
-    sobolev_threshold,
     surface_measure,
     verify_annihilation,
     viscosity_grid_check,
@@ -49,9 +48,9 @@ from .operators import (
     LinearTrace,
     Pucci,
     Shifted,
-    num_to_json,
     spec_to_dict,
 )
+from .rules import num_to_json, sobolev_threshold
 from .sampling import goe_matrix, goe_stack, make_rng, radial_points, random_psd
 from .symmat import SymMatrix
 

@@ -20,14 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidMatrixError,
-    NumericalFailureError,
-)
-
-MIN_DIM = 2
-MAX_DIM = 16
+from .errors import InvalidMatrixError, NumericalFailureError
+from .rules import MAX_DIM, MIN_DIM, _check_finite, check_dim, dim_from_json
 
 #: Default fuzz for Loewner-order comparisons.
 LOEWNER_TOL = 1e-9
@@ -50,11 +44,6 @@ def _square_array(entries) -> np.ndarray:
     return a
 
 
-def _check_finite(a: np.ndarray) -> None:
-    if not np.isfinite(a).all():
-        raise InvalidMatrixError("matrix entries must be finite")
-
-
 def _symmetric_part(a: np.ndarray) -> np.ndarray:
     """``(a + a^T) / 2`` of each matrix of a ``(..., n, n)`` array, whose
     entries must be finite, and so must their sums: an entry of magnitude
@@ -71,25 +60,6 @@ def _symmetric_part(a: np.ndarray) -> np.ndarray:
             "matrix entries are finite, but their symmetric part (A + A^T) / 2 is not"
         ) from None
     return s
-
-
-def check_dim(n, expected, what: str = "matrix", against: str = "operator") -> None:
-    """The dimension-agreement rule: a ``what`` of dimension ``n`` meets an
-    ``against`` of dimension ``expected``."""
-    if n != expected:
-        raise DimensionMismatchError(f"{what} dimension {n} does not match {against} dimension {expected}")
-
-
-def dim_from_json(v) -> int:
-    """A dimension from JSON or a shorthand: an integer (an integral float
-    or a numeral string will do) in the supported range, not a boolean;
-    ``ValueError`` otherwise, which each reader reports with its own code."""
-    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
-        raise ValueError(f"dimension must be an integer, got {v!r}")
-    n = int(v)
-    if not MIN_DIM <= n <= MAX_DIM:
-        raise ValueError(f"dimension {n} outside supported range [{MIN_DIM}, {MAX_DIM}]")
-    return n
 
 
 def _entries_from_dict(d: dict) -> np.ndarray:
@@ -273,8 +243,17 @@ def inner(a: SymMatrix, x: SymMatrix) -> float:
 
 def inner_stack(a: SymMatrix, x: np.ndarray) -> np.ndarray:
     """Trace pairing of ``a`` with each matrix of a ``(k, n, n)`` stack; the
-    flattened rows sum in the order of ``np.sum`` on one matrix."""
-    return (a.a * x).reshape(len(x), -1).sum(-1)
+    flattened rows sum in the order of ``np.sum`` on one matrix.  A row
+    whose sum is not finite is paired again as 2^k <A, 2^-k X>, each product
+    below 2^1014 and so their sum below 2^1022: finite wherever the exact
+    pairing is, +-inf elsewhere, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = (a.a * x).reshape(len(x), -1).sum(-1)
+        if not np.isfinite(v).all():
+            far = np.flatnonzero(~np.isfinite(v))
+            k = np.frexp(np.abs(a.a).max())[1] + np.frexp(np.abs(x[far]).max((-2, -1)))[1] - 1014
+            v[far] = np.ldexp((a.a * np.ldexp(x[far], -k[:, None, None])).reshape(len(far), -1).sum(-1), k)
+    return v
 
 
 def inf_norm(x: SymMatrix) -> float:

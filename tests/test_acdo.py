@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from domcone.acdo import (
     EllipticSetOracle,
-    StructureFlags,
     acdo_eval,
     acdo_root,
     check_downward_closure,
@@ -24,6 +23,7 @@ from domcone.acdo import (
     oracle_from_operator,
 )
 from domcone.aperture import ConvexBody
+from domcone.rules import StructureFlags
 from domcone.cones import conjugate_oracle
 from domcone.errors import InputError, NonProperSetError, PreconditionError
 from domcone.fundsol import FundamentalSolution, w_gradient, w_hessian, w_value

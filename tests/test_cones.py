@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from domcone import cones
-from domcone.acdo import ROOT_TOL, EllipticSetOracle, acdo_eval, acdo_root, acdo_roots, oracle_from_operator
+from domcone.acdo import EllipticSetOracle, acdo_eval, acdo_root, acdo_roots, oracle_from_operator
 from domcone.cones import boundary_sample, check_inclusion, conjugate_oracle, inclusion_verdict
 from domcone.errors import NumericalFailureError, PreconditionError
-from domcone.operators import Conjugated, DominativeP, Pucci, eval_dominative, num_to_json, sobolev_threshold
+from domcone.operators import Conjugated, DominativeP, Pucci, eval_dominative
+from domcone.rules import ROOT_TOL, num_to_json, sobolev_threshold
 from domcone.sampling import goe_matrix, goe_stack, make_rng
 from domcone.symmat import InvertibleMap, SymMatrix, inf_norm
 

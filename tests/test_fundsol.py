@@ -16,7 +16,6 @@ from domcone.fundsol import (
     sobolev_diverges,
     sobolev_integral,
     sobolev_integral_quadrature,
-    sobolev_threshold,
     surface_measure,
     verify_annihilation,
     viscosity_grid_check,
@@ -24,7 +23,8 @@ from domcone.fundsol import (
     w_hessian,
     w_value,
 )
-from domcone.operators import PropertyReport, Pucci, eval_support, support_from_eigs
+from domcone.operators import Pucci, eval_support, support_from_eigs
+from domcone.rules import PropertyReport, sobolev_threshold
 from domcone.sampling import make_rng, random_psd
 from domcone.symmat import SymMatrix, eigvals_sym
 

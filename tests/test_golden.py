@@ -116,3 +116,7 @@ def test_cli_cases_show_what_they_stand_for():
     # F and its distance are in the float range, though the formulas pass it
     assert _report("cli.eval.overflow.dominative")["result"] == {"boundary_distance_hint": 8e307, "value": 8e307}
     assert _report("cli.eval.overflow.pucci")["result"] == {"boundary_distance_hint": 4e307, "value": 1.6e308}
+    # and so where a trace pairing, or 2 (l2 - l1), does
+    assert _report("cli.eval.overflow.linear")["result"] == {"boundary_distance_hint": 8e307, "value": "inf"}
+    assert _report("cli.eval.overflow.plain-hull")["result"] == {"boundary_distance_hint": 0.0, "value": 0.0}
+    assert _report("cli.eval.overflow.example")["result"]["boundary_distance_hint"] == -8.944271909999159e153

@@ -16,30 +16,45 @@ import domcone
 
 SRC = os.path.dirname(os.path.dirname(domcone.__file__))
 
-#: The modules ``cli`` loads with its parser: the option defaults come from
-#: ``acdo`` and ``cones``, which import ``operators``, ``sampling``, ``symmat``.
-_CLI = {"cli", "acdo", "cones", "errors", "operators", "sampling", "symmat"}
+#: The modules ``import domcone.cli`` loads: its parser's defaults and input
+#: rules come from ``rules``, its matrix arguments from ``symmat``.
+_CLI = {"cli", "errors", "rules", "symmat"}
+
+#: Modules no one-shot command but ``suite`` may load.
+_LIGHT = {"numpy.polynomial", "scipy"}
+
+_ACDO = {"acdo", "operators", "sampling"}
+_INCLUSION = ["--op", "dominative:n=2,p=3", "--p", "3", "--count", "5"]
+
+#: CLI command -> (its arguments, the domcone submodules it loads beyond
+#: ``_CLI``); the command must exit 0.
+COMMANDS = {
+    "eval": (["--op", "dominative:n=2,p=3", "--X", "tests/data/example_below_edge.json"], {"operators"}),
+    "aperture": (["--body", "dominative:n=3,p=inf"], {"aperture", "operators", "sampling"}),
+    "acdo": (["--op", "pucci:n=2,lam=1,Lam=3", "--X", "tests/data/identity2.json"], _ACDO),
+    "check-inclusion": (_INCLUSION, _ACDO | {"cones"}),
+    "report": (_INCLUSION, _ACDO | {"cones"}),
+    "fundsol": (["--p", "3", "--at=1,2"], {"fundsol"}),
+    "sobolev": (["--n", "3", "--p", "3", "--q", "2", "--eps", "0.01"], {"fundsol"}),
+    "example": (["--c", "1"], {"fundsol", "operators"}),
+    "verify": (["--op", "dominative:n=2,p=3", "--samples", "10"], _ACDO),
+    "suite": (["--groups", "permutation_lemma"], _ACDO | {"aperture", "cones", "fundsol", "suite"}),
+}
 
 #: name -> (code run in a fresh process, the domcone submodules it loads,
 #: other modules it must not load).
 FOOTPRINTS = {
     "import domcone": ("import domcone", set(), {"numpy"}),
-    "import domcone.cli": ("import domcone.cli", _CLI, {"numpy.polynomial", "scipy"}),
-    "cli fundsol": (
-        "from domcone import cli; cli.main(['fundsol', '--p', '3', '--at=1,2'])",
-        _CLI | {"fundsol"},
-        {"numpy.polynomial", "scipy"},
-    ),
-    "cli sobolev": (
-        "from domcone import cli; cli.main(['sobolev', '--n', '3', '--p', '3', '--q', '2', '--eps', '0.01'])",
-        _CLI | {"fundsol"},
-        {"numpy.polynomial", "scipy"},
-    ),
-    "cli eval": (
-        "from domcone import cli; cli.main(['eval', '--op', 'dominative:n=2,p=3', '--X', 'tests/data/example_below_edge.json'])",
-        _CLI,
-        {"numpy.polynomial", "scipy"},
-    ),
+    "import domcone.rules": ("import domcone.rules", {"errors", "rules"}, _LIGHT),
+    "import domcone.cli": ("import domcone.cli", _CLI, _LIGHT),
+    **{
+        f"cli {command}": (
+            f"from domcone import cli; assert cli.main({[command, *argv]!r}) == 0",
+            _CLI | modules,
+            {"scipy"} if command == "suite" else _LIGHT,
+        )
+        for command, (argv, modules) in COMMANDS.items()
+    },
 }
 
 _PROBE = """
@@ -79,7 +94,7 @@ def test_an_entry_point_loads_only_its_modules(name):
 #: Every public name of ``domcone``, by its defining submodule.
 EXPORTS = {
     "acdo": (
-        "AcdoRoot EllipticSetOracle StructureFlags acdo_eval acdo_root acdo_roots "
+        "AcdoRoot EllipticSetOracle acdo_eval acdo_root acdo_roots "
         "check_downward_closure check_lipschitz check_nondegeneracy check_structure "
         "oracle_from_operator"
     ),
@@ -96,7 +111,7 @@ EXPORTS = {
     ),
     "fundsol": (
         "FundamentalSolution example_radial_check sobolev_diverges sobolev_integral "
-        "sobolev_integral_quadrature sobolev_threshold surface_measure "
+        "sobolev_integral_quadrature surface_measure "
         "verify_annihilation viscosity_grid_check w_gradient w_hessian w_value"
     ),
     "operators": (
@@ -104,6 +119,7 @@ EXPORTS = {
         "OperatorSpec Pucci Shifted eval_dominative eval_example eval_pucci "
         "eval_support spec_from_dict spec_to_dict"
     ),
+    "rules": "StructureFlags sobolev_threshold",
     "symmat": "InvertibleMap SymMatrix congruence eigh_sym eigvals_sym inf_norm inner",
 }
 

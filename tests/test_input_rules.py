@@ -16,7 +16,6 @@ from domcone.fundsol import (
     sobolev_diverges,
     sobolev_integral,
     sobolev_integral_quadrature,
-    sobolev_threshold,
     verify_annihilation,
 )
 from domcone.operators import (
@@ -31,10 +30,10 @@ from domcone.operators import (
     eval_example,
     eval_pucci,
     eval_support,
-    num_from_json,
     spec_from_dict,
 )
-from domcone.symmat import InvertibleMap, SymMatrix, congruence, congruence_stack, dim_from_json, inner
+from domcone.rules import dim_from_json, num_from_json, sobolev_threshold
+from domcone.symmat import InvertibleMap, SymMatrix, congruence, congruence_stack, inner
 
 # ---------------------------------------------------------------------------
 # Dimension agreement

@@ -16,11 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domcone.acdo import (
-    ROOT_TOL,
     AcdoRoot,
     EllipticSetOracle,
-    PropertyReport,
-    StructureFlags,
     acdo_eval,
     acdo_root,
     acdo_roots,
@@ -51,6 +48,7 @@ from domcone.operators import (
     eval_pucci,
     spec_from_dict,
 )
+from domcone.rules import ROOT_TOL, PropertyReport, StructureFlags
 from domcone.sampling import goe_matrix, goe_stack, make_rng, random_orthogonal, random_psd
 from domcone.symmat import InvertibleMap, SymMatrix, congruence, eigvals_sym, inf_norm
 

@@ -1,10 +1,16 @@
+import itertools
 import math
+import sys
+import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from domcone.acdo import acdo_root, oracle_from_operator
 from domcone.aperture import ConvexBody, dominative_body, pucci_body
 from domcone.errors import DimensionMismatchError, InputError, PreconditionError
 from domcone.operators import (
@@ -441,6 +447,108 @@ class TestOverflow:
                 assert v == pytest.approx(spec.value(small) * 2.0**60, rel=1e-12)
                 if isinstance(spec, Pucci):
                     assert spec.distance(m) == pytest.approx(spec.distance(small) * 2.0**60, rel=1e-12)
+
+
+class TestPairingOverflow:
+    """A sweep of the specs built on trace pairings, and of the model
+    equation, over symmetric matrices with entries from {+-8e307, 1e-300,
+    0}: under warnings as errors, ``value``, ``value_stack`` (bit for bit),
+    ``distance`` and ``acdo_root`` are finite and within rounding of the
+    exact value wherever that is in the float range, and the infinity of
+    its sign elsewhere."""
+
+    ENTRIES = (8e307, -8e307, 1e-300, 0.0)
+
+    @classmethod
+    def matrices(cls, n):
+        cells = [(i, j) for i in range(n) for j in range(i, n)]
+        stack = []
+        for picks in list(itertools.product(cls.ENTRIES, repeat=len(cells)))[:: 1 if n == 2 else 5]:
+            a = np.zeros((n, n))
+            for (i, j), v in zip(cells, picks):
+                a[i, j] = a[j, i] = v
+            stack.append(a)
+        return np.array(stack)
+
+    @staticmethod
+    def assert_exact(got, exact, scale):
+        """``got`` is ``exact`` up to 1e-12 ``scale`` where ``exact`` is in the
+        float range, and the infinity of its sign elsewhere."""
+        if abs(exact) <= Fraction(sys.float_info.max):
+            assert math.isfinite(got) and abs(Fraction(got) - exact) <= Fraction(1e-12) * scale
+        else:
+            assert got == (math.inf if exact > 0 else -math.inf)
+
+    @staticmethod
+    def pairings(gens, x):
+        """The exact pairings of each generator with ``x``, and the sums of
+        their terms' sizes."""
+        terms = [[Fraction(a) * Fraction(v) for a, v in zip(g.a.ravel().tolist(), x.ravel().tolist())] for g in gens]
+        return [sum(t) for t in terms], [sum(map(abs, t)) for t in terms]
+
+    def run(self, spec, stack, exact):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oracle = oracle_from_operator(spec)
+            values = spec.value_stack(stack).tolist()
+            for row, v in zip(stack, values):
+                x = SymMatrix(row)
+                (value, distance), scale = exact(row)
+                assert v.hex() == spec.value(x).hex()
+                self.assert_exact(v, value, scale)
+                self.assert_exact(spec.distance(x), distance, scale)
+                assert acdo_root(oracle, x).value == spec.distance(x)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", [0.0, -1.0])
+    @pytest.mark.parametrize("shape", ["identity", "coupled"])
+    def test_linear(self, n, m, shape):
+        a = np.eye(n) if shape == "identity" else np.eye(n) + 0.5 * np.eye(n, k=1) + 0.5 * np.eye(n, k=-1)
+        spec = LinearTrace(A=SymMatrix(a), m=m)
+        t = Fraction(float(np.trace(a)))
+
+        def exact(x):
+            (p,), (scale,) = self.pairings([spec.A], x)
+            return (p - Fraction(m), (p - Fraction(m)) / t), scale + abs(Fraction(m))
+
+        self.run(spec, self.matrices(n), exact)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_plain_hull(self, n):
+        body = pucci_body(n, 1.0, 3.0)
+        spec = EnsembleSupport(ConvexBody(n=n, generators=body.generators, rot_closed=False))
+        traces = [Fraction(float(np.trace(g.a))) for g in body.generators]
+
+        def exact(x):
+            pairs, scales = self.pairings(body.generators, x)
+            return (max(pairs), max(p / t for p, t in zip(pairs, traces))), max(scales)
+
+        self.run(spec, self.matrices(n), exact)
+
+    def test_example(self):
+        def exact(x):
+            with localcontext() as ctx:
+                ctx.prec = 2000  # exact through the cancellations of 8e307 against 1e-300
+                a, b, c = (Decimal(float(v)) for v in (x[0, 0], x[0, 1], x[1, 1]))
+                r = (((a - c) / 2) ** 2 + b * b).sqrt()
+                l2 = (a + c) / 2 + r
+                value = a + c - 2 * (1 + l2).sqrt() + 2 if l2 >= -1 else None
+                distance = (1 + a + c - (1 + 4 * r).sqrt()) / 2
+                scale = abs(a) + abs(b) + abs(c) + (1 + 4 * r).sqrt()
+            value = -math.inf if value is None else Fraction(value)
+            return (value, Fraction(distance)), Fraction(scale)
+
+        self.run(ExampleEq(), self.matrices(2), exact)
+
+    def test_an_offset_that_brings_the_pairing_back_in_range(self):
+        spec = LinearTrace(A=SymMatrix.identity(3), m=8e307)
+        x = np.stack([np.diag([8e307] * 3), np.diag([8e307, 8e307, -8e307]), np.eye(3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = spec.value_stack(x).tolist()
+            assert values == [spec.value(SymMatrix(a)) for a in x]
+            assert values == [pytest.approx(1.6e308, rel=1e-15), 0.0, 3.0 - 8e307]
+            assert spec.distance(SymMatrix(x[0])) == pytest.approx(1.6e308 / 3, rel=1e-15)
 
 
 class TestSpecValidationAndWire:

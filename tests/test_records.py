@@ -13,7 +13,8 @@ from domcone.aperture import ApertureResult, body_cone_aperture, dominative_body
 from domcone.cones import InclusionReport, check_inclusion
 from domcone import suite
 from domcone.errors import InputError
-from domcone.operators import DominativeP, EvalResult, Record
+from domcone.operators import DominativeP, EvalResult
+from domcone.rules import Record
 from domcone.symmat import SymMatrix, eigvals_sym
 
 RADII = (1e2, 1e4, 1e6)

@@ -25,7 +25,7 @@ import domcone.aperture as aperture_mod
 from domcone import cli, suite
 from domcone.aperture import ConvexBody, bound_certificate, dominative_weights, minimal_bound_check, perc_weights
 from domcone.fundsol import example_radial_check, verify_annihilation, viscosity_grid_check
-from domcone.operators import num_from_json
+from domcone.rules import num_from_json
 
 
 def _failures(monkeypatch, group, **patches):

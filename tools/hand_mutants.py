@@ -1,6 +1,7 @@
 """Hand mutants of the root finder, the property reports, the suite's
 stacked checks, the eigensolve kernel, the input rules, the shared
-formulas, the overflow fallback, the CLI's imports and their neighbours.
+formulas, the overflow fallbacks, the per-command imports and their
+neighbours.
 
 Each mutant is one exact textual edit of a source file.  The script copies
 ``src/``, ``tests/``, ``tools/`` and ``perfbench/`` of this checkout into a
@@ -70,13 +71,13 @@ MUTANTS = [
     ),
     (
         "PropertyReport.record: >= for > against the limit",
-        "src/domcone/operators.py",
+        "src/domcone/rules.py",
         "        if deviation > limit:\n",
         "        if deviation >= limit:\n",
     ),
     (
         "PropertyReport.record: min for max",
-        "src/domcone/operators.py",
+        "src/domcone/rules.py",
         "self.max_deviation = max(self.max_deviation, deviation)",
         "self.max_deviation = min(self.max_deviation, deviation)",
     ),
@@ -190,19 +191,19 @@ MUTANTS = [
     ),
     (
         "finiteness check on isnan only",
-        "src/domcone/symmat.py",
+        "src/domcone/rules.py",
         "    if not np.isfinite(a).all():\n",
         "    if np.isnan(a).any():\n",
     ),
     (
         "dimension check: < for !=",
-        "src/domcone/symmat.py",
+        "src/domcone/rules.py",
         "    if n != expected:\n",
         "    if n < expected:\n",
     ),
     (
         "Pucci constants: < for lam <= Lam",
-        "src/domcone/operators.py",
+        "src/domcone/rules.py",
         "if not 0.0 < lam <= Lam < math.inf:",
         "if not 0.0 < lam < Lam < math.inf:",
     ),
@@ -215,12 +216,18 @@ MUTANTS = [
     (
         "cli: import suite at module level",
         "src/domcone/cli.py",
-        "from . import cones as cones_mod\n",
-        "from . import cones as cones_mod\nfrom . import suite  # noqa: F401\n",
+        "from .errors import DomconeError, InputError\n",
+        "from . import suite  # noqa: F401\nfrom .errors import DomconeError, InputError\n",
+    ),
+    (
+        "fundsol: import operators at module level",
+        "src/domcone/fundsol.py",
+        "from .errors import NumericalFailureError, PreconditionError\n",
+        "from . import operators  # noqa: F401\nfrom .errors import NumericalFailureError, PreconditionError\n",
     ),
     (
         "Sobolev threshold: (n-1)(p-1)/n",
-        "src/domcone/operators.py",
+        "src/domcone/rules.py",
         "return n * (p - 1.0) / (n - 1.0)",
         "return (n - 1.0) * (p - 1.0) / n",
     ),
@@ -247,6 +254,30 @@ MUTANTS = [
         "src/domcone/symmat.py",
         "asym > SYMMETRY_RTOL * scale",
         "asym > 1e6 * SYMMETRY_RTOL * scale",
+    ),
+    (
+        "inner_stack: row rescale removed",
+        "src/domcone/symmat.py",
+        "        if not np.isfinite(v).all():\n",
+        "        if False:\n",
+    ),
+    (
+        "pairing rules: rescale removed",
+        "src/domcone/operators.py",
+        "        if np.isfinite(v).all():\n",
+        "        if True:\n",
+    ),
+    (
+        "LinearTrace.value_stack: rows past the float range kept",
+        "src/domcone/operators.py",
+        "        v[far] = [self.value(SymMatrix._wrap(a[i])) for i in far]\n",
+        "",
+    ),
+    (
+        "ExampleEq.distance: scaled form removed",
+        "src/domcone/operators.py",
+        "        if 2.0 * (l2 - l1) < math.inf:\n",
+        "        if True:\n",
     ),
 ]
 

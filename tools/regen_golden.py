@@ -56,7 +56,9 @@ _CONJ = "tests/data/conjugated_pucci.json"
 #: point exits 1 with the error report, as ``eval`` does on a finite matrix
 #: whose symmetric part overflows and ``acdo`` on a congruence image whose
 #: witnesses overflow; ``eval`` gives the finite value and distance of the
-#: dominative and Pucci operators where their formulas pass the float range.
+#: dominative and Pucci operators where their formulas pass the float range,
+#: and so of a linear operator, a plain generator hull and the model
+#: equation where a trace pairing or the difference of two eigenvalues does.
 CLI_CASES = {
     "suite.seed0": ["suite", "--all", "--seed", "0"],
     "suite.seed1": ["suite", "--all", "--seed", "1"],
@@ -69,6 +71,9 @@ CLI_CASES = {
     "cli.eval.overflow": ["eval", "--op", "dominative:n=2,p=3", "--X", "tests/data/overflow_symmetrization.json"],
     "cli.eval.overflow.dominative": ["eval", "--op", "dominative:n=2,p=3", "--X", "tests/data/overflow_dominative.json"],
     "cli.eval.overflow.pucci": ["eval", "--op", "pucci:n=2,lam=1,Lam=3", "--X", "tests/data/overflow_pucci.json"],
+    "cli.eval.overflow.linear": ["eval", "--op", "tests/data/linear_identity3.json", "--X", "tests/data/overflow_diag3.json"],
+    "cli.eval.overflow.plain-hull": ["eval", "--op", "tests/data/plain_hull_pucci.json", "--X", "tests/data/overflow_split.json"],
+    "cli.eval.overflow.example": ["eval", "--op", "example", "--X", "tests/data/overflow_split.json"],
     "cli.acdo.overflow": ["acdo", "--op", "tests/data/conjugated_overflow.json", "--X", "tests/data/identity2.json"],
     "cli.acdo.far": ["acdo", "--op", _CONJ, "--X", "tests/data/far_probe.json"],
     "cli.example": ["example"],
