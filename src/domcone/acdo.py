@@ -23,6 +23,7 @@ form), and one per bisection step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -137,11 +138,27 @@ def oracle_from_operator(spec: OperatorSpec) -> EllipticSetOracle:
 
 
 def _default_witnesses(spec):
-    """The witnesses of a catalog spec's sublevel set."""
+    """The witnesses of a catalog spec's sublevel set.
+
+    Those of a half-space <A, X> <= m are ((m -+ d) / tr A) I, whose values
+    are -+d up to a rounding error below (3n + 1) 2^-53 |m|.  So d is 1
+    while n 2^-50 |m| <= 1, where that error is below 1/2, and n 2^-50 |m|
+    beyond, and the two stay on their sides for any m.  Where
+    (m -+ d) / tr A passes the float range, the boundary on the identity
+    line lies at or past its end, and the set is reported non-proper.
+    """
     eye = SymMatrix.identity(spec.n)
     if isinstance(spec, LinearTrace):
-        tr_a = float(np.trace(spec.A.a))
-        return eye * ((spec.m - 1.0) / tr_a), eye * ((spec.m + 1.0) / tr_a)
+        tr_a, m = float(np.trace(spec.A.a)), spec.m
+        d = max(1.0, spec.n * 2.0**-50 * abs(m))
+        t_in, t_out = (m - d) / tr_a, (m + d) / tr_a
+        if not math.isfinite(t_in) or not math.isfinite(t_out):
+            raise NonProperSetError(
+                f"no boundary on the identity line in the float range: tI meets the half-space's"
+                f" boundary at t = m / tr A = {m:g} / {tr_a:g} ({type(spec).__name__})",
+                reason="full-line" if m > 0.0 else "empty-line",
+            )
+        return eye * t_in, eye * t_out
     if isinstance(spec, Shifted):
         inside, outside = _default_witnesses(spec.inner)
         return inside + spec.X0, outside + spec.X0

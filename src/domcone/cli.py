@@ -7,6 +7,11 @@ the parsed arguments; ``sobolev --q-sweep`` emits a CSV table instead.
 Exit codes: 0 success, 2 when a verified property is violated (report
 still written), 1 on input or usage errors.
 
+``check-inclusion`` is the one command of the paper's conclusion: its
+``q_interval`` is the range of q for which every viscosity supersolution
+has a W^{1,q}_loc gradient, conditional on the inclusion it samples
+(``q_interval.conditional_on``).
+
 Reports carry ``schema`` 3: the checks of ``verify`` and ``example`` are
 property reports with one set of keys.
 """
@@ -236,16 +241,6 @@ def _cmd_check_inclusion(args):
     return result, 2 if rep.verdict == "violated" else 0
 
 
-def _cmd_report(args):
-    inclusion, code = _cmd_check_inclusion(args)
-    q_hi = inclusion["q_interval"]["hi"]
-    statement = (
-        "conditional on the asymptotic-cone inclusion holding, every "
-        f"viscosity supersolution has a locally q-integrable gradient for 0 < q < {q_hi}"
-    )
-    return {"inclusion": inclusion, "guaranteed_q_interval": inclusion["q_interval"], "statement": statement}, code
-
-
 def _cmd_fundsol(args):
     from . import fundsol as fundsol_mod
 
@@ -355,7 +350,6 @@ _HANDLERS = {
     "aperture": _cmd_aperture,
     "acdo": _cmd_acdo,
     "check-inclusion": _cmd_check_inclusion,
-    "report": _cmd_report,
     "fundsol": _cmd_fundsol,
     "sobolev": _cmd_sobolev,
     "example": _cmd_example,
@@ -396,9 +390,9 @@ _SHARED_OPTIONS = {
         type=_tolerance,
         default=ROOT_TOL,
         help="tolerance of the distance bisection: absolute for acdo and verify, per "
-        "unit of sampling radius for check-inclusion and report; unused where the "
-        "distance has a closed form (every catalog operator but a congruence image), "
-        "which check-inclusion and report state as root_method",
+        "unit of sampling radius for check-inclusion; unused where the distance has a "
+        "closed form (every catalog operator but a congruence image), which "
+        "check-inclusion states as root_method",
     ),
     "tol-property": dict(
         type=_tolerance,
@@ -444,21 +438,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--X", required=True)
     _add_options(sp, "tol-root")
 
-    for name in ("check-inclusion", "report"):
-        sp = sub.add_parser(
-            name,
-            help=(
-                "asymptotic-cone inclusion evidence"
-                if name == "check-inclusion"
-                else "inclusion evidence plus the guaranteed gradient-exponent interval"
-            ),
-        )
-        sp.add_argument("--op", required=True)
-        sp.add_argument("--B", default=None, help="conjugating map JSON file")
-        sp.add_argument("--p", required=True, help="target exponent in [2, inf]")
-        sp.add_argument("--radii", default="1e2,1e4,1e6", help="comma list, >= 3 decades")
-        sp.add_argument("--count", type=int, default=300)
-        _add_options(sp, "seed", "tol-root", "tol-property")
+    sp = sub.add_parser(
+        "check-inclusion",
+        help="asymptotic-cone inclusion evidence and the gradient-exponent interval it implies",
+    )
+    sp.add_argument("--op", required=True)
+    sp.add_argument("--B", default=None, help="conjugating map JSON file")
+    sp.add_argument("--p", required=True, help="target exponent in [2, inf]")
+    sp.add_argument("--radii", default="1e2,1e4,1e6", help="comma list, >= 3 decades")
+    sp.add_argument("--count", type=int, default=300)
+    _add_options(sp, "seed", "tol-root", "tol-property")
 
     sp = sub.add_parser("fundsol", help="fundamental solution value/gradient/Hessian")
     sp.add_argument("--p", required=True)

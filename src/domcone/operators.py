@@ -172,8 +172,18 @@ def pucci_from_eigs(ev: np.ndarray, lam: float, Lam: float):
 
 def eval_support(x: SymMatrix, body) -> float:
     """Support function of a convex body of symmetric matrices: the
-    maximum of :func:`_support_pairings` over the generators."""
-    return float(_support_pairings(x, body).max())
+    maximum of :func:`_support_pairings` over the generators.  For a
+    rotation-closed body that is :func:`support_from_eigs`, whose pairings
+    sum terms of at most tr A_k max |lambda_i| in size; where they pass
+    the float range, :func:`_rescaled` rescales X."""
+    if not body.rot_closed:
+        return float(_support_pairings(x, body).max())
+    check_dim(x.n, body.n, against="body")
+    ev, spectra = eigvals_sym(x), body.generator_spectra
+    growth = max(1.0, *body.generator_traces.tolist())
+    if _in_range(ev, growth):
+        return float(support_from_eigs(ev, spectra))
+    return _rescaled(lambda _, ev: support_from_eigs(ev, spectra), x, ev, growth)
 
 
 def _support_pairings(x: SymMatrix, body) -> np.ndarray:
@@ -385,7 +395,9 @@ class EnsembleSupport:
         body = self.body
         check_dim(a.shape[-1], body.n, against="body")
         if body.rot_closed:
-            return support_from_eigs(eigvals_stack(a), body.generator_spectra)
+            ev = eigvals_stack(a)
+            rule = lambda: support_from_eigs(ev, body.generator_spectra)  # noqa: E731
+            return _stacked(rule, a, ev, max(1.0, *body.generator_traces.tolist()), self.value)
         return np.stack([inner_stack(g, a) for g in body.generators], -1).max(-1)
 
     def distance(self, x: SymMatrix) -> float:

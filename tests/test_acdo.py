@@ -203,6 +203,27 @@ class TestNonProperSets:
         assert exc.value.reason == "empty-line"
 
 
+class TestHalfSpaceWitnesses:
+    # the witnesses ((m -+ d) / tr A) I of <A, X> <= m stay on their sides
+    # for any offset m, though m -+ 1 rounds to m from |m| = 2^53 on
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("m", [1e15, 1e16, 1e17, -1e17, 3e200, -3e200])
+    def test_large_offsets(self, n, m):
+        rng = make_rng(n)
+        for a in [np.eye(n), *(random_psd(rng, n).a for _ in range(20))]:
+            spec = LinearTrace(A=SymMatrix(a), m=m)
+            oracle = oracle_from_operator(spec)  # checks both witnesses
+            x = SymMatrix.identity(n)
+            assert acdo_root(oracle, x).value == spec.distance(x)
+
+    @pytest.mark.parametrize("m, reason", [(1e308, "full-line"), (-1e308, "empty-line")])
+    def test_a_boundary_past_the_float_range_is_non_proper(self, m, reason):
+        # m / tr A = 4e308: no float t puts tI on the boundary
+        with pytest.raises(NonProperSetError) as exc:
+            oracle_from_operator(LinearTrace(A=SymMatrix.identity(2) * 0.25, m=m))
+        assert exc.value.reason == reason
+
+
 class TestConjugateOracle:
     def test_membership_of_the_image(self):
         # X is in B^T Theta B exactly when B^-T X B^-1 is in Theta

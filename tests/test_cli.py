@@ -21,7 +21,6 @@ SHARED = {
     "aperture": {"out"},
     "acdo": {"out", "tol_root"},
     "check-inclusion": {"out", "seed", "tol_root", "tol_property"},
-    "report": {"out", "seed", "tol_root", "tol_property"},
     "fundsol": {"out"},
     "sobolev": {"out"},
     "example": {"out"},
@@ -56,6 +55,10 @@ def matrix_files(tmp_path_factory):
         spec = d / f"{name}.json"
         spec.write_text('{"type": "linear", "A": {"n": 2, "entries": [[1, 0], [0, 1]]}, "m": %s}' % m)
         files[name] = str(spec)
+    # m / tr A = 4e308: the boundary on the identity line is past the float range
+    spec = d / "linear_past_range.json"
+    spec.write_text('{"type": "linear", "A": {"n": 2, "entries": [[0.25, 0], [0, 0.25]]}, "m": 1e308}')
+    files["linear_past_range"] = str(spec)
     return files
 
 
@@ -68,7 +71,6 @@ def commands(matrix_files):
         "aperture": ["aperture", "--body", "dominative:n=3,p=4"],
         "acdo": ["acdo", "--op", "example", "--X", x],
         "check-inclusion": ["check-inclusion", "--op", "dominative:n=2,p=5", "--p", "4", "--count", "10"],
-        "report": ["report", "--op", "dominative:n=2,p=5", "--p", "4", "--count", "10"],
         "fundsol": ["fundsol", "--p", "3", "--at", "1,2,0.5"],
         "sobolev": ["sobolev", "--n", "3", "--p", "4", "--q", "2", "--eps", "1e-3"],
         "example": ["example", "--c", "1,2", "--r-grid", "0.1:0.5:0.2"],
@@ -113,6 +115,8 @@ def test_failed_property_exits_2_and_still_reports():
     "argv, want",
     [
         (["no-such-command"], "input"),
+        # check-inclusion gives the q interval; there is no separate report command
+        (["report", "--op", "dominative:n=2,p=3", "--p", "4"], "input"),
         (["eval", "--op", "dominative:n=2,p=3"], "input"),
         (["eval", "--op", "nosuch:n=2", "--X", "{sym}"], "input"),
         (["eval", "--op", "dominative:n=2", "--X", "{sym}"], "input"),
@@ -122,6 +126,7 @@ def test_failed_property_exits_2_and_still_reports():
         (["eval", "--op", "{linear_nan}", "--X", "{sym}"], "input"),
         (["eval", "--op", "{linear_inf}", "--X", "{sym}"], "input"),
         (["acdo", "--op", "{linear_inf}", "--X", "{sym}"], "input"),
+        (["acdo", "--op", "{linear_past_range}", "--X", "{sym}"], "non-proper-set"),
         (["aperture", "--body", "pucci:n=2,lam=3,Lam=1"], "precondition"),
         (["aperture", "--body", "pucci:n=two,lam=1,Lam=3"], "input"),
         (["aperture", "--body", "pucci:n=2,lam=1,Lam"], "input"),
@@ -129,13 +134,13 @@ def test_failed_property_exits_2_and_still_reports():
         (["suite", "--groups", "no_such_group"], "input"),
         (["suite"], "input"),
         (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--count", "0"], "precondition"),
-        (["report", "--op", "dominative:n=2,p=3", "--p", "4", "--count", "-1"], "precondition"),
+        (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--count", "-1"], "precondition"),
         (["sobolev", "--n", "1", "--p", "3", "--q", "1", "--eps", "0.1"], "precondition"),
         (["sobolev", "--n", "1", "--p", "3", "--q-sweep", "1:2:0.5"], "precondition"),
         (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--tol-root", "nan"], "input"),
         (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--tol-property", "nan"], "input"),
-        (["report", "--op", "dominative:n=2,p=3", "--p", "4", "--tol-property", "inf"], "input"),
-        (["report", "--op", "dominative:n=2,p=3", "--p", "4", "--tol-root", "-inf"], "input"),
+        (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--tol-property", "inf"], "input"),
+        (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--tol-root", "-inf"], "input"),
         (["acdo", "--op", "example", "--X", "{sym}", "--tol-root", "nan"], "input"),
         (["acdo", "--op", "example", "--X", "{sym}", "--tol-root", "0"], "input"),
         (["verify", "--op", "example", "--tol-root", "-1e-10"], "input"),
@@ -146,8 +151,7 @@ def test_failed_property_exits_2_and_still_reports():
         (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--radii=-1,1e3,1e6"], "precondition"),
         (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--radii", "-1,1e3,1e6"], "precondition"),
         (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--radii", "1e2,1e4,inf"], "precondition"),
-        (["report", "--op", "dominative:n=2,p=3", "--p", "4", "--radii", "1,1e3,nan"], "precondition"),
-        (["report", "--op", "dominative:n=2,p=3", "--p", "4", "--radii", "0,1e3,1e6"], "precondition"),
+        (["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "4", "--radii", "1,1e3,nan"], "precondition"),
         (["sobolev", "--n", "2", "--p", "3", "--q", "nan", "--eps", "0.1"], "precondition"),
         (["sobolev", "--n", "2", "--p", "3", "--q", "inf", "--eps", "0.1"], "precondition"),
         (["sobolev", "--n", "2", "--p", "3", "--q-sweep", "1:inf:1"], "input"),
@@ -231,6 +235,13 @@ def test_threads_variable_is_not_read(commands, monkeypatch):
     code, rep = run_json(commands["eval"])
     assert code == 0
     assert "threads" not in rep["config"]
+
+
+def test_every_command_has_its_rows(commands):
+    # the parser's nine commands, each with its shared options and a valid call
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) == set(cli._HANDLERS) == set(SHARED) == set(commands)
+    assert len(SHARED) == 9
 
 
 def test_config_echoes_exactly_the_declared_options(commands):
@@ -358,7 +369,7 @@ def test_acdo_report_names_the_method(tmp_path, matrix_files):
 
 
 # ---------------------------------------------------------------------------
-# check-inclusion and report say whether --tol-root was read
+# check-inclusion says whether --tol-root was read
 
 
 def test_inclusion_reports_name_the_root_method(tmp_path):
@@ -371,17 +382,12 @@ def test_inclusion_reports_name_the_root_method(tmp_path):
         assert rep["result"]["root_method"] == "closed-form"
     # the closed form does not read the tolerance
     assert results["1e-10"]["worst_fp_per_radius"] == results["0.5"]["worst_fp_per_radius"]
-    code, rep = run_json(["report", *base])
-    assert code == 0
-    assert rep["result"]["inclusion"]["root_method"] == "closed-form"
 
     b_map = tmp_path / "B.json"
     b_map.write_text(json.dumps({"n": 2, "entries": [[2.0, 0.0], [0.0, 2.0]]}))  # s Q keeps the cone
-    for command in ("check-inclusion", "report"):
-        code, rep = run_json([command, *base, "--B", str(b_map)])
-        assert code == 0
-        res = rep["result"] if command == "check-inclusion" else rep["result"]["inclusion"]
-        assert res["root_method"] == "bisection"
+    code, rep = run_json(["check-inclusion", *base, "--B", str(b_map)])
+    assert code == 0
+    assert rep["result"]["root_method"] == "bisection"
 
 
 @pytest.mark.parametrize(
@@ -527,7 +533,6 @@ def _op_commands(op):
         ["eval", "--op", op, "--X", "{sym}"],
         ["acdo", "--op", op, "--X", "{sym}"],
         ["check-inclusion", "--op", op, "--p", "3", "--count", "5"],
-        ["report", "--op", op, "--p", "3", "--count", "5"],
         ["verify", "--op", op, "--samples", "5"],
     ]
 
@@ -538,7 +543,6 @@ def _matrix_commands(path):
         ["eval", "--op", "dominative:n=2,p=3", "--X", path],
         ["acdo", "--op", "dominative:n=2,p=3", "--X", path],
         ["check-inclusion", "--op", "dominative:n=2,p=3", "--p", "3", "--count", "5", "--B", path],
-        ["report", "--op", "dominative:n=2,p=3", "--p", "3", "--count", "5", "--B", path],
     ]
 
 
@@ -550,7 +554,6 @@ MISTAKES = {
         ["eval", "--op", _CONJUGATED_N3, "--X", "{sym}"],
         ["acdo", "--op", _CONJUGATED_N3, "--X", "{sym}"],
         ["check-inclusion", "--op", "dominative:n=3,p=3", "--p", "3", "--count", "5", "--B", "{identity}"],
-        ["report", "--op", "dominative:n=3,p=3", "--p", "3", "--count", "5", "--B", "{identity}"],
     ]),
     "bad Pucci constants": ("precondition", [
         *_op_commands("pucci:n=2,lam=3,Lam=1"),

@@ -92,11 +92,13 @@ def test_cli_cases_show_what_they_stand_for():
     # what regen_golden.CLI_CASES says of each case, checked on the output
     # itself, so that regenerating the golden files cannot drop it unseen
     assert _report("cli.aperture")["result"]["p"] == "inf"
-    assert _report("cli.report")["result"]["guaranteed_q_interval"]["hi"] == "inf"
+    assert _report("cli.check-inclusion.p-inf")["result"]["q_interval"]["hi"] == "inf"
     assert _report("cli.eval")["result"]["value"] == "-inf"
     # witness brackets need no expansion: one probe more than the steps
     far = _report("cli.acdo.far")["result"]
     assert far["iterations"] < 200 and far["probes"] == far["iterations"] + 1
+    # (<A, X> - m) / tr A at m = 1e17, where witnesses m -+ 1 would round to m
+    assert _report("cli.acdo.far-offset")["result"]["value"] == -5e16
     # the image is a convex cone, but B is not orthogonal
     *props, structure = _report("cli.verify.structure")["result"]["checks"]
     assert [c["name"] for c in props] == ["downward-closure", "nondegeneracy", "lipschitz"]
@@ -119,4 +121,5 @@ def test_cli_cases_show_what_they_stand_for():
     # and so where a trace pairing, or 2 (l2 - l1), does
     assert _report("cli.eval.overflow.linear")["result"] == {"boundary_distance_hint": 8e307, "value": "inf"}
     assert _report("cli.eval.overflow.plain-hull")["result"] == {"boundary_distance_hint": 0.0, "value": 0.0}
+    assert _report("cli.eval.overflow.rot-closed")["result"]["value"] == 1.6e308
     assert _report("cli.eval.overflow.example")["result"]["boundary_distance_hint"] == -8.944271909999159e153

@@ -24,7 +24,6 @@ _CLI = {"cli", "errors", "rules", "symmat"}
 _LIGHT = {"numpy.polynomial", "scipy"}
 
 _ACDO = {"acdo", "operators", "sampling"}
-_INCLUSION = ["--op", "dominative:n=2,p=3", "--p", "3", "--count", "5"]
 
 #: CLI command -> (its arguments, the domcone submodules it loads beyond
 #: ``_CLI``); the command must exit 0.
@@ -32,8 +31,7 @@ COMMANDS = {
     "eval": (["--op", "dominative:n=2,p=3", "--X", "tests/data/example_below_edge.json"], {"operators"}),
     "aperture": (["--body", "dominative:n=3,p=inf"], {"aperture", "operators", "sampling"}),
     "acdo": (["--op", "pucci:n=2,lam=1,Lam=3", "--X", "tests/data/identity2.json"], _ACDO),
-    "check-inclusion": (_INCLUSION, _ACDO | {"cones"}),
-    "report": (_INCLUSION, _ACDO | {"cones"}),
+    "check-inclusion": (["--op", "dominative:n=2,p=3", "--p", "3", "--count", "5"], _ACDO | {"cones"}),
     "fundsol": (["--p", "3", "--at=1,2"], {"fundsol"}),
     "sobolev": (["--n", "3", "--p", "3", "--q", "2", "--eps", "0.01"], {"fundsol"}),
     "example": (["--c", "1"], {"fundsol", "operators"}),

@@ -450,7 +450,8 @@ class TestOverflow:
 
 
 class TestPairingOverflow:
-    """A sweep of the specs built on trace pairings, and of the model
+    """A sweep of the specs built on pairings (trace pairings, and the
+    sorted-spectrum pairings of a rotation-closed body), and of the model
     equation, over symmetric matrices with entries from {+-8e307, 1e-300,
     0}: under warnings as errors, ``value``, ``value_stack`` (bit for bit),
     ``distance`` and ``acdo_root`` are finite and within rounding of the
@@ -500,7 +501,7 @@ class TestPairingOverflow:
                 assert acdo_root(oracle, x).value == spec.distance(x)
 
     @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("m", [0.0, -1.0])
+    @pytest.mark.parametrize("m", [0.0, -1.0, 1e17])
     @pytest.mark.parametrize("shape", ["identity", "coupled"])
     def test_linear(self, n, m, shape):
         a = np.eye(n) if shape == "identity" else np.eye(n) + 0.5 * np.eye(n, k=1) + 0.5 * np.eye(n, k=-1)
@@ -524,6 +525,23 @@ class TestPairingOverflow:
             return (max(pairs), max(p / t for p, t in zip(pairs, traces))), max(scales)
 
         self.run(spec, self.matrices(n), exact)
+
+    def test_rot_closed(self):
+        # sorted-spectrum pairings, on the spectrum in 2000 digits
+        body = pucci_body(2, 1.0, 3.0)
+        spectra = [[Decimal(v) for v in row] for row in body.generator_spectra.tolist()]
+
+        def exact(x):
+            with localcontext() as ctx:
+                ctx.prec = 2000
+                a, b, c = (Decimal(float(v)) for v in (x[0, 0], x[0, 1], x[1, 1]))
+                r = (((a - c) / 2) ** 2 + b * b).sqrt()
+                pairs = [s1 * ((a + c) / 2 - r) + s2 * ((a + c) / 2 + r) for s1, s2 in spectra]
+                scale = max(s1 + s2 for s1, s2 in spectra) * (abs(a) + abs(b) + abs(c))
+            value, distance = max(pairs), max(p / (s1 + s2) for p, (s1, s2) in zip(pairs, spectra))
+            return (Fraction(value), Fraction(distance)), Fraction(scale)
+
+        self.run(EnsembleSupport(body), self.matrices(2), exact)
 
     def test_example(self):
         def exact(x):

@@ -279,6 +279,18 @@ MUTANTS = [
         "        if 2.0 * (l2 - l1) < math.inf:\n",
         "        if True:\n",
     ),
+    (
+        "rotation-closed support: rescale removed",
+        "src/domcone/operators.py",
+        "    if _in_range(ev, growth):\n        return float(support_from_eigs(ev, spectra))\n",
+        "    if True:\n        return float(support_from_eigs(ev, spectra))\n",
+    ),
+    (
+        "half-space witnesses: offset 1 at any |m|",
+        "src/domcone/acdo.py",
+        "        d = max(1.0, spec.n * 2.0**-50 * abs(m))\n",
+        "        d = 1.0\n",
+    ),
 ]
 
 

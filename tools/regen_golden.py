@@ -50,15 +50,17 @@ _CONJ = "tests/data/conjugated_pucci.json"
 #: name -> argv of ``domcone``; paths are relative to the repository root.
 #: ``suite`` passes (exit 0); the congruence image passes ``verify`` but not
 #: its rotation-invariance check, and violates the inclusion (exit 2); the
-#: non-finite results of ``aperture``, ``report`` and ``eval`` are strings;
-#: the far ``acdo`` probe stops short of the step cap; ``fundsol`` on an
-#: axis prints no signed zero, and next to the origin and at an infinite
-#: point exits 1 with the error report, as ``eval`` does on a finite matrix
-#: whose symmetric part overflows and ``acdo`` on a congruence image whose
-#: witnesses overflow; ``eval`` gives the finite value and distance of the
-#: dominative and Pucci operators where their formulas pass the float range,
-#: and so of a linear operator, a plain generator hull and the model
-#: equation where a trace pairing or the difference of two eigenvalues does.
+#: non-finite results of ``aperture``, ``check-inclusion`` (q* at p = inf)
+#: and ``eval`` are strings; the far ``acdo`` probe stops short of the step
+#: cap; ``acdo`` on a half-space with a large offset finds witnesses apart;
+#: ``fundsol`` on an axis prints no signed zero, and next to the origin and
+#: at an infinite point exits 1 with the error report, as ``eval`` does on a
+#: finite matrix whose symmetric part overflows and ``acdo`` on a congruence
+#: image whose witnesses overflow; ``eval`` gives the finite value and
+#: distance of the dominative and Pucci operators where their formulas pass
+#: the float range, and so of a linear operator, a generator hull (plain or
+#: rotation-closed) and the model equation where a pairing or the
+#: difference of two eigenvalues does.
 CLI_CASES = {
     "suite.seed0": ["suite", "--all", "--seed", "0"],
     "suite.seed1": ["suite", "--all", "--seed", "1"],
@@ -66,16 +68,18 @@ CLI_CASES = {
     "cli.verify.structure": ["verify", "--op", _CONJ, "--flags", "convex,cone,rot_invariant"],
     "cli.check-inclusion": ["check-inclusion", "--op", _CONJ, "--p", "5", "--count", "50"],
     "cli.aperture": ["aperture", "--body", "dominative:n=3,p=inf"],
-    "cli.report": ["report", "--op", "dominative:n=3,p=inf", "--p", "inf", "--count", "20"],
+    "cli.check-inclusion.p-inf": ["check-inclusion", "--op", "dominative:n=3,p=inf", "--p", "inf", "--count", "20"],
     "cli.eval": ["eval", "--op", "example", "--X", "tests/data/example_below_edge.json"],
     "cli.eval.overflow": ["eval", "--op", "dominative:n=2,p=3", "--X", "tests/data/overflow_symmetrization.json"],
     "cli.eval.overflow.dominative": ["eval", "--op", "dominative:n=2,p=3", "--X", "tests/data/overflow_dominative.json"],
     "cli.eval.overflow.pucci": ["eval", "--op", "pucci:n=2,lam=1,Lam=3", "--X", "tests/data/overflow_pucci.json"],
     "cli.eval.overflow.linear": ["eval", "--op", "tests/data/linear_identity3.json", "--X", "tests/data/overflow_diag3.json"],
     "cli.eval.overflow.plain-hull": ["eval", "--op", "tests/data/plain_hull_pucci.json", "--X", "tests/data/overflow_split.json"],
+    "cli.eval.overflow.rot-closed": ["eval", "--op", "tests/data/rot_closed_pucci.json", "--X", "tests/data/overflow_split.json"],
     "cli.eval.overflow.example": ["eval", "--op", "example", "--X", "tests/data/overflow_split.json"],
     "cli.acdo.overflow": ["acdo", "--op", "tests/data/conjugated_overflow.json", "--X", "tests/data/identity2.json"],
     "cli.acdo.far": ["acdo", "--op", _CONJ, "--X", "tests/data/far_probe.json"],
+    "cli.acdo.far-offset": ["acdo", "--op", "tests/data/linear_far_offset.json", "--X", "tests/data/identity2.json"],
     "cli.example": ["example"],
     "cli.fundsol.axis": ["fundsol", "--p", "2", "--at=1,0"],
     "cli.fundsol.near-origin.n2": ["fundsol", "--p", "3", "--at=1e-300,0"],
