@@ -321,6 +321,24 @@ def acdo_eval(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) ->
 
 _TAU_GRID = (-10.0, -1.0, 0.1, 7.0)
 
+#: Rounding allowance of the property checks, per unit of the largest
+#: distance a check compares.  Each distance is within a few ulps of its
+#: exact value: a closed form rounds a handful of operations on entries
+#: and eigenvalues of its size, and a bisection stops at the latest when
+#: its midpoint rounds to an end.  Their differences then round once more,
+#: so far from the origin a deviation of a few eps |d| is rounding alone.
+#: Half-spaces and shifted dominative, Pucci and rotation-closed sets, at
+#: n = 2 to 16 and offsets 1e6 to 1e15, stayed below 4.2 eps max |d| in a
+#: nondegeneracy sweep; 16 eps leaves a factor of about 4.
+_ROUNDING = 16.0 * 2.0**-52
+
+
+def _gate(tol: float, *distances: float, scale: float = 1.0) -> float:
+    """The limit of one property check on ``distances``: 3 ``tol`` (times
+    ``scale``) for the root finder's error, plus the rounding of distances
+    as large as the largest of them."""
+    return 3.0 * tol * scale + _ROUNDING * max(map(abs, distances))
+
 
 def check_nondegeneracy(
     oracle: EllipticSetOracle,
@@ -328,7 +346,9 @@ def check_nondegeneracy(
     seed: int = 0,
     tol: float = ROOT_TOL,
 ) -> PropertyReport:
-    """Verify the identity-shift normalization F(X + tau I) = F(X) + tau.
+    """Verify the identity-shift normalization F(X + tau I) = F(X) + tau,
+    each to 3 ``tol`` plus the rounding allowance (16 eps) times the larger
+    of |F(X)| and |F(X + tau I)|.
 
     All ``5 * samples`` distances come from one :func:`acdo_roots` call."""
     _check_count(samples)
@@ -344,7 +364,7 @@ def check_nondegeneracy(
         x = SymMatrix._wrap(xs[i, 0]).to_dict()
         for tau, value in zip(_TAU_GRID, moved):
             dev = abs(value - base - tau)
-            report.record(dev, 3.0 * tol, tau=tau, deviation=dev, X=x)
+            report.record(dev, _gate(tol, base, value), tau=tau, deviation=dev, X=x)
     return report
 
 
@@ -354,7 +374,9 @@ def check_lipschitz(
     seed: int = 0,
     tol: float = ROOT_TOL,
 ) -> PropertyReport:
-    """Verify |F(X) - F(Y)| <= ||X - Y||_inf on sampled pairs.
+    """Verify |F(X) - F(Y)| <= ||X - Y||_inf on sampled pairs, each to
+    3 ``tol`` plus the rounding allowance (16 eps) times the larger of
+    |F(X)| and |F(Y)|.
 
     Pair i draws X at radius 1, then Y at radius 1 + i % 3; all ``2 *
     samples`` distances come from one :func:`acdo_roots` call."""
@@ -366,9 +388,10 @@ def check_lipschitz(
     values = [r.value for r in acdo_roots(oracle, pairs, tol)]
     norms = inf_norm_stack(xs - ys).tolist()
     for i in range(samples):
-        excess = abs(values[2 * i] - values[2 * i + 1]) - norms[i]
+        fx, fy = values[2 * i], values[2 * i + 1]
+        excess = abs(fx - fy) - norms[i]
         x, y = SymMatrix._wrap(xs[i]), SymMatrix._wrap(ys[i])
-        report.record(excess, 3.0 * tol, excess=excess, X=x.to_dict(), Y=y.to_dict())
+        report.record(excess, _gate(tol, fx, fy), excess=excess, X=x.to_dict(), Y=y.to_dict())
     return report
 
 
@@ -381,7 +404,9 @@ def check_structure(
 ) -> PropertyReport:
     """Check the functional identities implied by asserted set structure:
     midpoint convexity / concavity, positive homogeneity (c in {0.5, 2}),
-    and rotation invariance, each to 3x the root tolerance.
+    and rotation invariance, each to 3 ``tol`` (3 c ``tol`` for the
+    homogeneity at c = 2) plus the rounding allowance (16 eps) times the
+    largest distance the identity compares.
 
     Each sample draws X, then Y and Q where a flag needs them; the
     distances of every matrix involved come from one :func:`acdo_roots`
@@ -413,15 +438,17 @@ def check_structure(
             pair = {"X": x.to_dict(), "Y": others[0].to_dict()}
             for flag, dev in (("convex", fmid - half), ("concave_complement", half - fmid)):
                 if getattr(flags, flag):
-                    report.record(dev, 3.0 * tol, flag=flag, deviation=dev, **pair)
+                    report.record(dev, _gate(tol, fx, fy, fmid), flag=flag, deviation=dev, **pair)
         if flags.cone:
             for c in (0.5, 2.0):
-                dev = abs(next(values) - c * fx)
-                limit = 3.0 * tol * max(1.0, c)
+                fc = next(values)
+                dev = abs(fc - c * fx)
+                limit = _gate(tol, fc, c * fx, scale=max(1.0, c))
                 report.record(dev, limit, flag="cone", c=c, deviation=dev, X=x.to_dict())
         if flags.rot_invariant:
-            dev = abs(next(values) - fx)
-            report.record(dev, 3.0 * tol, flag="rot_invariant", deviation=dev, X=x.to_dict())
+            fq = next(values)
+            dev = abs(fq - fx)
+            report.record(dev, _gate(tol, fq, fx), flag="rot_invariant", deviation=dev, X=x.to_dict())
     return report
 
 

@@ -298,8 +298,8 @@ def minimal_bound_check(
     x = np.concatenate((x, np.reshape(probes, (-1, n, n))))
 
     ev = eigvals_stack(x)
-    lhs = ap.c * dominative_from_eigs(ev, np.trace(x, axis1=1, axis2=2), ap.p)
-    rhs = support_from_eigs(ev, body.generator_spectra)
+    lhs = ap.c * dominative_from_eigs(x, ev, ap.p)
+    rhs = support_from_eigs(x, ev, body.generator_spectra)
     margin = rhs - lhs
     worst = int(np.argmin(margin))  # the first index on a tie
     return MinimalBoundReport(

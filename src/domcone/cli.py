@@ -392,7 +392,8 @@ _SHARED_OPTIONS = {
         help="tolerance of the distance bisection: absolute for acdo and verify, per "
         "unit of sampling radius for check-inclusion; unused where the distance has a "
         "closed form (every catalog operator but a congruence image), which "
-        "check-inclusion states as root_method",
+        "check-inclusion states as root_method; verify's property checks allow 3x "
+        "this plus 16 eps times the largest distance each compares",
     ),
     "tol-property": dict(
         type=_tolerance,

@@ -183,7 +183,7 @@ def verify_annihilation(
     radii, x = radial_points(make_rng(seed), sample_count, fs.n, 1e-2, 1e2)
     hessians = _hessian_stack(alpha, x, [_radius(row) for row in x])
     spectra = np.array([eigvals_sym(SymMatrix._wrap(h)) for h in hessians])
-    g_values = support_from_eigs(spectra, body.generator_spectra).tolist()
+    g_values = support_from_eigs(hessians, spectra, body.generator_spectra).tolist()
     report = AnnihilationReport(name="annihilation", samples=sample_count)
     for point, r, g in zip(x.tolist(), radii.tolist(), g_values):
         scaled = abs(g) * r**alpha

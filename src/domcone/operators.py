@@ -13,6 +13,18 @@ to the boundary of its sublevel set in closed form, or ``distance`` None
 where it has none (a congruence image, and a shift of one).  ``X + tI``
 only shifts the spectrum by t, so one eigensolve (none for
 ``LinearTrace``) gives it.
+
+The dominative F_p, Pucci's extremal operator and the support function
+of a rotation-closed body are positively homogeneous functions of the
+ascending spectrum.  Each is one rule ``rule(a, ev, *args)``, of matrices
+``a`` and their spectra ``ev``, that serves one matrix and a stack alike.
+:func:`_spectral` runs it on one matrix, rescaled by a power of two where
+it would pass the float range; :func:`_stacked` runs it on a stack, whose
+rows past that range take the scalar value.  The Pucci distance is such a
+rule too.  The specs built on trace pairings (a
+``LinearTrace``, a plain generator hull, and the distance of a
+rotation-closed body) rescale in :func:`_paired`; ``ExampleEq`` is not
+homogeneous and takes its large cases in halves.
 """
 
 from __future__ import annotations
@@ -46,50 +58,52 @@ P_INF = math.inf
 
 #: Where max |lambda_i| times a rule's growth is below this, no
 #: intermediate of the rule can pass the float range (see
-#: :func:`_rescaled`), with a factor 2 to spare for rounding.
+#: :func:`_spectral`), with a factor 2 to spare for rounding.
 _NO_OVERFLOW = 2.0**1015
 
 
-def _in_range(ev: np.ndarray, growth: float) -> bool:
-    """Whether the ascending spectrum ``ev`` keeps every intermediate of a
-    rule of the given ``growth`` (see :func:`_rescaled`) in the float range."""
-    bound = _NO_OVERFLOW / growth
-    return -bound < ev[0] and ev[-1] < bound
+def _spectral(rule, x: SymMatrix, growth: float, *args) -> float:
+    """``rule(x.a, ev, *args)``, for the ascending spectrum ``ev`` of x (one
+    eigensolve) and a rule positively homogeneous of degree one in x whose
+    intermediates are at most 2^7 ``growth`` max |lambda_i| in size
+    (``growth`` >= 1).
 
-
-def _rescaled(rule, x: SymMatrix, ev: np.ndarray, growth: float, *args) -> float:
-    """``rule(x, ev, *args)`` where :func:`_in_range` fails, for x of
-    spectrum ``ev`` and a rule positively homogeneous of degree one in x
-    whose intermediates are at most 2^7 ``growth`` max |lambda_i| in size
-    (``growth`` >= 1): 2^k rule(2^-k x) on 2^-k x and 2^-k ev (solved again
-    only where ev passed the float range), with every intermediate below
-    2^1022.  A power of two scales each operation exactly but for subnormal
-    results, far below the values these rules turn on; so the value keeps
-    the plain rule's bits wherever that one is right, is finite wherever
-    the exact value is in the float range, and is +-inf, with no numpy
-    warning, elsewhere.  A finite plain value would not do as the test:
-    where the scan of :meth:`Pucci.distance` overflows, it miscounts its
-    pieces and stays finite.
+    Where max |lambda_i| reaches 2^1015 / ``growth``, it is 2^k rule(2^-k x)
+    instead, on 2^-k x and 2^-k ev (solved again only where ev passed the
+    float range), with every intermediate below 2^1022.  A power of two
+    scales each operation exactly but for subnormal results, far below the
+    values these rules turn on; so the value keeps the plain rule's bits
+    wherever that one is right, is finite wherever the exact value is in
+    the float range, and is +-inf, with no numpy warning, elsewhere.  A
+    finite plain value would not do as the test: where the scan of
+    :meth:`Pucci.distance` overflows, it miscounts its pieces and stays
+    finite.
     """
+    ev = eigvals_sym(x)
+    bound = _NO_OVERFLOW / growth
+    if -bound < ev[0] and ev[-1] < bound:
+        return float(rule(x.a, ev, *args))
     with np.errstate(over="ignore", invalid="ignore"):
         # |lambda_i| <= n max|x_ij| <= 2^4 max|x_ij|, so the intermediates
         # of 2^-k x are below 2^(7 + 4) growth 2^(1011 - e(growth)) <= 2^1022
         k = math.frexp(np.abs(x.a).max())[1] + math.frexp(growth)[1] - 1011
-        y = SymMatrix._wrap(np.ldexp(x.a, -k))
-        ev = np.ldexp(ev, -k) if np.isfinite(ev).all() else eigvals_sym(y)
-        return float(np.ldexp(rule(y, ev, *args), k))
+        a = np.ldexp(x.a, -k)
+        ev = np.ldexp(ev, -k) if np.isfinite(ev).all() else eigvals_sym(SymMatrix._wrap(a))
+        return float(np.ldexp(rule(a, ev, *args), k))
 
 
-def _stacked(rule, a: np.ndarray, ev: np.ndarray, growth: float, value) -> np.ndarray:
-    """``rule()``, a spec's rule on a ``(k, n, n)`` stack ``a`` of spectra
-    ``ev``, with each row whose spectrum fails the test of
-    :func:`_in_range` replaced by the spec's scalar ``value`` of its
-    matrix, so that a stack has the bits of its rows."""
+def _stacked(rule, a: np.ndarray, growth: float, value, *args) -> np.ndarray:
+    """``rule(a, ev, *args)`` of :func:`_spectral` on a ``(k, n, n)`` stack
+    ``a`` of spectra ``ev`` (one stacked eigensolve), with each row whose
+    spectrum fails the range test of :func:`_spectral` replaced by the
+    spec's scalar ``value`` of its matrix, so that a stack has the bits of
+    its rows."""
+    ev = eigvals_stack(a)
     bound = _NO_OVERFLOW / growth
     if np.abs(ev).max(initial=0.0) < bound:
-        return rule()
+        return rule(a, ev, *args)
     with np.errstate(over="ignore", invalid="ignore"):
-        v = rule()
+        v = rule(a, ev, *args)
     far = np.flatnonzero(~(np.abs(ev).max(-1) < bound))
     v[far] = [value(SymMatrix._wrap(a[i])) for i in far]
     return v
@@ -116,49 +130,37 @@ def eval_dominative(x: SymMatrix, p: float) -> float:
 
     ``(tr X + (p-2) lambda_n(X)) / (n+p-2)`` for finite p, and the largest
     eigenvalue at p = inf.  Normalized so that F(X + mI) = F(X) + m.  Where
-    the formula passes the float range, :func:`_rescaled` rescales X.
+    the formula passes the float range, :func:`_spectral` rescales X.
     """
     p = _check_p(p)
-    ev, growth = eigvals_sym(x), 1.0 if p == P_INF else p
-    if _in_range(ev, growth):
-        return float(_dominative_rule(x, ev, p))
-    return _rescaled(_dominative_rule, x, ev, growth, p)
+    return _spectral(dominative_from_eigs, x, 1.0 if p == P_INF else p, p)
 
 
-def _dominative_rule(x: SymMatrix, ev: np.ndarray, p: float):
-    return dominative_from_eigs(ev, x.a.trace(), p)
-
-
-def dominative_from_eigs(ev: np.ndarray, trace, p: float):
-    """:func:`eval_dominative` over the trailing axis of ascending spectra
-    ``ev`` of shape ``(..., n)``, with ``trace`` their matrices' traces and
-    ``p`` an exponent its caller has checked."""
+def dominative_from_eigs(a: np.ndarray, ev: np.ndarray, p: float):
+    """:func:`eval_dominative` of matrices ``a`` of shape ``(..., n, n)``
+    and their ascending spectra ``ev`` of shape ``(..., n)``, for an
+    exponent ``p`` its caller has checked.  The trace over the last two
+    axes has the bits of ``a.trace()`` for one matrix."""
     top = ev[..., -1][()]  # [()]: a scalar for one spectrum, not a slower 0-d array
     if p == P_INF:
         return top
-    return (trace + (p - 2.0) * top) / (ev.shape[-1] + p - 2.0)
+    return (a.trace(axis1=-2, axis2=-1) + (p - 2.0) * top) / (ev.shape[-1] + p - 2.0)
 
 
 def eval_pucci(x: SymMatrix, lam: float, Lam: float) -> float:
     """Maximal uniformly elliptic operator with ellipticity constants [lam, Lam].
 
     Equals ``Lam * sum(positive eigenvalues) + lam * sum(negative eigenvalues)``.
-    Where that passes the float range, :func:`_rescaled` rescales X.
+    Where that passes the float range, :func:`_spectral` rescales X.
     """
     _check_pucci(lam, Lam)
-    ev, growth = eigvals_sym(x), max(1.0, Lam)
-    if _in_range(ev, growth):
-        return float(_pucci_rule(x, ev, lam, Lam))
-    return _rescaled(_pucci_rule, x, ev, growth, lam, Lam)
+    return _spectral(pucci_from_eigs, x, max(1.0, Lam), lam, Lam)
 
 
-def _pucci_rule(x: SymMatrix, ev: np.ndarray, lam: float, Lam: float):
-    return pucci_from_eigs(ev, lam, Lam)
-
-
-def pucci_from_eigs(ev: np.ndarray, lam: float, Lam: float):
+def pucci_from_eigs(a: np.ndarray, ev: np.ndarray, lam: float, Lam: float):
     """:func:`eval_pucci` over the trailing axis of spectra ``ev`` of shape
-    ``(..., n)``, with constants its caller has checked.
+    ``(..., n)`` (of the matrices ``a``, unread), with constants its caller
+    has checked.
 
     The masked ``add.reduce`` sums as ``ev[ev > 0].sum()`` does, for one
     spectrum and per row of a stack; ``np.where(...).sum()`` and
@@ -175,15 +177,16 @@ def eval_support(x: SymMatrix, body) -> float:
     maximum of :func:`_support_pairings` over the generators.  For a
     rotation-closed body that is :func:`support_from_eigs`, whose pairings
     sum terms of at most tr A_k max |lambda_i| in size; where they pass
-    the float range, :func:`_rescaled` rescales X."""
+    the float range, :func:`_spectral` rescales X."""
     if not body.rot_closed:
         return float(_support_pairings(x, body).max())
     check_dim(x.n, body.n, against="body")
-    ev, spectra = eigvals_sym(x), body.generator_spectra
-    growth = max(1.0, *body.generator_traces.tolist())
-    if _in_range(ev, growth):
-        return float(support_from_eigs(ev, spectra))
-    return _rescaled(lambda _, ev: support_from_eigs(ev, spectra), x, ev, growth)
+    return _spectral(support_from_eigs, x, _support_growth(body), body.generator_spectra)
+
+
+def _support_growth(body) -> float:
+    """The growth of :func:`support_from_eigs` for ``body``: max(1, max tr A_k)."""
+    return max(1.0, *body.generator_traces.tolist())
 
 
 def _support_pairings(x: SymMatrix, body) -> np.ndarray:
@@ -213,11 +216,11 @@ def _sorted_pairings(ev: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     return np.matmul(spectra, ev[..., None])[..., 0]
 
 
-def support_from_eigs(ev: np.ndarray, spectra: np.ndarray):
+def support_from_eigs(a: np.ndarray, ev: np.ndarray, spectra: np.ndarray):
     """Rotation-closed :func:`eval_support` over the trailing axis of
-    ascending spectra ``ev`` of shape ``(..., n)``: the maximum of the
-    :func:`_sorted_pairings` with the rows of ``spectra``, von Neumann's
-    trace inequality."""
+    ascending spectra ``ev`` of shape ``(..., n)`` (of the matrices ``a``,
+    unread): the maximum of the :func:`_sorted_pairings` with the rows of
+    ``spectra``, von Neumann's trace inequality."""
     return _sorted_pairings(ev, spectra).max(-1)
 
 
@@ -260,10 +263,8 @@ class DominativeP:
         """:meth:`value` of each matrix of a ``(k, n, n)`` symmetric stack, bit
         for bit; every spec's ``value_stack`` has this contract."""
         check_dim(a.shape[-1], self.n)
-        ev, p = eigvals_stack(a), self.p
-        # the rule runs after _stacked's range test: the trace may overflow
-        rule = lambda: dominative_from_eigs(ev, a.trace(axis1=-2, axis2=-1), p)  # noqa: E731
-        return _stacked(rule, a, ev, 1.0 if p == P_INF else p, self.value)
+        p = self.p
+        return _stacked(dominative_from_eigs, a, 1.0 if p == P_INF else p, self.value, p)
 
     def distance(self, x: SymMatrix) -> float:
         """F(X) itself, by the normalization F(X + mI) = F(X) + m."""
@@ -285,9 +286,7 @@ class Pucci:
 
     def value_stack(self, a: np.ndarray) -> np.ndarray:
         check_dim(a.shape[-1], self.n)
-        ev = eigvals_stack(a)
-        rule = lambda: pucci_from_eigs(ev, self.lam, self.Lam)  # noqa: E731
-        return _stacked(rule, a, ev, max(1.0, self.Lam), self.value)
+        return _stacked(pucci_from_eigs, a, max(1.0, self.Lam), self.value, self.lam, self.Lam)
 
     def distance(self, x: SymMatrix) -> float:
         """Root of the strictly increasing, piecewise-linear t -> F(X + tI).
@@ -308,19 +307,16 @@ class Pucci:
         test there may round either way and j be off by one; both pieces
         meet at that breakpoint, so the value moves by about
         eps * max|lambda_i|.  Where the scan passes the float range,
-        :func:`_rescaled` rescales X.
+        :func:`_spectral` rescales X.
         """
         check_dim(x.n, self.n)
         lam, Lam = self.lam, self.Lam
         if Lam >= 2.0**1018:  # the root of (c lam, c Lam) is the same; keep n Lam in range
             lam, Lam = lam * 2.0**-8, Lam * 2.0**-8
-        ev, growth = eigvals_sym(x), max(1.0, Lam)
-        if _in_range(ev, growth):
-            return float(_pucci_root(x, ev, lam, Lam))
-        return _rescaled(_pucci_root, x, ev, growth, lam, Lam)
+        return _spectral(_pucci_root, x, max(1.0, Lam), lam, Lam)
 
 
-def _pucci_root(x: SymMatrix, ev: np.ndarray, lam: float, Lam: float):
+def _pucci_root(a: np.ndarray, ev: np.ndarray, lam: float, Lam: float):
     """The scan of :meth:`Pucci.distance` on the ascending spectrum ``ev``."""
     e = ev.tolist()
     n = len(e)
@@ -395,9 +391,7 @@ class EnsembleSupport:
         body = self.body
         check_dim(a.shape[-1], body.n, against="body")
         if body.rot_closed:
-            ev = eigvals_stack(a)
-            rule = lambda: support_from_eigs(ev, body.generator_spectra)  # noqa: E731
-            return _stacked(rule, a, ev, max(1.0, *body.generator_traces.tolist()), self.value)
+            return _stacked(support_from_eigs, a, _support_growth(body), self.value, body.generator_spectra)
         return np.stack([inner_stack(g, a) for g in body.generators], -1).max(-1)
 
     def distance(self, x: SymMatrix) -> float:

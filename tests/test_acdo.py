@@ -224,6 +224,32 @@ class TestHalfSpaceWitnesses:
         assert exc.value.reason == reason
 
 
+class TestPropertyChecksFarFromTheOrigin:
+    # far from the origin two distances differ by rounding of a few eps |d|
+    # alone, past 3 tol; the checks allow for it and still catch a wrong
+    # distance there
+    FAR = {
+        "dominative": Shifted(DominativeP(n=2, p=3.0), SymMatrix.identity(2) * 1e12),
+        "pucci": Shifted(Pucci(n=3, lam=0.5, Lam=2.0), SymMatrix.identity(3) * -1e12),
+        "halfspace": LinearTrace(A=SymMatrix.identity(2), m=1e15),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FAR))
+    def test_a_far_convex_rotation_invariant_set_passes(self, kind):
+        oracle = oracle_from_operator(self.FAR[kind])
+        flags = StructureFlags(convex=True, rot_invariant=True)
+        reports = [check_nondegeneracy(oracle), check_lipschitz(oracle), check_structure(oracle, flags)]
+        assert [r.violations for r in reports] == [[], [], []]
+        assert reports[0].max_deviation > 3.0 * TOL
+
+    def test_a_doubled_distance_far_away_fails(self):
+        # 2F(X + tau I) - 2F(X) - tau = tau, at distances of size 2e12
+        oracle = oracle_from_operator(self.FAR["dominative"])
+        doubled = replace(oracle, distance=lambda x: 2.0 * oracle.distance(x))
+        report = check_nondegeneracy(doubled, samples=20)
+        assert len(report.violations) == report.checks == 80
+
+
 class TestConjugateOracle:
     def test_membership_of_the_image(self):
         # X is in B^T Theta B exactly when B^-T X B^-1 is in Theta

@@ -392,6 +392,6 @@ def test_stacked_support_has_the_bits_of_eval_support(n, generators, salt):
     stack = rng.standard_normal((16, n, n))
     stack = 0.5 * (stack + stack.swapaxes(1, 2))
     spectra = np.array([eigvals_sym(SymMatrix._wrap(a)) for a in stack])
-    got = support_from_eigs(spectra, body.generator_spectra)
+    got = support_from_eigs(stack, spectra, body.generator_spectra)
     want = [eval_support(SymMatrix._wrap(a), body) for a in stack]
     assert got.tobytes() == np.array(want).tobytes()

@@ -24,8 +24,8 @@ EXIT_CODES = regen_golden.manifest()["exit_codes"]
 
 
 @functools.cache
-def _inclusion_reports():
-    return regen_golden.inclusion_reports()
+def _reports():
+    return regen_golden.reports()
 
 
 @functools.cache
@@ -36,11 +36,11 @@ def _cli_output(name):
 def _current(name):
     if name in regen_golden.CLI_CASES:
         return _cli_output(name)
-    return _inclusion_reports()[name], None
+    return _reports()[name], None
 
 
 def test_every_output_has_a_golden_file():
-    made = [*regen_golden.CLI_CASES, *_inclusion_reports()]
+    made = [*regen_golden.CLI_CASES, *_reports()]
     assert sorted(made) == sorted(EXIT_CODES)
     assert sorted(p.stem for p in regen_golden.GOLDEN.glob("*.json")) == sorted([*EXIT_CODES, "manifest"])
 
@@ -105,6 +105,11 @@ def test_cli_cases_show_what_they_stand_for():
     assert all(c["passed"] for c in props)
     assert structure["violations"]
     assert {v["flag"] for v in structure["violations"]} == {"rot_invariant"}
+    # m = 1e12: every check passes, though rounding alone passes 3x the root tolerance
+    far = _report("cli.verify.far-offset")["result"]["checks"]
+    assert [c["name"] for c in far] == ["downward-closure", "nondegeneracy", "lipschitz", "structure"]
+    assert all(c["passed"] for c in far)
+    assert max(c["max_deviation"] for c in far) > 3e-10
     assert _report("cli.check-inclusion")["result"]["verdict"] == "violated"
     for name, code in [
         ("cli.fundsol.near-origin.n2", "invalid-matrix"),

@@ -25,6 +25,7 @@ from domcone.acdo import (
     check_nondegeneracy,
     check_structure,
     oracle_from_operator,
+    _gate,
     _witness_brackets,
 )
 from domcone.aperture import ConvexBody
@@ -818,10 +819,11 @@ def _per_sample_nondegeneracy(oracle, samples, seed, tol):
         x = goe_matrix(rng, oracle.n, radius=1.0)
         base = acdo_eval(oracle, x, tol)
         for tau in (-10.0, -1.0, 0.1, 7.0):
-            dev = abs(acdo_eval(oracle, x.shift(tau), tol) - base - tau)
+            moved = acdo_eval(oracle, x.shift(tau), tol)
+            dev = abs(moved - base - tau)
             report.checks += 1
             report.max_deviation = max(report.max_deviation, dev)
-            if dev > 3.0 * tol:
+            if dev > _gate(tol, base, moved):
                 report.violations.append({"tau": tau, "deviation": dev, "X": x.to_dict()})
     return report
 
@@ -832,11 +834,11 @@ def _per_sample_lipschitz(oracle, samples, seed, tol):
     for i in range(samples):
         x = goe_matrix(rng, oracle.n, radius=1.0)
         y = goe_matrix(rng, oracle.n, radius=1.0 + (i % 3))
-        lhs = abs(acdo_eval(oracle, x, tol) - acdo_eval(oracle, y, tol))
-        excess = lhs - inf_norm(x - y)
+        fx, fy = acdo_eval(oracle, x, tol), acdo_eval(oracle, y, tol)
+        excess = abs(fx - fy) - inf_norm(x - y)
         report.checks += 1
         report.max_deviation = max(report.max_deviation, excess)
-        if excess > 3.0 * tol:
+        if excess > _gate(tol, fx, fy):
             report.violations.append({"excess": excess, "X": x.to_dict(), "Y": y.to_dict()})
     return report
 
@@ -887,16 +889,18 @@ def _per_sample_structure(oracle, flags, samples, seed, tol):
             pair = {"X": x.to_dict(), "Y": y.to_dict()}
             for flag, dev in (("convex", fmid - half), ("concave_complement", half - fmid)):
                 if getattr(flags, flag):
-                    report.record(dev, 3.0 * tol, flag=flag, deviation=dev, **pair)
+                    report.record(dev, _gate(tol, fx, fy, fmid), flag=flag, deviation=dev, **pair)
         if flags.cone:
             for c in (0.5, 2.0):
-                dev = abs(dist(x * c) - c * fx)
-                limit = 3.0 * tol * max(1.0, c)
+                fc = dist(x * c)
+                dev = abs(fc - c * fx)
+                limit = _gate(tol, fc, c * fx, scale=max(1.0, c))
                 report.record(dev, limit, flag="cone", c=c, deviation=dev, X=x.to_dict())
         if flags.rot_invariant:
             q = random_orthogonal(rng, oracle.n)
-            dev = abs(dist(SymMatrix(q.T @ x.a @ q)) - fx)
-            report.record(dev, 3.0 * tol, flag="rot_invariant", deviation=dev, X=x.to_dict())
+            fq = dist(SymMatrix(q.T @ x.a @ q))
+            dev = abs(fq - fx)
+            report.record(dev, _gate(tol, fq, fx), flag="rot_invariant", deviation=dev, X=x.to_dict())
     return report
 
 

@@ -1,9 +1,9 @@
-import itertools
 import math
 import sys
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +33,9 @@ from domcone.operators import (
 )
 from domcone.sampling import goe_matrix, goe_stack, make_rng, random_nsd, random_orthogonal, random_psd
 from domcone.symmat import InvertibleMap, SymMatrix, congruence, eigvals_stack, eigvals_sym, inner
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import regen_golden  # noqa: E402
 
 P_GRID = (2.0, 2.5, 3.0, 4.0, 10.0, math.inf)
 
@@ -361,10 +364,9 @@ class TestStackedFormulas:
         rng = make_rng(41, n)
         x = goe_stack(rng, 200, n, (0.5, 1.0, 2.0, 10.0))
         ev = eigvals_stack(x)
-        trace = np.trace(x, axis1=1, axis2=2)
         mats = [SymMatrix._wrap(a.copy()) for a in x]
         for p in P_GRID:
-            stacked = dominative_from_eigs(ev, trace, p)
+            stacked = dominative_from_eigs(x, ev, p)
             assert stacked.tolist() == [eval_dominative(m, p) for m in mats]
         bodies = [
             dominative_body(n, 3.0),
@@ -372,7 +374,7 @@ class TestStackedFormulas:
             ConvexBody(n=n, generators=tuple(random_psd(rng, n) for _ in range(3))),
         ]
         for body in bodies:
-            stacked = support_from_eigs(ev, body.generator_spectra)
+            stacked = support_from_eigs(x, ev, body.generator_spectra)
             assert stacked.tolist() == [eval_support(m, body) for m in mats]
 
     def test_scalar_evaluators_keep_the_per_matrix_arithmetic(self):
@@ -458,18 +460,7 @@ class TestPairingOverflow:
     exact value wherever that is in the float range, and the infinity of
     its sign elsewhere."""
 
-    ENTRIES = (8e307, -8e307, 1e-300, 0.0)
-
-    @classmethod
-    def matrices(cls, n):
-        cells = [(i, j) for i in range(n) for j in range(i, n)]
-        stack = []
-        for picks in list(itertools.product(cls.ENTRIES, repeat=len(cells)))[:: 1 if n == 2 else 5]:
-            a = np.zeros((n, n))
-            for (i, j), v in zip(cells, picks):
-                a[i, j] = a[j, i] = v
-            stack.append(a)
-        return np.array(stack)
+    matrices = staticmethod(regen_golden.band_matrices)
 
     @staticmethod
     def assert_exact(got, exact, scale):

@@ -1,7 +1,7 @@
 """Hand mutants of the root finder, the property reports, the suite's
 stacked checks, the eigensolve kernel, the input rules, the shared
-formulas, the overflow fallbacks, the per-command imports and their
-neighbours.
+formulas, the overflow fallbacks, the per-command imports, the property
+checks' gate and their neighbours.
 
 Each mutant is one exact textual edit of a source file.  The script copies
 ``src/``, ``tests/``, ``tools/`` and ``perfbench/`` of this checkout into a
@@ -168,8 +168,8 @@ MUTANTS = [
     (
         "verify_annihilation: stacked G on reversed spectra",
         "src/domcone/fundsol.py",
-        "support_from_eigs(spectra, body.generator_spectra)",
-        "support_from_eigs(spectra[:, ::-1], body.generator_spectra)",
+        "support_from_eigs(hessians, spectra, body.generator_spectra)",
+        "support_from_eigs(hessians, spectra[:, ::-1], body.generator_spectra)",
     ),
     (
         "_spike_matrix: d[0] = a",
@@ -244,10 +244,16 @@ MUTANTS = [
         "m = (mat @ a) @ mat.T",
     ),
     (
-        "dominative and Pucci: overflow fallback removed",
+        "spectral rules: the shared range test always passes",
         "src/domcone/operators.py",
-        "    return -bound < ev[0] and ev[-1] < bound\n",
-        "    return True\n",
+        "    if -bound < ev[0] and ev[-1] < bound:\n",
+        "    if True:\n",
+    ),
+    (
+        "spectral rules: no stacked row falls back to the scalar value",
+        "src/domcone/operators.py",
+        "    if np.abs(ev).max(initial=0.0) < bound:\n",
+        "    if True:\n",
     ),
     (
         "symmetry tolerance x1e6",
@@ -282,14 +288,26 @@ MUTANTS = [
     (
         "rotation-closed support: rescale removed",
         "src/domcone/operators.py",
-        "    if _in_range(ev, growth):\n        return float(support_from_eigs(ev, spectra))\n",
-        "    if True:\n        return float(support_from_eigs(ev, spectra))\n",
+        "    return _spectral(support_from_eigs, x, _support_growth(body), body.generator_spectra)\n",
+        "    return float(support_from_eigs(x.a, eigvals_sym(x), body.generator_spectra))\n",
     ),
     (
         "half-space witnesses: offset 1 at any |m|",
         "src/domcone/acdo.py",
         "        d = max(1.0, spec.n * 2.0**-50 * abs(m))\n",
         "        d = 1.0\n",
+    ),
+    (
+        "property gate: rounding term removed",
+        "src/domcone/acdo.py",
+        "    return 3.0 * tol * scale + _ROUNDING * max(map(abs, distances))\n",
+        "    return 3.0 * tol * scale\n",
+    ),
+    (
+        "property gate: rounding term x1e6",
+        "src/domcone/acdo.py",
+        "    return 3.0 * tol * scale + _ROUNDING * max(map(abs, distances))\n",
+        "    return 3.0 * tol * scale + 1e6 * _ROUNDING * max(map(abs, distances))\n",
     ),
 ]
 

@@ -5,6 +5,8 @@ The golden files under ``tests/data/golden/`` are
 - the ``suite --all`` report at seeds 0 and 1;
 - the 12 ``check_inclusion`` reports of the benchmark's ``inclusion``
   workload at seed 0 (``perfbench/workloads.py``, read, not changed);
+- the overflow band: the bits of each spec's ``value``, ``value_stack``
+  and ``distance`` where its formula or pairing passes the float range;
 - the outputs of the CLI commands in ``CLI_CASES``.
 
 ``manifest.json`` records the numpy version they were made with and each
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -49,7 +52,9 @@ _CONJ = "tests/data/conjugated_pucci.json"
 
 #: name -> argv of ``domcone``; paths are relative to the repository root.
 #: ``suite`` passes (exit 0); the congruence image passes ``verify`` but not
-#: its rotation-invariance check, and violates the inclusion (exit 2); the
+#: its rotation-invariance check, and violates the inclusion (exit 2); a
+#: half-space far from the origin passes ``verify``, though its distances
+#: round by more than 3x the root tolerance; the
 #: non-finite results of ``aperture``, ``check-inclusion`` (q* at p = inf)
 #: and ``eval`` are strings; the far ``acdo`` probe stops short of the step
 #: cap; ``acdo`` on a half-space with a large offset finds witnesses apart;
@@ -66,6 +71,7 @@ CLI_CASES = {
     "suite.seed1": ["suite", "--all", "--seed", "1"],
     "cli.verify": ["verify", "--op", _CONJ],
     "cli.verify.structure": ["verify", "--op", _CONJ, "--flags", "convex,cone,rot_invariant"],
+    "cli.verify.far-offset": ["verify", "--op", "tests/data/linear_offset_1e12.json", "--flags", "rot_invariant,convex"],
     "cli.check-inclusion": ["check-inclusion", "--op", _CONJ, "--p", "5", "--count", "50"],
     "cli.aperture": ["aperture", "--body", "dominative:n=3,p=inf"],
     "cli.check-inclusion.p-inf": ["check-inclusion", "--op", "dominative:n=3,p=inf", "--p", "inf", "--count", "20"],
@@ -119,9 +125,66 @@ def inclusion_reports() -> dict[str, str]:
     }
 
 
+def band_matrices(n: int) -> np.ndarray:
+    """The symmetric ``(k, n, n)`` stack with entries from {+-8e307, 1e-300,
+    0}: every such matrix at n = 2 and every fifth at n = 3, which
+    ``tests/test_operators.py::TestPairingOverflow`` checks against the exact
+    values."""
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    stack = []
+    for picks in list(itertools.product((8e307, -8e307, 1e-300, 0.0), repeat=len(cells)))[:: 1 if n == 2 else 5]:
+        a = np.zeros((n, n))
+        for (i, j), v in zip(cells, picks):
+            a[i, j] = a[j, i] = v
+        stack.append(a)
+    return np.array(stack)
+
+
+def overflow_band() -> dict[str, str]:
+    """``[value, value_stack, distance]`` of each spec on each matrix of
+    :func:`band_matrices`, one matrix a line, by spec: the bits of the
+    rescaled results, which the ``cli.eval.overflow*`` cases pin on one
+    matrix each."""
+    from domcone.aperture import ConvexBody, pucci_body
+    from domcone.operators import DominativeP, EnsembleSupport, ExampleEq, LinearTrace, Pucci
+    from domcone.rules import num_to_json
+    from domcone.symmat import SymMatrix
+
+    specs = {}
+    for n in (2, 3):
+        body = pucci_body(n, 1.0, 3.0)
+        coupled = np.eye(n) + 0.5 * np.eye(n, k=1) + 0.5 * np.eye(n, k=-1)
+        specs.update({
+            f"dominative n={n} p=3": DominativeP(n, 3.0),
+            f"dominative n={n} p=inf": DominativeP(n, math.inf),
+            f"pucci n={n} lam=0.5 Lam=2": Pucci(n, 0.5, 2.0),
+            f"pucci n={n} lam=0.5 Lam=1e200": Pucci(n, 0.5, 1e200),
+            f"rot-closed pucci body n={n} lam=1 Lam=3": EnsembleSupport(body),
+            f"plain pucci hull n={n} lam=1 Lam=3": EnsembleSupport(
+                ConvexBody(n=n, generators=body.generators, rot_closed=False)
+            ),
+            f"linear n={n} A=coupled m=-1": LinearTrace(A=SymMatrix(coupled), m=-1.0),
+        })
+    specs["example n=2"] = ExampleEq()
+    blocks = []
+    for name, spec in specs.items():
+        stack = band_matrices(spec.n)
+        rows = [
+            json.dumps([num_to_json(v) for v in (spec.value(x), s, spec.distance(x))], allow_nan=False)
+            for x, s in zip(map(SymMatrix, stack), spec.value_stack(stack).tolist())
+        ]
+        blocks.append(f"  {json.dumps(name)}: [\n    " + ",\n    ".join(rows) + "\n  ]")
+    return {"overflow.band": "{\n" + ",\n".join(blocks) + "\n}\n"}
+
+
+def reports() -> dict[str, str]:
+    """The golden outputs that are not CLI cases, by name."""
+    return {**inclusion_reports(), **overflow_band()}
+
+
 def manifest() -> dict:
     """The numpy version the golden files were made with, and the exit code
-    of each (None for a workload report) by name."""
+    of each (None for an output that is not a CLI case) by name."""
     return json.loads((GOLDEN / "manifest.json").read_text())
 
 
@@ -172,7 +235,7 @@ def same(a, b, path: str = "$") -> str | None:
 def main() -> int:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     outputs = {name: run_cli(argv) for name, argv in CLI_CASES.items()}
-    outputs.update({name: (text, None) for name, text in inclusion_reports().items()})
+    outputs.update({name: (text, None) for name, text in reports().items()})
     for old in GOLDEN.glob("*.json"):
         old.unlink()
     for name, (text, _) in outputs.items():
