@@ -80,6 +80,11 @@ class ConvexBody:
         return np.vstack([eigvals_sym(g) for g in self.generators])
 
     @cached_property
+    def generator_stack(self) -> np.ndarray:
+        """(num_generators, n, n) array of the generators' entries."""
+        return np.array([g.a for g in self.generators])
+
+    @cached_property
     def generator_traces(self) -> np.ndarray:
         """The generators' traces, as sums of :attr:`generator_spectra`."""
         return self.generator_spectra.sum(axis=1)
@@ -182,8 +187,12 @@ def body_cone_aperture(body: ConvexBody) -> ApertureResult:
 
     Path one minimizes tr/lambda_n over the generators directly; path two
     bisects the support function along the ``diag(a-1, -1, ..., -1)`` ray.
-    Disagreement beyond ``_PATH_TOL`` raises, since it signals a body whose
-    ``rot_closed`` flag is dishonest (or broken generator data).
+    On a rotation-closed body :func:`eval_support` reads only
+    ``generator_spectra``, so path two bisects max_k (a lambda_n(A_k) -
+    tr A_k), whose root is path one's minimum, from the same spectra.  A
+    disagreement beyond ``_PATH_TOL`` raises: it signals a fault in the
+    bisection or in the support rule, not a dishonest ``rot_closed`` flag,
+    which neither path can see.
 
     Ties in the generator minimum break to the lowest index; ``c`` is the
     trace of that generator.
@@ -202,8 +211,7 @@ def body_cone_aperture(body: ConvexBody) -> ApertureResult:
     if abs(alpha - alpha_root) > _PATH_TOL:
         raise ApertureInconsistencyError(
             f"aperture paths disagree: generator minimum {alpha!r} vs "
-            f"support-root {alpha_root!r}; the body likely violates its "
-            f"rot_closed semantics"
+            f"support-root {alpha_root!r}, from the same generator spectra"
         )
 
     n = body.n

@@ -132,8 +132,14 @@ def _parse_float_list(text: str) -> list[float]:
         raise InputError(f"bad numeric list {text!r}: {exc}") from exc
 
 
+#: Most points a range may hold.  A finer sweep or grid is a slip of the
+#: step, and its list alone could exhaust the memory.
+_MAX_RANGE_POINTS = 100_000
+
+
 def _parse_range(text: str) -> list[float]:
-    """``a:b:step`` inclusive of a, ending at or before b."""
+    """``a:b:step`` inclusive of a, ending at or before b, of at most
+    ``_MAX_RANGE_POINTS`` points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError(f"bad range {text!r}: expected a:b:step")
@@ -145,8 +151,10 @@ def _parse_range(text: str) -> list[float]:
         raise InputError(f"bad range {text!r}: bounds and step must be finite")
     if step <= 0 or b < a:
         raise InputError(f"bad range {text!r}: need a <= b and step > 0")
-    count = int(math.floor((b - a) / step + 1e-9)) + 1
-    return [a + k * step for k in range(count)]
+    span = (b - a) / step + 1e-9  # +inf where (b - a) / step passes the float range
+    if not span < _MAX_RANGE_POINTS:
+        raise InputError(f"bad range {text!r}: more than {_MAX_RANGE_POINTS} points")
+    return [a + k * step for k in range(math.floor(span) + 1)]
 
 
 # ---------------------------------------------------------------------------

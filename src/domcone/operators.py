@@ -20,11 +20,13 @@ ascending spectrum.  Each is one rule ``rule(a, ev, *args)``, of matrices
 ``a`` and their spectra ``ev``, that serves one matrix and a stack alike.
 :func:`_spectral` runs it on one matrix, rescaled by a power of two where
 it would pass the float range; :func:`_stacked` runs it on a stack, whose
-rows past that range take the scalar value.  The Pucci distance is such a
-rule too.  The specs built on trace pairings (a
-``LinearTrace``, a plain generator hull, and the distance of a
-rotation-closed body) rescale in :func:`_paired`; ``ExampleEq`` is not
-homogeneous and takes its large cases in halves.
+rows past that range take the scalar value.  The Pucci distance and the
+distance of a rotation-closed body are such rules too.  A ``LinearTrace``
+and a plain generator hull are maxima of trace pairings: their ``value``,
+``value_stack`` and ``distance`` run one pairing rule on a stack through
+:func:`symmat._paired`, which rescales the rows past the float range.  No
+spec takes both paths.  ``ExampleEq`` is not homogeneous and takes its
+large cases in halves.
 """
 
 from __future__ import annotations
@@ -42,12 +44,12 @@ from .symmat import (
     LOEWNER_TOL,
     InvertibleMap,
     SymMatrix,
+    _paired,
+    _pairings,
     congruence,
     congruence_stack,
     eigvals_stack,
     eigvals_sym,
-    inner,
-    inner_stack,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -109,22 +111,6 @@ def _stacked(rule, a: np.ndarray, growth: float, value, *args) -> np.ndarray:
     return v
 
 
-def _paired(rule, x: SymMatrix, m: float = 0.0):
-    """``rule(x, m)``, a value or an array, for a rule of pairings with
-    positive semidefinite matrices, positively homogeneous of degree one in
-    (x, m).  Where a value is not finite, 2^k rule(2^-k x, 2^-k m) instead,
-    for 2^-k x and 2^-k m below 1 in size, whose pairings with an A >= 0
-    are at most n tr A.  So the values keep their bits where all are
-    finite; elsewhere each, and so their maximum, is finite wherever the
-    exact one is and +-inf otherwise, with no numpy warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = rule(x, m)
-        if np.isfinite(v).all():
-            return v
-        k = max(math.frexp(np.abs(x.a).max())[1], math.frexp(m)[1])
-        return np.ldexp(rule(SymMatrix._wrap(np.ldexp(x.a, -k)), math.ldexp(m, -k)), k)
-
-
 def eval_dominative(x: SymMatrix, p: float) -> float:
     """Normalized dominative operator.
 
@@ -173,14 +159,15 @@ def pucci_from_eigs(a: np.ndarray, ev: np.ndarray, lam: float, Lam: float):
 
 
 def eval_support(x: SymMatrix, body) -> float:
-    """Support function of a convex body of symmetric matrices: the
-    maximum of :func:`_support_pairings` over the generators.  For a
-    rotation-closed body that is :func:`support_from_eigs`, whose pairings
-    sum terms of at most tr A_k max |lambda_i| in size; where they pass
-    the float range, :func:`_spectral` rescales X."""
-    if not body.rot_closed:
-        return float(_support_pairings(x, body).max())
+    """Support function of a convex body of symmetric matrices: the largest
+    pairing of X with the body.  For a rotation-closed body that is
+    :func:`support_from_eigs`, whose pairings sum terms of at most
+    tr A_k max |lambda_i| in size; where they pass the float range,
+    :func:`_spectral` rescales X.  For a plain generator hull it is
+    :func:`_affine_max`."""
     check_dim(x.n, body.n, against="body")
+    if not body.rot_closed:
+        return float(_affine_max(x.a[None], body.generator_stack)[0])
     return _spectral(support_from_eigs, x, _support_growth(body), body.generator_spectra)
 
 
@@ -189,19 +176,11 @@ def _support_growth(body) -> float:
     return max(1.0, *body.generator_traces.tolist())
 
 
-def _support_pairings(x: SymMatrix, body) -> np.ndarray:
-    """Per-generator pairings whose maximum is the support value at ``x``.
-
-    For a rotation-closed body (``body.rot_closed``) the maximum of
-    tr(Q A Q^T X) over orthogonal Q is the ascending-sorted eigenvalue dot
-    product (von Neumann's trace inequality), :func:`_sorted_pairings`, as
-    in :func:`support_from_eigs`; for a plain generator hull it is the
-    direct pairing ``<A, X>``.
-    """
-    check_dim(x.n, body.n, against="body")
-    if body.rot_closed:
-        return _sorted_pairings(eigvals_sym(x), body.generator_spectra)
-    return np.array([inner(a, x) for a in body.generators])
+def _affine_max(a: np.ndarray, gens: np.ndarray, t=1.0, m: float = 0.0) -> np.ndarray:
+    """``max_k (<A_k, X> - m) / t_k`` over the ``(g, n, n)`` array ``gens``,
+    for each matrix X of a ``(k, n, n)`` stack, by :func:`_paired`: a
+    ``LinearTrace`` has one A_k, and a plain generator hull m = 0."""
+    return _paired(lambda y, m: (_pairings(gens, y) - m) / t, a, np.abs(gens).max(), m).max(-1)
 
 
 def _sorted_pairings(ev: np.ndarray, spectra: np.ndarray) -> np.ndarray:
@@ -222,6 +201,12 @@ def support_from_eigs(a: np.ndarray, ev: np.ndarray, spectra: np.ndarray):
     unread): the maximum of the :func:`_sorted_pairings` with the rows of
     ``spectra``, von Neumann's trace inequality."""
     return _sorted_pairings(ev, spectra).max(-1)
+
+
+def _support_root(a: np.ndarray, ev: np.ndarray, spectra: np.ndarray, traces: np.ndarray):
+    """Rotation-closed :meth:`EnsembleSupport.distance`: the largest sorted
+    pairing over its tr A_k (``traces``), at most max |lambda_i| in size."""
+    return (_sorted_pairings(ev, spectra) / traces).max(-1)
 
 
 def eval_example(x: SymMatrix) -> float:
@@ -354,26 +339,16 @@ class LinearTrace:
         return self.A.n
 
     def value(self, x: SymMatrix) -> float:
-        check_dim(x.n, self.n)
-        return self._affine(x, 1.0)
+        return float(self.value_stack(x.a[None])[0])
 
     def value_stack(self, a: np.ndarray) -> np.ndarray:
         check_dim(a.shape[-1], self.n)
-        with np.errstate(over="ignore"):
-            v = inner_stack(self.A, a) - self.m
-        far = np.flatnonzero(~np.isfinite(v))
-        v[far] = [self.value(SymMatrix._wrap(a[i])) for i in far]
-        return v
+        return _affine_max(a, self.A.a[None], 1.0, self.m)
 
     def distance(self, x: SymMatrix) -> float:
         """``(<A, X> - m) / tr A``, as <A, X + tI> = <A, X> + t tr A."""
         check_dim(x.n, self.n)
-        return self._affine(x, float(np.trace(self.A.a)))
-
-    def _affine(self, x: SymMatrix, t: float) -> float:
-        """``(<A, X> - m) / t``, by :func:`_paired` where it is not finite."""
-        v = (inner(self.A, x) - self.m) / t
-        return v if math.isfinite(v) else float(_paired(lambda y, m: (inner(self.A, y) - m) / t, x, self.m))
+        return float(_affine_max(x.a[None], self.A.a[None], float(np.trace(self.A.a)), self.m)[0])
 
 
 @dataclass(frozen=True)
@@ -392,15 +367,17 @@ class EnsembleSupport:
         check_dim(a.shape[-1], body.n, against="body")
         if body.rot_closed:
             return _stacked(support_from_eigs, a, _support_growth(body), self.value, body.generator_spectra)
-        return np.stack([inner_stack(g, a) for g in body.generators], -1).max(-1)
+        return _affine_max(a, body.generator_stack)
 
     def distance(self, x: SymMatrix) -> float:
-        """``max_k pairing_k / tr A_k`` over the :func:`_support_pairings`:
-        each pairing grows by t tr A_k along X + tI, and ``ConvexBody``
-        keeps every tr A_k positive.
-        """
+        """``max_k pairing_k / tr A_k``: each pairing of X with a generator
+        (sorted, for a rotation-closed body: :func:`_support_root`) grows by
+        t tr A_k along X + tI, and ``ConvexBody`` keeps every tr A_k > 0."""
         body = self.body
-        return float(np.max(_paired(lambda y, _: _support_pairings(y, body) / body.generator_traces, x)))
+        check_dim(x.n, body.n, against="body")
+        if body.rot_closed:
+            return _spectral(_support_root, x, _support_growth(body), body.generator_spectra, body.generator_traces)
+        return float(_affine_max(x.a[None], body.generator_stack, body.generator_traces)[0])
 
 
 @dataclass(frozen=True)

@@ -242,17 +242,39 @@ def inner(a: SymMatrix, x: SymMatrix) -> float:
 
 
 def inner_stack(a: SymMatrix, x: np.ndarray) -> np.ndarray:
-    """Trace pairing of ``a`` with each matrix of a ``(k, n, n)`` stack; the
-    flattened rows sum in the order of ``np.sum`` on one matrix.  A row
-    whose sum is not finite is paired again as 2^k <A, 2^-k X>, each product
-    below 2^1014 and so their sum below 2^1022: finite wherever the exact
-    pairing is, +-inf elsewhere, with no numpy warning."""
+    """Trace pairing of ``a`` with each matrix of a ``(k, n, n)`` stack:
+    :func:`_pairings`, rescaled by :func:`_paired`."""
+    return _paired(lambda y, _: _pairings(a.a[None], y), x, np.abs(a.a).max())[:, 0]
+
+
+def _pairings(gens: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trace pairings, shape ``(k, g)``, of a ``(k, n, n)`` stack ``x`` with a
+    ``(g, n, n)`` array ``gens``, each summed as ``np.sum`` of one matrix."""
+    return (gens * x[:, None]).reshape(len(x), len(gens), -1).sum(-1)
+
+
+def _paired(rule, a: np.ndarray, scale: float, m: float = 0.0) -> np.ndarray:
+    """``rule(a, m)``, shape ``(k,)`` or ``(k, g)``, of a ``(k, n, n)`` stack
+    ``a``, for a rule of trace pairings with matrices of entries at most
+    ``scale`` in size, less m, positively homogeneous of degree one in (X, m).
+
+    A row not all finite is 2^j rule(2^-j X, 2^-j m) instead, for the least
+    j >= 0 that puts each product of an entry of X with one of size
+    ``scale`` below 2^1014: a sum of 16^2 such is below 2^1022, and less
+    2^-j m, for j > 0, below 2^1024 (at j = 0 only m or a division passed
+    the float range, as the exact value does).  Powers of two scale exactly
+    but for subnormal results: each row keeps its bits where it is finite,
+    is finite wherever the exact value is, and is +-inf, with no numpy
+    warning, elsewhere.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        v = (a.a * x).reshape(len(x), -1).sum(-1)
+        v = rule(a, m)
         if not np.isfinite(v).all():
-            far = np.flatnonzero(~np.isfinite(v))
-            k = np.frexp(np.abs(a.a).max())[1] + np.frexp(np.abs(x[far]).max((-2, -1)))[1] - 1014
-            v[far] = np.ldexp((a.a * np.ldexp(x[far], -k[:, None, None])).reshape(len(far), -1).sum(-1), k)
+            far = np.flatnonzero(~np.isfinite(v.reshape(len(v), -1)).all(-1))
+            e = np.frexp(np.abs(a[far]).max((-2, -1)))[1] + np.frexp(scale)[1]
+            j = np.maximum(e - 1014, 0)
+            jv = j.reshape(-1, *[1] * (v.ndim - 1))  # j against the rows of v
+            v[far] = np.ldexp(rule(np.ldexp(a[far], -j[:, None, None]), np.ldexp(m, -jv)), jv)
     return v
 
 

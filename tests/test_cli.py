@@ -575,6 +575,11 @@ MISTAKES = {
     "boolean lam": ("input", _op_commands("{lam_true}")),
     "boolean p": ("input", _op_commands("{p_true}")),
     "boolean m": ("input", _op_commands("{m_false}")),
+    "range of too many points": ("input", [
+        ["sobolev", "--n", "3", "--p", "4", "--q-sweep=-1e308:1e308:1"],  # (b - a) / step passes the float range
+        ["example", "--c", "1", "--r-grid=0.1:0.9:1e-320"],
+        ["example", "--c", "1", "--r-grid=0.05:0.95:1e-12"],  # 9e11 points
+    ]),
 }
 
 

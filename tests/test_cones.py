@@ -5,9 +5,10 @@ import pytest
 
 from domcone import cones
 from domcone.acdo import EllipticSetOracle, acdo_eval, acdo_root, acdo_roots, oracle_from_operator
+from domcone.aperture import ConvexBody, body_cone_aperture
 from domcone.cones import boundary_sample, check_inclusion, conjugate_oracle, inclusion_verdict
 from domcone.errors import NumericalFailureError, PreconditionError
-from domcone.operators import Conjugated, DominativeP, Pucci, eval_dominative
+from domcone.operators import Conjugated, DominativeP, EnsembleSupport, ExampleEq, Pucci, eval_dominative
 from domcone.rules import ROOT_TOL, num_to_json, sobolev_threshold
 from domcone.sampling import goe_matrix, goe_stack, make_rng
 from domcone.symmat import InvertibleMap, SymMatrix, inf_norm
@@ -443,3 +444,31 @@ def test_check_inclusion_reports_the_worst_of_the_sharp_sample(member, p):
     slope, verdict = inclusion_verdict(RADII, worst, THRESH)
     assert (rep.trend_slope, rep.verdict) == (slope, verdict)
     assert lazy_calls < len(calls)
+
+
+def _bodies_past_their_aperture():
+    """Six n = 4 rotation-closed bodies of three diagonal U(0.1, 1) generators,
+    each with 1.03 times its aperture exponent."""
+    rng = np.random.default_rng(0)
+    cases = []
+    for _ in range(6):
+        body = ConvexBody(n=4, generators=tuple(SymMatrix.diag(rng.uniform(0.1, 1, 4)) for _ in range(3)))
+        cases.append((EnsembleSupport(body), 1.03 * body_cone_aperture(body).p))
+    return cases
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+@pytest.mark.parametrize(
+    "spec, p",
+    [(ExampleEq(), 2.02), *_bodies_past_their_aperture()],
+    ids=["example-2.02", *(f"rot-closed-n4-{i}" for i in range(6))],
+)
+def test_an_exponent_past_the_exact_one_is_violated(spec, p):
+    # The asymptotic cone of the model equation's set is Theta_2, which is
+    # not inside Theta_p for p > 2.  A rotation-closed body's set is a cone
+    # inside Theta_q for its aperture exponent q alone: for p > q its spike
+    # diag(a - 1, -1, ..., -1) has G = 0 and F_p > 0.  The violating
+    # directions are a thin set near the spike, which the GOE sample misses,
+    # so each case answers consistent.
+    rep = check_inclusion(oracle_from_operator(spec), None, p, RADII, count=100, seed=0)
+    assert rep.verdict == "violated"

@@ -549,6 +549,17 @@ class TestPairingOverflow:
 
         self.run(ExampleEq(), self.matrices(2), exact)
 
+    def test_a_small_half_space_whose_distance_passes_the_float_range(self):
+        # every pairing is in range, and the distance, 2.2e308, is not: the
+        # rescale must not scale X up, where its pairing would be inf - inf
+        spec = LinearTrace(A=SymMatrix(1e-300 * np.ones((3, 3))), m=0.0)
+        x = SymMatrix(8.9e307 * np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, -0.5]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spec.value(x) == pytest.approx(6.675e8, rel=1e-15)
+            assert spec.distance(x) == math.inf
+            assert acdo_root(oracle_from_operator(spec), x).value == math.inf
+
     def test_an_offset_that_brings_the_pairing_back_in_range(self):
         spec = LinearTrace(A=SymMatrix.identity(3), m=8e307)
         x = np.stack([np.diag([8e307] * 3), np.diag([8e307, 8e307, -8e307]), np.eye(3)])

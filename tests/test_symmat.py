@@ -8,6 +8,7 @@ from domcone.sampling import goe_matrix, goe_stack, make_rng, random_nsd, random
 from domcone.symmat import (
     InvertibleMap,
     SymMatrix,
+    _pairings,
     congruence,
     congruence_stack,
     eigh_sym,
@@ -264,16 +265,20 @@ class TestCongruence:
 def test_one_matrix_pairings_have_the_bits_of_their_stacked_forms(n):
     # inner and congruence are their stacked forms on a stack of one, with
     # the bits of the one-matrix formulas they replaced, on a map that is
-    # not orthogonal
+    # not orthogonal; the pairings with several matrices at once have the
+    # bits of each pairing alone
     rng = make_rng(119, n)
     stack = goe_stack(rng, 5, n, [0.5, 1.0, 10.0])
     a = goe_matrix(rng, n, radius=3.0)
     b = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
     paired = inner_stack(a, stack)
     mapped = congruence_stack(stack, b)
+    gens = np.array([a.a, random_psd(rng, n).a, b + b.T])
+    hull = _pairings(gens, stack)
     for i, row in enumerate(stack):
         x = SymMatrix._wrap(row)
         assert inner(a, x).hex() == float(paired[i]).hex() == float(np.sum(a.a * x.a)).hex()
+        assert [v.hex() for v in hull[i].tolist()] == [float(np.sum(g * x.a)).hex() for g in gens]
         want = SymMatrix(b.T @ x.a @ b).a.tobytes()
         assert congruence(x, b).a.tobytes() == mapped[i].tobytes() == want
         assert congruence(x, InvertibleMap(b)).a.tobytes() == want

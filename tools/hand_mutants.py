@@ -262,22 +262,28 @@ MUTANTS = [
         "asym > 1e6 * SYMMETRY_RTOL * scale",
     ),
     (
-        "inner_stack: row rescale removed",
+        "pairing rescale: no row is evaluated again",
         "src/domcone/symmat.py",
         "        if not np.isfinite(v).all():\n",
         "        if False:\n",
     ),
     (
-        "pairing rules: rescale removed",
-        "src/domcone/operators.py",
-        "        if np.isfinite(v).all():\n",
-        "        if True:\n",
+        "pairing rescale: rows not scaled back",
+        "src/domcone/symmat.py",
+        "v[far] = np.ldexp(rule(np.ldexp(a[far], -j[:, None, None]), np.ldexp(m, -jv)), jv)",
+        "v[far] = rule(np.ldexp(a[far], -j[:, None, None]), np.ldexp(m, -jv))",
     ),
     (
-        "LinearTrace.value_stack: rows past the float range kept",
-        "src/domcone/operators.py",
-        "        v[far] = [self.value(SymMatrix._wrap(a[i])) for i in far]\n",
-        "",
+        "pairing rescale: a row is far only where no value of it is finite",
+        "src/domcone/symmat.py",
+        "far = np.flatnonzero(~np.isfinite(v.reshape(len(v), -1)).all(-1))",
+        "far = np.flatnonzero(~np.isfinite(v.reshape(len(v), -1)).any(-1))",
+    ),
+    (
+        "pairing rescale: j below 0 scales X up",
+        "src/domcone/symmat.py",
+        "j = np.maximum(e - 1014, 0)",
+        "j = e - 1014",
     ),
     (
         "ExampleEq.distance: scaled form removed",
@@ -290,6 +296,12 @@ MUTANTS = [
         "src/domcone/operators.py",
         "    return _spectral(support_from_eigs, x, _support_growth(body), body.generator_spectra)\n",
         "    return float(support_from_eigs(x.a, eigvals_sym(x), body.generator_spectra))\n",
+    ),
+    (
+        "rotation-closed distance: rescale removed",
+        "src/domcone/operators.py",
+        "return _spectral(_support_root, x, _support_growth(body), body.generator_spectra, body.generator_traces)",
+        "return float(_support_root(x.a, eigvals_sym(x), body.generator_spectra, body.generator_traces))",
     ),
     (
         "half-space witnesses: offset 1 at any |m|",
