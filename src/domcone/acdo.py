@@ -16,9 +16,9 @@ so the ends take one eigensolve and no membership call.  :func:`acdo_roots`
 runs the bisections of a whole stack of matrices in lockstep, one stacked
 membership call per step, and resumes them from the roots of an earlier
 call at a looser tolerance; it is the one bisection loop, and
-:func:`acdo_root` bisects through it as a stack of one.  A root's
-``probes`` is ``iterations + 1``: one for the bracket (or the closed
-form), and one per bisection step.
+:func:`acdo_root` bisects through it as a stack of one; a bisection stops
+only where it has converged.  A root's ``probes`` is ``iterations + 1``:
+one for the bracket (or the closed form), and one per bisection step.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from .symmat import SymMatrix, _check_symmetric, congruence, eigvals_stack, inf_
 #: The search for a missing witness (expansion along tI from t = 0) beyond
 #: this magnitude declares the set non-proper.
 BRACKET_CAP = 1e15
-
-_MAX_BISECT = 200
 
 
 @dataclass
@@ -194,8 +192,8 @@ def acdo_root(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) ->
     x) of t, from one stacked eigensolve counted as one probe, then
     bisection to absolute width ``tol`` or, far from the origin where
     adjacent doubles lie more than ``tol`` apart, until the midpoint
-    rounds onto an end of the bracket, in at most ``_MAX_BISECT`` steps:
-    the lockstep bisection of :func:`acdo_roots` on a stack of one.
+    rounds onto an end of the bracket (within 2,100 steps from any finite
+    bracket): the lockstep bisection of :func:`acdo_roots` on a stack of one.
     The ends of the bracket are not probed.  The returned value v
     satisfies ``member(x - (v+e) I)`` and ``not member(x - (v-e) I)`` for
     e the larger of ``tol`` and one ulp of v, the closed form up to
@@ -241,19 +239,18 @@ def acdo_roots(
     the witnesses' brackets of the whole stack come from one stacked
     eigensolve, and each step probes every unfinished root with one call
     of the oracle's ``member_stack``.  Each root stops where it would
-    alone (at width ``tol``, at a midpoint that rounds onto an end of
-    the bracket, or at the step cap), so every field of its result is
-    that of a plain one-root bisection.  With a closed form it is a loop
-    of :func:`acdo_root`, one call per matrix, which a tracer of
-    :func:`acdo_root` counts.
+    alone (at width ``tol``, or at a midpoint that rounds onto an end of
+    the bracket), so every field of its result is that of a plain one-root
+    bisection.  With a closed form it is a loop of :func:`acdo_root`, one
+    call per matrix, which a tracer of :func:`acdo_root` counts.
 
     ``start`` holds the roots of the same stack from an earlier call at a
     looser (or equal) tolerance.  Each bisected root then resumes from its
     bracket and ``iterations``, and a closed-form root comes back as it
     is.  The midpoints and the stopping rule depend only on the bracket,
     the step count and ``tol``, so the result equals that of one call at
-    ``tol`` in every field, the step cap counted from the first call;
-    only the first call's membership calls are saved.
+    ``tol`` in every field; only the first call's membership calls are
+    saved.
     """
     stack = np.asarray(stack, dtype=float)
     if stack.shape[1:] != (oracle.n, oracle.n):
@@ -291,7 +288,7 @@ def _lockstep(oracle, stack, tol, lo, hi, iterations) -> list[AcdoRoot]:
     rows = np.arange(len(stack))
     while True:
         mid = 0.5 * (lo + hi)
-        live = (hi - lo > tol) & (iterations < _MAX_BISECT) & (mid != lo) & (mid != hi)
+        live = (hi - lo > tol) & (mid != lo) & (mid != hi)
         if not live.all():
             end = rows[~live]
             done_lo[end], done_hi[end], done_iterations[end] = lo[~live], hi[~live], iterations[~live]

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING
 # that a one-shot command loads only its own.
 from .errors import DomconeError, InputError
 from .rules import (
+    _MAX_POINTS,
     PROPERTY_TOL,
     ROOT_TOL,
     StructureFlags,
@@ -132,14 +133,9 @@ def _parse_float_list(text: str) -> list[float]:
         raise InputError(f"bad numeric list {text!r}: {exc}") from exc
 
 
-#: Most points a range may hold.  A finer sweep or grid is a slip of the
-#: step, and its list alone could exhaust the memory.
-_MAX_RANGE_POINTS = 100_000
-
-
 def _parse_range(text: str) -> list[float]:
     """``a:b:step`` inclusive of a, ending at or before b, of at most
-    ``_MAX_RANGE_POINTS`` points."""
+    ``_MAX_POINTS`` points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError(f"bad range {text!r}: expected a:b:step")
@@ -152,8 +148,8 @@ def _parse_range(text: str) -> list[float]:
     if step <= 0 or b < a:
         raise InputError(f"bad range {text!r}: need a <= b and step > 0")
     span = (b - a) / step + 1e-9  # +inf where (b - a) / step passes the float range
-    if not span < _MAX_RANGE_POINTS:
-        raise InputError(f"bad range {text!r}: more than {_MAX_RANGE_POINTS} points")
+    if not span < _MAX_POINTS:
+        raise InputError(f"bad range {text!r}: more than {_MAX_POINTS} points")
     return [a + k * step for k in range(math.floor(span) + 1)]
 
 

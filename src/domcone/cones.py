@@ -71,15 +71,15 @@ def boundary_sample(
     boundary point ``R*D - dist(R*D) * I`` via the signed distance;
     projections that collapse below R/10 in norm are discarded and
     resampled as degenerate.  A bisected distance is found to
-    ``root_tol * R``, a tolerance per unit of radius: a kept point is
-    divided by its norm of at least R/10, so an error d in the distance
-    moves the direction by at most 20 d / R in the infinity norm, and
-    ``root_tol`` bounds the direction's error whatever the radius.  Each
-    pass draws the shortfall as one :func:`goe_stack`, finds its distances
-    with one :func:`acdo_roots` call (a closed form, or bisections in
-    lockstep) and its norms with one stacked eigensolve, and keeps the
-    accepted points in draw order.  So the output, and the error after
-    ``50 * count + 100`` draws, are those of drawing, projecting and
+    ``root_tol * R``, a tolerance per unit of radius (or to the last
+    double): a kept point is divided by its norm of at least R/10, so an
+    error d in the distance moves the direction by at most 20 d / R in the
+    infinity norm, and ``root_tol`` bounds the direction's error at every
+    radius.  Each pass draws the shortfall as one :func:`goe_stack`, finds
+    its distances with one :func:`acdo_roots` call (a closed form, or
+    bisections in lockstep) and its norms with one stacked eigensolve, and
+    keeps the accepted points in draw order.  So the output, and the error
+    after ``50 * count + 100`` draws, are those of drawing, projecting and
     testing one sample at a time.
 
     Bisected distances are first found only to ``_COARSE_TOL * R`` (when
@@ -98,6 +98,7 @@ def boundary_sample(
     and the largest F_p over the output, the first of its maximisers
     included, has the bits it has with ``p`` None.
     """
+    _check_count(count)
     rng = make_rng(seed)
     n = oracle.n
     eye = np.eye(n)
@@ -130,8 +131,6 @@ def boundary_sample(
         passes.append((probes[keep], raw[keep], nrm[keep]))
         roots_kept.extend(roots[i] for i in np.flatnonzero(keep))
         kept += int(keep.sum())
-    if not passes:
-        return []
     probes, raw, nrm = (np.concatenate(column) for column in zip(*passes))
     if lazy:
         width = np.array([r.bracket[1] - r.bracket[0] for r in roots_kept])
@@ -232,16 +231,15 @@ def check_inclusion(
 
     Requires at least three finite, positive, increasing radii spanning
     three decades.  ``root_tol`` is the bisection tolerance per unit of
-    radius (see :func:`boundary_sample`): each sampled direction is within
-    ``20 * root_tol`` of its exact value, so, F_p being 1-Lipschitz, each
-    worst value is too.  The samples are drawn with ``p``, so only the
-    directions whose F_p may be the largest are bisected to that
-    tolerance, and each worst value has the bits it has when every
-    direction is.  The guaranteed Sobolev exponent interval
+    radius (see :func:`boundary_sample`): at every radius each sampled
+    direction is within ``20 * root_tol`` of its exact value, so, F_p
+    being 1-Lipschitz, each worst value is too.  The samples are drawn
+    with ``p``, so only the directions whose F_p may be the largest are
+    bisected to that tolerance, and each worst value has the bits it has
+    when every direction is.  The guaranteed Sobolev exponent interval
     (0, n(p-1)/(n-1)) is attached to the report, conditional on the
     inclusion actually holding.
     """
-    _check_count(count)
     radii = [float(r) for r in radii]
     if any(not 0.0 < r < math.inf for r in radii):
         raise PreconditionError(f"radii must be finite and positive, got {radii}")

@@ -298,6 +298,8 @@ class Pucci:
         lam, Lam = self.lam, self.Lam
         if Lam >= 2.0**1018:  # the root of (c lam, c Lam) is the same; keep n Lam in range
             lam, Lam = lam * 2.0**-8, Lam * 2.0**-8
+            if lam < 2.0**-1022:  # lam / Lam < 2^-2032 underflows the scan; the root is lambda_n to rounding
+                return eval_dominative(x, P_INF)
         return _spectral(_pucci_root, x, max(1.0, Lam), lam, Lam)
 
 

@@ -31,6 +31,9 @@ ROOT_TOL = 1e-10
 #: Default property tolerance for "numerically zero" worst values.
 PROPERTY_TOL = 1e-8
 
+#: Most samples a count, or points a range, may hold: more could exhaust the memory.
+_MAX_POINTS = 100_000
+
 
 def _check_finite(a: np.ndarray) -> None:
     if not np.isfinite(a).all():
@@ -123,10 +126,12 @@ def _check_sobolev(n: int, p: float, q: float, eps: float) -> None:
 
 
 def _check_count(value: int, what: str = "sample count", minimum: int = 1) -> None:
-    """Reject a count below ``minimum``: a sampled check that runs no
-    sample would pass without evidence."""
+    """Reject a count below ``minimum`` (a sampled check that runs no sample
+    would pass without evidence) or above ``_MAX_POINTS``."""
     if value < minimum:
         raise PreconditionError(f"{what} must be at least {minimum}, got {value}")
+    if value > _MAX_POINTS:
+        raise PreconditionError(f"{what} must be at most {_MAX_POINTS}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -186,8 +191,8 @@ class PropertyReport(Report):
     max_deviation: float = 0.0
 
     def record(self, deviation: float, limit: float, /, **violation) -> None:
-        """Count one check; keep ``violation`` when ``deviation`` > ``limit``."""
+        """Count one check; keep ``violation`` unless ``deviation`` <= ``limit`` (a NaN fails)."""
         self.checks += 1
         self.max_deviation = max(self.max_deviation, deviation)
-        if deviation > limit:
+        if not deviation <= limit:
             self.violations.append(violation)

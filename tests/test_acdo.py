@@ -39,7 +39,7 @@ from domcone.operators import (
 )
 from domcone.sampling import goe_matrix, make_rng, random_orthogonal, random_psd
 from domcone.suite import run_suite
-from domcone.symmat import InvertibleMap, SymMatrix, congruence
+from domcone.symmat import InvertibleMap, SymMatrix, congruence, eigvals_sym
 
 TOL = 1e-10
 
@@ -321,3 +321,32 @@ def test_verifiers_reject_an_empty_sample(verify, samples):
     oracle = oracle_from_operator(DominativeP(n=3, p=3.0))
     with pytest.raises(PreconditionError, match="at least 1"):
         verify(oracle, samples=samples)
+
+
+def test_a_nan_deviation_is_a_violation():
+    # a distance that is NaN fails every identity-shift check, where
+    # ``deviation > limit`` would pass it, and leaves max_deviation at 0
+    oracle = replace(oracle_from_operator(DominativeP(n=3, p=3.0)), distance=lambda x: math.nan)
+    rep = check_nondegeneracy(oracle, samples=5)
+    assert not rep.passed
+    assert len(rep.violations) == rep.checks == 20
+    assert rep.max_deviation == 0.0
+
+
+@pytest.mark.parametrize("half_width, checks, violations", [(1.0, 20, 18), (0.75, 8, 3)])
+def test_a_set_that_is_not_downward_closed_fails(half_width, checks, violations):
+    # the matrices with spectrum inside [-h, h]: a sample inside loses
+    # membership when N pushes an eigenvalue below -h, and one whose
+    # spectrum spreads wider than 2h cannot be shifted inside and is
+    # skipped (at h = 3/4, 12 of the 20)
+    def member(x):
+        ev = eigvals_sym(x)
+        return bool(-half_width <= ev[0] and ev[-1] <= half_width)
+
+    eye = SymMatrix.identity(2)
+    oracle = EllipticSetOracle(member=member, n=2, inside_witness=eye * 0.0, outside_witness=eye * 2.0)
+    rep = check_downward_closure(oracle, samples=20, seed=0)
+    assert (rep.checks, len(rep.violations), rep.passed) == (checks, violations, False)
+    for v in rep.violations:
+        x, n_mat = SymMatrix.from_dict(v["X"]), SymMatrix.from_dict(v["N"])
+        assert member(x) and not member(x + n_mat) and eigvals_sym(n_mat)[-1] <= 0.0

@@ -580,6 +580,10 @@ MISTAKES = {
         ["example", "--c", "1", "--r-grid=0.1:0.9:1e-320"],
         ["example", "--c", "1", "--r-grid=0.05:0.95:1e-12"],  # 9e11 points
     ]),
+    "count of too many samples": ("precondition", [
+        ["check-inclusion", "--op", "dominative:n=3,p=3", "--p", "3", "--count", "1000000000000"],
+        ["verify", "--op", "dominative:n=3,p=3", "--samples", "1000000000000"],
+    ]),
 }
 
 

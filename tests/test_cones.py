@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,15 @@ from domcone.acdo import EllipticSetOracle, acdo_eval, acdo_root, acdo_roots, or
 from domcone.aperture import ConvexBody, body_cone_aperture
 from domcone.cones import boundary_sample, check_inclusion, conjugate_oracle, inclusion_verdict
 from domcone.errors import NumericalFailureError, PreconditionError
-from domcone.operators import Conjugated, DominativeP, EnsembleSupport, ExampleEq, Pucci, eval_dominative
+from domcone.operators import (
+    Conjugated,
+    DominativeP,
+    EnsembleSupport,
+    ExampleEq,
+    Pucci,
+    eval_dominative,
+    spec_from_dict,
+)
 from domcone.rules import ROOT_TOL, num_to_json, sobolev_threshold
 from domcone.sampling import goe_matrix, goe_stack, make_rng
 from domcone.symmat import InvertibleMap, SymMatrix, inf_norm
@@ -88,11 +98,38 @@ def test_catalog_inclusion_verdicts():
     assert math.isclose(outside.decay_exponent, -outside.trend_slope)
 
 
+def test_a_cone_image_has_one_verdict_at_any_scale():
+    # the conjugated Pucci sublevel set is a cone, so the same seed draws
+    # the same directions at radii scaled by 1e-302, and each worst value
+    # is within 20 root_tol of the exact one at either scale; near 1e-300
+    # every bisection ends where its midpoint rounds onto an end
+    data = Path(__file__).parent / "data" / "conjugated_pucci.json"
+    oracle = oracle_from_operator(spec_from_dict(json.loads(data.read_text())))
+    assert oracle.distance is None
+    big = check_inclusion(oracle, None, 3.0, RADII, count=30)
+    tiny = check_inclusion(oracle, None, 3.0, [1e-300, 1e-298, 1e-296], count=30)
+    assert tiny.verdict == big.verdict == "violated"
+    gaps = [abs(a - b) for a, b in zip(tiny.worst_fp_per_radius, big.worst_fp_per_radius)]
+    assert max(gaps) <= 40 * ROOT_TOL
+
+
 @pytest.mark.parametrize("count", [0, -3])
 def test_sample_count_below_one_is_rejected(count):
     oracle = oracle_from_operator(DominativeP(n=2, p=3.0))
     with pytest.raises(PreconditionError, match="count"):
         check_inclusion(oracle, None, 4.0, RADII, count=count)
+    with pytest.raises(PreconditionError, match="must be at least 1"):
+        boundary_sample(oracle, 1e2, count)
+
+
+@pytest.mark.parametrize("count", [100_001, 10**12])
+def test_sample_count_past_the_bound_is_rejected_before_any_draw(monkeypatch, count):
+    monkeypatch.setattr(cones, "goe_stack", None)  # a draw would raise TypeError
+    oracle = oracle_from_operator(DominativeP(n=2, p=3.0))
+    with pytest.raises(PreconditionError, match="must be at most 100000"):
+        check_inclusion(oracle, None, 4.0, RADII, count=count)
+    with pytest.raises(PreconditionError, match="must be at most 100000"):
+        boundary_sample(oracle, 1e2, count)
 
 
 @pytest.mark.parametrize(

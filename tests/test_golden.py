@@ -94,9 +94,13 @@ def test_cli_cases_show_what_they_stand_for():
     assert _report("cli.aperture")["result"]["p"] == "inf"
     assert _report("cli.check-inclusion.p-inf")["result"]["q_interval"]["hi"] == "inf"
     assert _report("cli.eval")["result"]["value"] == "-inf"
-    # witness brackets need no expansion: one probe more than the steps
+    # witness brackets need no expansion: one probe more than the steps, the
+    # last of which leaves a bracket whose midpoint rounds onto an end
     far = _report("cli.acdo.far")["result"]
-    assert far["iterations"] < 200 and far["probes"] == far["iterations"] + 1
+    assert far["probes"] == far["iterations"] + 1
+    assert 0.5 * sum(far["bracket"]) in far["bracket"]
+    # the exact distance of the identity, where lam 2^-8 underflows
+    assert _report("cli.eval.pucci.subnormal-lam")["result"]["boundary_distance_hint"] == 1.0
     # (<A, X> - m) / tr A at m = 1e17, where witnesses m -+ 1 would round to m
     assert _report("cli.acdo.far-offset")["result"]["value"] == -5e16
     # the image is a convex cone, but B is not orthogonal

@@ -102,8 +102,8 @@ def _reference_root(oracle, x, tol=ROOT_TOL, start=None):
     """The distance of ``x`` as a plain one-root bisection: the closed form
     where the oracle has one; else the witnesses' bracket (or the bracket
     and step count of a ``start`` root), then one ``member`` call per step
-    until the width is at most ``tol``, the midpoint rounds onto an end of
-    the bracket, or 200 steps are made."""
+    until the width is at most ``tol`` or the midpoint rounds onto an end
+    of the bracket."""
     if oracle.distance is not None:
         v = float(oracle.distance(x))
         return AcdoRoot(value=v, bracket=(v, v), iterations=0, probes=1, method="closed-form")
@@ -112,7 +112,7 @@ def _reference_root(oracle, x, tol=ROOT_TOL, start=None):
         lo, hi, iterations = float(lo), float(hi), 0
     else:
         lo, hi, iterations = -start.bracket[1], -start.bracket[0], start.iterations
-    while hi - lo > tol and iterations < 200:
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -180,20 +180,36 @@ class TestLockstepEqualsScalar:
         assert values[2] == eval_example(SymMatrix._wrap(stack[2])) == -2.0  # l2 = -1 is on the finite side
         _assert_same_roots(_bisection(ExampleEq()), stack)
 
-    def test_single_sample_and_max_bisect(self):
+    def test_a_bracket_that_never_reaches_tol_stops_at_the_last_double(self):
         # a negative tolerance never closes the bracket; with the root at
         # t = 0 exactly, the witnesses' bracket [-2, 2] takes lo to 0 at
-        # the first midpoint, then hi halves toward 0 through ~1,074
-        # distinct doubles, so every root stops at the iteration cap with
-        # the bracket [0, 2^-198]: the bracket evaluation, then 200
-        # bisection probes, alone and in lockstep
+        # the first midpoint, then hi halves toward 0 through 2^-1074, the
+        # least double, where the midpoint rounds onto lo = 0: the bracket
+        # evaluation, then 1 + 1,075 bisection probes, alone and in lockstep
         oracle = _bisection(Pucci(n=4, lam=1.0, Lam=3.0))
         stack = np.zeros((3, 4, 4))
         _assert_same_roots(oracle, stack, tol=-1e-3)
         _assert_same_roots(oracle, stack[:1], tol=-1e-3)
         roots = acdo_roots(oracle, stack, tol=-1e-3)
-        assert [(r.value, r.iterations, r.probes) for r in roots] == [(-(2.0**-199), 200, 201)] * 3
-        assert roots[0].bracket == (-(2.0**-198), 0.0)
+        assert [(r.value, r.iterations, r.probes) for r in roots] == [(-0.0, 1076, 1077)] * 3
+        assert [repr(v) for v in roots[0].bracket] == ["-5e-324", "-0.0"]
+
+    @pytest.mark.parametrize("root", [0.0, 5e-324, -1.0, 3.0, 1e300, -8e307])
+    def test_the_widest_bracket_stops_at_the_rounding_stop(self, root):
+        # witnesses at -+1.7e308 I, whose difference passes the float range:
+        # a root at the origin, where the doubles are densest, or far from
+        # it stops within 2,200 steps at any tolerance (a root past 8.5e307
+        # would take a midpoint of two ends past the float range)
+        eye = SymMatrix.identity(2)
+        for tol in (ROOT_TOL, 0.0, -1.0):
+            with np.errstate(over="ignore"):
+                oracle = EllipticSetOracle(
+                    member=lambda x: x.a[0, 0] <= root, n=2, inside_witness=eye * -1.7e308, outside_witness=eye * 1.7e308
+                )
+                (r,) = acdo_roots(oracle, np.zeros((1, 2, 2)), tol)
+            lo, hi = -r.bracket[1], -r.bracket[0]
+            assert lo <= root < hi and r.iterations < 2200
+            assert hi - lo <= tol or 0.5 * (lo + hi) in (lo, hi)
 
     def test_width_equal_to_tol_stops(self):
         # the bracket [-2, 2] halves to width 2^-8 in exactly 10 steps, and a
@@ -210,20 +226,19 @@ class TestLockstepEqualsScalar:
         # the root t = 2^30 + ulps * 2^-22 is a member, so the bracket ends at
         # [root, root + ulp]; its midpoint rounds half to even, onto lo for
         # an even root and onto hi for an odd one, and either ends the
-        # bisection short of the step cap, alone and in lockstep
+        # bisection, after 24 steps, alone and in lockstep
         oracle = _bisection(Pucci(n=3, lam=0.5, Lam=2.0))
         root = 2.0**30 + ulps * 2.0**-22
         stack = np.array([-root * np.eye(3)] * 3)
         _assert_same_roots(oracle, stack, tol=0.0)
         for r in acdo_roots(oracle, stack, tol=0.0):
             assert r.bracket == (-math.nextafter(root, math.inf), -root)
-            assert r.iterations < 200
+            assert r.iterations == 24
 
     def test_far_root_stops_when_the_bracket_cannot_shrink(self):
         # beyond |t| = 2^19 adjacent doubles lie further apart than ROOT_TOL:
         # the bisection ends when the midpoint rounds onto an end of the
-        # bracket, with the value and bracket that running on to the cap
-        # gave (pinned literals), alone and in lockstep
+        # bracket, after 54 steps (pinned literals), alone and in lockstep
         data = Path(__file__).parent / "data"
         spec = spec_from_dict(json.loads((data / "conjugated_pucci.json").read_text()))
         far = SymMatrix.from_dict(json.loads((data / "far_probe.json").read_text()))
@@ -234,7 +249,7 @@ class TestLockstepEqualsScalar:
         for root in acdo_roots(oracle, stack) + [acdo_root(oracle, far), _reference_root(oracle, far)]:
             assert root.value == 1180325.103301331
             assert root.bracket == (1180325.103301331, 1180325.1033013312)
-            assert root.iterations < 200
+            assert root.iterations == 54
 
 
 class TestFallback:
@@ -435,18 +450,20 @@ class TestResume:
         _assert_resumes(oracle, stack, 1e-1, 1e-5, 1e-8)
         _assert_resumes(oracle, stack[:2], 1e-1, 1e-5, 1e-8)
 
-    def test_step_cap_counts_from_the_first_call(self):
-        # the root at t = 0 of test_single_sample_and_max_bisect: 12 steps
-        # from the bracket [-2, 2] to width 1e-3, then on to the cap of 200
-        # in all, 201 probes
+    def test_resumed_roots_stop_at_the_last_double(self):
+        # the root at t = 0 of
+        # test_a_bracket_that_never_reaches_tol_stops_at_the_last_double:
+        # 12 steps from the bracket [-2, 2] to width 1e-3, then on to the
+        # rounding stop at 1,076 in all, 1,077 probes
         oracle = _bisection(Pucci(n=4, lam=1.0, Lam=3.0))
         for stack in (np.zeros((3, 4, 4)), np.zeros((1, 4, 4))):
             coarse = acdo_roots(oracle, stack, 1e-3)
             assert [(r.iterations, r.probes) for r in coarse] == [(12, 13)] * len(stack)
             roots = acdo_roots(oracle, stack, -1e-3, start=coarse)
-            assert [(r.iterations, r.probes) for r in roots] == [(200, 201)] * len(stack)
+            assert [(r.iterations, r.probes) for r in roots] == [(1076, 1077)] * len(stack)
+            assert [repr(v) for v in roots[0].bracket] == ["-5e-324", "-0.0"]
             _assert_resumes(oracle, stack, 1e-3, -1e-3)
-            # a root already at the cap comes back as it is
+            # a root already at the rounding stop comes back as it is
             assert acdo_roots(oracle, stack, -1.0, start=roots) == roots
 
     def test_far_root_stalls_where_the_one_shot_call_stalls(self):
@@ -459,7 +476,7 @@ class TestResume:
             _assert_resumes(oracle, stack, 1e3, ROOT_TOL)
             (root, *_) = acdo_roots(oracle, stack, 1e3)
             (root, *_) = acdo_roots(oracle, stack, start=[root] * k)
-            assert root.value == 1180325.103301331 and root.iterations < 200
+            assert root.value == 1180325.103301331 and root.iterations == 54
 
     def test_closed_form_roots_come_back_as_they_are(self):
         oracle = oracle_from_operator(Pucci(n=3, lam=0.5, Lam=2.0))

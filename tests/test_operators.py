@@ -450,6 +450,38 @@ class TestOverflow:
                 if isinstance(spec, Pucci):
                     assert spec.distance(m) == pytest.approx(spec.distance(small) * 2.0**60, rel=1e-12)
 
+    @staticmethod
+    def exact_pucci_root(ev, lam, Lam):
+        """The distance -t of the root t of the piecewise-linear t ->
+        Lam sum (ev + t)^+ + lam sum (ev + t)^-, in exact arithmetic."""
+        e, lam, Lam = [Fraction(v) for v in ev], Fraction(lam), Fraction(Lam)
+        n = len(e)
+        for j in range(n + 1):  # the j smallest shifted eigenvalues are <= 0
+            d = (lam * sum(e[:j]) + Lam * sum(e[j:])) / (lam * j + Lam * (n - j))
+            if all(v <= d for v in e[:j]) and all(v > d for v in e[j:]):
+                return d
+        raise AssertionError("no piece holds the root")
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("Lam", [2.0**1018, 1e308])
+    @pytest.mark.parametrize("lam", [5e-324, 1e-322, 1e-310])
+    def test_a_subnormal_lam_beside_a_huge_Lam_gives_the_exact_root(self, lam, Lam, n):
+        # scaling (lam, Lam) by 2^-8 to keep n Lam in range takes lam to 0
+        # or below the normal range, where the scan counted every piece
+        # and divided 0 by 0
+        spec = Pucci(n, lam, Lam)
+        rng = make_rng(53, n)
+        xs = [np.eye(n), -np.eye(n), np.zeros((n, n)), 2.7 * np.eye(n), np.diag(np.arange(1.0, n + 1.0))]
+        xs += [np.diag([-1e300] + [1e-300] * (n - 1)), 1e-300 * np.eye(n)]
+        xs += [goe_matrix(rng, n, radius=r).a for r in (1.0, 1e-300, 1e300, 8e307)]
+        for a in xs:
+            x = SymMatrix(a)
+            ev = eigvals_sym(x)
+            d = spec.distance(x)
+            exact = self.exact_pucci_root(ev.tolist(), lam, Lam)
+            assert math.isfinite(d)
+            assert abs(Fraction(d) - exact) <= Fraction(2.0**-52) * Fraction(float(np.abs(ev).max()))
+
 
 class TestPairingOverflow:
     """A sweep of the specs built on pairings (trace pairings, and the

@@ -7,7 +7,8 @@ Each mutant is one exact textual edit of a source file.  The script copies
 ``src/``, ``tests/``, ``tools/`` and ``perfbench/`` of this checkout into a
 scratch directory, applies one mutant at a time there (never in the
 checkout), runs the tier-1 tests on the copy with ``-x`` and reports
-whether they killed it.  It is a
+whether they killed it: a failing run, or one that takes longer than
+``TIMEOUT`` seconds (a mutant that never stops), kills it.  It is a
 manual check, not a CI step:
 
     python tools/hand_mutants.py /path/to/scratch/dir
@@ -24,6 +25,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: Seconds a mutant's test run may take: about ten times an unmutated run.
+TIMEOUT = 360
 
 #: (name, file, original text, mutated text); the original must occur once.
 MUTANTS = [
@@ -52,6 +56,12 @@ MUTANTS = [
         "AcdoRoot(value=-a, bracket=(-b, -a)",
     ),
     (
+        "lockstep: the 200-step cap put back",
+        "src/domcone/acdo.py",
+        "live = (hi - lo > tol) & (mid != lo)",
+        "live = (hi - lo > tol) & (iterations < 200) & (mid != lo)",
+    ),
+    (
         "lockstep: drop the mid != lo stop",
         "src/domcone/acdo.py",
         " & (mid != lo) & (mid != hi)",
@@ -70,10 +80,16 @@ MUTANTS = [
         "member_stack=lambda a: spec.value_stack(a) < 0.0,",
     ),
     (
-        "PropertyReport.record: >= for > against the limit",
+        "PropertyReport.record: < for <= against the limit",
         "src/domcone/rules.py",
+        "        if not deviation <= limit:\n",
+        "        if not deviation < limit:\n",
+    ),
+    (
+        "PropertyReport.record: back to deviation > limit",
+        "src/domcone/rules.py",
+        "        if not deviation <= limit:\n",
         "        if deviation > limit:\n",
-        "        if deviation >= limit:\n",
     ),
     (
         "PropertyReport.record: min for max",
@@ -128,6 +144,12 @@ MUTANTS = [
         "src/domcone/operators.py",
         "(n - 1 - k) * v",
         "(n - k) * v",
+    ),
+    (
+        "Pucci distance: pre-scale fix removed",
+        "src/domcone/operators.py",
+        "if lam < 2.0**-1022:",
+        "if False:",
     ),
     (
         "minimal_bound_check: drop the radius cycle",
@@ -336,7 +358,10 @@ def _copy(dest: Path) -> None:
 def _killed(dest: Path) -> bool:
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
-    return subprocess.run(cmd, cwd=dest, env=env, capture_output=True).returncode != 0
+    try:
+        return subprocess.run(cmd, cwd=dest, env=env, capture_output=True, timeout=TIMEOUT).returncode != 0
+    except subprocess.TimeoutExpired:
+        return True
 
 
 def main(argv: list[str]) -> int:

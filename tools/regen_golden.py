@@ -56,8 +56,9 @@ _CONJ = "tests/data/conjugated_pucci.json"
 #: half-space far from the origin passes ``verify``, though its distances
 #: round by more than 3x the root tolerance; the
 #: non-finite results of ``aperture``, ``check-inclusion`` (q* at p = inf)
-#: and ``eval`` are strings; the far ``acdo`` probe stops short of the step
-#: cap; ``acdo`` on a half-space with a large offset finds witnesses apart;
+#: and ``eval`` are strings; the far ``acdo`` probe stops where its midpoint
+#: rounds onto an end of its bracket; ``acdo`` on a half-space with a large
+#: offset finds witnesses apart;
 #: ``fundsol`` on an axis prints no signed zero, and next to the origin and
 #: at an infinite point exits 1 with the error report, as ``eval`` does on a
 #: finite matrix whose symmetric part overflows and ``acdo`` on a congruence
@@ -65,7 +66,8 @@ _CONJ = "tests/data/conjugated_pucci.json"
 #: distance of the dominative and Pucci operators where their formulas pass
 #: the float range, and so of a linear operator, a generator hull (plain or
 #: rotation-closed) and the model equation where a pairing or the
-#: difference of two eigenvalues does.
+#: difference of two eigenvalues does, and the finite distance of a Pucci
+#: operator whose lam is subnormal beside a Lam near the float range's end.
 CLI_CASES = {
     "suite.seed0": ["suite", "--all", "--seed", "0"],
     "suite.seed1": ["suite", "--all", "--seed", "1"],
@@ -83,6 +85,7 @@ CLI_CASES = {
     "cli.eval.overflow.plain-hull": ["eval", "--op", "tests/data/plain_hull_pucci.json", "--X", "tests/data/overflow_split.json"],
     "cli.eval.overflow.rot-closed": ["eval", "--op", "tests/data/rot_closed_pucci.json", "--X", "tests/data/overflow_split.json"],
     "cli.eval.overflow.example": ["eval", "--op", "example", "--X", "tests/data/overflow_split.json"],
+    "cli.eval.pucci.subnormal-lam": ["eval", "--op", "pucci:n=2,lam=5e-324,Lam=1e308", "--X", "tests/data/identity2.json"],
     "cli.acdo.overflow": ["acdo", "--op", "tests/data/conjugated_overflow.json", "--X", "tests/data/identity2.json"],
     "cli.acdo.far": ["acdo", "--op", _CONJ, "--X", "tests/data/far_probe.json"],
     "cli.acdo.far-offset": ["acdo", "--op", "tests/data/linear_far_offset.json", "--X", "tests/data/identity2.json"],
