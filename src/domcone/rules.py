@@ -182,13 +182,18 @@ class Report(Record):
 
 @dataclass
 class PropertyReport(Report):
-    """Report of a sampled check with one deviation per check; its
-    ``max_deviation`` starts at 0.0, so it is never negative."""
+    """Report of a sampled check with one deviation per check, whose
+    ``max_deviation`` starts at 0.0 (never negative); ``samples - checks``
+    samples were skipped, and a report with no check does not pass."""
 
     name: str
     samples: int
     checks: int = 0
     max_deviation: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.checks > 0 and not self.violations
 
     def record(self, deviation: float, limit: float, /, **violation) -> None:
         """Count one check; keep ``violation`` unless ``deviation`` <= ``limit`` (a NaN fails)."""

@@ -250,7 +250,7 @@ def inner_stack(a: SymMatrix, x: np.ndarray) -> np.ndarray:
 def _pairings(gens: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Trace pairings, shape ``(k, g)``, of a ``(k, n, n)`` stack ``x`` with a
     ``(g, n, n)`` array ``gens``, each summed as ``np.sum`` of one matrix."""
-    return (gens * x[:, None]).reshape(len(x), len(gens), -1).sum(-1)
+    return (gens * x[:, None]).reshape(len(x), len(gens), x.shape[-1] ** 2).sum(-1)
 
 
 def _paired(rule, a: np.ndarray, scale: float, m: float = 0.0) -> np.ndarray:

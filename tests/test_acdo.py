@@ -23,6 +23,7 @@ from domcone.acdo import (
     oracle_from_operator,
 )
 from domcone.aperture import ConvexBody
+from domcone.cli import _checks_result
 from domcone.rules import StructureFlags
 from domcone.cones import conjugate_oracle
 from domcone.errors import InputError, NonProperSetError, PreconditionError
@@ -333,12 +334,12 @@ def test_a_nan_deviation_is_a_violation():
     assert rep.max_deviation == 0.0
 
 
-@pytest.mark.parametrize("half_width, checks, violations", [(1.0, 20, 18), (0.75, 8, 3)])
+@pytest.mark.parametrize("half_width, checks, violations", [(1.0, 20, 18), (0.75, 5, 4)])
 def test_a_set_that_is_not_downward_closed_fails(half_width, checks, violations):
     # the matrices with spectrum inside [-h, h]: a sample inside loses
     # membership when N pushes an eigenvalue below -h, and one whose
     # spectrum spreads wider than 2h cannot be shifted inside and is
-    # skipped (at h = 3/4, 12 of the 20)
+    # skipped (at h = 3/4, 15 of the 20)
     def member(x):
         ev = eigvals_sym(x)
         return bool(-half_width <= ev[0] and ev[-1] <= half_width)
@@ -350,3 +351,20 @@ def test_a_set_that_is_not_downward_closed_fails(half_width, checks, violations)
     for v in rep.violations:
         x, n_mat = SymMatrix.from_dict(v["X"]), SymMatrix.from_dict(v["N"])
         assert member(x) and not member(x + n_mat) and eigvals_sym(n_mat)[-1] <= 0.0
+
+
+def test_a_check_that_skips_every_sample_does_not_pass():
+    # every sample has norm 1, so it starts outside the matrices with
+    # spectrum in [-1/2, 1/2], and at seed 0 none spreads narrow enough to
+    # be shifted inside: all 20 are skipped, and a report with no check
+    # fails, as does verify
+    def member(x):
+        ev = eigvals_sym(x)
+        return bool(-0.5 <= ev[0] and ev[-1] <= 0.5)
+
+    eye = SymMatrix.identity(3)
+    oracle = EllipticSetOracle(member=member, n=3, inside_witness=eye * 0.0, outside_witness=eye * 2.0)
+    rep = check_downward_closure(oracle, samples=20, seed=0)
+    assert (rep.checks, rep.violations, rep.passed) == (0, [], False)
+    assert rep.to_dict()["passed"] is False
+    assert _checks_result([rep])[1] == 2

@@ -2,8 +2,9 @@
 through it as a stack of one, against a plain one-root bisection kept
 here, for stacks of any size, fresh and resumed; the shape and entry
 checks of the stack; the stacked membership of congruence images against
-the scalar one, the stacked spec values against the scalar ones, and the
-property checks built on them against their per-sample form."""
+the scalar one, the stacked spec values against the scalar ones, empty
+stacks, and the property checks built on them against their per-sample
+form."""
 
 import json
 import math
@@ -21,6 +22,7 @@ from domcone.acdo import (
     acdo_eval,
     acdo_root,
     acdo_roots,
+    check_downward_closure,
     check_lipschitz,
     check_nondegeneracy,
     check_structure,
@@ -29,6 +31,7 @@ from domcone.acdo import (
     _witness_brackets,
 )
 from domcone.aperture import ConvexBody
+from domcone.cli import parse_operator_arg
 from domcone.cones import conjugate_oracle
 from domcone.errors import (
     DimensionMismatchError,
@@ -50,8 +53,8 @@ from domcone.operators import (
     spec_from_dict,
 )
 from domcone.rules import ROOT_TOL, PropertyReport, StructureFlags
-from domcone.sampling import goe_matrix, goe_stack, make_rng, random_orthogonal, random_psd
-from domcone.symmat import InvertibleMap, SymMatrix, congruence, eigvals_sym, inf_norm
+from domcone.sampling import goe_matrix, goe_stack, make_rng, random_nsd, random_orthogonal, random_psd
+from domcone.symmat import InvertibleMap, SymMatrix, congruence, eigvals_sym, inf_norm, inner_stack
 
 
 def _map(rng, n):
@@ -736,6 +739,26 @@ def test_value_stack_equals_value_bit_for_bit(n):
         assert got.tobytes() == want.tobytes(), kind
 
 
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_empty_stacks_give_empty_values(kind):
+    # a (0, n, n) stack has no value and no member: every spec's stacked
+    # value, and the stacked membership of every oracle kind, has shape (0,)
+    rng = make_rng(19)
+    spec = _spec(kind, rng)
+    empty = np.zeros((0, spec.n, spec.n))
+    assert spec.value_stack(empty).shape == (0,)
+    oracles = {
+        "closed-form": oracle_from_operator(spec),
+        "lockstep": _bisection(spec),
+        "conjugate": conjugate_oracle(oracle_from_operator(spec), _map(rng, spec.n)),
+        "predicate": EllipticSetOracle(member=lambda x: spec.value(x) <= 0.0, n=spec.n),
+    }
+    for name, oracle in oracles.items():
+        assert oracle.member_stack(empty).shape == (0,), name
+        assert acdo_roots(oracle, empty) == [], name
+    assert inner_stack(random_psd(rng, spec.n), empty).shape == (0,)
+
+
 def _reference_eval_pucci(x, lam, Lam):
     ev = eigvals_sym(x)
     return float(Lam * ev[ev > 0.0].sum() + lam * ev[ev < 0.0].sum())
@@ -941,3 +964,80 @@ def test_structure_report_equals_the_per_sample_loop(flags, tol):
     want = _per_sample_structure(oracle, flags, 20, 3, tol).to_dict()
     assert repr(got) == repr(want)
     assert bool(got["violations"]) == (tol < 0 or flags != StructureFlags(cone=True))
+
+
+def _per_sample_downward_closure(oracle, samples, seed):
+    """check_downward_closure's per-sample form: one membership call at a
+    time, and one distance for each sample outside."""
+    rng = make_rng(seed)
+    report = PropertyReport(name="downward-closure", samples=samples)
+    for _ in range(samples):
+        x = goe_matrix(rng, oracle.n, radius=1.0)
+        if not oracle.member(x):
+            x = x.shift(-acdo_eval(oracle, x) - 1e-6)
+            if not oracle.member(x):
+                continue
+        n_mat = random_nsd(rng, oracle.n, scale=0.5)
+        report.checks += 1
+        if not oracle.member(x + n_mat):
+            report.violations.append({"X": x.to_dict(), "N": n_mat.to_dict()})
+    return report
+
+
+@pytest.mark.parametrize(
+    "op, seed",
+    [
+        ("conjugated_pucci.json", 0),
+        ("conjugated_pucci.json", 1),
+        ("conjugated_pucci.json", 5),
+        ("linear_offset_1e12.json", 0),
+        ("linear_offset_1e12.json", 1),
+        ("linear_offset_1e12.json", 5),
+        ("dominative:n=3,p=3", 0),
+        ("pucci:n=4,lam=1,Lam=2", 0),
+        ("example", 0),
+        ("example", 1),
+    ],
+)
+def test_downward_closure_equals_the_per_sample_loop(op, seed):
+    # where no sample is skipped, the draws and every value keep their bits
+    data = Path(__file__).parent / "data"
+    oracle = oracle_from_operator(parse_operator_arg(str(data / op) if op.endswith(".json") else op))
+    got = check_downward_closure(oracle, samples=200, seed=seed).to_dict()
+    want = _per_sample_downward_closure(oracle, 200, seed).to_dict()
+    assert repr(got) == repr(want)
+    assert got["checks"] == 200
+
+
+def test_downward_closure_bisects_in_one_stacked_call(monkeypatch):
+    # on a bisected oracle: one acdo_roots call, no per-sample distance or
+    # membership call, and three stacked membership calls beside the
+    # bisection's own
+    data = Path(__file__).parent / "data"
+    oracle = oracle_from_operator(parse_operator_arg(str(data / "conjugated_pucci.json")))
+    calls = {"roots": 0, "member_stack": 0}
+    roots, member_stack, inside = acdo_roots, oracle.member_stack, [False]
+
+    def spy_roots(*args, **kwargs):
+        calls["roots"] += 1
+        inside[0] = True
+        try:
+            return roots(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def spy_member_stack(a):
+        calls["member_stack"] += not inside[0]
+        return member_stack(a)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a per-sample call")
+
+    monkeypatch.setattr("domcone.acdo.acdo_roots", spy_roots)
+    for name in ("acdo_root", "acdo_eval"):
+        monkeypatch.setattr(f"domcone.acdo.{name}", fail)
+    monkeypatch.setattr(oracle, "member", fail)
+    monkeypatch.setattr(oracle, "member_stack", spy_member_stack)
+    rep = check_downward_closure(oracle, samples=50, seed=0)
+    assert calls == {"roots": 1, "member_stack": 3}
+    assert rep.checks == 50 and rep.passed

@@ -1,7 +1,8 @@
 """Hand mutants of the root finder, the property reports, the suite's
 stacked checks, the eigensolve kernel, the input rules, the shared
 formulas, the overflow fallbacks, the per-command imports, the property
-checks' gate and their neighbours.
+checks' gate, the downward-closure check, empty stacks and their
+neighbours.
 
 Each mutant is one exact textual edit of a source file.  The script copies
 ``src/``, ``tests/``, ``tools/`` and ``perfbench/`` of this checkout into a
@@ -342,6 +343,30 @@ MUTANTS = [
         "src/domcone/acdo.py",
         "    return 3.0 * tol * scale + _ROUNDING * max(map(abs, distances))\n",
         "    return 3.0 * tol * scale + 1e6 * _ROUNDING * max(map(abs, distances))\n",
+    ),
+    (
+        "property report: passes with no check",
+        "src/domcone/rules.py",
+        "return self.checks > 0 and not self.violations",
+        "return not self.violations",
+    ),
+    (
+        "downward closure: member(X) tested for member(X + N)",
+        "src/domcone/acdo.py",
+        "bad = ~oracle.member_stack(xs + ns)",
+        "bad = ~oracle.member_stack(xs)",
+    ),
+    (
+        "downward closure: outside samples not shifted to the boundary",
+        "src/domcone/acdo.py",
+        "    xs[out] -= (np.array([r.value for r in acdo_roots(oracle, xs[out])]) + 1e-6)[:, None, None] * np.eye(n)\n",
+        "",
+    ),
+    (
+        "trace pairings: reshape with -1 again",
+        "src/domcone/symmat.py",
+        "reshape(len(x), len(gens), x.shape[-1] ** 2)",
+        "reshape(len(x), len(gens), -1)",
     ),
 ]
 
