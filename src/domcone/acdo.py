@@ -88,7 +88,11 @@ class EllipticSetOracle:
             inside, outside = _search_witnesses(self)
             self.inside_witness = inside if self.inside_witness is None else self.inside_witness
             self.outside_witness = outside if self.outside_witness is None else self.outside_witness
-        if eigvals_stack(self.inside_witness.a - self.outside_witness.a)[0] >= 0.0:
+        with np.errstate(over="ignore"):
+            gap = self.inside_witness.a - self.outside_witness.a
+        if not np.isfinite(gap).all():  # halved, a gap past the float range keeps its signs
+            gap = 0.5 * self.inside_witness.a - 0.5 * self.outside_witness.a
+        if eigvals_stack(gap)[0] >= 0.0:
             raise InputError(
                 "inside witness lies above the outside witness, which an elliptic"
                 f" set cannot contain ({self.description})"
@@ -282,13 +286,15 @@ def _lockstep(oracle, stack, tol, lo, hi, iterations) -> list[AcdoRoot]:
 
     Each step works on the unfinished rows alone: when some finish, their
     brackets and counts are written back and the rest are compacted, so a
-    step costs what its live rows cost."""
+    step costs what its live rows cost.  Ends whose sum or difference
+    passes the float range still bisect: see :func:`_midpoint`."""
     eye = np.eye(oracle.n)
     done_lo, done_hi, done_iterations = lo.copy(), hi.copy(), iterations.copy()
     rows = np.arange(len(stack))
     while True:
-        mid = 0.5 * (lo + hi)
-        live = (hi - lo > tol) & (mid != lo) & (mid != hi)
+        mid = _midpoint(lo, hi)
+        with np.errstate(over="ignore"):  # a width past the float range is inf, wider than any tol
+            live = (hi - lo > tol) & (mid != lo) & (mid != hi)
         if not live.all():
             end = rows[~live]
             done_lo[end], done_hi[end], done_iterations[end] = lo[~live], hi[~live], iterations[~live]
@@ -299,12 +305,21 @@ def _lockstep(oracle, stack, tol, lo, hi, iterations) -> list[AcdoRoot]:
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
         iterations = iterations + 1
-    mid = 0.5 * (done_lo + done_hi)
+    mid = _midpoint(done_lo, done_hi)
     columns = zip(mid.tolist(), done_lo.tolist(), done_hi.tolist(), done_iterations.tolist())
     return [
         AcdoRoot(value=-mid, bracket=(-b, -a), iterations=i, probes=i + 1, method="bisection")
         for mid, a, b, i in columns
     ]
+
+
+def _midpoint(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """0.5 (lo + hi), and 0.5 lo + 0.5 hi where that sum is not finite:
+    so the midpoint of two finite ends is finite past about 9e307, and
+    every other midpoint keeps its bits."""
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+    return np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
 
 
 def acdo_eval(oracle: EllipticSetOracle, x: SymMatrix, tol: float = ROOT_TOL) -> float:
@@ -455,16 +470,19 @@ def check_downward_closure(oracle: EllipticSetOracle, samples: int = 200, seed: 
     Sample i draws X_i at radius 1, then N_i <= 0 at scale 1/2.  One
     ``member_stack`` call tests the X's, one :func:`acdo_roots` call gives
     the distance d_i of each outside, one ``member_stack`` call tests their
-    shifts X_i - (d_i + 1e-6) I, and one tests X + N for the samples kept.
-    A shift still outside, which the bisection's bracket rules out for an
-    elliptic set where it is narrower than 2e-6, skips its sample, so
-    ``samples - checks`` were skipped."""
+    shifts X_i - (d_i + m_i) I, and one tests X + N for the samples kept.
+    The margin m_i is the larger of 1e-6 and the rounding allowance
+    (16 eps) times |d_i|, so it stays above the spacing of doubles near
+    d_i far from the origin.  A shift still outside, which the bisection's
+    bracket rules out for an elliptic set where it is narrower than 2 m_i,
+    skips its sample, so ``samples - checks`` were skipped."""
     _check_count(samples)
     rng, n = make_rng(seed), oracle.n
     draws = [(goe_matrix(rng, n).a, random_nsd(rng, n, scale=0.5).a) for _ in range(samples)]
     xs, ns = (np.array(m) for m in zip(*draws))
     out = np.flatnonzero(~oracle.member_stack(xs))
-    xs[out] -= (np.array([r.value for r in acdo_roots(oracle, xs[out])]) + 1e-6)[:, None, None] * np.eye(n)
+    d = np.array([r.value for r in acdo_roots(oracle, xs[out])])
+    xs[out] -= (d + np.maximum(1e-6, _ROUNDING * np.abs(d)))[:, None, None] * np.eye(n)
     skipped = out[~oracle.member_stack(xs[out])]
     xs, ns = np.delete(xs, skipped, axis=0), np.delete(ns, skipped, axis=0)
     bad = ~oracle.member_stack(xs + ns)

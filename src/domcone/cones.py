@@ -63,49 +63,46 @@ def boundary_sample(
     seed: int = 0,
     root_tol: float = ROOT_TOL,
     p: float | None = None,
-) -> list[SymMatrix]:
+) -> np.ndarray:
     """Directions of ``count`` boundary points at radius R, each scaled to
-    infinity norm one.
+    infinity norm one, as a ``(count, n, n)`` array.
 
     Each random unit direction D (GOE, infinity norm one) maps to the
     boundary point ``R*D - dist(R*D) * I`` via the signed distance;
     projections that collapse below R/10 in norm are discarded and
-    resampled as degenerate.  A bisected distance is found to
-    ``root_tol * R``, a tolerance per unit of radius (or to the last
-    double): a kept point is divided by its norm of at least R/10, so an
-    error d in the distance moves the direction by at most 20 d / R in the
-    infinity norm, and ``root_tol`` bounds the direction's error at every
-    radius.  Each pass draws the shortfall as one :func:`goe_stack`, finds
-    its distances with one :func:`acdo_roots` call (a closed form, or
-    bisections in lockstep) and its norms with one stacked eigensolve, and
-    keeps the accepted points in draw order.  So the output, and the error
-    after ``50 * count + 100`` draws, are those of drawing, projecting and
-    testing one sample at a time.
+    resampled as degenerate.  A distance is found to ``root_tol * R``, a
+    tolerance per unit of radius (or to the last double): a kept point is
+    divided by its norm of at least R/10, so an error d in the distance
+    moves the direction by at most 20 d / R in the infinity norm, and
+    ``root_tol`` bounds the direction's error at every radius.  Each pass
+    draws the shortfall as one :func:`goe_stack`, finds its distances with
+    one :func:`acdo_roots` call and its norms with one stacked eigensolve,
+    and keeps the accepted points in draw order.  So the output, and the
+    error after ``50 * count + 100`` draws, are those of drawing,
+    projecting and testing one sample at a time.
 
-    Bisected distances are first found only to ``_COARSE_TOL * R`` (when
-    that is looser than ``root_tol * R``) and resumed to ``root_tol * R``
-    where the output needs it.  A coarse root of bracket width w moves the
-    point's norm by at most w/2, so a root whose coarse norm is NaN or
-    within w/2 (plus rounding) of R/10 is sharpened before the keep
-    decision, which is therefore the sharp one.  With ``p`` None every
-    kept root is then sharpened, and the output is as above bit for bit.
-    With ``p``, the output is of mixed precision, for a caller that only
-    takes the largest F_p over it: a coarse direction of norm v lies within
+    Every oracle takes one path.  Its distances are first found to
+    ``max(root_tol, _COARSE_TOL) * R``, and a root is resumed to ``root_tol
+    * R`` only where the output needs it and its bracket is still wider
+    than that; a closed form's bracket (v, v) never is.  A root of bracket
+    width w moves the point's norm by at most w/2, so a wide root whose
+    norm is NaN or within w/2 (plus rounding) of R/10 is resumed before the
+    keep decision, which is therefore the sharp one.  With ``p`` None every
+    kept wide root is then resumed, and the output is as above bit for
+    bit.  With ``p``, the output is of mixed precision, for a caller that
+    only takes the largest F_p over it: a direction of norm v lies within
     e = w / max(v - w/2, R/10) of its sharp one in the infinity norm, and
-    F_p, elliptic with F_p(X + tI) = F_p(X) + t, is 1-Lipschitz there.  So
-    only directions with F_p + e at least the largest F_p - e can be the
-    worst (or every one, if a value is not finite); those are sharpened,
-    and the largest F_p over the output, the first of its maximisers
-    included, has the bits it has with ``p`` None.
+    F_p, elliptic with F_p(X + tI) = F_p(X) + t, is 1-Lipschitz there.  So,
+    when some kept root is wide, only directions with F_p + e at least the
+    largest F_p - e can be the worst (or every one, if a value is not
+    finite); those are resumed, and the largest F_p over the output, the
+    first of its maximisers included, has the bits it has with ``p`` None.
     """
     _check_count(count)
     rng = make_rng(seed)
     n = oracle.n
     eye = np.eye(n)
-    fine = root_tol * R
-    # a closed form has no bracket to sharpen, so it takes one pass of roots
-    lazy = oracle.distance is None and _COARSE_TOL > root_tol
-    coarse = _COARSE_TOL * R if lazy else fine
+    coarse, fine = max(root_tol, _COARSE_TOL) * R, root_tol * R
     passes, roots_kept = [], []  # (probes, raw, nrm) kept per pass; their roots
     budget, attempts, kept = 50 * count + 100, 0, 0
     while kept < count:
@@ -119,28 +116,20 @@ def boundary_sample(
         probes = goe_stack(rng, k, n, [1.0]) * R
         roots = acdo_roots(oracle, probes, coarse)
         raw, nrm = _project(probes, roots, eye)
-        if lazy:
-            width = np.array([r.bracket[1] - r.bracket[0] for r in roots])
-            near = np.flatnonzero(np.isnan(nrm) | (np.abs(nrm - R / 10.0) <= 0.5 * width + 1e-12 * R))
-            if near.size:
-                sharp = acdo_roots(oracle, probes[near], fine, start=[roots[i] for i in near])
-                raw[near], nrm[near] = _project(probes[near], sharp, eye)
-                for i, root in zip(near.tolist(), sharp):
-                    roots[i] = root
+        width = _widths(roots)
+        near = (width > fine) & (np.isnan(nrm) | (np.abs(nrm - R / 10.0) <= 0.5 * width + 1e-12 * R))
+        _resume(oracle, probes, roots, raw, nrm, near, fine, eye)
         keep = ~(nrm < R / 10.0)  # a nan norm is not short, so it is kept
         passes.append((probes[keep], raw[keep], nrm[keep]))
         roots_kept.extend(roots[i] for i in np.flatnonzero(keep))
         kept += int(keep.sum())
     probes, raw, nrm = (np.concatenate(column) for column in zip(*passes))
-    if lazy:
-        width = np.array([r.bracket[1] - r.bracket[0] for r in roots_kept])
-        todo = np.flatnonzero(
-            np.ones(kept, dtype=bool) if p is None else _may_be_worst(DominativeP(n, p), raw, nrm, width, R)
-        )
-        sharp = acdo_roots(oracle, probes[todo], fine, start=[roots_kept[i] for i in todo])
-        raw[todo], nrm[todo] = _project(probes[todo], sharp, eye)
-    unit = raw * (1.0 / nrm)[:, None, None]
-    return [SymMatrix._wrap(d) for d in unit]
+    width = _widths(roots_kept)
+    todo = width > fine
+    if p is not None and todo.any():
+        todo &= _may_be_worst(DominativeP(n, p), raw, nrm, width, R)
+    _resume(oracle, probes, roots_kept, raw, nrm, todo, fine, eye)
+    return raw * (1.0 / nrm)[:, None, None]
 
 
 def _project(probes: np.ndarray, roots, eye: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,6 +137,23 @@ def _project(probes: np.ndarray, roots, eye: np.ndarray) -> tuple[np.ndarray, np
     shifts = np.array([-r.value for r in roots])
     raw = probes + shifts[:, None, None] * eye
     return raw, inf_norm_stack(raw)
+
+
+def _widths(roots) -> np.ndarray:
+    """Bracket widths of ``roots``: 0 for a closed form."""
+    return np.array([r.bracket[1] - r.bracket[0] for r in roots])
+
+
+def _resume(oracle, probes, roots, raw, nrm, mask: np.ndarray, tol: float, eye: np.ndarray) -> None:
+    """Resume the roots of ``probes`` where ``mask`` holds to ``tol``, and
+    write them and their boundary points and norms back in place."""
+    todo = np.flatnonzero(mask)
+    if not todo.size:
+        return
+    sharp = acdo_roots(oracle, probes[todo], tol, start=[roots[i] for i in todo])
+    raw[todo], nrm[todo] = _project(probes[todo], sharp, eye)
+    for i, root in zip(todo.tolist(), sharp):
+        roots[i] = root
 
 
 def _may_be_worst(score: DominativeP, raw, nrm, width, R: float) -> np.ndarray:
@@ -253,7 +259,7 @@ def check_inclusion(
     worst = []
     for i, r in enumerate(radii):
         directions = boundary_sample(target, r, count, seed=seed + 7919 * i, root_tol=root_tol, p=p)
-        worst.append(max(score.value_stack(np.array([d.a for d in directions])).tolist()))
+        worst.append(max(score.value_stack(directions).tolist()))
 
     slope, verdict = inclusion_verdict(radii, worst, 5.0 * property_tol)
     q_hi = sobolev_threshold(oracle.n, p)

@@ -145,9 +145,8 @@ def test_boundary_sample_returns_unit_boundary_directions():
     # Theta_3 is a cone, so the normalized boundary points stay on its boundary
     oracle = oracle_from_operator(DominativeP(n=3, p=3.0))
     directions = boundary_sample(oracle, 1e3, 12, seed=4)
-    assert len(directions) == 12
-    for d in directions:
-        assert isinstance(d, SymMatrix)
+    assert isinstance(directions, np.ndarray) and directions.shape == (12, 3, 3)
+    for d in map(SymMatrix, directions):
         assert inf_norm(d) == pytest.approx(1.0, rel=1e-12)
         assert eval_dominative(d, 3.0) == pytest.approx(0.0, abs=1e-12)
 
@@ -172,7 +171,7 @@ def test_worst_value_is_the_largest_dominative_value_of_the_sample():
     rep = check_inclusion(oracle, None, 3.5, RADII, count=20, seed=5)
     for i, r in enumerate(RADII):
         directions = boundary_sample(oracle, r, 20, seed=5 + 7919 * i)
-        assert rep.worst_fp_per_radius[i] == max(eval_dominative(d, 3.5) for d in directions)
+        assert rep.worst_fp_per_radius[i] == max(eval_dominative(SymMatrix(d), 3.5) for d in directions)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +243,8 @@ def _batched(monkeypatch, oracle, R, count, stub):
 
 
 def _assert_same_sample(got, want):
-    assert all(isinstance(d, SymMatrix) for d in got)
-    assert np.array([d.a for d in got]).tobytes() == np.array([d.a for d in want]).tobytes()
+    want = np.array([getattr(d, "a", d) for d in want])  # the reference's SymMatrix list, or a stack
+    assert isinstance(got, np.ndarray) and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(SAMPLER_ORACLES))
@@ -298,7 +297,7 @@ def test_root_tolerance_per_unit_of_radius_moves_directions_by_at_most_20_tol(ki
     oracle = SAMPLER_ORACLES[kind]()
     got = boundary_sample(oracle, R, 20, seed=6)
     fine = boundary_sample(oracle, R, 20, seed=6, root_tol=ROOT_TOL / R)
-    dev = np.abs(np.array([d.a for d in got]) - np.array([d.a for d in fine])).max()
+    dev = np.abs(got - fine).max()
     assert dev <= 20 * ROOT_TOL
 
 
@@ -377,11 +376,10 @@ def test_lazy_cases_have_their_verdict(kind, p, verdict):
 @pytest.mark.parametrize("kind, p, verdict", LAZY_CASES)
 def test_sampling_for_a_worst_value_keeps_it_bit_for_bit(monkeypatch, kind, p, verdict, R):
     oracle, count = SAMPLER_ORACLES[kind](), 30
-    sharp = np.array([d.a for d in boundary_sample(oracle, R, count, seed=6)])
+    sharp = boundary_sample(oracle, R, count, seed=6)
     resumed = _resume_calls(monkeypatch)
-    lazy = boundary_sample(oracle, R, count, seed=6, p=p)
-    assert len(lazy) == count
-    got = np.array([d.a for d in lazy])
+    got = boundary_sample(oracle, R, count, seed=6, p=p)
+    assert got.shape == (count, 3, 3)
     f_got = DominativeP(3, p).value_stack(got).tolist()
     f_sharp = DominativeP(3, p).value_stack(sharp).tolist()
     worst = max(f_sharp)
@@ -402,6 +400,27 @@ def test_sampling_for_a_worst_value_keeps_it_bit_for_bit(monkeypatch, kind, p, v
         # one resumed call after the passes, for a few of the directions
         assert len(resumed) == 1 and 1 <= resumed[0] < count / 2
         assert (got != sharp).any()
+
+
+@pytest.mark.parametrize("p", [None, 3.0])
+def test_closed_form_roots_take_one_call_per_pass(monkeypatch, p):
+    # a closed form's bracket (v, v) is never wider than root_tol * R: each
+    # pass makes one acdo_roots call with no start, and nothing is scored
+    oracle, calls = SAMPLER_ORACLES["closed_form"](), []
+
+    def spy(oracle, stack, tol=ROOT_TOL, start=None):
+        calls.append(start)
+        return acdo_roots(oracle, stack, tol, start=start)
+
+    def fail(*args):
+        raise AssertionError("a closed form's roots were scored")
+
+    monkeypatch.setattr(cones, "acdo_roots", spy)
+    monkeypatch.setattr(cones, "_may_be_worst", fail)
+    stub = ReplaceAt(27, 3, (0, 3))  # two identity draws rejected: a second pass of two
+    monkeypatch.setattr(cones, "make_rng", lambda seed: stub)
+    got = boundary_sample(oracle, 1e3, 10, seed=0, p=p)
+    assert calls == [None, None] and stub.drawn == 12 and got.shape == (10, 3, 3)
 
 
 def test_tied_worst_values_sharpen_every_direction(monkeypatch):
@@ -442,7 +461,7 @@ def test_norm_near_a_tenth_of_the_radius_is_decided_sharp(monkeypatch, kind, mat
         _assert_same_sample(got, want)
     else:
         score = DominativeP(3, p)
-        f_got = score.value_stack(np.array([d.a for d in got])).tolist()
+        f_got = score.value_stack(got).tolist()
         f_want = score.value_stack(np.array([d.a for d in want])).tolist()
         assert np.float64(max(f_got)).tobytes() == np.float64(max(f_want)).tobytes()
 
@@ -476,7 +495,7 @@ def test_check_inclusion_reports_the_worst_of_the_sharp_sample(member, p):
     worst = []
     for i, r in enumerate(RADII):
         directions = boundary_sample(oracle, r, 40, seed=8 + 7919 * i)
-        worst.append(max(DominativeP(3, p).value_stack(np.array([d.a for d in directions])).tolist()))
+        worst.append(max(DominativeP(3, p).value_stack(directions).tolist()))
     assert np.array(rep.worst_fp_per_radius).tobytes() == np.array(worst).tobytes()
     slope, verdict = inclusion_verdict(RADII, worst, THRESH)
     assert (rep.trend_slope, rep.verdict) == (slope, verdict)

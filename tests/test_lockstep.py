@@ -8,6 +8,7 @@ form."""
 
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from domcone.acdo import (
     check_nondegeneracy,
     check_structure,
     oracle_from_operator,
+    _ROUNDING,
     _gate,
     _witness_brackets,
 )
@@ -546,6 +548,28 @@ def test_non_elliptic_rows_end_at_their_bracket():
     assert (stack[:, 0, 1] > 0.5).any() and (stack[:, 0, 1] < -0.5).any()
 
 
+@pytest.mark.parametrize("T", [9e307, 1.2e308, 1.6e308])
+def test_bisection_past_half_the_float_range_stays_finite(T):
+    # {lambda_max <= T} with witnesses -+1.7e308 I: past about 9e307 the
+    # sum of the bracket's ends leaves the float range, and the midpoint
+    # halves them first; the root at X = 0 is -T to within the larger of
+    # tol and one ulp, and neither the witness-order check nor the
+    # bisection warns
+    eye = SymMatrix.identity(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        oracle = EllipticSetOracle(
+            member=lambda x: bool(eigvals_sym(x)[-1] <= T),
+            n=2,
+            inside_witness=eye * -1.7e308,
+            outside_witness=eye * 1.7e308,
+        )
+        root = acdo_root(oracle, SymMatrix.zeros(2))
+    assert math.isfinite(root.value) and all(map(math.isfinite, root.bracket))
+    assert abs(root.value + T) <= max(ROOT_TOL, float(np.spacing(T)))
+    assert root.bracket[0] <= -T <= root.bracket[1] and root.probes == root.iterations + 1
+
+
 # ---------------------------------------------------------------------------
 # The witnesses' bracket
 
@@ -647,6 +671,14 @@ class TestWitnessBracket:
                 n=3,
                 inside_witness=SymMatrix.diag([0.0, 0.0, 1.0]),
                 outside_witness=SymMatrix.zeros(3),
+            )
+        # W_in - W_out = 3.4e308 I passes the float range: its halves are compared
+        with pytest.raises(InputError, match="inside witness lies above"):
+            EllipticSetOracle(
+                member=lambda x: bool(eigvals_sym(x)[-1] >= 0.0),
+                n=3,
+                inside_witness=eye * 1.7e308,
+                outside_witness=eye * -1.7e308,
             )
         # an unordered pair whose difference is indefinite is accepted
         oracle = EllipticSetOracle(
@@ -974,7 +1006,8 @@ def _per_sample_downward_closure(oracle, samples, seed):
     for _ in range(samples):
         x = goe_matrix(rng, oracle.n, radius=1.0)
         if not oracle.member(x):
-            x = x.shift(-acdo_eval(oracle, x) - 1e-6)
+            d = acdo_eval(oracle, x)
+            x = x.shift(-d - max(1e-6, _ROUNDING * abs(d)))
             if not oracle.member(x):
                 continue
         n_mat = random_nsd(rng, oracle.n, scale=0.5)
@@ -997,12 +1030,18 @@ def _per_sample_downward_closure(oracle, samples, seed):
         ("pucci:n=4,lam=1,Lam=2", 0),
         ("example", 0),
         ("example", 1),
+        # every sample of <I, X> <= m lies outside, where doubles lie farther
+        # apart than 1e-6: the shift's margin grows with the distance
+        pytest.param(LinearTrace(A=SymMatrix.identity(3), m=-1e12), 0, id="linear-m=-1e12-0"),
+        pytest.param(LinearTrace(A=SymMatrix.identity(3), m=-1e15), 0, id="linear-m=-1e15-0"),
     ],
 )
 def test_downward_closure_equals_the_per_sample_loop(op, seed):
     # where no sample is skipped, the draws and every value keep their bits
     data = Path(__file__).parent / "data"
-    oracle = oracle_from_operator(parse_operator_arg(str(data / op) if op.endswith(".json") else op))
+    if isinstance(op, str):
+        op = parse_operator_arg(str(data / op) if op.endswith(".json") else op)
+    oracle = oracle_from_operator(op)
     got = check_downward_closure(oracle, samples=200, seed=seed).to_dict()
     want = _per_sample_downward_closure(oracle, 200, seed).to_dict()
     assert repr(got) == repr(want)

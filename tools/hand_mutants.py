@@ -1,8 +1,8 @@
 """Hand mutants of the root finder, the property reports, the suite's
 stacked checks, the eigensolve kernel, the input rules, the shared
 formulas, the overflow fallbacks, the per-command imports, the property
-checks' gate, the downward-closure check, empty stacks and their
-neighbours.
+checks' gate, the downward-closure check, empty stacks, the boundary
+sampler's resume rules and their neighbours.
 
 Each mutant is one exact textual edit of a source file.  The script copies
 ``src/``, ``tests/``, ``tools/`` and ``perfbench/`` of this checkout into a
@@ -107,14 +107,20 @@ MUTANTS = [
     (
         "oracle: flip the witness-order check",
         "src/domcone/acdo.py",
-        "self.outside_witness.a)[0] >= 0.0:",
-        "self.outside_witness.a)[0] < 0.0:",
+        "if eigvals_stack(gap)[0] >= 0.0:",
+        "if eigvals_stack(gap)[0] < 0.0:",
     ),
     (
         "oracle: > for >= in the witness-order check",
         "src/domcone/acdo.py",
-        "self.outside_witness.a)[0] >= 0.0:",
-        "self.outside_witness.a)[0] > 0.0:",
+        "if eigvals_stack(gap)[0] >= 0.0:",
+        "if eigvals_stack(gap)[0] > 0.0:",
+    ),
+    (
+        "oracle: W_in - W_out past the float range not halved",
+        "src/domcone/acdo.py",
+        "        if not np.isfinite(gap).all():",
+        "        if False:",
     ),
     (
         "witness search: step by 3 instead of 2",
@@ -359,8 +365,32 @@ MUTANTS = [
     (
         "downward closure: outside samples not shifted to the boundary",
         "src/domcone/acdo.py",
-        "    xs[out] -= (np.array([r.value for r in acdo_roots(oracle, xs[out])]) + 1e-6)[:, None, None] * np.eye(n)\n",
+        "    xs[out] -= (d + np.maximum(1e-6, _ROUNDING * np.abs(d)))[:, None, None] * np.eye(n)\n",
         "",
+    ),
+    (
+        "downward closure: the margin back to 1e-6",
+        "src/domcone/acdo.py",
+        "np.maximum(1e-6, _ROUNDING * np.abs(d))",
+        "1e-6",
+    ),
+    (
+        "lockstep: the midpoint guard removed",
+        "src/domcone/acdo.py",
+        "    return np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)\n",
+        "    return mid\n",
+    ),
+    (
+        "boundary_sample: width > coarse in the near rule",
+        "src/domcone/cones.py",
+        "near = (width > fine)",
+        "near = (width > coarse)",
+    ),
+    (
+        "boundary_sample: width > coarse in the final resume",
+        "src/domcone/cones.py",
+        "todo = width > fine",
+        "todo = width > coarse",
     ),
     (
         "trace pairings: reshape with -1 again",
